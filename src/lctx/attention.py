@@ -6,9 +6,16 @@ global position. Global tokens attend to the whole sequence through a second,
 independent projection set, and are attended from everywhere. Cost is linear
 in sequence length for fixed window and global count.
 
+The banded kernel gathers nothing per row. K and V are padded once along L,
+and the w+1 band slots are a read-only strided view of the padded copy (slot
+stride (d+1) rows); the backward adds each slot back as one shifted slice.
+Global columns are scored with one q @ k[globals]^T product, concatenated
+with the band scores before the single softmax. When every head's band
+covers the sequence, (w/2)*(d+1) >= L-1, the call goes to the dense kernel.
+
 `dense_attention_oracle` materializes the full mask and computes the same
-quantity quadratically; it is the testing ground truth and the quadratic
-baseline for benchmarks.
+quantity quadratically; it is the testing ground truth, the quadratic
+baseline for benchmarks and the kernel for full windows.
 """
 
 from __future__ import annotations
@@ -119,21 +126,61 @@ class AttentionParams:
 
 
 # ----------------------------------------------------------------------
-# fused gather/scatter ops for the banded kernel
+# fused band/row ops for the banded kernel
 # ----------------------------------------------------------------------
 
 
-def _gather_band(x: Tensor, idx: np.ndarray) -> Tensor:
-    """x [B,h,L,dh], idx [h,L,K] -> [B,h,L,K,dh] with scatter-add backward."""
-    h = x.shape[1]
-    harr = np.arange(h)[:, None, None]
-    key = (slice(None), harr, idx)
-    out_data = x.data[key]
+def _band_view(x: Tensor, window: int, gaps: tuple[int, ...]) -> Tensor:
+    """x [B,h,L,dh] -> [B,h,L,w+1,dh]: slot s of row i holds row
+    i + (s - w/2)*(gap_h+1) of head h, zero outside [0, L).
+
+    x is padded once along L and the slots are a read-only strided view of
+    the padded copy, so nothing is gathered per row. Heads that share one gap
+    share one view; mixed gaps concatenate one view per head. The backward
+    adds every slot's gradient back as one shifted slice.
+    """
+    B, h, L, dh = x.shape
+    half = window // 2
+    pad = half * (max(gaps) + 1)
+    xp = np.zeros((B, h, L + 2 * pad, dh), dtype=x.data.dtype)
+    xp[:, :, pad:pad + L] = x.data
+    sB, sh, sL, sd = xp.strides
+    # (heads, slot step, padded row of row 0's first slot) per view
+    if len(set(gaps)) == 1:
+        parts = [(slice(None), gaps[0] + 1, 0)]
+    else:
+        parts = [(slice(i, i + 1), g + 1, pad - half * (g + 1)) for i, g in enumerate(gaps)]
+
+    def view(heads, step, lo):
+        base = xp[:, heads, lo:]
+        return np.lib.stride_tricks.as_strided(
+            base, shape=(B, base.shape[1], L, window + 1, dh),
+            strides=(sB, sh, sL, step * sL, sd), writeable=False)
+
+    views = [view(*part) for part in parts]
+    out_data = views[0] if len(views) == 1 else np.concatenate(views, axis=1)
+
+    def backward(g):
+        if x.requires_grad:
+            gp = np.zeros_like(xp)
+            for heads, step, lo in parts:
+                for s in range(window + 1):
+                    start = lo + s * step
+                    gp[:, heads, start:start + L] += g[:, heads, :, s]
+            x._accum(gp[:, :, pad:pad + L])
+
+    return make_op(out_data, (x,), backward)
+
+
+def _gather_rows(x: Tensor, positions: np.ndarray) -> Tensor:
+    """x [B,h,L,dh] -> rows `positions` [B,h,G,dh]. Positions are distinct,
+    so the backward assigns instead of scatter-adding."""
+    out_data = x.data[:, :, positions, :]
 
     def backward(g):
         if x.requires_grad:
             gx = np.zeros_like(x.data)
-            np.add.at(gx, key, g)
+            gx[:, :, positions, :] = g
             x._accum(gx)
 
     return make_op(out_data, (x,), backward)
@@ -180,73 +227,85 @@ def _row_valid(lengths, batch: int, length: int) -> np.ndarray:
     return np.arange(length)[None, :] < lengths[:, None]
 
 
+def _additive_mask(allowed: np.ndarray, dtype) -> np.ndarray:
+    """0 where allowed, -inf elsewhere, built directly in `dtype`."""
+    return np.where(allowed, np.zeros((), dtype), np.full((), NEG_INF, dtype))
+
+
 def sparse_attention_forward(hidden: Tensor, params: AttentionParams,
                              pattern: AttentionPattern, n_heads: int,
                              lengths=None) -> Tensor:
     """Banded multi-head attention over [B, L, H] hidden states.
 
-    Non-global rows score only their banded keys plus the global columns
-    (local projections, one joint softmax); global rows attend everywhere
+    Non-global rows score their w+1 banded keys (a strided view of the
+    padded keys) plus the global columns (one matmul), under one joint
+    softmax with the local projections; global rows attend everywhere
     through the global projections. Padding keys beyond `lengths` are
-    excluded and padding rows give zero output.
+    excluded and padding rows give zero output. When every head's band
+    reaches the whole sequence ((w/2)*(gap+1) >= L-1), the call goes to
+    `dense_attention_oracle`, which computes the same quantity.
     """
     B, L, H = hidden.shape
     if H % n_heads != 0:
         raise ValueError("hidden dim not divisible by head count")
     dh = H // n_heads
     pattern.check_globals(L)
+    gaps = tuple(pattern.dilation_for(h, n_heads) for h in range(n_heads))
+    half_k = pattern.window // 2
+    if all(half_k * (gap + 1) >= L - 1 for gap in gaps):
+        return dense_attention_oracle(hidden, params, pattern, n_heads, lengths)
     gpos = np.asarray(pattern.global_positions, dtype=np.int64)
     G = len(gpos)
-    half_k = pattern.window // 2
+    K = pattern.window + 1
+    dtype = hidden.data.dtype
 
     q = T.mul(_project(hidden, params.wq, params.bq, n_heads), 1.0 / np.sqrt(dh))
     k = _project(hidden, params.wk, params.bk, n_heads)
     v = _project(hidden, params.wv, params.bv, n_heads)
 
-    # banded + global column index per head
-    idx_h, valid_h = [], []
-    for h in range(n_heads):
-        idx, valid = _band_index(L, pattern.window, pattern.dilation_for(h, n_heads))
-        if G:
-            # global columns are appended once; drop band slots that duplicate them
-            valid = valid & ~np.isin(idx, gpos)
-            valid[:, half_k] = True  # self stays in its band slot
-            idx = np.concatenate([idx, np.broadcast_to(gpos, (L, G))], axis=1)
-            valid = np.concatenate([valid, np.ones((L, G), dtype=bool)], axis=1)
-        idx_h.append(idx)
-        valid_h.append(valid)
+    idx_h, valid_h = zip(*(_band_index(L, pattern.window, gap) for gap in gaps))
     idxc = np.stack(idx_h)        # [h, L, K]
     validc = np.stack(valid_h)    # [h, L, K]
-
+    if G:
+        # global columns are scored on their own; drop band slots that duplicate them
+        validc &= ~np.isin(idxc, gpos)
     row_ok = _row_valid(lengths, B, L)               # [B, L]
     # key j usable iff its band slot is in range and j < length_b
     key_ok = validc[None] & row_ok[:, idxc]          # [B, h, L, K]
     key_ok[..., half_k] = True  # self slot always open (pad rows are zeroed later)
-    add_mask = np.where(key_ok, 0.0, NEG_INF)
 
-    kb = _gather_band(k, idxc)   # [B,h,L,K,dh]
-    vb = _gather_band(v, idxc)
+    kb = _band_view(k, pattern.window, gaps)   # [B,h,L,K,dh]
+    vb = _band_view(v, pattern.window, gaps)
     q5 = T.reshape(q, B, n_heads, L, 1, dh)
-    scores = T.reshape(T.matmul(q5, T.transpose(kb, (0, 1, 2, 4, 3))), B, n_heads, L, idxc.shape[-1])
-    probs = T.softmax(T.add_const(scores, add_mask), axis=-1)
-    out = T.reshape(T.matmul(T.reshape(probs, B, n_heads, L, 1, -1), vb), B, n_heads, L, dh)
+    scores = T.reshape(T.matmul(q5, T.transpose(kb, (0, 1, 2, 4, 3))), B, n_heads, L, K)
+    scores = T.add_const(scores, _additive_mask(key_ok, dtype))
+    if G:
+        kcols = _gather_rows(k, gpos)                                 # [B,h,G,dh]
+        vcols = _gather_rows(v, gpos)
+        cscores = T.matmul(q, T.transpose(kcols, (0, 1, 3, 2)))       # [B,h,L,G]
+        cmask = _additive_mask(row_ok[:, None, None, gpos], dtype)
+        scores = T.concat([scores, T.add_const(cscores, cmask)], axis=-1)
+    probs = T.softmax(scores, axis=-1)
+    pband = probs[..., :K] if G else probs
+    out = T.reshape(T.matmul(T.reshape(pband, B, n_heads, L, 1, K), vb), B, n_heads, L, dh)
 
     if G:
+        out = out + T.matmul(probs[..., K:], vcols)
         qg = T.mul(_project(hidden, params.wq_g, params.bq_g, n_heads), 1.0 / np.sqrt(dh))
         kg = _project(hidden, params.wk_g, params.bk_g, n_heads)
         vg = _project(hidden, params.wv_g, params.bv_g, n_heads)
-        qg_rows = qg[:, :, gpos, :]                                  # [B,h,G,dh]
+        qg_rows = _gather_rows(qg, gpos)                             # [B,h,G,dh]
         gscores = T.matmul(qg_rows, T.transpose(kg, (0, 1, 3, 2)))   # [B,h,G,L]
-        gmask = np.where(row_ok[:, None, None, :], 0.0, NEG_INF).repeat(G, axis=2)
-        gmask[:, :, np.arange(G), gpos] = 0.0
-        gout = T.matmul(T.softmax(T.add_const(gscores, gmask), axis=-1), vg)
-        keep = np.ones((L, 1), dtype=hidden.data.dtype)
+        gok = np.repeat(row_ok[:, None, None, :], G, axis=2)
+        gok[:, :, np.arange(G), gpos] = True
+        gout = T.matmul(T.softmax(T.add_const(gscores, _additive_mask(gok, dtype)), axis=-1), vg)
+        keep = np.ones((L, 1), dtype=dtype)
         keep[gpos] = 0.0
         out = T.mul_const(out, keep) + _scatter_rows(gout, gpos, L)
 
     merged = _merge_heads(out)
     y = T.matmul(merged, params.wo) + params.bo
-    return T.mul_const(y, row_ok[:, :, None].astype(hidden.data.dtype))
+    return T.mul_const(y, row_ok[:, :, None].astype(dtype))
 
 
 def dense_attention_oracle(hidden: Tensor, params: AttentionParams,
@@ -256,7 +315,8 @@ def dense_attention_oracle(hidden: Tensor, params: AttentionParams,
 
     Same semantics as sparse_attention_forward (local projections for banded
     rows, global projections for global rows, one softmax per row); used as
-    the testing oracle and the dense baseline in benchmarks.
+    the testing oracle, the dense baseline in benchmarks, and by
+    sparse_attention_forward when the band covers the whole sequence.
     """
     B, L, H = hidden.shape
     dh = H // n_heads
@@ -273,7 +333,7 @@ def dense_attention_oracle(hidden: Tensor, params: AttentionParams,
     row_ok = _row_valid(lengths, B, L)
     allowed = masks[None] & row_ok[:, None, None, :]
     allowed[:, :, np.arange(L), np.arange(L)] = True
-    add_mask = np.where(allowed, 0.0, NEG_INF)
+    add_mask = _additive_mask(allowed, hidden.data.dtype)
 
     if G:
         qg = T.mul(_project(hidden, params.wq_g, params.bq_g, n_heads), 1.0 / np.sqrt(dh))

@@ -37,9 +37,8 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _acc_dtype(dtype) -> np.dtype:
-    # float32 storage accumulates in float64; float64 stays put
-    return np.float64
+# float32 storage accumulates in float64; float64 stays put
+_ACC_DTYPE = np.float64
 
 
 class Tensor:
@@ -307,7 +306,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"inner dimensions disagree: {a.shape} x {b.shape}")
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ValueError(f"leading batch axes disagree: {a.shape} x {b.shape}")
-    acc = _acc_dtype(a.data.dtype)
+    acc = _ACC_DTYPE
     out_data = np.matmul(a.data.astype(acc, copy=False), b.data.astype(acc, copy=False))
     out_data = out_data.astype(a.data.dtype, copy=False)
 
@@ -369,14 +368,24 @@ def concat(tensors, axis: int) -> Tensor:
     return make_op(out_data, tuple(tensors), backward)
 
 
+def _is_basic_index(key) -> bool:
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(isinstance(k, (slice, int, np.integer, type(Ellipsis), type(None))) for k in parts)
+
+
 def index_select(a: Tensor, key) -> Tensor:
-    """Basic slicing / integer-array indexing with scatter-add backward."""
+    """Basic slicing / integer-array indexing. A basic key selects every
+    element at most once, so its backward assigns; array keys scatter-add."""
     out_data = a.data[key]
+    basic = _is_basic_index(key)
 
     def backward(g):
         if a.requires_grad:
             ga = np.zeros_like(a.data)
-            np.add.at(ga, key, g)
+            if basic:
+                ga[key] = g
+            else:
+                np.add.at(ga, key, g)
             a._accum(ga)
 
     return make_op(out_data, (a,), backward)

@@ -1,8 +1,11 @@
 """Banded attention vs the dense masked-attention oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lctx import attention
 from lctx import tensor as T
 from lctx.tensor import Tensor
 from lctx.attention import (
@@ -116,6 +119,73 @@ def test_full_window_equals_dense_self_attention():
     assert build_band_mask(L, pat_full, 0, 2).all()
 
 
+def _oracle_spy(monkeypatch):
+    """Count the banded kernel's calls into the dense kernel."""
+    calls = []
+    real = attention.dense_attention_oracle
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(attention, "dense_attention_oracle", spy)
+    return calls
+
+
+@pytest.mark.parametrize("reach, dispatched", [(-2, False), (-1, True)])
+@pytest.mark.parametrize("window, gap", [(4, 2), (8, 0), (2, 3)])
+def test_dense_dispatch_boundary(monkeypatch, window, gap, reach, dispatched):
+    # a band that reaches (w/2)*(gap+1) = L-2 stays banded; L-1 goes dense
+    L = (window // 2) * (gap + 1) - reach
+    rng = np.random.default_rng(16)
+    H, heads = 16, 2
+    params = AttentionParams(H, rng)
+    pat = AttentionPattern(window=window, dilation_per_head=(gap, gap), global_positions=(1,))
+    x = _hidden(rng, 2, L, H)
+    calls = _oracle_spy(monkeypatch)
+    with T.no_grad():
+        sparse = sparse_attention_forward(x, params, pat, n_heads=heads, lengths=[L, L - 1])
+    assert bool(calls) == dispatched
+    with T.no_grad():
+        dense = dense_attention_oracle(x, params, pat, n_heads=heads, lengths=[L, L - 1])
+    assert np.abs(sparse.data - dense.data).max() <= 1e-5
+
+
+def test_mixed_gaps_with_one_full_head_stay_banded(monkeypatch):
+    # head 1 covers the sequence, head 0 does not: the banded path serves both
+    rng = np.random.default_rng(17)
+    L, H, heads = 13, 16, 2
+    params = AttentionParams(H, rng)
+    pat = AttentionPattern(window=4, dilation_per_head=(0, 5), global_positions=(0, 7))
+    x = _hidden(rng, 1, L, H)
+    calls = _oracle_spy(monkeypatch)
+    with T.no_grad():
+        sparse = sparse_attention_forward(x, params, pat, n_heads=heads)
+    assert calls == []
+    with T.no_grad():
+        dense = dense_attention_oracle(x, params, pat, n_heads=heads)
+    assert np.abs(sparse.data - dense.data).max() <= 1e-5
+
+
+def test_forward_peak_memory_is_a_few_score_tensors():
+    # global columns are one [L, G] product, not gathered per row: the peak
+    # stays within a small multiple of one float64 score tensor
+    B, L, H, heads, w, G = 1, 2048, 32, 2, 8, 256
+    rng = np.random.default_rng(18)
+    params = AttentionParams(H, rng)
+    pat = AttentionPattern(window=w, global_positions=tuple(range(G)))
+    x = _hidden(rng, B, L, H)
+    score_bytes = 8 * B * heads * L * (w + 1 + G)
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            sparse_attention_forward(x, params, pat, n_heads=heads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * score_bytes, f"peak {peak / score_bytes:.1f}x one score tensor"
+
+
 def test_single_token_sequence():
     rng = np.random.default_rng(11)
     H = 8
@@ -180,6 +250,26 @@ def test_padding_rows_zero_and_keys_excluded():
     np.testing.assert_allclose(out.data[1, :6], out2.data[1, :6], atol=1e-6)
 
 
+def _gradients(forward, params, pat, heads, x_data, r, lengths=None):
+    x = Tensor(x_data, requires_grad=True, dtype=np.float64)
+    out = forward(x, params, pat, n_heads=heads, lengths=lengths)
+    T.reduce_sum(T.mul_const(out, r)).backward()
+    grads = {"x": x.grad}
+    grads.update({k: p.grad.copy() for k, p in params.named().items()})
+    for p in params.named().values():
+        p.zero_grad()
+    return grads
+
+
+def _assert_gradient_parity(pat, heads, x_data, r, params, lengths=None):
+    g_sparse = _gradients(sparse_attention_forward, params, pat, heads, x_data, r, lengths)
+    g_dense = _gradients(dense_attention_oracle, params, pat, heads, x_data, r, lengths)
+    for key in g_sparse:
+        a, b = g_sparse[key], g_dense[key]
+        denom = max(np.abs(a).max(), np.abs(b).max(), 1e-8)
+        assert np.abs(a - b).max() / denom <= 1e-4, key
+
+
 def test_gradient_parity_with_oracle():
     rng = np.random.default_rng(14)
     H, heads, L = 8, 2, 12
@@ -187,23 +277,19 @@ def test_gradient_parity_with_oracle():
     params_a = AttentionParams(H, rng, dtype=np.float64)
     x_data = rng.standard_normal((1, L, H))
     r = rng.standard_normal((1, L, H))
+    _assert_gradient_parity(pat, heads, x_data, r, params_a)
 
-    def run(forward, params):
-        x = Tensor(x_data, requires_grad=True, dtype=np.float64)
-        out = forward(x, params, pat, n_heads=heads)
-        T.reduce_sum(T.mul_const(out, r)).backward()
-        grads = {"x": x.grad}
-        grads.update({k: p.grad.copy() for k, p in params.named().items()})
-        for p in params.named().values():
-            p.zero_grad()
-        return grads
 
-    g_sparse = run(sparse_attention_forward, params_a)
-    g_dense = run(dense_attention_oracle, params_a)
-    for key in g_sparse:
-        a, b = g_sparse[key], g_dense[key]
-        denom = max(np.abs(a).max(), np.abs(b).max(), 1e-8)
-        assert np.abs(a - b).max() / denom <= 1e-4, key
+def test_gradient_parity_with_oracle_padded_batch():
+    # padded second row, a global past its length, mixed gaps: covers the
+    # band's slice-add backward and the split after the joint softmax
+    rng = np.random.default_rng(19)
+    H, heads, L = 8, 2, 12
+    pat = AttentionPattern(window=4, dilation_per_head=(0, 1), global_positions=(0, 5, 9))
+    params = AttentionParams(H, rng, dtype=np.float64)
+    x_data = rng.standard_normal((2, L, H))
+    r = rng.standard_normal((2, L, H))
+    _assert_gradient_parity(pat, heads, x_data, r, params, lengths=[L, L - 4])
 
 
 def test_local_and_global_parameters_distinct():
