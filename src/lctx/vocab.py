@@ -1,6 +1,7 @@
 """Character-level vocabulary. Chinese legal text tokenizes naturally per
 character; whitespace is dropped. Ids 0..4 are reserved for the special
-tokens PAD, UNK, CLS, SEP, MASK."""
+tokens PAD, UNK, CLS, SEP, MASK; the *_ID constants and N_SPECIAL below are
+their one definition."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ from pathlib import Path
 from .base import ParamMixin, check_fitted
 
 SPECIAL_TOKENS = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"]
-PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
+N_SPECIAL = len(SPECIAL_TOKENS)
+PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(N_SPECIAL)
 
 
 def char_tokens(text: str) -> list[str]:

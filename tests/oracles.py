@@ -1,9 +1,12 @@
 """Brute-force metric oracles, written straight from the definitions (plain
 loops, no shared code with the implementations). Used by the metric tests and
-the acceptance suite."""
+the acceptance suite. Also the reference formulas of the numeric kernels,
+which the kernel byte-identity tests compare against."""
 
 import itertools
 import math
+
+import numpy as np
 
 
 def bf_micro_macro(preds, golds, n_labels):
@@ -81,3 +84,98 @@ def bf_em_f1(pred, gold):
     p = common / len(pred)
     r = common / len(gold)
     return em, 2 * p * r / (p + r)
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: the lctx.tensor kernels as plain float64 expressions
+# on raw arrays, one fresh array per step. Each returns the forward output
+# and the input gradients for an upstream gradient g, each gradient cast and
+# added into zeros. The kernels must match these byte for byte on float32
+# input.
+# ---------------------------------------------------------------------------
+
+_GELU_C = 0.7978845608028654
+
+
+def ref_first_grad(g, like):
+    """A node's first gradient: zeros of like's dtype plus the cast g."""
+    out = np.zeros_like(like)
+    out += g.astype(like.dtype, copy=False)
+    return out
+
+
+def ref_unbroadcast(g, shape):
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)), dtype=np.float64).astype(g.dtype)
+    return g.reshape(shape)
+
+
+def ref_matmul(a, b, g):
+    acc = np.float64
+    out = np.matmul(a.astype(acc, copy=False), b.astype(acc, copy=False)).astype(a.dtype, copy=False)
+    g64 = g.astype(acc, copy=False)
+    ga = np.matmul(g64, np.swapaxes(b.astype(acc, copy=False), -1, -2))
+    gb = np.matmul(np.swapaxes(a.astype(acc, copy=False), -1, -2), g64)
+    return (out,
+            ref_first_grad(ref_unbroadcast(ga.astype(a.dtype, copy=False), a.shape), a),
+            ref_first_grad(ref_unbroadcast(gb.astype(b.dtype, copy=False), b.shape), b))
+
+
+def ref_gelu(a, g):
+    x = a.astype(np.float64, copy=False)
+    inner = _GELU_C * (x + 0.044715 * x**3)
+    t = np.tanh(inner)
+    out = (0.5 * x * (1.0 + t)).astype(a.dtype)
+    dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+    da = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
+    return out, ref_first_grad((g.astype(np.float64, copy=False) * da).astype(a.dtype), a)
+
+
+def ref_softmax(a, g, axis=-1):
+    x = a.astype(np.float64, copy=False)
+    m = np.max(x, axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    y = e / e.sum(axis=axis, keepdims=True)
+    g64 = g.astype(np.float64, copy=False)
+    dot = (g64 * y).sum(axis=axis, keepdims=True)
+    return y.astype(a.dtype), ref_first_grad(((g64 - dot) * y).astype(a.dtype), a)
+
+
+def ref_layer_norm(a, gain, bias, g, eps=1e-5):
+    x = a.astype(np.float64, copy=False)
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc**2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = (xhat * gain + bias).astype(a.dtype)
+    g64 = g.astype(np.float64, copy=False)
+    dxhat = g64 * gain
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    ga = ((dxhat - m1 - xhat * m2) * inv).astype(a.dtype)
+    red = tuple(range(g.ndim - 1))
+    ggain = (g64 * xhat).sum(axis=red).astype(gain.dtype)
+    gbias = g64.sum(axis=red).astype(bias.dtype)
+    return (out, ref_first_grad(ga, a), ref_first_grad(ggain, gain),
+            ref_first_grad(gbias, bias))
+
+
+def ref_cross_entropy_index(logits, target, g, ignore_index=-1):
+    x = logits.astype(np.float64, copy=False)
+    valid = target != ignore_index
+    n_valid = int(valid.sum())
+    m = x.max(axis=-1, keepdims=True)
+    lse = m[..., 0] + np.log(np.exp(x - m).sum(axis=-1))
+    picked = np.take_along_axis(x, np.maximum(target, 0)[..., None], axis=-1)[..., 0]
+    losses = np.where(valid, lse - picked, 0.0)
+    out = np.asarray(losses.sum() / n_valid, dtype=logits.dtype)
+    p = np.exp(x - m)
+    p /= p.sum(axis=-1, keepdims=True)
+    onehot = np.zeros_like(p)
+    np.put_along_axis(onehot, np.maximum(target, 0)[..., None], 1.0, axis=-1)
+    grad = (p - onehot) * valid[..., None] / n_valid
+    return out, ref_first_grad((float(g) * grad).astype(logits.dtype), logits)

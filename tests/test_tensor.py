@@ -107,6 +107,11 @@ def test_softmax_masked_entries_zero():
 def test_softmax_all_masked_row_is_error():
     with pytest.raises(FloatingPointError):
         T.softmax(Tensor([-np.inf, -np.inf]))
+    for dtype in (np.float32, np.float64):  # one masked row among open ones
+        x = np.zeros((3, 4), dtype=dtype)
+        x[1] = -np.inf
+        with pytest.raises(FloatingPointError):
+            T.softmax(Tensor(x, dtype=dtype), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +309,20 @@ def test_suffix_broadcast_bias():
 
 
 def test_debug_mode_catches_nan():
+    x = Tensor([1.0, 2.0])
+    inf = Tensor([np.inf, 1.0])  # built before the checks are on
+    big = Tensor([[1e30]])
     T.set_debug(True)
     try:
         with pytest.raises(FloatingPointError):
             Tensor([np.nan, 1.0])
+        # an op's non-finite output names the op
+        with pytest.raises(FloatingPointError, match="op 'mul'"):
+            T.mul(x, inf)
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="op 'matmul'"):
+            T.matmul(big, big)  # 1e60 overflows float32
+        with pytest.raises(FloatingPointError):
+            T.mul(x, np.inf)  # the constant itself is non-finite tensor data
     finally:
         T.set_debug(False)
 
