@@ -7,10 +7,14 @@ raw float32 payload.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
+
+from .tensor import Tensor
 
 MAGIC = b"LCTX"
 VERSION = 1
@@ -33,23 +37,54 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
+    """Every named array in the file; a file cut short or otherwise malformed
+    raises ValueError naming the file, and the array where it is known."""
     path = Path(path)
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            # checked before reading, so a corrupt length is never allocated
+            if fh.tell() + n > size:
+                raise ValueError(f"{path}: truncated checkpoint ({what})")
+            return fh.read(n)
+
+        def unpack(fmt: str, what: str) -> tuple:
+            return struct.unpack(fmt, read(struct.calcsize(fmt), what))
+
+        if read(4, "magic") != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = unpack("<I", "version")
         if version != VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<I", fh.read(4))
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank)) if rank else ()
-            n = int(np.prod(dims)) if dims else 1
-            payload = fh.read(4 * n)
-            if len(payload) != 4 * n:
-                raise ValueError(f"{path}: truncated payload for array {name!r}")
+        (count,) = unpack("<I", "array count")
+        for i in range(count):
+            (name_len,) = unpack("<I", f"name of array {i}")
+            name = read(name_len, f"name of array {i}").decode("utf-8")
+            (rank,) = unpack("<I", f"rank of array {name!r}")
+            dims = unpack(f"<{rank}Q", f"dims of array {name!r}")
+            payload = read(4 * math.prod(dims), f"payload of array {name!r}")
             out[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     return out
+
+
+def save_params(path, params: dict[str, Tensor]) -> None:
+    """Write each parameter's data under its name."""
+    save_arrays(path, {name: p.data for name, p in params.items()})
+
+
+def load_params(path, params: dict[str, Tensor]) -> None:
+    """Overwrite each parameter's data from the checkpoint at `path`, cast to
+    the parameter's dtype. The checkpoint must hold exactly these names at
+    these shapes; otherwise ValueError names every offending parameter and no
+    parameter changes."""
+    arrays = load_arrays(path)
+    problems = [f"missing {name!r}" for name in params if name not in arrays]
+    problems += [f"unexpected {name!r}" for name in arrays if name not in params]
+    problems += [f"{name!r} is {arrays[name].shape} in the checkpoint, {p.shape} in the model"
+                 for name, p in params.items() if name in arrays and arrays[name].shape != p.shape]
+    if problems:
+        raise ValueError(f"{path}: checkpoint does not match the model: " + "; ".join(problems))
+    for name, p in params.items():
+        p.data = arrays[name].astype(p.data.dtype, copy=False)

@@ -38,26 +38,19 @@ from .corpus import (
 )
 from .encoder import EncoderConfig
 from .fixtures import write_fixture_files
-from .metrics import (
-    FoldPlan,
-    RankedList,
-    em_f1,
-    log_distance,
-    mcq_accuracy,
-    mean_average_precision,
-    micro_macro_f1,
-    ndcg_at_k,
-    precision_at_k,
-    run_cross_validation,
-)
+from .metrics import FoldPlan, run_cross_validation
 from .pretrain import PretrainConfig, pretrain
 from .tasks import (
     JudgmentModel,
     MultipleChoiceModel,
     ReadingComprehensionModel,
     RetrievalRanker,
+    judgment,
+    mcq,
+    reading,
+    retrieval,
 )
-from .vocab import CharVocab, build_vocab, char_tokens
+from .vocab import CharVocab, build_vocab
 
 METRIC_COLUMNS = ["Mic@c", "Mac@c", "Mic@l", "Mac@l", "Dis@t",
                   "P@5", "P@10", "P@20", "P@30",
@@ -318,66 +311,37 @@ def cmd_finetune(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _label_count(rows, key) -> int:
+    """One more than the largest label id under `key` (an id or a list)."""
+    return 1 + max([max(r[key], default=0) if isinstance(r[key], list) else r[key]
+                    for r in rows], default=0)
+
+
 def _evaluate_rows(task: str, pred_rows, gold_rows) -> dict:
+    """Score prediction rows with the task's shared scoring path. Label counts
+    come from the two files; retrieval scores align to gold rows by
+    (query_id, candidate_id)."""
     if len(pred_rows) != len(gold_rows) and task != "retrieval":
         raise ValueError("pred and gold files must align")
-    if task == "judgment-criminal":
-        n_c = 1 + max([max(r["charges"], default=0) for r in pred_rows + gold_rows],
-                      default=0)
-        n_l = 1 + max([max(r["laws"], default=0) for r in pred_rows + gold_rows],
-                      default=0)
-        mic_c, mac_c = micro_macro_f1([set(r["charges"]) for r in pred_rows],
-                                      [set(r["charges"]) for r in gold_rows], n_c)
-        mic_l, mac_l = micro_macro_f1([set(r["laws"]) for r in pred_rows],
-                                      [set(r["laws"]) for r in gold_rows], n_l)
-        dis = log_distance([r["penalty_months"] for r in pred_rows],
-                           [r["penalty_months"] for r in gold_rows])
-        return {"Mic@c": mic_c, "Mac@c": mac_c, "Mic@l": mic_l, "Mac@l": mac_l,
-                "Dis@t": dis}
-    if task == "judgment-civil":
-        n_c = 1 + max(r["cause"] for r in pred_rows + gold_rows)
-        n_l = 1 + max([max(r["laws"], default=0) for r in pred_rows + gold_rows],
-                      default=0)
-        mic_c, mac_c = micro_macro_f1([{r["cause"]} for r in pred_rows],
-                                      [{r["cause"]} for r in gold_rows], n_c)
-        mic_l, mac_l = micro_macro_f1([set(r["laws"]) for r in pred_rows],
-                                      [set(r["laws"]) for r in gold_rows], n_l)
-        return {"Mic@c": mic_c, "Mac@c": mac_c, "Mic@l": mic_l, "Mac@l": mac_l}
+    if task in ("judgment-criminal", "judgment-civil"):
+        mode = task.split("-")[1]
+        rows = pred_rows + gold_rows
+        n_a = _label_count(rows, "charges" if mode == "criminal" else "cause")
+        return judgment.score_rows(pred_rows, gold_rows, mode, n_a,
+                                   _label_count(rows, "laws"))
     if task == "retrieval":
         scores = {(r["query_id"], r["candidate_id"]): r["score"] for r in pred_rows}
-        by_query: dict[str, list] = {}
+        aligned = []
         for r in gold_rows:
             key = (r["query_id"], r["candidate_id"])
             if key not in scores:
                 raise ValueError(f"missing prediction for {key}")
-            by_query.setdefault(r["query_id"], []).append(
-                (r["candidate_id"], scores[key], r["relevant"]))
-        ranked = []
-        for qid in sorted(by_query):
-            rows = sorted(by_query[qid], key=lambda t: (-t[1], t[0]))
-            ranked.append(RankedList(qid, [c for c, _, _ in rows],
-                                     {c: rel for c, _, rel in rows}))
-        out = {}
-        for k in (5, 10, 20, 30):
-            out[f"P@{k}"] = float(np.mean([precision_at_k(r, k) for r in ranked]))
-            out[f"NDCG@{k}"] = float(np.mean([ndcg_at_k(r, k) for r in ranked]))
-        out["MAP"] = mean_average_precision(ranked)
-        return out
+            aligned.append(scores[key])
+        return retrieval.ranking_scores(retrieval.rank_rows(gold_rows, aligned))
     if task == "rc":
-        pairs = [em_f1(char_tokens(p["answer"]), char_tokens(g["answer"]))
-                 for p, g in zip(pred_rows, gold_rows)]
-        return {"EM": float(np.mean([em for em, _ in pairs])),
-                "F1": float(np.mean([f1 for _, f1 in pairs]))}
+        return reading.score_rows(pred_rows, gold_rows)
     if task == "mcq":
-        single, all_acc = mcq_accuracy(
-            [set(p["answer_set"]) for p in pred_rows],
-            [set(g["answer_set"]) for g in gold_rows],
-            argmax_preds=[p.get("argmax") for p in pred_rows]
-            if all("argmax" in p for p in pred_rows) else None)
-        out = {"all": all_acc}
-        if single is not None:
-            out["single"] = single
-        return out
+        return mcq.score_rows(pred_rows, gold_rows)
     raise ValueError(f"unknown task {task!r}")
 
 
@@ -529,48 +493,37 @@ def cmd_smoke(args) -> int:
                                 vocab_size=len(vocab), max_positions=64, window=4)
         pretrain(blocks, pre_cfg, enc_cfg, steps=steps, out_dir=out / "pretrain")
 
+    small = dict(n_layers=1, n_heads=2, hidden_dim=32, ffn_dim=64, window=4,
+                 vocab_size=len(vocab))
+    deep = {**small, "n_layers": 2}
+    common = dict(vocab=vocab, steps=steps, lr=3e-3, seed=seed)
+    heads = [
+        ("judgment-criminal",
+         JudgmentModel(mode="criminal", encoder=EncoderConfig(max_positions=160, **small),
+                       n_label_a=len(result.charge_table), n_laws=len(result.law_table),
+                       **common),
+         result.criminal_examples),
+        ("judgment-civil",
+         JudgmentModel(mode="civil", encoder=EncoderConfig(max_positions=160, **small),
+                       n_label_a=len(result.cause_table), n_laws=len(result.law_table),
+                       **common),
+         result.civil_examples),
+        ("retrieval", RetrievalRanker(encoder=EncoderConfig(max_positions=256, **small),
+                                      **common),
+         fixture_rows["retrieval"]),
+        ("rc", ReadingComprehensionModel(encoder=EncoderConfig(max_positions=160, **deep),
+                                         **common),
+         fixture_rows["rc"]),
+        ("mcq", MultipleChoiceModel(encoder=EncoderConfig(max_positions=160, **deep),
+                                    **common),
+         fixture_rows["mcq"]),
+    ]
     metric_rows = []
-    small = dict(n_layers=1, n_heads=2, hidden_dim=32, ffn_dim=64, window=4)
-
-    with _smoke_stage("finetune-judgment-criminal"):
-        enc = EncoderConfig(vocab_size=len(vocab), max_positions=160, **small)
-        model = JudgmentModel(mode="criminal", vocab=vocab, encoder=enc, steps=steps,
-                              lr=3e-3, seed=seed,
-                              n_label_a=len(result.charge_table),
-                              n_laws=len(result.law_table)).fit(result.criminal_examples)
-        metric_rows.append({"task": "judgment-criminal",
-                            **model.evaluate(result.criminal_examples)})
-
-    with _smoke_stage("finetune-judgment-civil"):
-        enc = EncoderConfig(vocab_size=len(vocab), max_positions=160, **small)
-        model = JudgmentModel(mode="civil", vocab=vocab, encoder=enc, steps=steps,
-                              lr=3e-3, seed=seed,
-                              n_label_a=len(result.cause_table),
-                              n_laws=len(result.law_table)).fit(result.civil_examples)
-        metric_rows.append({"task": "judgment-civil",
-                            **model.evaluate(result.civil_examples)})
-
-    with _smoke_stage("finetune-retrieval"):
-        enc = EncoderConfig(vocab_size=len(vocab), max_positions=256, **small)
-        ranker = RetrievalRanker(vocab=vocab, encoder=enc, steps=steps, lr=3e-3,
-                                 seed=seed).fit(fixture_rows["retrieval"])
-        metrics = ranker.evaluate(fixture_rows["retrieval"])
-        metrics.pop("accuracy", None)
-        metric_rows.append({"task": "retrieval", **metrics})
-
-    with _smoke_stage("finetune-rc"):
-        enc = EncoderConfig(vocab_size=len(vocab), max_positions=160,
-                            **{**small, "n_layers": 2})
-        rc = ReadingComprehensionModel(vocab=vocab, encoder=enc, steps=steps,
-                                       lr=3e-3, seed=seed).fit(fixture_rows["rc"])
-        metric_rows.append({"task": "rc", **rc.evaluate(fixture_rows["rc"])})
-
-    with _smoke_stage("finetune-mcq"):
-        enc = EncoderConfig(vocab_size=len(vocab), max_positions=160,
-                            **{**small, "n_layers": 2})
-        mcq = MultipleChoiceModel(vocab=vocab, encoder=enc, steps=steps, lr=3e-3,
-                                  seed=seed).fit(fixture_rows["mcq"])
-        metric_rows.append({"task": "mcq", **mcq.evaluate(fixture_rows["mcq"])})
+    for task, model, rows in heads:
+        with _smoke_stage(f"finetune-{task}"):
+            metrics = model.fit(rows).evaluate(rows)
+            metrics.pop("accuracy", None)  # retrieval's relevance accuracy has no column
+            metric_rows.append({"task": task, **metrics})
 
     with _smoke_stage("evaluate"):
         _write_metrics_csv(out / "metrics.csv", metric_rows)

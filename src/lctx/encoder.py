@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 from .attention import AttentionParams, AttentionPattern, sparse_attention_forward, dense_attention_oracle
-from .checkpoint import load_arrays, save_arrays
+from .checkpoint import load_params, save_params
 from .vocab import CLS_ID, MASK_ID, N_SPECIAL, PAD_ID, SEP_ID, UNK_ID  # noqa: F401  (re-exported)
 
 
@@ -119,12 +119,10 @@ class Encoder:
         return out
 
     def save(self, path) -> None:
-        save_arrays(path, {k: v.data for k, v in self.named_params().items()})
+        save_params(path, self.named_params())
 
     def load(self, path) -> None:
-        arrays = load_arrays(path)
-        for name, p in self.named_params().items():
-            p.data = arrays[name].reshape(p.shape).astype(self.dtype)
+        load_params(path, self.named_params())
 
     # -- forward passes -----------------------------------------------
 
@@ -132,6 +130,19 @@ class Encoder:
                pattern: AttentionPattern | None = None, lengths=None,
                train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         """Contextual representations [B, L, H]. Deterministic when train=False."""
+        # the kernel is looked up at call time, so a module-level replacement
+        # of sparse_attention_forward takes effect here
+        return self._forward(sparse_attention_forward, token_ids, position_type_ids,
+                             pattern, lengths, train, rng)
+
+    def encode_dense_reference(self, token_ids, position_type_ids=None,
+                               pattern=None, lengths=None) -> Tensor:
+        """encode() with the quadratic oracle in place of the banded kernel."""
+        return self._forward(dense_attention_oracle, token_ids, position_type_ids,
+                             pattern, lengths)
+
+    def _forward(self, attention, token_ids, position_type_ids, pattern, lengths,
+                 train=False, rng=None) -> Tensor:
         token_ids = np.asarray(token_ids)
         if token_ids.ndim == 1:
             token_ids = token_ids[None, :]
@@ -161,38 +172,11 @@ class Encoder:
         x = T.layer_norm(x, self.emb_ln_g, self.emb_ln_b)
         x = T.dropout(x, drop, rng) if drop > 0 else x
         for layer in self.layers:
-            a = sparse_attention_forward(x, layer["attn"], pattern, cfg.n_heads, lengths=lengths)
+            a = attention(x, layer["attn"], pattern, cfg.n_heads, lengths=lengths)
             a = T.dropout(a, drop, rng) if drop > 0 else a
             x = T.layer_norm(x + a, layer["ln1_g"], layer["ln1_b"])
             f = T.matmul(T.gelu(T.matmul(x, layer["w1"]) + layer["b1"]), layer["w2"]) + layer["b2"]
             f = T.dropout(f, drop, rng) if drop > 0 else f
-            x = T.layer_norm(x + f, layer["ln2_g"], layer["ln2_b"])
-        return x
-
-    def encode_dense_reference(self, token_ids, position_type_ids=None,
-                               pattern=None, lengths=None) -> Tensor:
-        """encode() with the quadratic oracle in place of the banded kernel."""
-        token_ids = np.asarray(token_ids)
-        if token_ids.ndim == 1:
-            token_ids = token_ids[None, :]
-        B, L = token_ids.shape
-        cfg = self.config
-        if pattern is None:
-            pattern = self.config.default_pattern()
-        if position_type_ids is None:
-            position_type_ids = np.zeros_like(token_ids)
-        else:
-            position_type_ids = np.asarray(position_type_ids)
-            if position_type_ids.ndim == 1:
-                position_type_ids = position_type_ids[None, :]
-        x = T.embedding(self.tok_emb, token_ids)
-        x = x + T.embedding(self.pos_emb, np.broadcast_to(np.arange(L), (B, L)))
-        x = x + T.embedding(self.type_emb, position_type_ids)
-        x = T.layer_norm(x, self.emb_ln_g, self.emb_ln_b)
-        for layer in self.layers:
-            a = dense_attention_oracle(x, layer["attn"], pattern, cfg.n_heads, lengths=lengths)
-            x = T.layer_norm(x + a, layer["ln1_g"], layer["ln1_b"])
-            f = T.matmul(T.gelu(T.matmul(x, layer["w1"]) + layer["b1"]), layer["w2"]) + layer["b2"]
             x = T.layer_norm(x + f, layer["ln2_g"], layer["ln2_b"])
         return x
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .base import ParamMixin, check_fitted, check_random_state
-from .checkpoint import load_arrays, save_arrays
+from .checkpoint import load_arrays, save_arrays, save_params
 from .encoder import Encoder, EncoderConfig
 from .optim import AdamState, adam_step, zero_grads
 from .tensor import IGNORE_INDEX
@@ -180,8 +180,7 @@ def pretrain(blocks: np.ndarray, config: PretrainConfig, enc_config: EncoderConf
                 raise FloatingPointError("non-finite loss")
         except FloatingPointError as exc:
             if out_dir is not None:
-                save_arrays(out_dir / "diagnostic_dump.ckpt",
-                            {k: p.data for k, p in params.items()})
+                save_params(out_dir / "diagnostic_dump.ckpt", params)
             raise FloatingPointError(f"aborted at step {step}: {exc}") from exc
         loss.backward()
         state.learning_rate = lr_at(step + 1, config)

@@ -91,10 +91,8 @@ class JudgmentModel(ParamMixin):
             heads.update({"pen_w": (H, 1), "pen_b": (1,)})
         self.model_ = HeadedModel(enc_cfg, heads, seed=self.seed)
 
-        inputs = self._prepare(examples)
-        n = len(examples)
-
-        def example_loss(ex, enc_in):
+        def example_loss(item):
+            ex, enc_in = item
             cls = cls_vector(self.model_, enc_in, enc_cfg.window, enc_cfg.dilation)
             h = self.model_.heads
             a_logits = T.matmul(cls, h["a_w"]) + h["a_b"]
@@ -112,15 +110,8 @@ class JudgmentModel(ParamMixin):
                 loss = loss + T.cross_entropy(a_logits, np.asarray([ex["cause"]]))
             return loss
 
-        def closure(step):
-            total = 0.0
-            for ex, enc_in in zip(examples, inputs):
-                loss = T.mul(example_loss(ex, enc_in), 1.0 / n)
-                loss.backward()
-                total += loss.item() * n
-            return total / n
-
-        self.history_ = fit_adam(self.model_, closure, self.steps, self.lr)
+        items = list(zip(examples, self._prepare(examples)))
+        self.history_ = fit_adam(self.model_, items, example_loss, self.steps, self.lr)
         return self
 
     def decision_scores(self, examples) -> list[dict]:
@@ -156,20 +147,23 @@ class JudgmentModel(ParamMixin):
 
     def evaluate(self, examples) -> dict:
         """Mic@c/Mac@c, Mic@l/Mac@l (and Dis@t for criminal mode)."""
-        preds = self.predict(examples)
-        if self.mode == "criminal":
-            mic_c, mac_c = micro_macro_f1([p["charges"] for p in preds],
-                                          [set(ex["charges"]) for ex in examples],
-                                          self.n_label_a_)
-        else:
-            mic_c, mac_c = micro_macro_f1([{p["cause"]} for p in preds],
-                                          [{ex["cause"]} for ex in examples],
-                                          self.n_label_a_)
-        mic_l, mac_l = micro_macro_f1([p["laws"] for p in preds],
-                                      [set(ex["laws"]) for ex in examples],
-                                      self.n_laws_)
-        out = {"Mic@c": mic_c, "Mac@c": mac_c, "Mic@l": mic_l, "Mac@l": mac_l}
-        if self.mode == "criminal":
-            out["Dis@t"] = log_distance([p["penalty_months"] for p in preds],
-                                        [ex["penalty_months"] for ex in examples])
-        return out
+        return score_rows(self.predict(examples), examples, self.mode,
+                          self.n_label_a_, self.n_laws_)
+
+
+def score_rows(preds, golds, mode: str, n_label_a: int, n_laws: int) -> dict:
+    """Mic@c/Mac@c over charges (criminal) or the cause (civil), Mic@l/Mac@l
+    over laws, and Dis@t for criminal mode, of predicted rows against gold
+    rows. Label fields hold ids, as sets or lists."""
+    def label_a(row) -> set:
+        return set(row["charges"]) if mode == "criminal" else {row["cause"]}
+
+    mic_c, mac_c = micro_macro_f1([label_a(p) for p in preds],
+                                  [label_a(g) for g in golds], n_label_a)
+    mic_l, mac_l = micro_macro_f1([set(p["laws"]) for p in preds],
+                                  [set(g["laws"]) for g in golds], n_laws)
+    out = {"Mic@c": mic_c, "Mac@c": mac_c, "Mic@l": mic_l, "Mac@l": mac_l}
+    if mode == "criminal":
+        out["Dis@t"] = log_distance([p["penalty_months"] for p in preds],
+                                    [g["penalty_months"] for g in golds])
+    return out

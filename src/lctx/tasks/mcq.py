@@ -64,23 +64,14 @@ class MultipleChoiceModel(ParamMixin):
         H = enc_cfg.hidden_dim
         self.model_ = HeadedModel(enc_cfg, {"w": (H, 1), "b": (1,)}, seed=self.seed)
 
-        prepared = [(self._assemble(ex),
-                     [LETTERS[i] in ex["answer_set"] for i in range(len(ex["choices"]))])
-                    for ex in examples]
-        n_pairs = sum(len(inputs) for inputs, _ in prepared)
+        pairs = [(enc_in, LETTERS[i] in ex["answer_set"])
+                 for ex in examples for i, enc_in in enumerate(self._assemble(ex))]
 
-        def closure(step):
-            total = 0.0
-            for inputs, labels in prepared:
-                for enc_in, label in zip(inputs, labels):
-                    target = np.asarray([[float(label)]])
-                    loss = T.mul(T.cross_entropy(self._score(enc_in), target),
-                                 1.0 / n_pairs)
-                    loss.backward()
-                    total += loss.item() * n_pairs
-            return total / n_pairs
+        def example_loss(item):
+            enc_in, label = item
+            return T.cross_entropy(self._score(enc_in), np.asarray([[float(label)]]))
 
-        self.history_ = fit_adam(self.model_, closure, self.steps, self.lr)
+        self.history_ = fit_adam(self.model_, pairs, example_loss, self.steps, self.lr)
         return self
 
     def scores(self, examples) -> list[np.ndarray]:
@@ -102,10 +93,18 @@ class MultipleChoiceModel(ParamMixin):
         return rows
 
     def evaluate(self, examples) -> dict:
-        preds = self.predict(examples)
-        single, all_acc = mcq_accuracy(
-            [set(p["answer_set"]) for p in preds],
-            [set(ex["answer_set"]) for ex in examples],
-            argmax_preds=[p["argmax"] for p in preds])
-        return {"single": single if single is not None else float("nan"),
-                "all": all_acc}
+        return score_rows(self.predict(examples), examples)
+
+
+def score_rows(preds, golds) -> dict:
+    """`single` and `all` accuracy of predicted answer sets against gold.
+    `single` uses the argmax letters when every prediction carries one, and
+    is left out when no gold question has a single answer."""
+    argmax = ([p["argmax"] for p in preds]
+              if all("argmax" in p for p in preds) else None)
+    single, all_acc = mcq_accuracy([set(p["answer_set"]) for p in preds],
+                                   [set(g["answer_set"]) for g in golds],
+                                   argmax_preds=argmax)
+    out = {} if single is None else {"single": single}
+    out["all"] = all_acc
+    return out

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import tensor as T
-from ..checkpoint import load_arrays, save_arrays
+from ..checkpoint import load_params, save_params
 from ..encoder import Encoder, EncoderConfig
 from ..optim import AdamState, adam_step, zero_grads
 from ..tensor import Tensor
@@ -37,7 +37,7 @@ class HeadedModel:
     def save(self, out_dir, meta: dict) -> None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        save_arrays(out_dir / "model.ckpt", {k: v.data for k, v in self.params().items()})
+        save_params(out_dir / "model.ckpt", self.params())
         self.encoder.config.save(out_dir / "model.cfg")
         meta = dict(meta)
         meta["head_shapes"] = {k: list(v) for k, v in self.head_shapes.items()}
@@ -51,25 +51,30 @@ class HeadedModel:
         config = EncoderConfig.load(out_dir / "model.cfg")
         head_shapes = {k: tuple(v) for k, v in meta["head_shapes"].items()}
         model = cls(config, head_shapes, seed=0)
-        arrays = load_arrays(out_dir / "model.ckpt")
-        for name, p in model.params().items():
-            p.data = arrays[name].reshape(p.shape).astype(p.data.dtype)
+        load_params(out_dir / "model.ckpt", model.params())
         return model, meta
 
 
-def fit_adam(model: HeadedModel, loss_closure, steps: int, lr: float) -> list[float]:
-    """Fixed-rate Adam over `steps` updates; loss_closure(step) must build the
-    graph(s), call backward, and return the scalar loss for logging."""
+def fit_adam(model: HeadedModel, items, example_loss, steps: int, lr: float) -> list[float]:
+    """Fixed-rate Adam over `steps` full-batch updates. Each step builds one
+    graph per item, example_loss(item) scaled by 1/len(items), and runs its
+    backward; the step's logged loss is the mean over the items."""
     params = model.params()
     state = AdamState(params, learning_rate=lr)
+    n = len(items)
     history = []
     for step in range(steps):
         zero_grads(params)
-        loss = float(loss_closure(step))
-        if not np.isfinite(loss):
+        total = 0.0
+        for item in items:
+            loss = T.mul(example_loss(item), 1.0 / n)
+            loss.backward()
+            total += loss.item() * n
+        mean = total / n
+        if not np.isfinite(mean):
             raise FloatingPointError(f"non-finite fine-tuning loss at step {step}")
         adam_step(params, state)
-        history.append(loss)
+        history.append(mean)
     return history
 
 

@@ -130,22 +130,16 @@ class ReadingComprehensionModel(ParamMixin):
             prepared.append((enc_in, starts, s_t, e_t,
                              ANSWER_TYPES.index(ex["answer_type"]),
                              np.asarray(ex["support"], dtype=np.float64)[None, :len(starts)]))
-        n = len(prepared)
 
-        def closure(step):
-            total = 0.0
-            for enc_in, starts, s_t, e_t, type_t, support_t in prepared:
-                s_log, e_log, t_log, sup_log = self._forward(enc_in, starts)
-                loss = (T.cross_entropy(s_log, np.asarray([s_t]))
-                        + T.cross_entropy(e_log, np.asarray([e_t]))
-                        + T.cross_entropy(t_log, np.asarray([type_t]))
-                        + T.cross_entropy(sup_log, support_t))
-                loss = T.mul(loss, 1.0 / n)
-                loss.backward()
-                total += loss.item() * n
-            return total / n
+        def example_loss(item):
+            enc_in, starts, s_t, e_t, type_t, support_t = item
+            s_log, e_log, t_log, sup_log = self._forward(enc_in, starts)
+            return (T.cross_entropy(s_log, np.asarray([s_t]))
+                    + T.cross_entropy(e_log, np.asarray([e_t]))
+                    + T.cross_entropy(t_log, np.asarray([type_t]))
+                    + T.cross_entropy(sup_log, support_t))
 
-        self.history_ = fit_adam(self.model_, closure, self.steps, self.lr)
+        self.history_ = fit_adam(self.model_, prepared, example_loss, self.steps, self.lr)
         return self
 
     def _decode_span(self, enc_in, start_logits, end_logits) -> str:
@@ -182,10 +176,12 @@ class ReadingComprehensionModel(ParamMixin):
         return rows
 
     def evaluate(self, examples) -> dict:
-        preds = self.predict(examples)
-        ems, f1s = [], []
-        for p, ex in zip(preds, examples):
-            em, f1 = em_f1(char_tokens(p["answer"]), char_tokens(ex["answer"]))
-            ems.append(em)
-            f1s.append(f1)
-        return {"EM": float(np.mean(ems)), "F1": float(np.mean(f1s))}
+        return score_rows(self.predict(examples), examples)
+
+
+def score_rows(preds, golds) -> dict:
+    """Mean EM and token F1 of predicted answers against gold answers."""
+    pairs = [em_f1(char_tokens(p["answer"]), char_tokens(g["answer"]))
+             for p, g in zip(preds, golds)]
+    return {"EM": float(np.mean([em for em, _ in pairs])),
+            "F1": float(np.mean([f1 for _, f1 in pairs]))}

@@ -88,19 +88,13 @@ class RetrievalRanker(ParamMixin):
             max_positions=512 if self.model_type == "dense" else 256, window=8)
         H = enc_cfg.hidden_dim
         self.model_ = HeadedModel(enc_cfg, {"w": (H, 1), "b": (1,)}, seed=self.seed)
-        inputs = self._prepare(examples)
-        n = len(examples)
 
-        def closure(step):
-            total = 0.0
-            for ex, enc_in in zip(examples, inputs):
-                target = np.asarray([[float(ex["relevant"])]])
-                loss = T.mul(T.cross_entropy(self._score(enc_in), target), 1.0 / n)
-                loss.backward()
-                total += loss.item() * n
-            return total / n
+        def example_loss(item):
+            enc_in, ex = item
+            return T.cross_entropy(self._score(enc_in), np.asarray([[float(ex["relevant"])]]))
 
-        self.history_ = fit_adam(self.model_, closure, self.steps, self.lr)
+        items = list(zip(self._prepare(examples), examples))
+        self.history_ = fit_adam(self.model_, items, example_loss, self.steps, self.lr)
         return self
 
     def predict_proba(self, examples) -> np.ndarray:
@@ -118,27 +112,38 @@ class RetrievalRanker(ParamMixin):
 
     def rank(self, examples) -> list[RankedList]:
         """Per-query rankings: score descending, candidate id ascending on ties."""
-        probs = self.predict_proba(examples)
-        by_query: dict[str, list] = {}
-        for ex, p in zip(examples, probs):
-            by_query.setdefault(ex["query_id"], []).append((ex["candidate_id"], p, ex["relevant"]))
-        ranked = []
-        for qid in sorted(by_query):
-            rows = sorted(by_query[qid], key=lambda r: (-r[1], r[0]))
-            ranked.append(RankedList(
-                query_id=qid,
-                ranking=[cid for cid, _, _ in rows],
-                judgments={cid: rel for cid, _, rel in rows}))
-        return ranked
+        return rank_rows(examples, self.predict_proba(examples))
 
     def evaluate(self, examples, ks=(5, 10, 20, 30)) -> dict:
-        ranked = self.rank(examples)
-        out = {}
-        for k in ks:
-            out[f"P@{k}"] = float(np.mean([precision_at_k(r, k) for r in ranked]))
-            out[f"NDCG@{k}"] = float(np.mean([ndcg_at_k(r, k) for r in ranked]))
-        out["MAP"] = mean_average_precision(ranked)
+        out = ranking_scores(self.rank(examples), ks)
         preds = self.predict(examples)
         out["accuracy"] = float(np.mean([p == ex["relevant"]
                                          for p, ex in zip(preds, examples)]))
         return out
+
+
+def rank_rows(rows, scores) -> list[RankedList]:
+    """Per-query rankings of {query_id, candidate_id, relevant} rows by their
+    aligned scores: score descending, candidate id ascending on ties."""
+    by_query: dict[str, list] = {}
+    for row, score in zip(rows, scores):
+        by_query.setdefault(row["query_id"], []).append(
+            (row["candidate_id"], score, row["relevant"]))
+    ranked = []
+    for qid in sorted(by_query):
+        ordered = sorted(by_query[qid], key=lambda r: (-r[1], r[0]))
+        ranked.append(RankedList(
+            query_id=qid,
+            ranking=[cid for cid, _, _ in ordered],
+            judgments={cid: rel for cid, _, rel in ordered}))
+    return ranked
+
+
+def ranking_scores(ranked: list[RankedList], ks=(5, 10, 20, 30)) -> dict:
+    """Mean P@k and NDCG@k over the queries for each k, and MAP."""
+    out = {}
+    for k in ks:
+        out[f"P@{k}"] = float(np.mean([precision_at_k(r, k) for r in ranked]))
+        out[f"NDCG@{k}"] = float(np.mean([ndcg_at_k(r, k) for r in ranked]))
+    out["MAP"] = mean_average_precision(ranked)
+    return out

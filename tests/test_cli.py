@@ -50,7 +50,7 @@ def test_preprocess_corrupted_line_reports_lineno(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
-def test_pretrain_and_resume_cli(fixture_dir, tmp_path):
+def test_pretrain_and_resume_cli(fixture_dir, tmp_path, capsys):
     pp = tmp_path / "pp"
     run(["preprocess", "--input", fixture_dir / "fx" / "raw_cases.jsonl",
          "--out", pp, "--seq-len", 48])
@@ -70,6 +70,17 @@ def test_pretrain_and_resume_cli(fixture_dir, tmp_path):
     assert run(["pretrain", "--data", pp, "--config", cfg, "--out", out2,
                 "--steps", 5, "--seed", 1, "--resume", out / "step000010"]) == 0
     assert (out2 / "step000015" / "model.ckpt").exists()
+    # a checkpoint cut inside its first array's dims is a named error
+    cut = tmp_path / "cut"
+    cut.mkdir()
+    for name in ("model.cfg", "optim.ckpt", "state.json"):
+        (cut / name).write_bytes((out / "step000010" / name).read_bytes())
+    (cut / "model.ckpt").write_bytes((out / "step000010" / "model.ckpt").read_bytes()[:33])
+    capsys.readouterr()
+    assert run(["pretrain", "--data", pp, "--config", cfg, "--out", tmp_path / "pt3",
+                "--steps", 5, "--seed", 1, "--resume", cut]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "model.ckpt" in err and "Traceback" not in err
 
 
 def test_finetune_and_evaluate_roundtrip(fixture_dir, tmp_path):
@@ -89,6 +100,33 @@ def test_finetune_and_evaluate_roundtrip(fixture_dir, tmp_path):
     with open(ev, encoding="utf-8") as fh:
         header = next(csv.reader(fh))
     assert header[0] == "task" and "Mic@c" in header and "all" in header
+
+
+@pytest.mark.parametrize("task", ["judgment-criminal", "judgment-civil", "retrieval",
+                                  "rc", "mcq"])
+def test_evaluate_reproduces_finetune_metrics(fixture_dir, tmp_path, task):
+    # evaluate on finetune's predictions scores through the same path as the
+    # head's evaluate(), so it writes the same metrics row (retrieval's
+    # relevance accuracy has no column, leaving its ranking columns)
+    if task.startswith("judgment"):
+        pp = tmp_path / "pp"
+        run(["preprocess", "--input", fixture_dir / "fx" / "raw_cases.jsonl",
+             "--out", pp, "--seq-len", 48])
+        data = pp / f"{task.replace('-', '_')}.jsonl"
+    else:
+        data = fixture_dir / "fx" / f"{task}.jsonl"
+    ft = tmp_path / "ft"
+    assert run(["finetune", "--task", task, "--data", data, "--out", ft,
+                "--steps", 2]) == 0
+    ev = tmp_path / "eval.csv"
+    assert run(["evaluate", "--task", task, "--pred", ft / "predictions.jsonl",
+                "--gold", data, "--out", ev]) == 0
+    with open(ft / "metrics.csv", encoding="utf-8") as fh:
+        [want] = list(csv.DictReader(fh))
+    with open(ev, encoding="utf-8") as fh:
+        [got] = list(csv.DictReader(fh))
+    assert got == want
+    assert any(want[col] for col in want if col != "task")
 
 
 def test_finetune_config_file_overrides(fixture_dir, tmp_path):

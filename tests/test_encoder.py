@@ -159,3 +159,26 @@ def test_checkpoint_roundtrip_forward_bit_identical(tmp_path):
     with T.no_grad():
         after = other.encode(ids).data
     assert np.array_equal(before, after)
+
+
+def test_checkpoint_vocab_mismatch_names_the_parameter(tmp_path):
+    path = tmp_path / "enc.ckpt"
+    Encoder(tiny_config(), np.random.default_rng(13)).save(path)
+    other = Encoder(tiny_config(vocab_size=40), np.random.default_rng(14))
+    before = {k: p.data.copy() for k, p in other.named_params().items()}
+    with pytest.raises(ValueError, match="'embed.tok'"):
+        other.load(path)
+    # a rejected checkpoint changes no parameter
+    assert all(np.array_equal(p.data, before[k]) for k, p in other.named_params().items())
+
+
+def test_checkpoint_layer_count_mismatch_lists_the_names(tmp_path):
+    two, one = tmp_path / "two.ckpt", tmp_path / "one.ckpt"
+    Encoder(tiny_config(n_layers=2), np.random.default_rng(13)).save(two)
+    Encoder(tiny_config(), np.random.default_rng(13)).save(one)
+    with pytest.raises(ValueError, match="unexpected") as err:
+        Encoder(tiny_config(), np.random.default_rng(14)).load(two)
+    assert "layer1.w1" in str(err.value) and "layer0" not in str(err.value)
+    with pytest.raises(ValueError, match="missing") as err:
+        Encoder(tiny_config(n_layers=2), np.random.default_rng(14)).load(one)
+    assert "layer1.w1" in str(err.value)

@@ -125,6 +125,20 @@ class TestCheckpointFormat:
         assert int.from_bytes(blob[29:37], "little") == 3    # dim 1 (u64)
         assert len(blob) == 37 + 4 * 6                       # f32 payload
 
+    def test_truncated_file_is_a_named_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_arrays(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                           "b": np.ones(2, dtype=np.float32)})
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(ValueError, match="cut.ckpt"):
+                load_arrays(cut)
+        cut.write_bytes(blob[:-1])
+        with pytest.raises(ValueError, match="payload of array 'b'"):
+            load_arrays(cut)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 16)

@@ -12,6 +12,7 @@ from lctx.tasks import (
     LONG_CAND_LIMIT,
     LONG_QUERY_LIMIT,
     GlobalPolicy,
+    HeadedModel,
     JudgmentModel,
     MultipleChoiceModel,
     ReadingComprehensionModel,
@@ -161,6 +162,19 @@ def test_judgment_criminal_prediction_finite_and_clipped():
         assert 0.0 <= p["penalty_months"] <= 180.0
 
 
+def test_headed_model_restore_gives_identical_scores(tmp_path):
+    rows = [{"fact": "事实丙" * 20, "charges": [0], "laws": [0], "penalty_months": 6},
+            {"fact": "事实丁" * 20, "charges": [1], "laws": [1], "penalty_months": 0}]
+    model = JudgmentModel(mode="criminal", steps=2, lr=1e-3, seed=5).fit(rows)
+    before = model.decision_scores(rows)
+    model.model_.save(tmp_path / "m", {"task": "judgment-criminal"})
+    model.model_, meta = HeadedModel.restore(tmp_path / "m")
+    assert meta["task"] == "judgment-criminal"
+    for a, b in zip(before, model.decision_scores(rows)):
+        assert a.keys() == b.keys()
+        assert all(np.asarray(a[k]).tobytes() == np.asarray(b[k]).tobytes() for k in a)
+
+
 def test_retrieval_tie_break_by_candidate_id():
     rows = retrieval_examples(1, 4, seed=0)
     ranker = RetrievalRanker(steps=1, lr=0.0).fit(rows)
@@ -235,6 +249,16 @@ def test_mcq_swapping_choices_permutes_scores():
     swapped["choices"] = [rows[0]["choices"][i] for i in (1, 0, 2, 3)]
     perm = model.scores([swapped])[0]
     np.testing.assert_allclose(perm, base[[1, 0, 2, 3]], atol=1e-6)
+
+
+def test_mcq_single_left_out_without_single_answer_questions():
+    # `single` covers single-answer questions only; with none it is left out,
+    # which the metrics CSV renders as a blank cell
+    rows = [{"question": "问题一", "choices": ["甲", "乙", "丙", "丁"], "answer_set": ["A", "B"]},
+            {"question": "问题二", "choices": ["戊", "己", "庚", "辛"],
+             "answer_set": ["B", "C", "D"]}]
+    metrics = MultipleChoiceModel(steps=1).fit(rows).evaluate(rows)
+    assert set(metrics) == {"all"} and 0.0 <= metrics["all"] <= 1.0
 
 
 def test_mcq_too_few_choices():
