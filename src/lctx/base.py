@@ -48,9 +48,3 @@ def check_random_state(seed) -> np.random.Generator:
         return seed
     return np.random.default_rng(seed)
 
-
-def check_token_ids(ids, vocab_size: int) -> np.ndarray:
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
-        raise ValueError("token id outside vocabulary")
-    return ids

@@ -57,7 +57,14 @@ METRIC_COLUMNS = ["Mic@c", "Mac@c", "Mic@l", "Mac@l", "Dis@t",
                   "NDCG@5", "NDCG@10", "NDCG@20", "NDCG@30",
                   "MAP", "EM", "F1", "single", "all"]
 
-TASKS = ("judgment-criminal", "judgment-civil", "retrieval", "rc", "mcq")
+# task name: (estimator class, the constructor arguments fixed by the task)
+TASKS = {
+    "judgment-criminal": (JudgmentModel, {"mode": "criminal"}),
+    "judgment-civil": (JudgmentModel, {"mode": "civil"}),
+    "retrieval": (RetrievalRanker, {}),
+    "rc": (ReadingComprehensionModel, {}),
+    "mcq": (MultipleChoiceModel, {}),
+}
 
 
 class StageError(RuntimeError):
@@ -224,37 +231,13 @@ def cmd_pretrain(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fit_task(task: str, rows: list[dict], args, vocab) -> tuple[object, dict]:
-    common = dict(vocab=vocab, steps=args.steps, lr=args.lr, seed=args.seed or 0,
+def _fit_task(task: str, rows: list[dict], args, vocab):
+    cls, fixed = TASKS[task]
+    kwargs = dict(fixed, vocab=vocab, steps=args.steps, lr=args.lr, seed=args.seed or 0,
                   encoder=getattr(args, "encoder_config", None))
-    if task == "judgment-criminal":
-        model = JudgmentModel(mode="criminal", **common).fit(rows)
-    elif task == "judgment-civil":
-        model = JudgmentModel(mode="civil", **common).fit(rows)
-    elif task == "retrieval":
-        model = RetrievalRanker(model_type=args.model_type, **common).fit(rows)
-    elif task == "rc":
-        model = ReadingComprehensionModel(**common).fit(rows)
-    elif task == "mcq":
-        model = MultipleChoiceModel(**common).fit(rows)
-    else:
-        raise ValueError(f"unknown task {task!r}")
-    return model, model.evaluate(rows)
-
-
-def _task_predictions(task, model, rows) -> list[dict]:
-    if task.startswith("judgment"):
-        preds = model.predict(rows)
-        out = []
-        for p in preds:
-            row = {k: (sorted(v) if isinstance(v, set) else v) for k, v in p.items()}
-            out.append(row)
-        return out
     if task == "retrieval":
-        probs = model.predict_proba(rows)
-        return [{"query_id": ex["query_id"], "candidate_id": ex["candidate_id"],
-                 "score": float(p)} for ex, p in zip(rows, probs)]
-    return model.predict(rows)
+        kwargs["model_type"] = args.model_type
+    return cls(**kwargs).fit(rows)
 
 
 def cmd_finetune(args) -> int:
@@ -274,14 +257,16 @@ def cmd_finetune(args) -> int:
             enc_kwargs = dict(file_cfg["encoder"])
             enc_kwargs.setdefault("vocab_size", len(vocab))
             args.encoder_config = EncoderConfig(**enc_kwargs)
+    if args.folds and args.task != "retrieval":
+        raise ValueError(f"--folds (k-fold cross-validation) applies to the retrieval "
+                         f"task only, not {args.task}")
     _write_run_config(out, args)
 
-    if args.task == "retrieval" and args.folds:
+    if args.folds:
         plan = FoldPlan.from_query_ids({ex["query_id"] for ex in rows}, args.folds)
 
         def train_fn(train_rows):
-            model, _ = _fit_task("retrieval", train_rows, args, vocab)
-            return model
+            return _fit_task("retrieval", train_rows, args, vocab)
 
         def eval_fn(model, test_rows):
             return model.evaluate(test_rows)
@@ -295,11 +280,13 @@ def cmd_finetune(args) -> int:
               f"mean MAP {result['mean']['MAP']:.4f}")
         return 0
 
-    model, metrics = _fit_task(args.task, rows, args, vocab)
+    model = _fit_task(args.task, rows, args, vocab)
     model.model_.save(out / "model", {"task": args.task})
     if getattr(model, "vocab_", None) is not None:
         model.vocab_.save(out / "model" / "vocab.txt")
-    write_jsonl(out / "predictions.jsonl", _task_predictions(args.task, model, rows))
+    preds = model.predict(rows)
+    write_jsonl(out / "predictions.jsonl", preds)
+    metrics = _evaluate_rows(args.task, preds, rows)
     _write_metrics_csv(out / "metrics.csv", [{"task": args.task, **metrics}])
     shown = {k: round(v, 4) for k, v in metrics.items() if isinstance(v, float)}
     print(f"finetune {args.task}: {shown}")
@@ -317,40 +304,42 @@ def _label_count(rows, key) -> int:
                     for r in rows], default=0)
 
 
-def _evaluate_rows(task: str, pred_rows, gold_rows) -> dict:
-    """Score prediction rows with the task's shared scoring path. Label counts
-    come from the two files; retrieval scores align to gold rows by
-    (query_id, candidate_id)."""
-    if len(pred_rows) != len(gold_rows) and task != "retrieval":
-        raise ValueError("pred and gold files must align")
-    if task in ("judgment-criminal", "judgment-civil"):
-        mode = task.split("-")[1]
+def _judgment_scorer(mode: str):
+    def score(pred_rows, gold_rows) -> dict:
         rows = pred_rows + gold_rows
         n_a = _label_count(rows, "charges" if mode == "criminal" else "cause")
         return judgment.score_rows(pred_rows, gold_rows, mode, n_a,
                                    _label_count(rows, "laws"))
-    if task == "retrieval":
-        scores = {(r["query_id"], r["candidate_id"]): r["score"] for r in pred_rows}
-        aligned = []
-        for r in gold_rows:
-            key = (r["query_id"], r["candidate_id"])
-            if key not in scores:
-                raise ValueError(f"missing prediction for {key}")
-            aligned.append(scores[key])
-        return retrieval.ranking_scores(retrieval.rank_rows(gold_rows, aligned))
-    if task == "rc":
-        return reading.score_rows(pred_rows, gold_rows)
-    if task == "mcq":
-        return mcq.score_rows(pred_rows, gold_rows)
-    raise ValueError(f"unknown task {task!r}")
+    return score
+
+
+# task name: score_rows(pred_rows, gold_rows), the head's own scoring path
+_SCORERS = {
+    "judgment-criminal": _judgment_scorer("criminal"),
+    "judgment-civil": _judgment_scorer("civil"),
+    "retrieval": retrieval.score_rows,
+    "rc": reading.score_rows,
+    "mcq": mcq.score_rows,
+}
+
+
+def _evaluate_rows(task: str, pred_rows, gold_rows) -> dict:
+    """Score prediction rows with the task's shared scoring path. Judgment
+    label counts come from the two files; retrieval aligns its scores to the
+    gold rows by (query_id, candidate_id), every other task row by row."""
+    if len(pred_rows) != len(gold_rows) and task != "retrieval":
+        raise ValueError("pred and gold files must align")
+    return _SCORERS[task](pred_rows, gold_rows)
 
 
 def cmd_evaluate(args) -> int:
     metrics = _evaluate_rows(args.task, read_jsonl(args.pred), read_jsonl(args.gold))
+    # --out is the CSV file itself, or without a suffix the run directory
     out = Path(args.out)
-    _write_metrics_csv(out, [{"task": args.task, **metrics}])
     run_dir = out.parent if out.suffix else out
     _write_run_config(run_dir, args)
+    _write_metrics_csv(out if out.suffix else run_dir / "metrics.csv",
+                       [{"task": args.task, **metrics}])
     print(f"evaluate {args.task}: " +
           " ".join(f"{k}={v:.4f}" for k, v in metrics.items()))
     return 0
@@ -522,7 +511,6 @@ def cmd_smoke(args) -> int:
     for task, model, rows in heads:
         with _smoke_stage(f"finetune-{task}"):
             metrics = model.fit(rows).evaluate(rows)
-            metrics.pop("accuracy", None)  # retrieval's relevance accuracy has no column
             metric_rows.append({"task": task, **metrics})
 
     with _smoke_stage("evaluate"):
@@ -584,7 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True,
+                   help="metrics CSV path, or a suffix-less directory for "
+                        "metrics.csv and run.json")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_evaluate)
 
@@ -617,10 +607,7 @@ def main(argv=None) -> int:
             # run.json records the count read back from the library (None: unknown)
             args.blas_threads = blas_threads
             return args.func(args)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (StageError, ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

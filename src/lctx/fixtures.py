@@ -214,20 +214,6 @@ def mcq_examples(n: int = 16, seed: int = 0) -> list[dict]:
     return rows
 
 
-def judgment_training_texts() -> list[str]:
-    """Every fixture surface a task head may need to tokenize, for building a
-    shared character vocabulary."""
-    texts = [row["text"] for row in synthetic_cases(8, 8, seed=7)]
-    texts += mlm_sentences()
-    for row in retrieval_examples(seed=7):
-        texts += [row["query"], row["candidate"]]
-    for row in rc_examples(seed=7):
-        texts += [row["question"], *row["context"], row["answer"]]
-    for row in mcq_examples(seed=7):
-        texts += [row["question"], *row["choices"]]
-    return texts
-
-
 def write_fixture_files(out_dir, seed: int = 0) -> dict[str, Path]:
     """Materialize all fixtures as JSONL for the CLI smoke run."""
     out_dir = Path(out_dir)

@@ -13,7 +13,7 @@ from ..encoder import EncoderConfig
 from ..metrics import log_distance, micro_macro_f1
 from ..vocab import CharVocab
 from .inputs import GlobalPolicy, single_text_input
-from .model import HeadedModel, cls_vector, fit_adam, mse
+from .model import HeadedModel, fit_adam, mse
 
 PENALTY_CAP = 180.0
 
@@ -93,7 +93,7 @@ class JudgmentModel(ParamMixin):
 
         def example_loss(item):
             ex, enc_in = item
-            cls = cls_vector(self.model_, enc_in, enc_cfg.window, enc_cfg.dilation)
+            cls = self.model_.encode(enc_in)[:, 0, :]
             h = self.model_.heads
             a_logits = T.matmul(cls, h["a_w"]) + h["a_b"]
             law_logits = T.matmul(cls, h["law_w"]) + h["law_b"]
@@ -117,11 +117,10 @@ class JudgmentModel(ParamMixin):
     def decision_scores(self, examples) -> list[dict]:
         """Raw head outputs per example (logits and penalty in log space)."""
         inputs = self._prepare(examples)
-        enc_cfg = self.model_.encoder.config
         out = []
         with T.no_grad():
             for enc_in in inputs:
-                cls = cls_vector(self.model_, enc_in, enc_cfg.window, enc_cfg.dilation)
+                cls = self.model_.encode(enc_in)[:, 0, :]
                 h = self.model_.heads
                 row = {
                     "a_logits": T.matmul(cls, h["a_w"]).data[0] + h["a_b"].data,
@@ -134,12 +133,15 @@ class JudgmentModel(ParamMixin):
         return out
 
     def predict(self, examples) -> list[dict]:
+        """The prediction rows `lctx finetune` stores: label sets as sorted
+        id lists, the penalty in months."""
         rows = []
         for scores in self.decision_scores(examples):
-            laws = decode_label_set(scores["law_logits"], self.threshold)
+            laws = sorted(decode_label_set(scores["law_logits"], self.threshold))
             if self.mode == "criminal":
                 months = float(np.clip(np.expm1(scores["penalty_log"]), 0.0, PENALTY_CAP))
-                rows.append({"charges": decode_label_set(scores["a_logits"], self.threshold),
+                rows.append({"charges": sorted(decode_label_set(scores["a_logits"],
+                                                                self.threshold)),
                              "laws": laws, "penalty_months": months})
             else:
                 rows.append({"cause": int(scores["a_logits"].argmax()), "laws": laws})

@@ -45,10 +45,8 @@ class MultipleChoiceModel(ParamMixin):
                 for choice in ex["choices"]]
 
     def _score(self, enc_in: EncodedInput) -> T.Tensor:
-        cfg = self.model_.encoder.config
-        hidden = self.model_.encoder.encode(enc_in.ids[None], enc_in.type_ids[None],
-                                            enc_in.pattern(cfg.window, cfg.dilation))
-        return T.matmul(hidden[:, 0, :], self.model_.heads["w"]) + self.model_.heads["b"]
+        cls = self.model_.encode(enc_in)[:, 0, :]
+        return T.matmul(cls, self.model_.heads["w"]) + self.model_.heads["b"]
 
     def fit(self, examples) -> "MultipleChoiceModel":
         if not examples:

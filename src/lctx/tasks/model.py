@@ -29,6 +29,14 @@ class HeadedModel:
             else:
                 self.heads[name] = T.randn(shape, rng, init_scale, requires_grad=True)
 
+    def encode(self, enc_in, pattern=None) -> Tensor:
+        """Hidden states [1, L, H] of one assembled input. The pattern defaults
+        to the encoder's window and dilation with the input's global positions."""
+        if pattern is None:
+            cfg = self.encoder.config
+            pattern = enc_in.pattern(cfg.window, cfg.dilation)
+        return self.encoder.encode(enc_in.ids[None], enc_in.type_ids[None], pattern)
+
     def params(self) -> dict[str, Tensor]:
         out = self.encoder.named_params()
         out.update({f"head.{k}": v for k, v in self.heads.items()})
@@ -76,13 +84,6 @@ def fit_adam(model: HeadedModel, items, example_loss, steps: int, lr: float) -> 
         adam_step(params, state)
         history.append(mean)
     return history
-
-
-def cls_vector(model: HeadedModel, enc_input, window: int, dilation=None) -> Tensor:
-    """Encode one assembled input and return the CLS row as [1, H]."""
-    hidden = model.encoder.encode(enc_input.ids[None], enc_input.type_ids[None],
-                                  enc_input.pattern(window, dilation))
-    return hidden[:, 0, :]
 
 
 def mse(pred: Tensor, target: np.ndarray) -> Tensor:

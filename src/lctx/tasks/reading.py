@@ -89,9 +89,7 @@ class ReadingComprehensionModel(ParamMixin):
         return second.start + hit, second.start + hit + len(answer_ids) - 1
 
     def _forward(self, enc_in: EncodedInput, starts):
-        cfg = self.model_.encoder.config
-        hidden = self.model_.encoder.encode(enc_in.ids[None], enc_in.type_ids[None],
-                                            enc_in.pattern(cfg.window, cfg.dilation))
+        hidden = self.model_.encode(enc_in)
         h = self.model_.heads
         L = len(enc_in)
         start_logits = T.reshape(T.matmul(hidden, h["start_w"]) + h["start_b"], 1, L)

@@ -45,8 +45,8 @@ def retrieval_input(query_ids, cand_ids, model_type: str = "long") -> EncodedInp
 
 
 class RetrievalRanker(ParamMixin):
-    """fit/predict_proba/rank over {query_id, candidate_id, query, candidate,
-    relevant} rows."""
+    """fit/predict_proba/predict/rank over {query_id, candidate_id, query,
+    candidate, relevant} rows."""
 
     def __init__(self, model_type: str = "long", vocab: CharVocab | None = None,
                  encoder: EncoderConfig | None = None, steps: int = 200,
@@ -58,12 +58,6 @@ class RetrievalRanker(ParamMixin):
         self.lr = lr
         self.seed = seed
 
-    def _pattern(self, enc_in: EncodedInput) -> AttentionPattern:
-        cfg = self.model_.encoder.config
-        if self.model_type == "dense":
-            return AttentionPattern(window=2 * (len(enc_in) - 1), global_positions=())
-        return enc_in.pattern(cfg.window, cfg.dilation)
-
     def _prepare(self, examples) -> list[EncodedInput]:
         check_fitted(self, "model_")
         return [retrieval_input(self.vocab_.transform(ex["query"]),
@@ -72,9 +66,10 @@ class RetrievalRanker(ParamMixin):
                 for ex in examples]
 
     def _score(self, enc_in: EncodedInput) -> T.Tensor:
-        hidden = self.model_.encoder.encode(enc_in.ids[None], enc_in.type_ids[None],
-                                            self._pattern(enc_in))
-        cls = hidden[:, 0, :]
+        # the dense baseline is ordinary full self-attention over its input
+        pattern = (AttentionPattern(window=2 * (len(enc_in) - 1))
+                   if self.model_type == "dense" else None)
+        cls = self.model_.encode(enc_in, pattern)[:, 0, :]
         return T.matmul(cls, self.model_.heads["w"]) + self.model_.heads["b"]
 
     def fit(self, examples) -> "RetrievalRanker":
@@ -107,19 +102,36 @@ class RetrievalRanker(ParamMixin):
                 probs.append(1.0 / (1.0 + np.exp(-logit)))
         return np.asarray(probs)
 
-    def predict(self, examples) -> np.ndarray:
-        return (self.predict_proba(examples) >= 0.5).astype(int)
+    def predict(self, examples) -> list[dict]:
+        """{query_id, candidate_id, score} per example row, the score being
+        the relevance probability."""
+        return [{"query_id": ex["query_id"], "candidate_id": ex["candidate_id"],
+                 "score": float(p)}
+                for ex, p in zip(examples, self.predict_proba(examples))]
 
     def rank(self, examples) -> list[RankedList]:
         """Per-query rankings: score descending, candidate id ascending on ties."""
         return rank_rows(examples, self.predict_proba(examples))
 
     def evaluate(self, examples, ks=(5, 10, 20, 30)) -> dict:
-        out = ranking_scores(self.rank(examples), ks)
-        preds = self.predict(examples)
-        out["accuracy"] = float(np.mean([p == ex["relevant"]
-                                         for p, ex in zip(preds, examples)]))
-        return out
+        return score_rows(self.predict(examples), examples, ks)
+
+
+def score_rows(preds, golds, ks=(5, 10, 20, 30)) -> dict:
+    """Ranking metrics (see ranking_scores) and relevance `accuracy` at the
+    0.5 threshold of {query_id, candidate_id, score} prediction rows, aligned
+    to the gold rows by (query_id, candidate_id)."""
+    by_key = {(p["query_id"], p["candidate_id"]): p["score"] for p in preds}
+    scores = []
+    for g in golds:
+        key = (g["query_id"], g["candidate_id"])
+        if key not in by_key:
+            raise ValueError(f"missing prediction for {key}")
+        scores.append(by_key[key])
+    out = ranking_scores(rank_rows(golds, scores), ks)
+    out["accuracy"] = float(np.mean([int(s >= 0.5) == g["relevant"]
+                                     for s, g in zip(scores, golds)]))
+    return out
 
 
 def rank_rows(rows, scores) -> list[RankedList]:

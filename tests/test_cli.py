@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from lctx.cli import _openblas, main
+from lctx.corpus import read_jsonl
+from lctx.encoder import Encoder
 from lctx.fixtures import write_fixture_files
 from lctx.metrics import FoldPlan
 
@@ -19,6 +21,16 @@ def run(argv):
 def fixture_dir(tmp_path):
     write_fixture_files(tmp_path / "fx", seed=3)
     return tmp_path
+
+
+def task_data(fixture_dir, task):
+    """The task's example rows: judgment rows come out of preprocess."""
+    if task.startswith("judgment"):
+        pp = fixture_dir / "pp"
+        run(["preprocess", "--input", fixture_dir / "fx" / "raw_cases.jsonl",
+             "--out", pp, "--seq-len", 48])
+        return pp / f"{task.replace('-', '_')}.jsonl"
+    return fixture_dir / "fx" / f"{task}.jsonl"
 
 
 def test_preprocess_outputs(fixture_dir, tmp_path):
@@ -108,13 +120,7 @@ def test_evaluate_reproduces_finetune_metrics(fixture_dir, tmp_path, task):
     # evaluate on finetune's predictions scores through the same path as the
     # head's evaluate(), so it writes the same metrics row (retrieval's
     # relevance accuracy has no column, leaving its ranking columns)
-    if task.startswith("judgment"):
-        pp = tmp_path / "pp"
-        run(["preprocess", "--input", fixture_dir / "fx" / "raw_cases.jsonl",
-             "--out", pp, "--seq-len", 48])
-        data = pp / f"{task.replace('-', '_')}.jsonl"
-    else:
-        data = fixture_dir / "fx" / f"{task}.jsonl"
+    data = task_data(fixture_dir, task)
     ft = tmp_path / "ft"
     assert run(["finetune", "--task", task, "--data", data, "--out", ft,
                 "--steps", 2]) == 0
@@ -127,6 +133,42 @@ def test_evaluate_reproduces_finetune_metrics(fixture_dir, tmp_path, task):
         [got] = list(csv.DictReader(fh))
     assert got == want
     assert any(want[col] for col in want if col != "task")
+
+
+@pytest.mark.parametrize("task", ["judgment-criminal", "judgment-civil", "retrieval",
+                                  "rc", "mcq"])
+def test_finetune_encodes_each_row_once(fixture_dir, tmp_path, task, monkeypatch):
+    # at --steps 0 every encoder call comes after fit: the predictions written
+    # and the metrics row scored from them share one encode per row (for MCQ,
+    # per question-choice pair)
+    data = task_data(fixture_dir, task)
+    calls = []
+    encode = Encoder.encode
+    monkeypatch.setattr(Encoder, "encode",
+                        lambda self, *a, **k: calls.append(1) or encode(self, *a, **k))
+    assert run(["finetune", "--task", task, "--data", data, "--out", tmp_path / "ft",
+                "--steps", 0]) == 0
+    rows = read_jsonl(data)
+    want = sum(len(r["choices"]) for r in rows) if task == "mcq" else len(rows)
+    assert len(calls) == want
+    assert len(read_jsonl(tmp_path / "ft" / "predictions.jsonl")) == len(rows)
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_finetune_folds_rejected_for_other_tasks(fixture_dir, tmp_path, capsys, how):
+    out = tmp_path / "ft"
+    argv = ["finetune", "--task", "rc", "--data", fixture_dir / "fx" / "rc.jsonl",
+            "--out", out, "--steps", 1]
+    if how == "flag":
+        argv += ["--folds", 2]
+    else:
+        cfg = tmp_path / "task.json"
+        cfg.write_text(json.dumps({"folds": 2}), encoding="utf-8")
+        argv += ["--config", cfg]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--folds" in err and "Traceback" not in err
+    assert not out.exists()  # rejected before anything is written
 
 
 def test_finetune_config_file_overrides(fixture_dir, tmp_path):
@@ -175,6 +217,21 @@ def test_evaluate_known_values(tmp_path):
     row = next(csv.DictReader(open(out, encoding="utf-8")))
     assert float(row["EM"]) == 0.5
     assert abs(float(row["F1"]) - 0.75) < 1e-9
+
+
+@pytest.mark.parametrize("out, csv_name", [("new_dir/m.csv", "m.csv"),
+                                           ("results", "metrics.csv")])
+def test_evaluate_out_file_or_directory(tmp_path, out, csv_name):
+    # --out with a suffix is the CSV, run.json beside it; a suffix-less --out
+    # is the run directory; missing directories are created
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text('{"answer": "ab"}\n', encoding="utf-8")
+    run_dir = tmp_path / ("new_dir" if out.endswith(".csv") else out)
+    assert run(["evaluate", "--task", "rc", "--pred", pred, "--gold", pred,
+                "--out", tmp_path / out]) == 0
+    row = next(csv.DictReader(open(run_dir / csv_name, encoding="utf-8")))
+    assert float(row["EM"]) == 1.0
+    assert json.loads((run_dir / "run.json").read_text())["task"] == "rc"
 
 
 def test_benchmark_attention_csv(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lctx.attention import build_band_mask
-from lctx.encoder import EncoderConfig
+from lctx.encoder import Encoder, EncoderConfig
 from lctx.fixtures import mcq_examples, rc_examples, retrieval_examples
 from lctx.tasks import (
     DENSE_CAND_LIMIT,
@@ -183,6 +183,24 @@ def test_retrieval_tie_break_by_candidate_id():
     ranker.model_.heads["b"].data[:] = 0
     ranking = ranker.rank(rows)[0]
     assert ranking.ranking == sorted(r["candidate_id"] for r in rows)
+
+
+def test_retrieval_predict_rows_and_single_encode(monkeypatch):
+    # evaluate() scores the rows predict() returns: one encoder call per row
+    rows = retrieval_examples(2, 3, seed=1)
+    ranker = RetrievalRanker(steps=0).fit(rows)
+    preds = ranker.predict(rows)
+    assert [(p["query_id"], p["candidate_id"]) for p in preds] == \
+        [(r["query_id"], r["candidate_id"]) for r in rows]
+    assert [p["score"] for p in preds] == ranker.predict_proba(rows).tolist()
+    calls = []
+    encode = Encoder.encode
+    monkeypatch.setattr(Encoder, "encode",
+                        lambda self, *a, **k: calls.append(1) or encode(self, *a, **k))
+    metrics = ranker.evaluate(rows, ks=(1, 2))
+    assert len(calls) == len(rows)
+    assert metrics["accuracy"] == np.mean([int(p["score"] >= 0.5) == r["relevant"]
+                                           for p, r in zip(preds, rows)])
 
 
 def test_retrieval_rank_deterministic():
