@@ -11,6 +11,7 @@ import ctypes
 import glob
 import json
 import os
+import resource
 import statistics
 import sys
 import time
@@ -260,6 +261,9 @@ def cmd_finetune(args) -> int:
     if args.folds and args.task != "retrieval":
         raise ValueError(f"--folds (k-fold cross-validation) applies to the retrieval "
                          f"task only, not {args.task}")
+    if args.model_type != "long" and args.task != "retrieval":
+        raise ValueError(f"--model-type {args.model_type} (the truncating dense baseline) "
+                         f"applies to the retrieval task only, not {args.task}")
     _write_run_config(out, args)
 
     if args.folds:
@@ -433,17 +437,18 @@ def cmd_benchmark_attention(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _smoke_stage(stage: str):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None:
-                raise StageError(stage, exc) from exc
-            return False
-
-    return _Ctx()
+@contextlib.contextmanager
+def _smoke_stage(stage: str, timings: list):
+    """Run one smoke stage. A failure becomes a StageError naming the stage;
+    a completed stage appends (stage, wall seconds, peak RSS in MiB so far)
+    to `timings`."""
+    start = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(stage, exc) from exc
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    timings.append((stage, time.perf_counter() - start, peak_kib / 1024.0))
 
 
 def cmd_smoke(args) -> int:
@@ -452,12 +457,13 @@ def cmd_smoke(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out, args, {"seed": seed})
     steps = args.steps
+    timings: list = []
 
-    with _smoke_stage("fixtures"):
+    with _smoke_stage("fixtures", timings):
         fixture_paths = write_fixture_files(out / "fixtures", seed=seed)
         fixture_rows = {name: read_jsonl(path) for name, path in fixture_paths.items()}
 
-    with _smoke_stage("preprocess"):
+    with _smoke_stage("preprocess", timings):
         rules = Ruleset()
         result = process_corpus(fixture_rows["raw_cases"], rules)
         if not result.criminal_examples or not result.civil_examples:
@@ -474,7 +480,7 @@ def cmd_smoke(args) -> int:
         vocab.save(out / "vocab.txt")
         blocks = pack_documents([vocab.transform(t) for t in texts[:len(result.documents)]], 48)
 
-    with _smoke_stage("pretrain"):
+    with _smoke_stage("pretrain", timings):
         pre_cfg = PretrainConfig(seq_len=48, batch_size=4, peak_lr=5e-3,
                                  total_steps=max(steps, 2), warmup_steps=min(10, steps // 2),
                                  mask_rate=0.15, seed=seed)
@@ -509,13 +515,18 @@ def cmd_smoke(args) -> int:
     ]
     metric_rows = []
     for task, model, rows in heads:
-        with _smoke_stage(f"finetune-{task}"):
+        with _smoke_stage(f"finetune-{task}", timings):
             metrics = model.fit(rows).evaluate(rows)
             metric_rows.append({"task": task, **metrics})
 
-    with _smoke_stage("evaluate"):
+    with _smoke_stage("evaluate", timings):
         _write_metrics_csv(out / "metrics.csv", metric_rows)
 
+    with open(out / "stages.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["stage", "wall_s", "peak_rss_mib"])
+        for stage, wall, rss in timings:
+            writer.writerow([stage, f"{wall:.6f}", f"{rss:.1f}"])
     print(f"smoke: wrote {out / 'metrics.csv'}")
     return 0
 

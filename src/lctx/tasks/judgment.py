@@ -13,7 +13,7 @@ from ..encoder import EncoderConfig
 from ..metrics import log_distance, micro_macro_f1
 from ..vocab import CharVocab
 from .inputs import GlobalPolicy, single_text_input
-from .model import HeadedModel, fit_adam, mse
+from .model import HeadedModel, fit_adam, mse, predict_batches
 
 PENALTY_CAP = 180.0
 
@@ -25,6 +25,14 @@ def decode_label_set(logits: np.ndarray, threshold: float = 0.5) -> set[int]:
     if not chosen:
         chosen = {int(probs.argmax())}
     return chosen
+
+
+def _multi_hot(label_sets, n_labels: int) -> np.ndarray:
+    """[B, n_labels] float64 targets, 1.0 at each row's label ids."""
+    out = np.zeros((len(label_sets), n_labels), dtype=np.float64)
+    for b, labels in enumerate(label_sets):
+        out[b, sorted(labels)] = 1.0
+    return out
 
 
 class JudgmentModel(ParamMixin):
@@ -91,46 +99,50 @@ class JudgmentModel(ParamMixin):
             heads.update({"pen_w": (H, 1), "pen_b": (1,)})
         self.model_ = HeadedModel(enc_cfg, heads, seed=self.seed)
 
-        def example_loss(item):
-            ex, enc_in = item
-            cls = self.model_.encode(enc_in)[:, 0, :]
-            h = self.model_.heads
-            a_logits = T.matmul(cls, h["a_w"]) + h["a_b"]
-            law_logits = T.matmul(cls, h["law_w"]) + h["law_b"]
-            law_target = np.zeros((1, self.n_laws_), dtype=np.float64)
-            law_target[0, sorted(ex["laws"])] = 1.0
-            loss = T.cross_entropy(law_logits, law_target)
+        def batch_loss(batch):
+            examples = [ex for ex, _ in batch]
+            out = self._forward([enc_in for _, enc_in in batch])
+            loss = T.cross_entropy(out["law_logits"],
+                                   _multi_hot([ex["laws"] for ex in examples], self.n_laws_))
             if self.mode == "criminal":
-                a_target = np.zeros((1, self.n_label_a_), dtype=np.float64)
-                a_target[0, sorted(ex["charges"])] = 1.0
-                loss = loss + T.cross_entropy(a_logits, a_target)
-                pen = T.matmul(cls, h["pen_w"]) + h["pen_b"]
-                loss = loss + mse(pen, [[np.log1p(ex["penalty_months"])]])
+                loss = loss + T.cross_entropy(
+                    out["a_logits"],
+                    _multi_hot([ex["charges"] for ex in examples], self.n_label_a_))
+                loss = loss + mse(out["penalty_log"],
+                                  [[np.log1p(ex["penalty_months"])] for ex in examples])
             else:
-                loss = loss + T.cross_entropy(a_logits, np.asarray([ex["cause"]]))
+                loss = loss + T.cross_entropy(out["a_logits"],
+                                              np.asarray([ex["cause"] for ex in examples]))
             return loss
 
         items = list(zip(examples, self._prepare(examples)))
-        self.history_ = fit_adam(self.model_, items, example_loss, self.steps, self.lr)
+        self.history_ = fit_adam(self.model_, items, lambda item: item[1], batch_loss,
+                                 self.steps, self.lr)
         return self
+
+    def _forward(self, inputs) -> dict:
+        """Head outputs of one batch of inputs: label-a and law logits [B, n],
+        and in criminal mode the log-space penalty [B, 1]."""
+        cls = self.model_.encode(inputs)[:, 0, :]
+        h = self.model_.heads
+        out = {"a_logits": T.matmul(cls, h["a_w"]) + h["a_b"],
+               "law_logits": T.matmul(cls, h["law_w"]) + h["law_b"]}
+        if self.mode == "criminal":
+            out["penalty_log"] = T.matmul(cls, h["pen_w"]) + h["pen_b"]
+        return out
 
     def decision_scores(self, examples) -> list[dict]:
         """Raw head outputs per example (logits and penalty in log space)."""
-        inputs = self._prepare(examples)
-        out = []
-        with T.no_grad():
-            for enc_in in inputs:
-                cls = self.model_.encode(enc_in)[:, 0, :]
-                h = self.model_.heads
-                row = {
-                    "a_logits": T.matmul(cls, h["a_w"]).data[0] + h["a_b"].data,
-                    "law_logits": T.matmul(cls, h["law_w"]).data[0] + h["law_b"].data,
-                }
-                if self.mode == "criminal":
-                    row["penalty_log"] = float(
-                        (T.matmul(cls, h["pen_w"]).data + h["pen_b"].data)[0, 0])
-                out.append(row)
-        return out
+        def scores(batch):
+            out = {k: v.data for k, v in self._forward(batch).items()}
+            rows = [{"a_logits": out["a_logits"][b], "law_logits": out["law_logits"][b]}
+                    for b in range(len(batch))]
+            if self.mode == "criminal":
+                for row, pen in zip(rows, out["penalty_log"][:, 0]):
+                    row["penalty_log"] = float(pen)
+            return rows
+
+        return predict_batches(self._prepare(examples), lambda enc_in: enc_in, scores)
 
     def predict(self, examples) -> list[dict]:
         """The prediction rows `lctx finetune` stores: label sets as sorted

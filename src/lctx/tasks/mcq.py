@@ -13,7 +13,7 @@ from ..encoder import EncoderConfig
 from ..metrics import mcq_accuracy
 from ..vocab import CharVocab
 from .inputs import EncodedInput, GlobalPolicy, pair_input
-from .model import HeadedModel, fit_adam
+from .model import HeadedModel, fit_adam, predict_batches
 
 LETTERS = "ABCD"
 
@@ -44,8 +44,9 @@ class MultipleChoiceModel(ParamMixin):
                            GlobalPolicy("whole_question"))
                 for choice in ex["choices"]]
 
-    def _score(self, enc_in: EncodedInput) -> T.Tensor:
-        cls = self.model_.encode(enc_in)[:, 0, :]
+    def _score(self, inputs: list[EncodedInput]) -> T.Tensor:
+        """Raw scores [B, 1] of one batch of question-choice inputs."""
+        cls = self.model_.encode(inputs)[:, 0, :]
         return T.matmul(cls, self.model_.heads["w"]) + self.model_.heads["b"]
 
     def fit(self, examples) -> "MultipleChoiceModel":
@@ -65,20 +66,25 @@ class MultipleChoiceModel(ParamMixin):
         pairs = [(enc_in, LETTERS[i] in ex["answer_set"])
                  for ex in examples for i, enc_in in enumerate(self._assemble(ex))]
 
-        def example_loss(item):
-            enc_in, label = item
-            return T.cross_entropy(self._score(enc_in), np.asarray([[float(label)]]))
+        def batch_loss(batch):
+            return T.cross_entropy(self._score([enc_in for enc_in, _ in batch]),
+                                   np.asarray([[float(label)] for _, label in batch]))
 
-        self.history_ = fit_adam(self.model_, pairs, example_loss, self.steps, self.lr)
+        self.history_ = fit_adam(self.model_, pairs, lambda pair: pair[0], batch_loss,
+                                 self.steps, self.lr)
         return self
 
     def scores(self, examples) -> list[np.ndarray]:
+        """Raw score per choice, one array per question."""
         check_fitted(self, "model_")
-        out = []
-        with T.no_grad():
-            for ex in examples:
-                out.append(np.asarray([float(self._score(enc_in).data[0, 0])
-                                       for enc_in in self._assemble(ex)]))
+        per_question = [self._assemble(ex) for ex in examples]
+        flat = predict_batches([enc_in for inputs in per_question for enc_in in inputs],
+                               lambda enc_in: enc_in,
+                               lambda batch: [float(x) for x in self._score(batch).data[:, 0]])
+        out, lo = [], 0
+        for inputs in per_question:
+            out.append(np.asarray(flat[lo:lo + len(inputs)]))
+            lo += len(inputs)
         return out
 
     def predict(self, examples) -> list[dict]:

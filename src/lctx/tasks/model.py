@@ -1,4 +1,5 @@
-"""Encoder + task-head parameter container and the shared fine-tuning loop."""
+"""Encoder + task-head parameter container, the batching rule the heads
+share, and the shared fine-tuning loop."""
 
 from __future__ import annotations
 
@@ -12,6 +13,10 @@ from ..checkpoint import load_params, save_params
 from ..encoder import Encoder, EncoderConfig
 from ..optim import AdamState, adam_step, zero_grads
 from ..tensor import Tensor
+from ..vocab import PAD_ID
+
+# padded tokens per batch (rows x longest row); a longer row runs alone
+BATCH_TOKENS = 256
 
 
 class HeadedModel:
@@ -29,13 +34,27 @@ class HeadedModel:
             else:
                 self.heads[name] = T.randn(shape, rng, init_scale, requires_grad=True)
 
-    def encode(self, enc_in, pattern=None) -> Tensor:
-        """Hidden states [1, L, H] of one assembled input. The pattern defaults
-        to the encoder's window and dilation with the input's global positions."""
+    def encode(self, batch, pattern=None) -> Tensor:
+        """Hidden states [B, L_max, H] of assembled inputs that share their
+        global positions. Shorter rows are right-padded with PAD_ID and type
+        id 0, and their lengths go to the encoder, which masks padding keys;
+        row b is valid on its first len(batch[b]) positions. The pattern
+        defaults to the encoder's window and dilation with the rows' global
+        positions."""
+        if len({enc_in.global_positions for enc_in in batch}) != 1:
+            raise ValueError("a batch must share its global positions")
         if pattern is None:
             cfg = self.encoder.config
-            pattern = enc_in.pattern(cfg.window, cfg.dilation)
-        return self.encoder.encode(enc_in.ids[None], enc_in.type_ids[None], pattern)
+            pattern = batch[0].pattern(cfg.window, cfg.dilation)
+        lengths = [len(enc_in) for enc_in in batch]
+        ids = np.full((len(batch), max(lengths)), PAD_ID, dtype=np.int64)
+        type_ids = np.zeros_like(ids)
+        for b, enc_in in enumerate(batch):
+            ids[b, :len(enc_in)] = enc_in.ids
+            type_ids[b, :len(enc_in)] = enc_in.type_ids
+        ragged = min(lengths) != max(lengths)
+        return self.encoder.encode(ids, type_ids, pattern,
+                                   lengths=lengths if ragged else None)
 
     def params(self) -> dict[str, Tensor]:
         out = self.encoder.named_params()
@@ -63,19 +82,55 @@ class HeadedModel:
         return model, meta
 
 
-def fit_adam(model: HeadedModel, items, example_loss, steps: int, lr: float) -> list[float]:
-    """Fixed-rate Adam over `steps` full-batch updates. Each step builds one
-    graph per item, example_loss(item) scaled by 1/len(items), and runs its
-    backward; the step's logged loss is the mean over the items."""
+def group_batches(items, enc_of) -> list[list[int]]:
+    """Indices of `items` in padded batches. Items whose inputs enc_of(item)
+    share global positions form a bucket (buckets in order of first
+    appearance); each bucket is sorted by input length and cut so that rows x
+    longest row <= BATCH_TOKENS."""
+    buckets: dict[tuple, list[int]] = {}
+    for i, item in enumerate(items):
+        buckets.setdefault(tuple(enc_of(item).global_positions), []).append(i)
+    batches = []
+    for bucket in buckets.values():
+        bucket.sort(key=lambda i: len(enc_of(items[i])))
+        batch: list[int] = []
+        for i in bucket:
+            if batch and (len(batch) + 1) * len(enc_of(items[i])) > BATCH_TOKENS:
+                batches.append(batch)
+                batch = []
+            batch.append(i)
+        batches.append(batch)
+    return batches
+
+
+def predict_batches(items, enc_of, predict_batch) -> list:
+    """predict_batch(batch) -> one result per row, run without a graph over
+    the group_batches of `items`; the results come back in input order."""
+    out = [None] * len(items)
+    with T.no_grad():
+        for idx in group_batches(items, enc_of):
+            for i, result in zip(idx, predict_batch([items[i] for i in idx])):
+                out[i] = result
+    return out
+
+
+def fit_adam(model: HeadedModel, items, enc_of, batch_loss, steps: int,
+             lr: float) -> list[float]:
+    """Fixed-rate Adam over `steps` full-batch updates. The items are grouped
+    once by group_batches (enc_of(item) is an item's assembled input). Each
+    step builds one graph per batch, batch_loss(batch) (the mean over its
+    rows) scaled by len(batch)/len(items), and runs its backward, which
+    releases that graph; the step's logged loss is the mean over the items."""
     params = model.params()
     state = AdamState(params, learning_rate=lr)
     n = len(items)
+    batches = [[items[i] for i in idx] for idx in group_batches(items, enc_of)]
     history = []
     for step in range(steps):
         zero_grads(params)
         total = 0.0
-        for item in items:
-            loss = T.mul(example_loss(item), 1.0 / n)
+        for batch in batches:
+            loss = T.mul(batch_loss(batch), len(batch) / n)
             loss.backward()
             total += loss.item() * n
         mean = total / n

@@ -19,7 +19,7 @@ from ..encoder import EncoderConfig
 from ..metrics import em_f1
 from ..vocab import CharVocab, char_tokens
 from .inputs import EncodedInput, GlobalPolicy, pair_input
-from .model import HeadedModel, fit_adam
+from .model import HeadedModel, fit_adam, predict_batches
 
 ANSWER_TYPES = ("span", "yes", "no", "unanswerable")
 _TYPE_TEXT = {"yes": "YES", "no": "NO", "unanswerable": ""}
@@ -88,18 +88,22 @@ class ReadingComprehensionModel(ParamMixin):
             raise ValueError(f"span answer {ex['answer']!r} not found in context")
         return second.start + hit, second.start + hit + len(answer_ids) - 1
 
-    def _forward(self, enc_in: EncodedInput, starts):
-        hidden = self.model_.encode(enc_in)
+    def _forward(self, batch) -> list[tuple]:
+        """Per-row (start [1, L], end [1, L], type [1, 4], support [1, S])
+        logits of a batch of (input, sentence starts) pairs: one encode, the
+        heads over every position, then each row's slice on its own length."""
+        hidden = self.model_.encode([enc_in for enc_in, _ in batch])
         h = self.model_.heads
-        L = len(enc_in)
-        start_logits = T.reshape(T.matmul(hidden, h["start_w"]) + h["start_b"], 1, L)
-        end_logits = T.reshape(T.matmul(hidden, h["end_w"]) + h["end_b"], 1, L)
-        cls = hidden[:, 0, :]
-        type_logits = T.matmul(cls, h["type_w"]) + h["type_b"]
-        sent_rows = hidden[:, np.asarray(starts), :]
-        support_logits = T.reshape(T.matmul(sent_rows, h["sup_w"]) + h["sup_b"],
-                                   1, len(starts))
-        return start_logits, end_logits, type_logits, support_logits
+        B, L, _ = hidden.shape
+
+        def per_position(name):
+            return T.reshape(T.matmul(hidden, h[f"{name}_w"]) + h[f"{name}_b"], B, L)
+
+        start, end, support = per_position("start"), per_position("end"), per_position("sup")
+        types = T.matmul(hidden[:, 0, :], h["type_w"]) + h["type_b"]
+        return [(start[b:b + 1, :len(enc_in)], end[b:b + 1, :len(enc_in)], types[b:b + 1],
+                 support[b:b + 1, np.asarray(starts)])
+                for b, (enc_in, starts) in enumerate(batch)]
 
     # -- estimator surface ------------------------------------------------
 
@@ -129,15 +133,18 @@ class ReadingComprehensionModel(ParamMixin):
                              ANSWER_TYPES.index(ex["answer_type"]),
                              np.asarray(ex["support"], dtype=np.float64)[None, :len(starts)]))
 
-        def example_loss(item):
-            enc_in, starts, s_t, e_t, type_t, support_t = item
-            s_log, e_log, t_log, sup_log = self._forward(enc_in, starts)
-            return (T.cross_entropy(s_log, np.asarray([s_t]))
-                    + T.cross_entropy(e_log, np.asarray([e_t]))
-                    + T.cross_entropy(t_log, np.asarray([type_t]))
-                    + T.cross_entropy(sup_log, support_t))
+        def batch_loss(batch):
+            logits = self._forward([(enc_in, starts) for enc_in, starts, *_ in batch])
+            losses = [T.cross_entropy(s_log, np.asarray([s_t]))
+                      + T.cross_entropy(e_log, np.asarray([e_t]))
+                      + T.cross_entropy(t_log, np.asarray([type_t]))
+                      + T.cross_entropy(sup_log, support_t)
+                      for (s_log, e_log, t_log, sup_log), (_, _, s_t, e_t, type_t, support_t)
+                      in zip(logits, batch)]
+            return T.mul(sum(losses[1:], losses[0]), 1.0 / len(batch))
 
-        self.history_ = fit_adam(self.model_, prepared, example_loss, self.steps, self.lr)
+        self.history_ = fit_adam(self.model_, prepared, lambda item: item[0], batch_loss,
+                                 self.steps, self.lr)
         return self
 
     def _decode_span(self, enc_in, start_logits, end_logits) -> str:
@@ -158,11 +165,10 @@ class ReadingComprehensionModel(ParamMixin):
         """{"answer", "answer_type", "support"} per example; non-span types
         emit YES/NO/empty regardless of the span heads."""
         check_fitted(self, "model_")
-        rows = []
-        with T.no_grad():
-            for ex in examples:
-                enc_in, starts = self._assemble(ex)
-                s_log, e_log, t_log, sup_log = self._forward(enc_in, starts)
+
+        def decode(batch):
+            rows = []
+            for (enc_in, _), (s_log, e_log, t_log, sup_log) in zip(batch, self._forward(batch)):
                 kind = ANSWER_TYPES[int(t_log.data[0].argmax())]
                 if kind == "span":
                     answer = self._decode_span(enc_in, s_log.data[0], e_log.data[0])
@@ -171,7 +177,10 @@ class ReadingComprehensionModel(ParamMixin):
                 support = (1.0 / (1.0 + np.exp(-sup_log.data[0])) >= 0.5).astype(int)
                 rows.append({"answer": answer, "answer_type": kind,
                              "support": support.tolist()})
-        return rows
+            return rows
+
+        return predict_batches([self._assemble(ex) for ex in examples],
+                               lambda pair: pair[0], decode)
 
     def evaluate(self, examples) -> dict:
         return score_rows(self.predict(examples), examples)

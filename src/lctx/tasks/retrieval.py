@@ -25,7 +25,7 @@ from .inputs import (
     GlobalPolicy,
     pair_input,
 )
-from .model import HeadedModel, fit_adam
+from .model import HeadedModel, fit_adam, predict_batches
 
 
 def retrieval_input(query_ids, cand_ids, model_type: str = "long") -> EncodedInput:
@@ -65,11 +65,12 @@ class RetrievalRanker(ParamMixin):
                                 self.model_type)
                 for ex in examples]
 
-    def _score(self, enc_in: EncodedInput) -> T.Tensor:
-        # the dense baseline is ordinary full self-attention over its input
-        pattern = (AttentionPattern(window=2 * (len(enc_in) - 1))
+    def _score(self, inputs: list[EncodedInput]) -> T.Tensor:
+        """Relevance logits [B, 1] of one batch of pair inputs."""
+        # the dense baseline is ordinary full self-attention over the batch
+        pattern = (AttentionPattern(window=2 * (max(map(len, inputs)) - 1))
                    if self.model_type == "dense" else None)
-        cls = self.model_.encode(enc_in, pattern)[:, 0, :]
+        cls = self.model_.encode(inputs, pattern)[:, 0, :]
         return T.matmul(cls, self.model_.heads["w"]) + self.model_.heads["b"]
 
     def fit(self, examples) -> "RetrievalRanker":
@@ -84,23 +85,20 @@ class RetrievalRanker(ParamMixin):
         H = enc_cfg.hidden_dim
         self.model_ = HeadedModel(enc_cfg, {"w": (H, 1), "b": (1,)}, seed=self.seed)
 
-        def example_loss(item):
-            enc_in, ex = item
-            return T.cross_entropy(self._score(enc_in), np.asarray([[float(ex["relevant"])]]))
+        def batch_loss(batch):
+            return T.cross_entropy(self._score([enc_in for enc_in, _ in batch]),
+                                   np.asarray([[float(ex["relevant"])] for _, ex in batch]))
 
         items = list(zip(self._prepare(examples), examples))
-        self.history_ = fit_adam(self.model_, items, example_loss, self.steps, self.lr)
+        self.history_ = fit_adam(self.model_, items, lambda item: item[0], batch_loss,
+                                 self.steps, self.lr)
         return self
 
     def predict_proba(self, examples) -> np.ndarray:
         """Relevance probability in [0, 1] per example row."""
-        inputs = self._prepare(examples)
-        probs = []
-        with T.no_grad():
-            for enc_in in inputs:
-                logit = float(self._score(enc_in).data[0, 0])
-                probs.append(1.0 / (1.0 + np.exp(-logit)))
-        return np.asarray(probs)
+        logits = predict_batches(self._prepare(examples), lambda enc_in: enc_in,
+                                 lambda batch: [float(x) for x in self._score(batch).data[:, 0]])
+        return np.asarray([1.0 / (1.0 + np.exp(-logit)) for logit in logits])
 
     def predict(self, examples) -> list[dict]:
         """{query_id, candidate_id, score} per example row, the score being

@@ -8,6 +8,10 @@ mode astype(copy=False) would hand back the input array itself).
 Broadcasting is restricted to leading batch axes: two operand shapes must be
 equal, or one must be a suffix of the other. Everything else requires an
 explicit reshape.
+Tensor.backward() consumes the graph it walks: each intermediate drops its
+gradient and backward closure once it has run, so peak memory falls during
+the walk and only the leaves (parameters) keep gradients. Build one graph per
+backward(); gradients of separate graphs accumulate on the shared leaves.
 """
 
 from __future__ import annotations
@@ -44,10 +48,15 @@ def no_grad():
 _ACC_DTYPE = np.float64
 
 
+def _released(g) -> None:
+    """The backward of a node whose graph backward() has already walked."""
+    raise RuntimeError("backward() through a released graph node")
+
+
 class Tensor:
     """A dense n-dimensional float array with an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_done")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -60,7 +69,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad) and _grad_enabled
         self._parents = ()
         self._backward = None
-        self._done = False
         if _debug_checks and not np.all(np.isfinite(arr)):
             raise FloatingPointError("non-finite values in tensor data")
 
@@ -85,7 +93,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-        self._done = False
 
     def numpy(self) -> np.ndarray:
         return self.data
@@ -104,14 +111,16 @@ class Tensor:
     def backward(self) -> None:
         """Populate .grad on every requires_grad tensor reachable from this scalar.
 
-        Gradients accumulate additively across uses. Calling backward twice on
-        the same root without zero_grad() is a checked error.
+        Gradients accumulate additively across uses, and leaves keep theirs
+        across calls. The graph is released as the walk goes: once a non-leaf
+        node has pushed its gradient to its parents, its grad, parents and
+        backward closure are dropped, so the intermediates of a finished part
+        of the graph are freed during the walk. A later backward() that
+        reaches a released node (the same root twice, or an intermediate
+        shared with an earlier root) is a checked error.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
-        if self._done:
-            raise RuntimeError("backward() already called on this tensor; zero_grad() first")
-        self._done = True
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -122,15 +131,24 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _released:
+                raise RuntimeError("backward() reached a node whose graph an earlier "
+                                   "backward() released; build a new graph per backward")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         self._accum(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its grad
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._parents = ()
+            node._backward = _released
 
     # operator sugar ----------------------------------------------------
 

@@ -140,17 +140,21 @@ def test_evaluate_reproduces_finetune_metrics(fixture_dir, tmp_path, task):
 def test_finetune_encodes_each_row_once(fixture_dir, tmp_path, task, monkeypatch):
     # at --steps 0 every encoder call comes after fit: the predictions written
     # and the metrics row scored from them share one encode per row (for MCQ,
-    # per question-choice pair)
+    # per question-choice pair). Rows are counted by the batch axis of each
+    # call, since rows that share a global span are encoded in one call.
     data = task_data(fixture_dir, task)
-    calls = []
+    batch_sizes = []
     encode = Encoder.encode
-    monkeypatch.setattr(Encoder, "encode",
-                        lambda self, *a, **k: calls.append(1) or encode(self, *a, **k))
+    monkeypatch.setattr(Encoder, "encode", lambda self, token_ids, *a, **k: (
+        batch_sizes.append(len(token_ids)) or encode(self, token_ids, *a, **k)))
     assert run(["finetune", "--task", task, "--data", data, "--out", tmp_path / "ft",
                 "--steps", 0]) == 0
     rows = read_jsonl(data)
     want = sum(len(r["choices"]) for r in rows) if task == "mcq" else len(rows)
-    assert len(calls) == want
+    assert sum(batch_sizes) == want
+    if not task.startswith("judgment"):
+        # judgment rows here are longer than half of BATCH_TOKENS: each runs alone
+        assert len(batch_sizes) < want
     assert len(read_jsonl(tmp_path / "ft" / "predictions.jsonl")) == len(rows)
 
 
@@ -168,6 +172,24 @@ def test_finetune_folds_rejected_for_other_tasks(fixture_dir, tmp_path, capsys, 
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--folds" in err and "Traceback" not in err
+    assert not out.exists()  # rejected before anything is written
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_finetune_dense_model_type_rejected_for_other_tasks(fixture_dir, tmp_path, capsys,
+                                                            how):
+    out = tmp_path / "ft"
+    argv = ["finetune", "--task", "rc", "--data", fixture_dir / "fx" / "rc.jsonl",
+            "--out", out, "--steps", 1]
+    if how == "flag":
+        argv += ["--model-type", "dense"]
+    else:
+        cfg = tmp_path / "task.json"
+        cfg.write_text(json.dumps({"model_type": "dense"}), encoding="utf-8")
+        argv += ["--config", cfg]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--model-type" in err and "Traceback" not in err
     assert not out.exists()  # rejected before anything is written
 
 
@@ -280,6 +302,18 @@ def test_smoke_metric_columns_and_determinism(tmp_path):
                 "single", "all"):
         assert col in header
     assert (a / "run.json").exists()
+
+
+def test_smoke_writes_stage_times(tmp_path):
+    out = tmp_path / "s"
+    assert run(["smoke", "--out", out, "--seed", 2, "--steps", 1]) == 0
+    with open(out / "stages.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["stage"] for r in rows] == [
+        "fixtures", "preprocess", "pretrain", "finetune-judgment-criminal",
+        "finetune-judgment-civil", "finetune-retrieval", "finetune-rc", "finetune-mcq",
+        "evaluate"]
+    assert all(float(r["wall_s"]) > 0 and float(r["peak_rss_mib"]) > 0 for r in rows)
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):

@@ -186,19 +186,21 @@ def test_retrieval_tie_break_by_candidate_id():
 
 
 def test_retrieval_predict_rows_and_single_encode(monkeypatch):
-    # evaluate() scores the rows predict() returns: one encoder call per row
+    # evaluate() scores the rows predict() returns: each row encoded once,
+    # counted by the batch axis of the encoder calls
     rows = retrieval_examples(2, 3, seed=1)
     ranker = RetrievalRanker(steps=0).fit(rows)
     preds = ranker.predict(rows)
     assert [(p["query_id"], p["candidate_id"]) for p in preds] == \
         [(r["query_id"], r["candidate_id"]) for r in rows]
     assert [p["score"] for p in preds] == ranker.predict_proba(rows).tolist()
-    calls = []
+    batch_sizes = []
     encode = Encoder.encode
-    monkeypatch.setattr(Encoder, "encode",
-                        lambda self, *a, **k: calls.append(1) or encode(self, *a, **k))
+    monkeypatch.setattr(Encoder, "encode", lambda self, token_ids, *a, **k: (
+        batch_sizes.append(len(token_ids)) or encode(self, token_ids, *a, **k)))
     metrics = ranker.evaluate(rows, ks=(1, 2))
-    assert len(calls) == len(rows)
+    assert sum(batch_sizes) == len(rows)
+    assert len(batch_sizes) < len(rows)  # a query's candidates share its span
     assert metrics["accuracy"] == np.mean([int(p["score"] >= 0.5) == r["relevant"]
                                            for p, r in zip(preds, rows)])
 
