@@ -15,6 +15,7 @@ import resource
 import statistics
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -201,9 +202,30 @@ def cmd_preprocess(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_pretrain_config(path, seed) -> tuple[PretrainConfig, dict]:
+def _check_config_keys(section: str, given: dict, allowed) -> None:
+    """Reject a --config key that no run reads, naming it and its section."""
+    if not isinstance(given, dict):
+        raise ValueError(f"--config {section} must be a JSON object")
+    for key in given:
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r} in the {section} of --config "
+                             f"(allowed: {', '.join(allowed)})")
+
+
+def _read_config(path, top_keys) -> dict:
+    """A --config JSON file whose top-level keys and encoder section are
+    checked; {} without a file."""
     raw = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
+    _check_config_keys("top level", raw, top_keys)
+    _check_config_keys("encoder section", raw.get("encoder", {}),
+                       [f.name for f in fields(EncoderConfig)])
+    return raw
+
+
+def _load_pretrain_config(path, seed) -> tuple[PretrainConfig, dict]:
+    raw = _read_config(path, ("pretrain", "encoder"))
     pre_kwargs = raw.get("pretrain", {})
+    _check_config_keys("pretrain section", pre_kwargs, [f.name for f in fields(PretrainConfig)])
     if seed is not None:
         pre_kwargs["seed"] = seed
     return PretrainConfig(**pre_kwargs), raw.get("encoder", {})
@@ -247,9 +269,10 @@ def cmd_finetune(args) -> int:
     vocab = CharVocab.load(args.vocab) if args.vocab else None
     if args.config:
         # config file wins over flag defaults: {steps, lr, seed, model_type,
-        # encoder: {...EncoderConfig fields...}}
-        file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        for key in ("steps", "lr", "seed", "model_type", "folds"):
+        # folds, encoder: {...EncoderConfig fields...}}
+        flags = ("steps", "lr", "seed", "model_type", "folds")
+        file_cfg = _read_config(args.config, flags + ("encoder",))
+        for key in flags:
             if key in file_cfg:
                 setattr(args, key, file_cfg[key])
         if "encoder" in file_cfg:
@@ -550,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seq-len", dest="seq_len", type=int, default=128)
     p.add_argument("--min-fact-tokens", dest="min_fact_tokens", type=int, default=50)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("pretrain", help="run MLM pretraining over packed blocks")
@@ -586,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True,
                    help="metrics CSV path, or a suffix-less directory for "
                         "metrics.csv and run.json")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("benchmark-attention", help="flop counts and wall times vs L")

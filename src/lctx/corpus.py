@@ -143,9 +143,14 @@ def segment_case(raw_text: str, rules: Ruleset, case_kind: str = "criminal",
                         flags=flags)
 
 
+def fact_long_enough(doc: CaseDocument, min_tokens: int = MIN_FACT_TOKENS) -> bool:
+    """The fact-length rule: the fact is strictly longer than min_tokens tokens."""
+    return len(char_tokens(doc.fact)) > min_tokens
+
+
 def filter_by_fact_length(docs, min_tokens: int = MIN_FACT_TOKENS):
-    """Keep documents whose fact is strictly longer than min_tokens tokens."""
-    return [d for d in docs if len(char_tokens(d.fact)) > min_tokens]
+    """Keep documents that pass fact_long_enough."""
+    return [d for d in docs if fact_long_enough(d, min_tokens)]
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +256,7 @@ def extract_annotations(doc: CaseDocument, rules: Ruleset,
 # ---------------------------------------------------------------------------
 
 
-def pack_documents(token_streams, target_len: int,
-                   sep_id: int = SEP_ID, pad_id: int = PAD_ID) -> np.ndarray:
+def pack_documents(token_streams, target_len: int) -> np.ndarray:
     """Greedy packing in corpus order: each document's tokens followed by one
     SEP, streamed into fixed-length blocks; the final partial block is padded.
     A document longer than a block simply continues into the next block, so
@@ -267,12 +271,12 @@ def pack_documents(token_streams, target_len: int,
             if len(current) == target_len:
                 blocks.append(np.asarray(current, dtype=np.int64))
                 current = []
-        current.append(sep_id)
+        current.append(SEP_ID)
         if len(current) == target_len:
             blocks.append(np.asarray(current, dtype=np.int64))
             current = []
     if current:
-        current.extend([pad_id] * (target_len - len(current)))
+        current.extend([PAD_ID] * (target_len - len(current)))
         blocks.append(np.asarray(current, dtype=np.int64))
     if not blocks:
         return np.zeros((0, target_len), dtype=np.int64)
@@ -377,7 +381,7 @@ def process_corpus(raw_cases, rules: Ruleset,
         except DocumentRejected as exc:
             reject(exc.reason)
             continue
-        if len(char_tokens(doc.fact)) <= min_fact_tokens:
+        if not fact_long_enough(doc, min_fact_tokens):
             reject("FACT_TOO_SHORT")
             continue
         documents.append(doc)

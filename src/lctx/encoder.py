@@ -30,16 +30,13 @@ class EncoderConfig:
     n_position_types: int = 2
     window: int = 4
     dilation: tuple[int, ...] | None = None
-    dropout: float = 0.0
 
     def __post_init__(self):
         if self.hidden_dim % self.n_heads != 0:
             raise ValueError("hidden_dim must be divisible by n_heads")
-
-    def default_pattern(self, global_positions=()) -> AttentionPattern:
-        return AttentionPattern(window=self.window,
-                                dilation_per_head=self.dilation,
-                                global_positions=tuple(global_positions))
+        if self.dilation is not None:
+            # a JSON config gives a list; save() and equality expect a tuple
+            self.dilation = tuple(self.dilation)
 
     def save(self, path) -> None:
         lines = []
@@ -63,12 +60,12 @@ class EncoderConfig:
             key, _, raw = line.partition("=")
             key = key.strip()
             raw = raw.strip()
+            if key == "dropout":
+                continue  # in files written before dropout was removed; no run applied it
             if key not in casts:
                 raise KeyError(f"unknown config key {key!r}")
             if key == "dilation":
                 kwargs[key] = tuple(int(x) for x in raw.split(",")) if raw else None
-            elif key == "dropout":
-                kwargs[key] = float(raw)
             else:
                 kwargs[key] = int(raw)
         return cls(**kwargs)
@@ -127,13 +124,13 @@ class Encoder:
     # -- forward passes -----------------------------------------------
 
     def encode(self, token_ids: np.ndarray, position_type_ids=None,
-               pattern: AttentionPattern | None = None, lengths=None,
-               train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        """Contextual representations [B, L, H]. Deterministic when train=False."""
+               pattern: AttentionPattern | None = None, lengths=None) -> Tensor:
+        """Contextual representations [B, L, H]. The pattern defaults to the
+        config's window and dilation with no global positions."""
         # the kernel is looked up at call time, so a module-level replacement
         # of sparse_attention_forward takes effect here
         return self._forward(sparse_attention_forward, token_ids, position_type_ids,
-                             pattern, lengths, train, rng)
+                             pattern, lengths)
 
     def encode_dense_reference(self, token_ids, position_type_ids=None,
                                pattern=None, lengths=None) -> Tensor:
@@ -141,8 +138,7 @@ class Encoder:
         return self._forward(dense_attention_oracle, token_ids, position_type_ids,
                              pattern, lengths)
 
-    def _forward(self, attention, token_ids, position_type_ids, pattern, lengths,
-                 train=False, rng=None) -> Tensor:
+    def _forward(self, attention, token_ids, position_type_ids, pattern, lengths) -> Tensor:
         token_ids = np.asarray(token_ids)
         if token_ids.ndim == 1:
             token_ids = token_ids[None, :]
@@ -153,7 +149,7 @@ class Encoder:
         if L > cfg.max_positions:
             raise ValueError(f"sequence length {L} exceeds max_positions {cfg.max_positions}")
         if pattern is None:
-            pattern = self.config.default_pattern()
+            pattern = AttentionPattern(window=cfg.window, dilation_per_head=cfg.dilation)
         if position_type_ids is None:
             position_type_ids = np.zeros_like(token_ids)
         else:
@@ -162,21 +158,15 @@ class Encoder:
                 position_type_ids = position_type_ids[None, :]
             if position_type_ids.min() < 0 or position_type_ids.max() >= cfg.n_position_types:
                 raise IndexError("position-type id out of range")
-        drop = cfg.dropout if train else 0.0
-        if drop > 0 and rng is None:
-            raise ValueError("training-mode dropout needs an rng")
 
         x = T.embedding(self.tok_emb, token_ids)
         x = x + T.embedding(self.pos_emb, np.broadcast_to(np.arange(L), (B, L)))
         x = x + T.embedding(self.type_emb, position_type_ids)
         x = T.layer_norm(x, self.emb_ln_g, self.emb_ln_b)
-        x = T.dropout(x, drop, rng) if drop > 0 else x
         for layer in self.layers:
             a = attention(x, layer["attn"], pattern, cfg.n_heads, lengths=lengths)
-            a = T.dropout(a, drop, rng) if drop > 0 else a
             x = T.layer_norm(x + a, layer["ln1_g"], layer["ln1_b"])
             f = T.matmul(T.gelu(T.matmul(x, layer["w1"]) + layer["b1"]), layer["w2"]) + layer["b2"]
-            f = T.dropout(f, drop, rng) if drop > 0 else f
             x = T.layer_norm(x + f, layer["ln2_g"], layer["ln2_b"])
         return x
 

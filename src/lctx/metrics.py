@@ -208,16 +208,16 @@ class FoldPlan:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def run_cross_validation(examples, plan: FoldPlan, train_fn, eval_fn,
-                         query_key=lambda ex: ex["query_id"]) -> dict:
-    """Rotate over folds: train on the other folds, evaluate the held-out one.
+def run_cross_validation(examples, plan: FoldPlan, train_fn, eval_fn) -> dict:
+    """Rotate over folds of the examples' query_id: train on the other folds,
+    evaluate the held-out one.
 
     train_fn(train_examples) -> model; eval_fn(model, test_examples) -> dict
     of metric name -> value. Returns {"folds": [...], "mean": {...}}.
     """
     by_fold: dict[int, list] = {f: [] for f in range(plan.n_folds)}
     for ex in examples:
-        by_fold[plan.fold_of(query_key(ex))].append(ex)
+        by_fold[plan.fold_of(ex["query_id"])].append(ex)
     fold_metrics = []
     for fold in range(plan.n_folds):
         test = by_fold[fold]

@@ -6,20 +6,15 @@ import numpy as np
 
 from .tensor import Tensor
 
+# moment decay rates and denominator guard of Adam's original presentation
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
 
 class AdamState:
-    """Per-parameter first/second moments plus the shared step counter.
+    """Per-parameter first/second moments plus the shared step counter."""
 
-    Defaults follow the optimizer's original presentation: beta1=0.9,
-    beta2=0.999, eps=1e-8.
-    """
-
-    def __init__(self, params: dict[str, Tensor], learning_rate: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], learning_rate: float = 1e-3):
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
         self.step = 0
         self.first_moment = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.second_moment = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -46,7 +41,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     """
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
     for name, p in params.items():
@@ -63,7 +58,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
         v += (1.0 - b2) * (g * g)
         mhat = m / c1
         vhat = v / c2
-        p.data -= (state.learning_rate * mhat / (np.sqrt(vhat) + state.epsilon)).astype(p.data.dtype)
+        p.data -= (state.learning_rate * mhat / (np.sqrt(vhat) + EPSILON)).astype(p.data.dtype)
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:

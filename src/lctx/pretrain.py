@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -118,10 +118,10 @@ def save_checkpoint(out_dir, encoder: Encoder, state: AdamState, step: int) -> P
     return ckpt
 
 
-def load_checkpoint(ckpt_dir, dtype=np.float32):
+def load_checkpoint(ckpt_dir):
     ckpt_dir = Path(ckpt_dir)
     config = EncoderConfig.load(ckpt_dir / "model.cfg")
-    encoder = Encoder(config, np.random.default_rng(0), dtype=dtype)
+    encoder = Encoder(config, np.random.default_rng(0))
     encoder.load(ckpt_dir / "model.ckpt")
     step = json.loads((ckpt_dir / "state.json").read_text())["step"]
     return encoder, step
@@ -148,6 +148,12 @@ def pretrain(blocks: np.ndarray, config: PretrainConfig, enc_config: EncoderConf
     start_step = 0
     if resume_from is not None:
         encoder, start_step = load_checkpoint(resume_from)
+        differ = [f"{f.name} {getattr(enc_config, f.name)!r} (checkpoint: "
+                  f"{getattr(encoder.config, f.name)!r})" for f in fields(EncoderConfig)
+                  if getattr(enc_config, f.name) != getattr(encoder.config, f.name)]
+        if differ:
+            raise ValueError(f"{resume_from}: the encoder config differs from the "
+                             f"checkpoint's: " + "; ".join(differ))
         state = AdamState(encoder.named_params())
         state.load_arrays(load_arrays(Path(resume_from) / "optim.ckpt"))
     else:
@@ -207,10 +213,10 @@ def pretrain(blocks: np.ndarray, config: PretrainConfig, enc_config: EncoderConf
 
 
 def masked_recovery_accuracy(encoder: Encoder, blocks: np.ndarray,
-                             config: PretrainConfig, n_rounds: int = 4) -> float:
-    """Fraction of masked tokens recovered by argmax over fresh maskings."""
+                             config: PretrainConfig) -> float:
+    """Fraction of masked tokens recovered by argmax over four fresh maskings."""
     hits = total = 0
-    for r in range(n_rounds):
+    for r in range(4):
         rng = np.random.default_rng((config.seed, 1_000_003, r))
         inputs, labels, _ = _mask_batch(blocks, config.mask_rate, rng,
                                         encoder.config.vocab_size)

@@ -4,7 +4,6 @@ from .inputs import (
     LONG_CAND_LIMIT,
     LONG_QUERY_LIMIT,
     EncodedInput,
-    GlobalPolicy,
     pair_input,
     single_text_input,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "LONG_CAND_LIMIT",
     "LONG_QUERY_LIMIT",
     "EncodedInput",
-    "GlobalPolicy",
     "HeadedModel",
     "JudgmentModel",
     "MultipleChoiceModel",

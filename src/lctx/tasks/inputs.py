@@ -1,5 +1,6 @@
 """Input assembly for the downstream tasks: CLS/SEP layout, per-task
-truncation limits, position-type ids, and global-attention token selection."""
+truncation limits, position-type ids, and global attention, which follows the
+layout (Longformer, Beltagy et al. 2020, arXiv 2004.05150, section 3)."""
 
 from __future__ import annotations
 
@@ -13,25 +14,6 @@ from ..vocab import CLS_ID, SEP_ID
 # query/candidate truncation limits (long model vs 512-token dense baseline)
 LONG_QUERY_LIMIT, LONG_CAND_LIMIT = 509, 3072
 DENSE_QUERY_LIMIT, DENSE_CAND_LIMIT = 100, 409
-
-GLOBAL_MODES = ("cls_only", "whole_question", "whole_query")
-
-
-@dataclass(frozen=True)
-class GlobalPolicy:
-    """Which tokens get global attention: the CLS token alone (classification),
-    or CLS plus the whole question/query span (QA, retrieval)."""
-
-    mode: str
-
-    def __post_init__(self):
-        if self.mode not in GLOBAL_MODES:
-            raise ValueError(f"unknown global policy {self.mode!r}")
-
-    def positions(self, first_span: range) -> tuple[int, ...]:
-        if self.mode == "cls_only":
-            return (0,)
-        return (0, *first_span)
 
 
 @dataclass
@@ -51,39 +33,40 @@ class EncodedInput:
                                 global_positions=self.global_positions)
 
 
-def single_text_input(token_ids, max_positions: int,
-                      policy: GlobalPolicy = GlobalPolicy("cls_only")) -> EncodedInput:
-    """[CLS] text — judgment prediction layout. Truncation keeps the CLS."""
+def single_text_input(token_ids, max_positions: int) -> EncodedInput:
+    """[CLS] text — judgment prediction layout, global attention on CLS.
+    Truncation keeps the CLS."""
     body = list(token_ids)[: max_positions - 1]
     ids = np.asarray([CLS_ID] + body, dtype=np.int64)
     text_span = range(1, 1 + len(body))
     return EncodedInput(
         ids=ids,
         type_ids=np.zeros(len(ids), dtype=np.int64),
-        global_positions=policy.positions(text_span),
+        global_positions=(0,),
         sections={"text": text_span},
     )
 
 
-def pair_input(first_ids, second_ids, first_limit: int, second_limit: int,
-               policy: GlobalPolicy, second_type: int = 1) -> EncodedInput:
-    """[CLS] first [SEP] second [SEP] — retrieval, RC and MCQ layout.
+def pair_input(first_ids, second_ids, first_limit: int,
+               second_limit: int) -> EncodedInput:
+    """[CLS] first [SEP] second [SEP] — retrieval, RC and MCQ layout, global
+    attention on CLS and the whole (truncated) first segment.
 
     The two segments are truncated to their limits bit-exactly; CLS and the
     SEP structure always survive. Position-type ids are 0 over CLS+first+SEP
-    and `second_type` over second+SEP.
+    and 1 over second+SEP.
     """
     first = list(first_ids)[:first_limit]
     second = list(second_ids)[:second_limit]
     ids = np.asarray([CLS_ID] + first + [SEP_ID] + second + [SEP_ID], dtype=np.int64)
     n_first = len(first)
     type_ids = np.zeros(len(ids), dtype=np.int64)
-    type_ids[n_first + 2:] = second_type
+    type_ids[n_first + 2:] = 1
     first_span = range(1, 1 + n_first)
     second_span = range(n_first + 2, n_first + 2 + len(second))
     return EncodedInput(
         ids=ids,
         type_ids=type_ids,
-        global_positions=policy.positions(first_span),
+        global_positions=(0, *first_span),
         sections={"first": first_span, "second": second_span},
     )

@@ -9,13 +9,12 @@ import numpy as np
 
 from .. import tensor as T
 from ..base import ParamMixin, check_fitted
+from ..corpus import PENALTY_CAP_MONTHS
 from ..encoder import EncoderConfig
 from ..metrics import log_distance, micro_macro_f1
 from ..vocab import CharVocab
-from .inputs import GlobalPolicy, single_text_input
+from .inputs import single_text_input
 from .model import HeadedModel, fit_adam, mse, predict_batches
-
-PENALTY_CAP = 180.0
 
 
 def decode_label_set(logits: np.ndarray, threshold: float = 0.5) -> set[int]:
@@ -70,8 +69,7 @@ class JudgmentModel(ParamMixin):
     def _prepare(self, examples):
         check_fitted(self, "model_")
         enc_cfg = self.model_.encoder.config
-        return [single_text_input(self.vocab_.transform(ex["fact"]),
-                                  enc_cfg.max_positions, GlobalPolicy("cls_only"))
+        return [single_text_input(self.vocab_.transform(ex["fact"]), enc_cfg.max_positions)
                 for ex in examples]
 
     # -- estimator surface ----------------------------------------------
@@ -151,7 +149,7 @@ class JudgmentModel(ParamMixin):
         for scores in self.decision_scores(examples):
             laws = sorted(decode_label_set(scores["law_logits"], self.threshold))
             if self.mode == "criminal":
-                months = float(np.clip(np.expm1(scores["penalty_log"]), 0.0, PENALTY_CAP))
+                months = float(np.clip(np.expm1(scores["penalty_log"]), 0.0, PENALTY_CAP_MONTHS))
                 rows.append({"charges": sorted(decode_label_set(scores["a_logits"],
                                                                 self.threshold)),
                              "laws": laws, "penalty_months": months})

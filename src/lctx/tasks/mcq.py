@@ -12,7 +12,7 @@ from ..base import ParamMixin, check_fitted
 from ..encoder import EncoderConfig
 from ..metrics import mcq_accuracy
 from ..vocab import CharVocab
-from .inputs import EncodedInput, GlobalPolicy, pair_input
+from .inputs import EncodedInput, pair_input
 from .model import HeadedModel, fit_adam, predict_batches
 
 LETTERS = "ABCD"
@@ -40,8 +40,7 @@ class MultipleChoiceModel(ParamMixin):
             raise ValueError("empty answer_set")
         q_ids = self.vocab_.transform(ex["question"])
         return [pair_input(q_ids, self.vocab_.transform(choice),
-                           self.question_limit, self.choice_limit,
-                           GlobalPolicy("whole_question"))
+                           self.question_limit, self.choice_limit)
                 for choice in ex["choices"]]
 
     def _score(self, inputs: list[EncodedInput]) -> T.Tensor:

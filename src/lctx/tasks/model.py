@@ -23,16 +23,16 @@ class HeadedModel:
     """An encoder with named linear heads, checkpointable as one unit."""
 
     def __init__(self, enc_config: EncoderConfig, head_shapes: dict[str, tuple],
-                 seed: int = 0, init_scale: float = 0.02):
+                 seed: int = 0):
         rng = np.random.default_rng(seed)
-        self.encoder = Encoder(enc_config, rng, init_scale=init_scale)
+        self.encoder = Encoder(enc_config, rng)
         self.head_shapes = dict(head_shapes)
         self.heads: dict[str, Tensor] = {}
         for name, shape in self.head_shapes.items():
             if name.endswith("_b"):
                 self.heads[name] = T.zeros(shape, requires_grad=True)
             else:
-                self.heads[name] = T.randn(shape, rng, init_scale, requires_grad=True)
+                self.heads[name] = T.randn(shape, rng, 0.02, requires_grad=True)
 
     def encode(self, batch, pattern=None) -> Tensor:
         """Hidden states [B, L_max, H] of assembled inputs that share their

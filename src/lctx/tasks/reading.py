@@ -18,7 +18,7 @@ from ..base import ParamMixin, check_fitted
 from ..encoder import EncoderConfig
 from ..metrics import em_f1
 from ..vocab import CharVocab, char_tokens
-from .inputs import EncodedInput, GlobalPolicy, pair_input
+from .inputs import EncodedInput, pair_input
 from .model import HeadedModel, fit_adam, predict_batches
 
 ANSWER_TYPES = ("span", "yes", "no", "unanswerable")
@@ -67,8 +67,7 @@ class ReadingComprehensionModel(ParamMixin):
         flat = [tok for ids in sent_ids for tok in ids]
         cand_limit = self.model_.encoder.config.max_positions - self.question_limit - 3
         enc_in = pair_input(self.vocab_.transform(ex["question"]), flat,
-                            self.question_limit, cand_limit,
-                            GlobalPolicy("whole_question"))
+                            self.question_limit, cand_limit)
         starts, offset = [], enc_in.sections["second"].start
         pos = 0
         for ids in sent_ids:

@@ -22,7 +22,6 @@ from .inputs import (
     LONG_CAND_LIMIT,
     LONG_QUERY_LIMIT,
     EncodedInput,
-    GlobalPolicy,
     pair_input,
 )
 from .model import HeadedModel, fit_adam, predict_batches
@@ -33,11 +32,9 @@ def retrieval_input(query_ids, cand_ids, model_type: str = "long") -> EncodedInp
     if len(list(cand_ids)) == 0:
         raise ValueError("empty candidate")
     if model_type == "long":
-        return pair_input(query_ids, cand_ids, LONG_QUERY_LIMIT, LONG_CAND_LIMIT,
-                          GlobalPolicy("whole_query"))
+        return pair_input(query_ids, cand_ids, LONG_QUERY_LIMIT, LONG_CAND_LIMIT)
     if model_type == "dense":
-        enc = pair_input(query_ids, cand_ids, DENSE_QUERY_LIMIT, DENSE_CAND_LIMIT,
-                         GlobalPolicy("whole_query"))
+        enc = pair_input(query_ids, cand_ids, DENSE_QUERY_LIMIT, DENSE_CAND_LIMIT)
         # the truncating baseline is ordinary full self-attention
         enc.global_positions = ()
         return enc

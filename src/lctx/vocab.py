@@ -59,9 +59,17 @@ class CharVocab(ParamMixin):
 
     @classmethod
     def load(cls, path) -> "CharVocab":
+        """Read a file written by save(): the special tokens first, in order,
+        then one token per line, none twice. Else a ValueError naming it."""
         vocab = cls()
         vocab.tokens_ = Path(path).read_text(encoding="utf-8").splitlines()
+        if vocab.tokens_[:N_SPECIAL] != SPECIAL_TOKENS:
+            raise ValueError(f"{path}: a vocabulary file starts with the special tokens "
+                             f"{SPECIAL_TOKENS}, one per line")
         vocab.index_ = {tok: i for i, tok in enumerate(vocab.tokens_)}
+        if len(vocab.index_) != len(vocab.tokens_):
+            repeated = next(tok for i, tok in enumerate(vocab.tokens_) if vocab.index_[tok] != i)
+            raise ValueError(f"{path}: token {repeated!r} appears more than once")
         return vocab
 
 

@@ -11,7 +11,6 @@ from lctx.encoder import Encoder, EncoderConfig
 from lctx.fixtures import mcq_examples, rc_examples, retrieval_examples
 from lctx.tasks import (
     EncodedInput,
-    GlobalPolicy,
     HeadedModel,
     JudgmentModel,
     MultipleChoiceModel,
@@ -82,8 +81,8 @@ def test_padded_encode_matches_rows_alone(window, monkeypatch):
     model = HeadedModel(cfg, {}, seed=3)
     rng = np.random.default_rng(0)
     question = rng.integers(N_SPECIAL, 40, 5)
-    batch = [pair_input(question, rng.integers(N_SPECIAL, 40, n), 8, 64,
-                        GlobalPolicy("whole_question")) for n in (20, 7, 31)]
+    batch = [pair_input(question, rng.integers(N_SPECIAL, 40, n), 8, 64)
+             for n in (20, 7, 31)]
     dense_calls = []
     dense = attention.dense_attention_oracle
     monkeypatch.setattr(attention, "dense_attention_oracle",

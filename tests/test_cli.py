@@ -11,6 +11,7 @@ from lctx.corpus import read_jsonl
 from lctx.encoder import Encoder
 from lctx.fixtures import write_fixture_files
 from lctx.metrics import FoldPlan
+from lctx.vocab import build_vocab
 
 
 def run(argv):
@@ -93,6 +94,60 @@ def test_pretrain_and_resume_cli(fixture_dir, tmp_path, capsys):
                 "--steps", 5, "--seed", 1, "--resume", cut]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "model.ckpt" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("config, key, section", [
+    ({"encoder": {"bogus": 1}}, "bogus", "encoder section"),
+    ({"encoder": {"window": 4, "dropout": 0.1}}, "dropout", "encoder section"),
+    ({"pretrain": {"steps": 5}}, "steps", "pretrain section"),
+    ({"pretrain": {}, "encoder": {}, "optim": {}}, "optim", "top level"),
+])
+def test_pretrain_config_unknown_key_named(fixture_dir, tmp_path, capsys, config, key, section):
+    pp = tmp_path / "pp"
+    run(["preprocess", "--input", fixture_dir / "fx" / "raw_cases.jsonl",
+         "--out", pp, "--seq-len", 48])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "pt"
+    assert run(["pretrain", "--data", pp, "--config", cfg, "--out", out, "--steps", 1]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert repr(key) in err and section in err
+    assert not out.exists()  # rejected before anything is written
+
+
+@pytest.mark.parametrize("config, key, section", [
+    ({"step": 5}, "step", "top level"),
+    ({"encoder": {"n_layers": 1, "dropout": 0.0}}, "dropout", "encoder section"),
+])
+def test_finetune_config_unknown_key_named(fixture_dir, tmp_path, capsys, config, key, section):
+    rc = fixture_dir / "fx" / "rc.jsonl"
+    vocab = tmp_path / "vocab.txt"
+    build_vocab(json.dumps(row, ensure_ascii=False) for row in read_jsonl(rc)).save(vocab)
+    cfg = tmp_path / "task.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "ft"
+    assert run(["finetune", "--task", "rc", "--data", rc, "--vocab", vocab,
+                "--config", cfg, "--out", out, "--steps", 1]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert repr(key) in err and section in err
+    assert not out.exists()
+
+
+def test_malformed_vocab_file_is_a_named_error(fixture_dir, tmp_path, capsys):
+    pp = tmp_path / "pp"
+    run(["preprocess", "--input", fixture_dir / "fx" / "raw_cases.jsonl",
+         "--out", pp, "--seq-len", 48])
+    (pp / "vocab.txt").write_text("甲\n乙\n甲\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["pretrain", "--data", pp, "--out", tmp_path / "pt", "--steps", 1]) == 1
+    assert run(["finetune", "--task", "judgment-civil", "--data", pp / "judgment_civil.jsonl",
+                "--vocab", pp / "vocab.txt", "--out", tmp_path / "ft", "--steps", 1]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error:") and "vocab.txt" in line for line in err)
 
 
 def test_finetune_and_evaluate_roundtrip(fixture_dir, tmp_path):

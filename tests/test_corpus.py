@@ -258,6 +258,16 @@ def test_vocab_roundtrip(tmp_path):
     assert again.tokens_ == vocab.tokens_
 
 
+@pytest.mark.parametrize("body", ["甲\n乙\n甲\n",                                # no special tokens
+                                  "[UNK]\n[PAD]\n[CLS]\n[SEP]\n[MASK]\n甲\n",  # out of order
+                                  "[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\n甲\n乙\n甲\n"])
+def test_vocab_load_rejects_malformed_file(tmp_path, body):
+    path = tmp_path / "bad_vocab.txt"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(ValueError, match="bad_vocab.txt"):
+        CharVocab.load(path)
+
+
 # ---------------------------------------------------------------------------
 # full pipeline
 # ---------------------------------------------------------------------------

@@ -149,6 +149,20 @@ def test_resume_is_bit_identical(tmp_path):
         assert np.array_equal(a[name].data, b[name].data), name
 
 
+def test_resume_refuses_a_different_encoder_config(tmp_path):
+    blocks, vocab = fixture_blocks()
+    pre, enc_cfg = desk_configs(vocab)
+    pretrain(blocks, pre, enc_cfg, steps=2, out_dir=tmp_path / "part")
+    other = EncoderConfig(**{**vars(enc_cfg), "n_heads": 4, "window": 16})
+    with pytest.raises(ValueError) as err:
+        pretrain(blocks, pre, other, steps=2, out_dir=tmp_path / "resumed",
+                 resume_from=tmp_path / "part" / "step000002")
+    assert "n_heads 4 (checkpoint: 2)" in str(err.value)
+    assert "window 16 (checkpoint: 4)" in str(err.value)
+    assert "hidden_dim" not in str(err.value)
+    assert not (tmp_path / "resumed" / "step000004").exists()
+
+
 def test_checkpoint_roundtrip_forward_identical(tmp_path):
     blocks, vocab = fixture_blocks()
     pre, enc_cfg = desk_configs(vocab)

@@ -1,4 +1,4 @@
-"""Task heads: input layout, truncation, global policies, decode rules."""
+"""Task heads: input layout, truncation, global attention, decode rules."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from lctx.tasks import (
     DENSE_QUERY_LIMIT,
     LONG_CAND_LIMIT,
     LONG_QUERY_LIMIT,
-    GlobalPolicy,
     HeadedModel,
     JudgmentModel,
     MultipleChoiceModel,
@@ -57,15 +56,14 @@ def test_dense_baseline_truncation_exact():
 
 
 def test_truncation_preserves_cls_and_sep():
-    enc = pair_input(list(range(5, 50)), list(range(50, 500)), 10, 20,
-                     GlobalPolicy("whole_question"))
+    enc = pair_input(list(range(5, 50)), list(range(50, 500)), 10, 20)
     assert enc.ids[0] == CLS_ID
     assert (enc.ids == SEP_ID).sum() == 2
     assert enc.ids[11] == SEP_ID and enc.ids[-1] == SEP_ID
 
 
 def test_position_type_ids_split_at_second_segment():
-    enc = pair_input([5, 6], [7, 8, 9], 10, 10, GlobalPolicy("whole_question"))
+    enc = pair_input([5, 6], [7, 8, 9], 10, 10)
     np.testing.assert_array_equal(enc.type_ids, [0, 0, 0, 0, 1, 1, 1, 1])
 
 
@@ -74,13 +72,8 @@ def test_empty_candidate_rejected():
         retrieval_input([5, 6], [], "long")
 
 
-def test_unknown_policy_rejected():
-    with pytest.raises(ValueError):
-        GlobalPolicy("everything")
-
-
 # ---------------------------------------------------------------------------
-# global-policy conformance by mask introspection
+# global-attention layout conformance by mask introspection
 # ---------------------------------------------------------------------------
 
 
@@ -98,8 +91,7 @@ def test_cls_policy_mask_judgment():
 
 
 def test_whole_question_policy_mask():
-    enc = pair_input(list(range(5, 12)), list(range(12, 30)), 64, 64,
-                     GlobalPolicy("whole_question"))
+    enc = pair_input(list(range(5, 12)), list(range(12, 30)), 64, 64)
     assert enc.global_positions == tuple(range(0, 8))  # CLS + 7 question tokens
     _assert_rows_full(enc.pattern(window=4), len(enc), enc.global_positions)
     # non-designated rows are NOT fully global
