@@ -7,8 +7,11 @@ independent projection set, and are attended from everywhere. Cost is linear
 in sequence length for fixed window and global count.
 
 The banded kernel gathers nothing per row. K and V are padded once along L,
-and the w+1 band slots are a read-only strided view of the padded copy (slot
-stride (d+1) rows); the backward adds each slot back as one shifted slice.
+and two fused ops read the w+1 band slots as shifted slices of the padded
+copy (slot stride (d+1) rows): band_scores takes one row-wise dot product per
+slot, band_mix adds one probability-weighted slice per slot, and each
+backward adds every slot's gradient back as one shifted slice. No
+[B,h,L,w+1,dh] array is built.
 Global columns are scored with one q @ k[globals]^T product, concatenated
 with the band scores before the single softmax. When every head's band
 covers the sequence, (w/2)*(d+1) >= L-1, the call goes to the dense kernel.
@@ -20,6 +23,7 @@ baseline for benchmarks and the kernel for full windows.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,46 +134,99 @@ class AttentionParams:
 # ----------------------------------------------------------------------
 
 
-def _band_view(x: Tensor, window: int, gaps: tuple[int, ...]) -> Tensor:
-    """x [B,h,L,dh] -> [B,h,L,w+1,dh]: slot s of row i holds row
-    i + (s - w/2)*(gap_h+1) of head h, zero outside [0, L).
-
-    x is padded once along L and the slots are a read-only strided view of
-    the padded copy, so nothing is gathered per row. Heads that share one gap
-    share one view; mixed gaps concatenate one view per head. The backward
-    adds every slot's gradient back as one shifted slice.
-    """
-    B, h, L, dh = x.shape
+def _band_slots(window: int, gaps: tuple[int, ...], length: int):
+    """The padding along L that every head's band needs, and one (slot,
+    heads, padded rows) entry per band slot of each run of heads that share
+    a gap: slot s of row i holds padded row i + lo + s*step, which is row
+    i + (s - w/2)*(gap+1)."""
     half = window // 2
     pad = half * (max(gaps) + 1)
-    xp = np.zeros((B, h, L + 2 * pad, dh), dtype=x.data.dtype)
-    xp[:, :, pad:pad + L] = x.data
-    sB, sh, sL, sd = xp.strides
-    # (heads, slot step, padded row of row 0's first slot) per view
-    if len(set(gaps)) == 1:
-        parts = [(slice(None), gaps[0] + 1, 0)]
-    else:
-        parts = [(slice(i, i + 1), g + 1, pad - half * (g + 1)) for i, g in enumerate(gaps)]
+    slots, first = [], 0
+    for gap, run in itertools.groupby(gaps):
+        heads = slice(first, first + len(list(run)))
+        first = heads.stop
+        step = gap + 1
+        lo = pad - half * step
+        slots += [(s, heads, slice(lo + s * step, lo + s * step + length))
+                  for s in range(window + 1)]
+    return pad, slots
 
-    def view(heads, step, lo):
-        base = xp[:, heads, lo:]
-        return np.lib.stride_tricks.as_strided(
-            base, shape=(B, base.shape[1], L, window + 1, dh),
-            strides=(sB, sh, sL, step * sL, sd), writeable=False)
 
-    views = [view(*part) for part in parts]
-    out_data = views[0] if len(views) == 1 else np.concatenate(views, axis=1)
+def _pad_rows(x: np.ndarray, pad: int) -> np.ndarray:
+    """x [B,h,L,dh] with `pad` zero rows before and after along L."""
+    B, h, L, dh = x.shape
+    xp = np.zeros((B, h, L + 2 * pad, dh), dtype=x.dtype)
+    xp[:, :, pad:pad + L] = x
+    return xp
+
+
+def _slot_dots(a: np.ndarray, xp: np.ndarray, slots, width: int) -> np.ndarray:
+    """[B,h,L,width]: entry s of each row is a . (slot s rows of xp) over dh."""
+    out = np.empty(a.shape[:3] + (width,), dtype=np.result_type(a, xp))
+    for s, heads, rows in slots:
+        np.einsum("bhld,bhld->bhl", a[:, heads], xp[:, heads, rows], out=out[:, heads, :, s])
+    return out
+
+
+def _slot_sum(w: np.ndarray, xp: np.ndarray, slots) -> np.ndarray:
+    """sum over slots s of w[..., s] * (slot s rows of xp): [B,h,L,dh]."""
+    B, h, L, _ = w.shape
+    out = np.zeros((B, h, L, xp.shape[-1]), dtype=np.result_type(w, xp))
+    tmp = np.empty_like(out)
+    for s, heads, rows in slots:
+        out[:, heads] += np.multiply(w[:, heads, :, s, None], xp[:, heads, rows],
+                                     out=tmp[:, heads])
+    return out
+
+
+def _slot_scatter(w: np.ndarray, a: np.ndarray, slots, pad: int) -> np.ndarray:
+    """The adjoint of reading slots from a padded copy: every slot's
+    w[..., s] * a added back into its shifted rows, unpadded: [B,h,L,dh]."""
+    B, h, L, dh = a.shape
+    gp = np.zeros((B, h, L + 2 * pad, dh), dtype=np.result_type(w, a))
+    tmp = np.empty((B, h, L, dh), dtype=gp.dtype)
+    for s, heads, rows in slots:
+        gp[:, heads, rows] += np.multiply(w[:, heads, :, s, None], a[:, heads], out=tmp[:, heads])
+    return gp[:, :, pad:pad + L]
+
+
+def band_scores(q: Tensor, k: Tensor, window: int, gaps: tuple[int, ...]) -> Tensor:
+    """q, k [B,h,L,dh] -> [B,h,L,w+1]: slot s of row i is q_i . k_j with
+    j = i + (s - w/2)*(gap_h+1), and 0 where j is outside [0, L).
+
+    k is padded once along L; each slot is one dot product of q with a
+    shifted slice of the padded copy, so no [B,h,L,w+1,dh] array is built,
+    in the forward or the backward.
+    """
+    pad, slots = _band_slots(window, gaps, q.shape[2])
+    kp = _pad_rows(k.data, pad)
+    out_data = _slot_dots(q.data, kp, slots, window + 1)
 
     def backward(g):
-        if x.requires_grad:
-            gp = np.zeros_like(xp)
-            for heads, step, lo in parts:
-                for s in range(window + 1):
-                    start = lo + s * step
-                    gp[:, heads, start:start + L] += g[:, heads, :, s]
-            x._accum(gp[:, :, pad:pad + L])
+        if q.requires_grad:
+            q._accum(_slot_sum(g, kp, slots))
+        if k.requires_grad:
+            k._accum(_slot_scatter(g, q.data, slots, pad))
 
-    return make_op(out_data, (x,), backward)
+    return make_op(out_data, (q, k), backward)
+
+
+def band_mix(p: Tensor, v: Tensor, window: int, gaps: tuple[int, ...]) -> Tensor:
+    """p [B,h,L,w+1], v [B,h,L,dh] -> [B,h,L,dh]: row i is the sum over slots
+    of p[i, s] * v_j, j = i + (s - w/2)*(gap_h+1), with v zero outside
+    [0, L). The transpose of band_scores: v is padded once, and nothing
+    [B,h,L,w+1,dh] is built."""
+    pad, slots = _band_slots(window, gaps, p.shape[2])
+    vp = _pad_rows(v.data, pad)
+    out_data = _slot_sum(p.data, vp, slots)
+
+    def backward(g):
+        if p.requires_grad:
+            p._accum(_slot_dots(g, vp, slots, window + 1))
+        if v.requires_grad:
+            v._accum(_slot_scatter(p.data, g, slots, pad))
+
+    return make_op(out_data, (p, v), backward)
 
 
 def _gather_rows(x: Tensor, positions: np.ndarray) -> Tensor:
@@ -237,7 +294,7 @@ def sparse_attention_forward(hidden: Tensor, params: AttentionParams,
                              lengths=None) -> Tensor:
     """Banded multi-head attention over [B, L, H] hidden states.
 
-    Non-global rows score their w+1 banded keys (a strided view of the
+    Non-global rows score their w+1 banded keys (band_scores, over the
     padded keys) plus the global columns (one matmul), under one joint
     softmax with the local projections; global rows attend everywhere
     through the global projections. Padding keys beyond `lengths` are
@@ -274,10 +331,7 @@ def sparse_attention_forward(hidden: Tensor, params: AttentionParams,
     key_ok = validc[None] & row_ok[:, idxc]          # [B, h, L, K]
     key_ok[..., half_k] = True  # self slot always open (pad rows are zeroed later)
 
-    kb = _band_view(k, pattern.window, gaps)   # [B,h,L,K,dh]
-    vb = _band_view(v, pattern.window, gaps)
-    q5 = T.reshape(q, B, n_heads, L, 1, dh)
-    scores = T.reshape(T.matmul(q5, T.transpose(kb, (0, 1, 2, 4, 3))), B, n_heads, L, K)
+    scores = band_scores(q, k, pattern.window, gaps)                  # [B,h,L,K]
     scores = T.add_const(scores, _additive_mask(key_ok, dtype))
     if G:
         kcols = _gather_rows(k, gpos)                                 # [B,h,G,dh]
@@ -287,7 +341,7 @@ def sparse_attention_forward(hidden: Tensor, params: AttentionParams,
         scores = T.concat([scores, T.add_const(cscores, cmask)], axis=-1)
     probs = T.softmax(scores, axis=-1)
     pband = probs[..., :K] if G else probs
-    out = T.reshape(T.matmul(T.reshape(pband, B, n_heads, L, 1, K), vb), B, n_heads, L, dh)
+    out = band_mix(pband, v, pattern.window, gaps)                    # [B,h,L,dh]
 
     if G:
         out = out + T.matmul(probs[..., K:], vcols)

@@ -3,10 +3,16 @@
 Layout (little-endian): magic "LCTX", format version u32, array count u32,
 then per array: name length u32 + UTF-8 name, rank u32, dims (u64 each),
 raw float32 payload.
+
+Every file is written whole under a temporary name in its own directory and
+then renamed over the final path, so a process killed mid-write leaves the
+earlier file (or none), never a torn one. There is no fsync: the rename
+covers process death, not power loss.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -20,9 +26,23 @@ MAGIC = b"LCTX"
 VERSION = 1
 
 
-def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
+@contextlib.contextmanager
+def replacing(path):
+    """A binary file handle whose contents take `path`'s place only when the
+    block completes; on any exit before that, `path` is left as it was."""
     path = Path(path)
-    with open(path, "wb") as fh:
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
+    with replacing(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(arrays)))

@@ -41,7 +41,7 @@ from .corpus import (
 from .encoder import EncoderConfig
 from .fixtures import write_fixture_files
 from .metrics import FoldPlan, run_cross_validation
-from .pretrain import PretrainConfig, pretrain
+from .pretrain import PretrainConfig, check_resume, pretrain
 from .tasks import (
     JudgmentModel,
     MultipleChoiceModel,
@@ -240,6 +240,9 @@ def cmd_pretrain(args) -> int:
     enc_kwargs.setdefault("vocab_size", len(vocab))
     enc_kwargs.setdefault("max_positions", max(int(blocks.shape[1]), 16))
     enc_config = EncoderConfig(**enc_kwargs)
+    if args.resume is not None:
+        # refused before run.json is written: a refused resume leaves no run record
+        check_resume(args.resume, enc_config)
     _write_run_config(out, args, {"pretrain": vars(config).copy()})
     _, history = pretrain(blocks, config, enc_config, steps=args.steps, out_dir=out,
                           checkpoint_interval=args.checkpoint_interval,

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .base import ParamMixin, check_fitted, check_random_state
-from .checkpoint import load_arrays, save_arrays, save_params
+from .checkpoint import load_arrays, replacing, save_arrays, save_params
 from .encoder import Encoder, EncoderConfig
 from .optim import AdamState, adam_step, zero_grads
 from .tensor import IGNORE_INDEX
@@ -109,17 +109,45 @@ def write_loss_csv(path, history) -> None:
 
 
 def save_checkpoint(out_dir, encoder: Encoder, state: AdamState, step: int) -> Path:
+    """Write step `step` to out_dir/stepNNNNNN. state.json is the commit
+    marker: it is removed first and written last, so a directory holding it
+    holds a complete checkpoint."""
     ckpt = Path(out_dir) / f"step{step:06d}"
     ckpt.mkdir(parents=True, exist_ok=True)
+    (ckpt / "state.json").unlink(missing_ok=True)
     encoder.save(ckpt / "model.ckpt")
     save_arrays(ckpt / "optim.ckpt", state.state_arrays())
     encoder.config.save(ckpt / "model.cfg")
-    (ckpt / "state.json").write_text(json.dumps({"step": step}), encoding="utf-8")
+    with replacing(ckpt / "state.json") as fh:
+        fh.write(json.dumps({"step": step}).encode("utf-8"))
     return ckpt
 
 
-def load_checkpoint(ckpt_dir):
+def _committed(ckpt_dir) -> Path:
     ckpt_dir = Path(ckpt_dir)
+    if not (ckpt_dir / "state.json").is_file():
+        raise ValueError(f"{ckpt_dir}: not a complete checkpoint (no state.json; "
+                         "its write was cut short, or this is not a checkpoint directory)")
+    return ckpt_dir
+
+
+def check_resume(ckpt_dir, enc_config: EncoderConfig) -> None:
+    """Refuse, with a ValueError naming the directory, a checkpoint without
+    state.json or one whose encoder config differs from enc_config (each
+    differing field is named with both values)."""
+    ckpt_dir = _committed(ckpt_dir)
+    saved = EncoderConfig.load(ckpt_dir / "model.cfg")
+    differ = [f"{f.name} {getattr(enc_config, f.name)!r} (checkpoint: "
+              f"{getattr(saved, f.name)!r})" for f in fields(EncoderConfig)
+              if getattr(enc_config, f.name) != getattr(saved, f.name)]
+    if differ:
+        raise ValueError(f"{ckpt_dir}: the encoder config differs from the "
+                         f"checkpoint's: " + "; ".join(differ))
+
+
+def load_checkpoint(ckpt_dir):
+    """(encoder, step) of a committed checkpoint directory."""
+    ckpt_dir = _committed(ckpt_dir)
     config = EncoderConfig.load(ckpt_dir / "model.cfg")
     encoder = Encoder(config, np.random.default_rng(0))
     encoder.load(ckpt_dir / "model.ckpt")
@@ -147,13 +175,8 @@ def pretrain(blocks: np.ndarray, config: PretrainConfig, enc_config: EncoderConf
 
     start_step = 0
     if resume_from is not None:
+        check_resume(resume_from, enc_config)
         encoder, start_step = load_checkpoint(resume_from)
-        differ = [f"{f.name} {getattr(enc_config, f.name)!r} (checkpoint: "
-                  f"{getattr(encoder.config, f.name)!r})" for f in fields(EncoderConfig)
-                  if getattr(enc_config, f.name) != getattr(encoder.config, f.name)]
-        if differ:
-            raise ValueError(f"{resume_from}: the encoder config differs from the "
-                             f"checkpoint's: " + "; ".join(differ))
         state = AdamState(encoder.named_params())
         state.load_arrays(load_arrays(Path(resume_from) / "optim.ckpt"))
     else:

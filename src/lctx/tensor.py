@@ -1,7 +1,10 @@
 """Minimal dense tensor algebra with reverse-mode automatic differentiation.
 
-Storage is float32 by default with reductions accumulated in float64; a pure
-float64 mode (pass dtype=np.float64 at creation) exists for gradient checks.
+Storage is float32 by default; a pure float64 mode (pass dtype=np.float64 at
+creation) exists for gradient checks. Matrix products run in the operands'
+dtype, so float32 storage multiplies and accumulates in float32. Sums,
+softmax, layer norm, GELU and the losses work in float64 internally and round
+their results to the storage dtype.
 Kernels that work in place do so in float64 buffers of their own: no op
 writes into an input's data, its output or an incoming gradient (in float64
 mode astype(copy=False) would hand back the input array itself).
@@ -42,10 +45,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-# float32 storage accumulates in float64; float64 stays put
-_ACC_DTYPE = np.float64
 
 
 def _released(g) -> None:
@@ -329,7 +328,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Stacked matrix product over the trailing two axes.
 
     Leading axes must match exactly, or one operand may be a plain 2-D matrix
-    (the usual weight case). Accumulation runs in float64 for float32 inputs.
+    (the usual weight case). The forward product and both backward products
+    run in the operands' dtype, np.result_type(a, b): float32 operands
+    multiply and accumulate in float32, float64 operands in float64. A 2-D
+    operand's gradient sums the per-batch products in float64.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have at least 2 dims")
@@ -337,24 +339,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"inner dimensions disagree: {a.shape} x {b.shape}")
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ValueError(f"leading batch axes disagree: {a.shape} x {b.shape}")
-    acc = _ACC_DTYPE
-    out_data = np.matmul(a.data.astype(acc, copy=False), b.data.astype(acc, copy=False))
-    out_data = out_data.astype(a.data.dtype, copy=False)
+    out_data = np.matmul(a.data, b.data).astype(a.data.dtype, copy=False)
 
     def backward(g):
-        # _accum rounds a same-shape float64 gradient in its one copy; a 2-D
-        # operand's batch sum adds the rounded per-batch gradients
-        g64 = g.astype(acc, copy=False)
         if a.requires_grad:
-            ga = np.matmul(g64, np.swapaxes(b.data.astype(acc, copy=False), -1, -2))
-            if ga.shape != a.shape:
-                ga = _unbroadcast(ga.astype(a.data.dtype, copy=False), a.shape)
-            a._accum(ga)
+            a._accum(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data.astype(acc, copy=False), -1, -2), g64)
-            if gb.shape != b.shape:
-                gb = _unbroadcast(gb.astype(b.data.dtype, copy=False), b.shape)
-            b._accum(gb)
+            b._accum(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return make_op(out_data, (a, b), backward)
 

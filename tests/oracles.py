@@ -87,11 +87,11 @@ def bf_em_f1(pred, gold):
 
 
 # ---------------------------------------------------------------------------
-# Reference kernels: the lctx.tensor kernels as plain float64 expressions
-# on raw arrays, one fresh array per step. Each returns the forward output
-# and the input gradients for an upstream gradient g, each gradient cast and
-# added into zeros. The kernels must match these byte for byte on float32
-# input.
+# Reference kernels: the lctx.tensor kernels as plain expressions on raw
+# arrays, one fresh array per step, in float64 except for matmul, whose
+# products run in the operands' dtype. Each returns the forward output and
+# the input gradients for an upstream gradient g, each gradient cast and
+# added into zeros. The kernels must match these byte for byte.
 # ---------------------------------------------------------------------------
 
 _GELU_C = 0.7978845608028654
@@ -114,14 +114,13 @@ def ref_unbroadcast(g, shape):
 
 
 def ref_matmul(a, b, g):
-    acc = np.float64
-    out = np.matmul(a.astype(acc, copy=False), b.astype(acc, copy=False)).astype(a.dtype, copy=False)
-    g64 = g.astype(acc, copy=False)
-    ga = np.matmul(g64, np.swapaxes(b.astype(acc, copy=False), -1, -2))
-    gb = np.matmul(np.swapaxes(a.astype(acc, copy=False), -1, -2), g64)
-    return (out,
-            ref_first_grad(ref_unbroadcast(ga.astype(a.dtype, copy=False), a.shape), a),
-            ref_first_grad(ref_unbroadcast(gb.astype(b.dtype, copy=False), b.shape), b))
+    """Products in the operands' dtype, one plain np.matmul each; a 2-D
+    operand's gradient sums the per-batch products in float64."""
+    out = np.matmul(a, b)
+    ga = np.matmul(g, np.swapaxes(b, -1, -2))
+    gb = np.matmul(np.swapaxes(a, -1, -2), g)
+    return (out, ref_first_grad(ref_unbroadcast(ga, a.shape), a),
+            ref_first_grad(ref_unbroadcast(gb, b.shape), b))
 
 
 def ref_gelu(a, g):

@@ -251,7 +251,7 @@ def test_padding_rows_zero_and_keys_excluded():
 
 
 def _gradients(forward, params, pat, heads, x_data, r, lengths=None):
-    x = Tensor(x_data, requires_grad=True, dtype=np.float64)
+    x = Tensor(x_data, requires_grad=True, dtype=x_data.dtype)
     out = forward(x, params, pat, n_heads=heads, lengths=lengths)
     T.reduce_sum(T.mul_const(out, r)).backward()
     grads = {"x": x.grad}
@@ -290,6 +290,53 @@ def test_gradient_parity_with_oracle_padded_batch():
     x_data = rng.standard_normal((2, L, H))
     r = rng.standard_normal((2, L, H))
     _assert_gradient_parity(pat, heads, x_data, r, params, lengths=[L, L - 4])
+
+
+# head 1's band (gap 5) reaches the whole sequence, head 0's does not, so the
+# banded kernel runs with one band part per head; row 1 is padded
+_MIXED = AttentionPattern(window=4, dilation_per_head=(0, 5), global_positions=(0, 7))
+_MIXED_L, _MIXED_LENGTHS = 13, [13, 9]
+
+
+def _mixed_case(dtype):
+    rng = np.random.default_rng(20)
+    H, heads = 16, 2
+    # a large init scale, so the scores are far from uniform and a band that
+    # reads the wrong keys moves the gradient well past the tolerance
+    params = AttentionParams(H, rng, dtype=dtype, init_scale=0.5)
+    x_data = rng.standard_normal((2, _MIXED_L, H)).astype(dtype)
+    r = rng.standard_normal((2, _MIXED_L, H)).astype(dtype)
+    return params, heads, x_data, r
+
+
+def test_band_ops_input_gradient_mixed_gaps_float32():
+    params, heads, x_data, r = _mixed_case(np.float32)
+    got = _gradients(sparse_attention_forward, params, _MIXED, heads, x_data, r,
+                     _MIXED_LENGTHS)["x"]
+    want = _gradients(dense_attention_oracle, params, _MIXED, heads, x_data, r,
+                      _MIXED_LENGTHS)["x"]
+    assert got.dtype == np.float32
+    assert np.abs(got - want).max() / np.abs(want).max() <= 1e-5
+
+
+def test_band_ops_input_gradient_mixed_gaps_float64_finite_differences():
+    params, heads, x_data, r = _mixed_case(np.float64)
+    got = _gradients(sparse_attention_forward, params, _MIXED, heads, x_data, r,
+                     _MIXED_LENGTHS)["x"]
+
+    def oracle_loss(xd):
+        with T.no_grad():
+            out = dense_attention_oracle(Tensor(xd, dtype=np.float64), params, _MIXED,
+                                         heads, lengths=_MIXED_LENGTHS)
+        return float((out.data * r).sum())
+
+    h = 1e-5
+    fd = np.zeros_like(x_data)
+    for i in np.ndindex(x_data.shape):
+        step = np.zeros_like(x_data)
+        step[i] = h
+        fd[i] = (oracle_loss(x_data + step) - oracle_loss(x_data - step)) / (2 * h)
+    assert np.abs(got - fd).max() / np.abs(fd).max() <= 1e-4
 
 
 def test_local_and_global_parameters_distinct():

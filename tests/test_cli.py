@@ -96,6 +96,37 @@ def test_pretrain_and_resume_cli(fixture_dir, tmp_path, capsys):
     assert err.startswith("error:") and "model.ckpt" in err and "Traceback" not in err
 
 
+def test_refused_resume_writes_no_run_json(fixture_dir, tmp_path, capsys):
+    pp = tmp_path / "pp"
+    run(["preprocess", "--input", fixture_dir / "fx" / "raw_cases.jsonl",
+         "--out", pp, "--seq-len", 48])
+
+    def config(n_heads, window):
+        path = tmp_path / f"cfg_h{n_heads}_w{window}.json"
+        path.write_text(json.dumps({
+            "pretrain": {"seq_len": 48, "batch_size": 4, "total_steps": 4, "warmup_steps": 1},
+            "encoder": {"n_layers": 1, "n_heads": n_heads, "hidden_dim": 32, "ffn_dim": 64,
+                        "window": window}}),
+            encoding="utf-8")
+        return path
+
+    assert run(["pretrain", "--data", pp, "--config", config(n_heads=2, window=4),
+                "--out", tmp_path / "pt", "--steps", 2, "--seed", 1]) == 0
+    ckpt = tmp_path / "pt" / "step000002"
+    capsys.readouterr()
+    # a different encoder config, then a checkpoint without its commit marker
+    assert run(["pretrain", "--data", pp, "--config", config(n_heads=4, window=16),
+                "--out", tmp_path / "pt2", "--steps", 2, "--resume", ckpt]) == 1
+    assert "n_heads 4 (checkpoint: 2)" in capsys.readouterr().err
+    assert not (tmp_path / "pt2" / "run.json").exists()
+    (ckpt / "state.json").unlink()
+    assert run(["pretrain", "--data", pp, "--config", config(n_heads=2, window=4),
+                "--out", tmp_path / "pt3", "--steps", 2, "--resume", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "step000002: not a complete checkpoint" in err
+    assert not (tmp_path / "pt3" / "run.json").exists()
+
+
 @pytest.mark.parametrize("config, key, section", [
     ({"encoder": {"bogus": 1}}, "bogus", "encoder section"),
     ({"encoder": {"window": 4, "dropout": 0.1}}, "dropout", "encoder section"),

@@ -1,8 +1,16 @@
 """Adam update rule and checkpoint round-trips."""
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lctx
 from lctx import tensor as T
 from lctx.tensor import Tensor
 from lctx.checkpoint import load_arrays, save_arrays
@@ -138,6 +146,47 @@ class TestCheckpointFormat:
         cut.write_bytes(blob[:-1])
         with pytest.raises(ValueError, match="payload of array 'b'"):
             load_arrays(cut)
+
+    def test_killed_write_leaves_the_earlier_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_arrays(path, {"w": np.arange(6, dtype=np.float32)})
+        before = path.read_bytes()
+        # a child process is killed (SIGKILL, no cleanup) between two arrays
+        script = textwrap.dedent("""
+            import os, signal, sys
+            import numpy as np
+            from lctx.checkpoint import save_arrays
+
+            class KilledAfterOneArray(dict):
+                def items(self):
+                    for i, item in enumerate(super().items()):
+                        if i == 1:
+                            os.kill(os.getpid(), signal.SIGKILL)
+                        yield item
+
+            save_arrays(sys.argv[1], KilledAfterOneArray(
+                w=np.ones(6, np.float32), b=np.ones(2, np.float32)))
+        """)
+        src = str(Path(lctx.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == -signal.SIGKILL
+        assert (tmp_path / "m.ckpt.tmp").exists()       # the write had begun
+        assert path.read_bytes() == before
+        np.testing.assert_array_equal(load_arrays(path)["w"], np.arange(6, dtype=np.float32))
+        # the next save replaces both the stale temporary and the file
+        save_arrays(path, {"b": np.ones(2, dtype=np.float32)})
+        assert list(load_arrays(path)) == ["b"]
+        assert not (tmp_path / "m.ckpt.tmp").exists()
+
+    def test_failed_write_leaves_the_earlier_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_arrays(path, {"w": np.arange(6, dtype=np.float32)})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_arrays(path, {"w": np.ones(6, np.float32), "bad": np.array(["x"])})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

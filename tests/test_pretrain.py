@@ -6,6 +6,8 @@ import pytest
 from lctx.corpus import pack_documents
 from lctx.encoder import Encoder, EncoderConfig
 from lctx.fixtures import mlm_sentences
+from lctx import pretrain as pretrain_module
+from lctx.optim import AdamState
 from lctx.pretrain import (
     MlmPretrainer,
     PretrainConfig,
@@ -14,6 +16,7 @@ from lctx.pretrain import (
     mask_tokens,
     masked_recovery_accuracy,
     pretrain,
+    save_checkpoint,
 )
 from lctx.tensor import IGNORE_INDEX
 from lctx.vocab import build_vocab
@@ -161,6 +164,37 @@ def test_resume_refuses_a_different_encoder_config(tmp_path):
     assert "window 16 (checkpoint: 4)" in str(err.value)
     assert "hidden_dim" not in str(err.value)
     assert not (tmp_path / "resumed" / "step000004").exists()
+
+
+def test_checkpoint_without_state_json_is_refused(tmp_path):
+    blocks, vocab = fixture_blocks()
+    pre, enc_cfg = desk_configs(vocab)
+    pretrain(blocks, pre, enc_cfg, steps=2, out_dir=tmp_path / "part")
+    ckpt = tmp_path / "part" / "step000002"
+    (ckpt / "state.json").unlink()
+    with pytest.raises(ValueError, match="step000002: not a complete checkpoint"):
+        load_checkpoint(ckpt)
+    with pytest.raises(ValueError, match="step000002: not a complete checkpoint"):
+        pretrain(blocks, pre, enc_cfg, steps=2, out_dir=tmp_path / "resumed",
+                 resume_from=ckpt)
+
+
+def test_checkpoint_rewrite_cut_short_is_uncommitted(tmp_path, monkeypatch):
+    # a rewrite of an existing checkpoint that dies before state.json leaves
+    # no state.json behind, so the mix of old and new files is never loaded
+    blocks, vocab = fixture_blocks()
+    pre, enc_cfg = desk_configs(vocab)
+    encoder, _ = pretrain(blocks, pre, enc_cfg, steps=2, out_dir=tmp_path)
+    state = AdamState(encoder.named_params())
+
+    def dies(path, arrays):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pretrain_module, "save_arrays", dies)
+    with pytest.raises(OSError):
+        save_checkpoint(tmp_path, encoder, state, 2)
+    with pytest.raises(ValueError, match="not a complete checkpoint"):
+        load_checkpoint(tmp_path / "step000002")
 
 
 def test_checkpoint_roundtrip_forward_identical(tmp_path):

@@ -1,4 +1,4 @@
-"""Byte identity of the in-place numeric kernels against their plain float64
+"""Byte identity of the numeric kernels against their plain reference
 formulas (tests/oracles.py), and their promise never to write into the
 arrays they are given."""
 
@@ -108,17 +108,23 @@ def test_cross_entropy_index_bytes_match_reference(g):
     assert same_bytes(a.grad, ref_ga)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("b_shape", [(2, 24, 7), (24, 7)])
-def test_matmul_bytes_match_reference(b_shape):
+def test_matmul_products_run_in_the_operand_dtype(b_shape, dtype):
+    # float32 operands give a plain float32 np.matmul's bytes, not a rounded
+    # float64 product; float64 operands keep the float64 bytes
     rng = np.random.default_rng(16)
-    x, w = f32(rng, (2, 9, 24)), f32(rng, b_shape)
-    g = upstream(rng, (2, 9, 7))
+    x, w = f32(rng, (2, 9, 24)).astype(dtype), f32(rng, b_shape).astype(dtype)
+    g = upstream(rng, (2, 9, 7)).astype(dtype)
     a, b = leaf(x), leaf(w)
     out = T.matmul(a, b)
     out._backward(g)
     ref = ref_matmul(x, w, g)
     for got, want in zip((out.data, a.grad, b.grad), ref):
         assert same_bytes(got, want)
+    if dtype == np.float32:
+        wide = np.matmul(x.astype(np.float64), w.astype(np.float64)).astype(np.float32)
+        assert not same_bytes(out.data, wide)
 
 
 def test_first_gradient_turns_negative_zero_positive():
