@@ -9,9 +9,9 @@ in sequence length for fixed window and global count.
 The banded kernel gathers nothing per row. K and V are padded once along L,
 and two fused ops read the w+1 band slots as shifted slices of the padded
 copy (slot stride (d+1) rows): band_scores takes one row-wise dot product per
-slot, band_mix adds one probability-weighted slice per slot, and each
-backward adds every slot's gradient back as one shifted slice. No
-[B,h,L,w+1,dh] array is built.
+slot, band_mix sums the probability-weighted slots with one einsum over a
+strided view of the padded copy, and each backward adds every slot's gradient
+back as one shifted slice. No [B,h,L,w+1,dh] array is built.
 Global columns are scored with one q @ k[globals]^T product, concatenated
 with the band scores before the single softmax. When every head's band
 covers the sequence, (w/2)*(d+1) >= L-1, the call goes to the dense kernel.
@@ -93,8 +93,9 @@ def build_band_mask(length: int, pattern: AttentionPattern, head: int,
     half = pattern.window // 2
     idx = np.arange(length)
     delta = idx[None, :] - idx[:, None]
-    banded = (np.abs(delta) <= half * step) & (delta % step == 0)
-    mask = banded.copy()
+    mask = np.abs(delta) <= half * step
+    if step > 1:
+        mask &= delta % step == 0
     if pattern.global_positions:
         g = np.asarray(pattern.global_positions)
         mask[g, :] = True
@@ -134,22 +135,26 @@ class AttentionParams:
 # ----------------------------------------------------------------------
 
 
-def _band_slots(window: int, gaps: tuple[int, ...], length: int):
-    """The padding along L that every head's band needs, and one (slot,
-    heads, padded rows) entry per band slot of each run of heads that share
-    a gap: slot s of row i holds padded row i + lo + s*step, which is row
-    i + (s - w/2)*(gap+1)."""
+def _band_runs(window: int, gaps: tuple[int, ...]):
+    """The padding along L that every head's band needs, and one (heads,
+    step, lo) entry per run of heads that share a gap: slot s of row i holds
+    padded row i + lo + s*step, which is row i + (s - w/2)*(gap+1)."""
     half = window // 2
     pad = half * (max(gaps) + 1)
-    slots, first = [], 0
+    runs, first = [], 0
     for gap, run in itertools.groupby(gaps):
         heads = slice(first, first + len(list(run)))
         first = heads.stop
         step = gap + 1
-        lo = pad - half * step
-        slots += [(s, heads, slice(lo + s * step, lo + s * step + length))
-                  for s in range(window + 1)]
-    return pad, slots
+        runs.append((heads, step, pad - half * step))
+    return pad, runs
+
+
+def _each_slot(runs, width: int, length: int):
+    """(slot, heads, padded rows) for every band slot of every run."""
+    for heads, step, lo in runs:
+        for s in range(width):
+            yield s, heads, slice(lo + s * step, lo + s * step + length)
 
 
 def _pad_rows(x: np.ndarray, pad: int) -> np.ndarray:
@@ -160,32 +165,37 @@ def _pad_rows(x: np.ndarray, pad: int) -> np.ndarray:
     return xp
 
 
-def _slot_dots(a: np.ndarray, xp: np.ndarray, slots, width: int) -> np.ndarray:
+def _slot_dots(a: np.ndarray, xp: np.ndarray, runs, width: int) -> np.ndarray:
     """[B,h,L,width]: entry s of each row is a . (slot s rows of xp) over dh."""
     out = np.empty(a.shape[:3] + (width,), dtype=np.result_type(a, xp))
-    for s, heads, rows in slots:
+    for s, heads, rows in _each_slot(runs, width, a.shape[2]):
         np.einsum("bhld,bhld->bhl", a[:, heads], xp[:, heads, rows], out=out[:, heads, :, s])
     return out
 
 
-def _slot_sum(w: np.ndarray, xp: np.ndarray, slots) -> np.ndarray:
-    """sum over slots s of w[..., s] * (slot s rows of xp): [B,h,L,dh]."""
-    B, h, L, _ = w.shape
-    out = np.zeros((B, h, L, xp.shape[-1]), dtype=np.result_type(w, xp))
-    tmp = np.empty_like(out)
-    for s, heads, rows in slots:
-        out[:, heads] += np.multiply(w[:, heads, :, s, None], xp[:, heads, rows],
-                                     out=tmp[:, heads])
+def _slot_sum(w: np.ndarray, xp: np.ndarray, runs) -> np.ndarray:
+    """sum over slots s of w[..., s] * (slot s rows of xp): [B,h,L,dh]. One
+    einsum per run, over a read-only [B,h,L,w+1,dh] view of xp whose slot
+    stride is `step` rows; nothing of that shape is allocated."""
+    B, h, L, width = w.shape
+    out = np.empty((B, h, L, xp.shape[-1]), dtype=np.result_type(w, xp))
+    for heads, step, lo in runs:
+        first = xp[:, heads, lo:lo + L]
+        sB, sh, sL, sd = first.strides
+        band = np.lib.stride_tricks.as_strided(
+            first, first.shape[:3] + (width, first.shape[3]), (sB, sh, sL, sL * step, sd),
+            writeable=False)
+        np.einsum("bhls,bhlsd->bhld", w[:, heads], band, out=out[:, heads])
     return out
 
 
-def _slot_scatter(w: np.ndarray, a: np.ndarray, slots, pad: int) -> np.ndarray:
+def _slot_scatter(w: np.ndarray, a: np.ndarray, runs, pad: int) -> np.ndarray:
     """The adjoint of reading slots from a padded copy: every slot's
     w[..., s] * a added back into its shifted rows, unpadded: [B,h,L,dh]."""
     B, h, L, dh = a.shape
     gp = np.zeros((B, h, L + 2 * pad, dh), dtype=np.result_type(w, a))
     tmp = np.empty((B, h, L, dh), dtype=gp.dtype)
-    for s, heads, rows in slots:
+    for s, heads, rows in _each_slot(runs, w.shape[-1], L):
         gp[:, heads, rows] += np.multiply(w[:, heads, :, s, None], a[:, heads], out=tmp[:, heads])
     return gp[:, :, pad:pad + L]
 
@@ -198,15 +208,15 @@ def band_scores(q: Tensor, k: Tensor, window: int, gaps: tuple[int, ...]) -> Ten
     shifted slice of the padded copy, so no [B,h,L,w+1,dh] array is built,
     in the forward or the backward.
     """
-    pad, slots = _band_slots(window, gaps, q.shape[2])
+    pad, runs = _band_runs(window, gaps)
     kp = _pad_rows(k.data, pad)
-    out_data = _slot_dots(q.data, kp, slots, window + 1)
+    out_data = _slot_dots(q.data, kp, runs, window + 1)
 
     def backward(g):
         if q.requires_grad:
-            q._accum(_slot_sum(g, kp, slots))
+            q._accum(_slot_sum(g, kp, runs))
         if k.requires_grad:
-            k._accum(_slot_scatter(g, q.data, slots, pad))
+            k._accum(_slot_scatter(g, q.data, runs, pad))
 
     return make_op(out_data, (q, k), backward)
 
@@ -216,15 +226,15 @@ def band_mix(p: Tensor, v: Tensor, window: int, gaps: tuple[int, ...]) -> Tensor
     of p[i, s] * v_j, j = i + (s - w/2)*(gap_h+1), with v zero outside
     [0, L). The transpose of band_scores: v is padded once, and nothing
     [B,h,L,w+1,dh] is built."""
-    pad, slots = _band_slots(window, gaps, p.shape[2])
+    pad, runs = _band_runs(window, gaps)
     vp = _pad_rows(v.data, pad)
-    out_data = _slot_sum(p.data, vp, slots)
+    out_data = _slot_sum(p.data, vp, runs)
 
     def backward(g):
         if p.requires_grad:
-            p._accum(_slot_dots(g, vp, slots, window + 1))
+            p._accum(_slot_dots(g, vp, runs, window + 1))
         if v.requires_grad:
-            v._accum(_slot_scatter(p.data, g, slots, pad))
+            v._accum(_slot_scatter(p.data, g, runs, pad))
 
     return make_op(out_data, (p, v), backward)
 

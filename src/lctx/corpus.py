@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .vocab import PAD_ID, SEP_ID, char_tokens
+from .vocab import PAD_ID, SEP_ID, n_tokens
 
 MIN_FACT_TOKENS = 50
 PENALTY_CAP_MONTHS = 180
@@ -145,7 +145,7 @@ def segment_case(raw_text: str, rules: Ruleset, case_kind: str = "criminal",
 
 def fact_long_enough(doc: CaseDocument, min_tokens: int = MIN_FACT_TOKENS) -> bool:
     """The fact-length rule: the fact is strictly longer than min_tokens tokens."""
-    return len(char_tokens(doc.fact)) > min_tokens
+    return n_tokens(doc.fact) > min_tokens
 
 
 def filter_by_fact_length(docs, min_tokens: int = MIN_FACT_TOKENS):
@@ -263,24 +263,14 @@ def pack_documents(token_streams, target_len: int) -> np.ndarray:
     tokens are conserved and never interleaved."""
     if target_len < 2:
         raise ValueError("target_len too small")
-    blocks: list[np.ndarray] = []
-    current: list[int] = []
-    for stream in token_streams:
-        for tok in stream:
-            current.append(int(tok))
-            if len(current) == target_len:
-                blocks.append(np.asarray(current, dtype=np.int64))
-                current = []
-        current.append(SEP_ID)
-        if len(current) == target_len:
-            blocks.append(np.asarray(current, dtype=np.int64))
-            current = []
-    if current:
-        current.extend([PAD_ID] * (target_len - len(current)))
-        blocks.append(np.asarray(current, dtype=np.int64))
-    if not blocks:
-        return np.zeros((0, target_len), dtype=np.int64)
-    return np.stack(blocks)
+    streams = [np.asarray(stream, dtype=np.int64) for stream in token_streams]
+    n_filled = sum(stream.size for stream in streams) + len(streams)
+    blocks = np.full(-(-n_filled // target_len) * target_len, PAD_ID, dtype=np.int64)
+    if streams:
+        sep = np.array([SEP_ID], dtype=np.int64)
+        np.concatenate([part for stream in streams for part in (stream, sep)],
+                       out=blocks[:n_filled])
+    return blocks.reshape(-1, target_len)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +287,9 @@ def corpus_stats(docs) -> list[dict]:
         if not subset:
             rows.append({"kind": kind, "docs": 0, "avg_len": 0.0, "size_bytes": 0})
             continue
-        lengths = [len(char_tokens(d.full_text())) for d in subset]
-        size = sum(len(d.full_text().encode("utf-8")) for d in subset)
+        lengths = [n_tokens(d.full_text()) for d in subset]
+        # surrogatepass: a lone surrogate counts the 3 bytes UTF-8 would give its codepoint
+        size = sum(len(d.full_text().encode("utf-8", "surrogatepass")) for d in subset)
         rows.append({"kind": kind, "docs": len(subset),
                      "avg_len": round(float(np.mean(lengths)), 2),
                      "size_bytes": size})
@@ -315,7 +306,7 @@ def judgment_stats(criminal_examples, civil_examples,
         ("criminal", criminal_examples, len(charge_table)),
         ("civil", civil_examples, len(cause_table)),
     ):
-        lengths = [len(char_tokens(e["fact"])) for e in examples]
+        lengths = [n_tokens(e["fact"]) for e in examples]
         laws = {law for e in examples for law in e["laws"]}
         if kind == "criminal" and examples:
             months = [e["penalty_months"] for e in examples]
@@ -343,7 +334,10 @@ def read_jsonl(path) -> list[dict]:
 
 
 def write_jsonl(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """One sorted-key JSON object per line, non-ASCII as UTF-8. A lone
+    surrogate, which UTF-8 cannot hold, is written as its JSON escape
+    (backslash-u), so read_jsonl gives the row back unchanged."""
+    with open(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
         for row in rows:
             fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
 

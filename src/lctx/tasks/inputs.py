@@ -15,6 +15,9 @@ from ..vocab import CLS_ID, SEP_ID
 LONG_QUERY_LIMIT, LONG_CAND_LIMIT = 509, 3072
 DENSE_QUERY_LIMIT, DENSE_CAND_LIMIT = 100, 409
 
+_CLS = np.array([CLS_ID], dtype=np.int64)
+_SEP = np.array([SEP_ID], dtype=np.int64)
+
 
 @dataclass
 class EncodedInput:
@@ -36,8 +39,8 @@ class EncodedInput:
 def single_text_input(token_ids, max_positions: int) -> EncodedInput:
     """[CLS] text — judgment prediction layout, global attention on CLS.
     Truncation keeps the CLS."""
-    body = list(token_ids)[: max_positions - 1]
-    ids = np.asarray([CLS_ID] + body, dtype=np.int64)
+    body = np.asarray(token_ids, dtype=np.int64)[: max_positions - 1]
+    ids = np.concatenate((_CLS, body))
     text_span = range(1, 1 + len(body))
     return EncodedInput(
         ids=ids,
@@ -56,9 +59,9 @@ def pair_input(first_ids, second_ids, first_limit: int,
     SEP structure always survive. Position-type ids are 0 over CLS+first+SEP
     and 1 over second+SEP.
     """
-    first = list(first_ids)[:first_limit]
-    second = list(second_ids)[:second_limit]
-    ids = np.asarray([CLS_ID] + first + [SEP_ID] + second + [SEP_ID], dtype=np.int64)
+    first = np.asarray(first_ids, dtype=np.int64)[:first_limit]
+    second = np.asarray(second_ids, dtype=np.int64)[:second_limit]
+    ids = np.concatenate((_CLS, first, _SEP, second, _SEP))
     n_first = len(first)
     type_ids = np.zeros(len(ids), dtype=np.int64)
     type_ids[n_first + 2:] = 1

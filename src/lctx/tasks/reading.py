@@ -33,13 +33,13 @@ def split_sentences(context) -> list[str]:
     return list(context)
 
 
-def _find_subsequence(haystack: list[int], needle: list[int]) -> int | None:
-    if not needle or len(needle) > len(haystack):
+def _find_subsequence(haystack: np.ndarray, needle: np.ndarray) -> int | None:
+    """The first i with haystack[i:i + len(needle)] == needle, else None."""
+    if not len(needle) or len(needle) > len(haystack):
         return None
-    for i in range(len(haystack) - len(needle) + 1):
-        if haystack[i:i + len(needle)] == needle:
-            return i
-    return None
+    windows = np.lib.stride_tricks.sliding_window_view(haystack, len(needle))
+    hits = np.flatnonzero((windows == needle).all(axis=1))
+    return int(hits[0]) if hits.size else None
 
 
 class ReadingComprehensionModel(ParamMixin):
@@ -64,7 +64,7 @@ class ReadingComprehensionModel(ParamMixin):
         if not sentences:
             raise ValueError("context has no sentences")
         sent_ids = [self.vocab_.transform(s) for s in sentences]
-        flat = [tok for ids in sent_ids for tok in ids]
+        flat = np.concatenate(sent_ids)
         cand_limit = self.model_.encoder.config.max_positions - self.question_limit - 3
         enc_in = pair_input(self.vocab_.transform(ex["question"]), flat,
                             self.question_limit, cand_limit)
@@ -80,7 +80,7 @@ class ReadingComprehensionModel(ParamMixin):
         if ex["answer_type"] != "span":
             return 0, 0  # CLS position, the non-span convention
         second = enc_in.sections["second"]
-        context_ids = enc_in.ids[second.start:second.stop].tolist()
+        context_ids = enc_in.ids[second.start:second.stop]
         answer_ids = self.vocab_.transform(ex["answer"])
         hit = _find_subsequence(context_ids, answer_ids)
         if hit is None:

@@ -29,7 +29,7 @@ from .model import HeadedModel, fit_adam, predict_batches
 
 def retrieval_input(query_ids, cand_ids, model_type: str = "long") -> EncodedInput:
     """Assemble the pair input under the model type's truncation limits."""
-    if len(list(cand_ids)) == 0:
+    if len(cand_ids) == 0:
         raise ValueError("empty candidate")
     if model_type == "long":
         return pair_input(query_ids, cand_ids, LONG_QUERY_LIMIT, LONG_CAND_LIMIT)

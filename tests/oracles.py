@@ -1,10 +1,12 @@
 """Brute-force metric oracles, written straight from the definitions (plain
 loops, no shared code with the implementations). Used by the metric tests and
 the acceptance suite. Also the reference formulas of the numeric kernels,
-which the kernel byte-identity tests compare against."""
+which the kernel byte-identity tests compare against, and the per-character
+corpus pipeline that the numpy one must reproduce exactly."""
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -178,3 +180,81 @@ def ref_cross_entropy_index(logits, target, g, ignore_index=-1):
     np.put_along_axis(onehot, np.maximum(target, 0)[..., None], 1.0, axis=-1)
     grad = (p - onehot) * valid[..., None] / n_valid
     return out, ref_first_grad((float(g) * grad).astype(logits.dtype), logits)
+
+
+def ref_slot_sum(w, x, window, gaps):
+    """The band mix straight from its definition: row i of head h is the sum,
+    slot by slot from s = 0, of w[..., i, s] * x[..., j, :] with
+    j = i + (s - w/2)*(gaps[h]+1), and x zero outside [0, L). Each slot's
+    products go into a fresh array that is added into zeros."""
+    B, h, L, dh = x.shape
+    out = np.zeros((B, h, L, dh), dtype=np.result_type(w, x))
+    for head, gap in enumerate(gaps):
+        for s in range(window + 1):
+            shift = (s - window // 2) * (gap + 1)
+            shifted = np.zeros((B, L, dh), dtype=x.dtype)
+            lo, hi = max(0, -shift), min(L, L - shift)
+            if lo < hi:
+                shifted[:, lo:hi] = x[:, head, lo + shift:hi + shift]
+            out[:, head] += w[:, head, :, s, None] * shifted
+    return out
+
+
+def ref_band_mask(length, window, gap, global_positions=()):
+    """The one-head attention mask with the dilation test written as a
+    modulo for every gap: |i - j| <= (w/2)(gap+1) and (j - i) % (gap+1) == 0,
+    or i or j global."""
+    idx = np.arange(length)
+    delta = idx[None, :] - idx[:, None]
+    step = gap + 1
+    mask = (np.abs(delta) <= (window // 2) * step) & (delta % step == 0)
+    g = list(global_positions)
+    mask[g, :] = True
+    mask[:, g] = True
+    return mask
+
+
+# ---------------------------------------------------------------------------
+# Reference corpus pipeline: the per-character vocabulary and the list-based
+# packing, token by token. Special tokens PAD, UNK, CLS, SEP, MASK are ids
+# 0..4. These predate the rule that surrogate codepoints are never tokens,
+# so they are compared on texts without surrogates.
+# ---------------------------------------------------------------------------
+
+REF_SPECIAL_TOKENS = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"]
+
+
+def ref_char_tokens(text):
+    return [ch for ch in text if not ch.isspace()]
+
+
+def ref_vocab_tokens(texts, max_size=None):
+    """Special tokens, then characters by descending count, ties by codepoint."""
+    counts = Counter()
+    for text in texts:
+        counts.update(ref_char_tokens(text))
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    if max_size is not None:
+        ranked = ranked[: max(0, max_size - len(REF_SPECIAL_TOKENS))]
+    return REF_SPECIAL_TOKENS + [tok for tok, _ in ranked]
+
+
+def ref_transform(tokens, text):
+    """Ids of text's characters under a token list, 1 (UNK) when absent."""
+    index = {tok: i for i, tok in enumerate(tokens)}
+    return [index.get(ch, 1) for ch in ref_char_tokens(text)]
+
+
+def ref_pack_documents(token_streams, target_len):
+    """Tokens appended one at a time, a SEP (3) after each stream, a block cut
+    whenever it is full, and the last one padded with PAD (0)."""
+    blocks, current = [], []
+    for stream in token_streams:
+        for tok in list(stream) + [3]:
+            current.append(int(tok))
+            if len(current) == target_len:
+                blocks.append(current)
+                current = []
+    if current:
+        blocks.append(current + [0] * (target_len - len(current)))
+    return np.asarray(blocks, dtype=np.int64).reshape(-1, target_len)

@@ -18,6 +18,7 @@ from lctx.attention import (
     sliding_window_offsets,
     sparse_attention_forward,
 )
+from oracles import ref_band_mask, ref_first_grad, ref_slot_sum
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +80,12 @@ def test_band_mask_matches_offsets():
         for j in range(L):
             expect = (j in sliding_window_offsets(i, L, 4, 1)) or i == 2 or j == 2
             assert mask[i, j] == expect
+    # gap 0 skips the modulo test; both gaps must give the modulo form's mask
+    for head, gap in enumerate((0, 3)):
+        for length in (1, 7, 40):
+            glob = tuple(g for g in (0, 5) if g < length)
+            mask = build_band_mask(length, AttentionPattern(6, (0, 3), glob), head, 2)
+            assert np.array_equal(mask, ref_band_mask(length, 6, gap, glob))
 
 
 def test_band_mask_global_symmetry():
@@ -337,6 +344,29 @@ def test_band_ops_input_gradient_mixed_gaps_float64_finite_differences():
         step[i] = h
         fd[i] = (oracle_loss(x_data + step) - oracle_loss(x_data - step)) / (2 * h)
     assert np.abs(got - fd).max() / np.abs(fd).max() <= 1e-4
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_slot_sum_bytes_match_the_per_slot_loop_mixed_gaps(dtype):
+    """band_mix's forward and band_scores' q-gradient are one einsum per run
+    of heads over a strided slot view; both must equal the slot-by-slot sum
+    byte for byte, zero signs included."""
+    rng = np.random.default_rng(21)
+    gaps, window = (0, 5, 5, 2), 6
+    B, L, dh = 2, 19, 3
+    x = rng.standard_normal((B, len(gaps), L, dh)).astype(dtype)
+    w = rng.standard_normal((B, len(gaps), L, window + 1)).astype(dtype)
+    w[w > 1.2] = -0.0
+    want = ref_slot_sum(w, x, window, gaps)
+
+    mixed = attention.band_mix(Tensor(w, dtype=dtype), Tensor(x, dtype=dtype), window, gaps)
+    assert mixed.data.dtype == dtype
+    assert mixed.data.tobytes() == want.tobytes()
+
+    q = Tensor(rng.standard_normal(x.shape).astype(dtype), requires_grad=True, dtype=dtype)
+    scores = attention.band_scores(q, Tensor(x, dtype=dtype), window, gaps)
+    scores._backward(w)
+    assert q.grad.tobytes() == ref_first_grad(want, q.data).tobytes()
 
 
 def test_local_and_global_parameters_distinct():

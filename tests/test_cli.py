@@ -11,7 +11,7 @@ from lctx.corpus import read_jsonl
 from lctx.encoder import Encoder
 from lctx.fixtures import write_fixture_files
 from lctx.metrics import FoldPlan
-from lctx.vocab import build_vocab
+from lctx.vocab import UNK_ID, CharVocab, build_vocab
 
 
 def run(argv):
@@ -61,6 +61,23 @@ def test_preprocess_corrupted_line_reports_lineno(tmp_path, capsys):
     code = run(["preprocess", "--input", bad, "--out", tmp_path / "out"])
     assert code == 1
     assert ":2:" in capsys.readouterr().err
+
+
+def test_preprocess_row_with_a_lone_surrogate(fixture_dir, tmp_path):
+    rows = read_jsonl(fixture_dir / "fx" / "raw_cases.jsonl")
+    row = next(r for r in rows if r["kind"] == "criminal")
+    cut = row["text"].index("经审理查明") + 7
+    row["text"] = row["text"][:cut] + "\ud800" + row["text"][cut:]
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    out = tmp_path / "pp"
+    assert run(["preprocess", "--input", raw, "--out", out, "--seq-len", 48]) == 0
+    vocab = CharVocab.load(out / "vocab.txt")
+    assert "\ud800" not in vocab.tokens_
+    assert vocab.transform("\ud800").tolist() == [UNK_ID]
+    facts = [r["fact"] for r in read_jsonl(out / "judgment_criminal.jsonl")]
+    assert any("\ud800" in fact for fact in facts)
+    assert not list(out.glob("*.tmp"))
 
 
 def test_pretrain_and_resume_cli(fixture_dir, tmp_path, capsys):

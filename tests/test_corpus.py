@@ -23,7 +23,17 @@ from lctx.corpus import (
     write_jsonl,
 )
 from lctx.fixtures import synthetic_cases, to_chinese_numeral
-from lctx.vocab import CLS_ID, PAD_ID, SEP_ID, CharVocab, build_vocab, char_tokens
+from lctx.vocab import (
+    CLS_ID,
+    PAD_ID,
+    SEP_ID,
+    UNK_ID,
+    CharVocab,
+    build_vocab,
+    char_tokens,
+    codepoints,
+)
+from oracles import ref_pack_documents, ref_transform, ref_vocab_tokens
 
 RULES = Ruleset()
 
@@ -243,7 +253,7 @@ def test_vocab_deterministic_file(tmp_path):
 
 def test_vocab_unknown_maps_to_unk():
     vocab = build_vocab(["abc"])
-    assert vocab.transform("z") == [1]
+    assert vocab.transform("z").tolist() == [1]
 
 
 def test_vocab_max_size():
@@ -333,3 +343,97 @@ def test_ruleset_roundtrip(tmp_path):
     rules.save(tmp_path / "rules.json")
     loaded = Ruleset.load(tmp_path / "rules.json")
     assert loaded.rules == rules.rules
+
+
+# ---------------------------------------------------------------------------
+# the numpy pipeline against the per-character reference
+# ---------------------------------------------------------------------------
+
+# whitespace beyond ASCII (ideographic space, NBSP, NEL, the four information
+# separators, line separator), astral-plane characters, and count ties
+EDGE_TEXTS = [
+    "法院\u3000判决\u00a0如下\u0085甲乙",
+    "\x1c\x1d\x1e\x1fab\u2028c\td e\n\r\x0b\x0c",
+    "\U00020000\U00020001 法\U00020000 \U0001F600",
+    "ba",
+    "zzyyx乙甲",
+]
+
+
+def test_codepoints_drop_exactly_the_isspace_characters():
+    every = "".join(map(chr, range(0x110000)))  # surrogates included
+    want = [cp for cp in range(0x110000) if not chr(cp).isspace()]
+    got = codepoints(every)
+    assert got.dtype == np.uint32
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("max_size", [None, 0, 5, 7, 9, 14])
+def test_vocab_matches_the_per_character_reference(max_size):
+    vocab = build_vocab(EDGE_TEXTS, max_size=max_size)
+    tokens = ref_vocab_tokens(EDGE_TEXTS, max_size)
+    assert vocab.tokens_ == tokens
+    for text in EDGE_TEXTS + ["未见 字\U0001F601", ""]:
+        ids = vocab.transform(text)
+        assert ids.dtype == np.int64 and ids.ndim == 1
+        assert ids.tolist() == ref_transform(tokens, text)
+
+
+def test_vocab_of_the_empty_corpus_matches_the_reference():
+    vocab = build_vocab([""])  # what preprocess fits when no document survives
+    assert vocab.tokens_ == ref_vocab_tokens([""])
+    assert vocab.transform("").tolist() == []
+    assert vocab.transform("ab c").tolist() == [UNK_ID] * 3
+
+
+def test_loaded_vocab_transforms_as_the_fitted_one(tmp_path):
+    corpus = [row["text"] for row in synthetic_cases(4, 4, seed=5)] + EDGE_TEXTS
+    fitted = build_vocab(corpus)
+    fitted.save(tmp_path / "v.txt")
+    loaded = CharVocab.load(tmp_path / "v.txt")
+    assert loaded.tokens_ == fitted.tokens_
+    for text in corpus + ["未见 字\U0001F601"]:
+        want = fitted.transform(text)
+        got = loaded.transform(text)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_pipeline_matches_the_reference_on_the_synthetic_corpus():
+    texts = [row["text"] for row in synthetic_cases(6, 6, seed=2)]
+    vocab = build_vocab(texts)
+    tokens = ref_vocab_tokens(texts)
+    assert vocab.tokens_ == tokens
+    streams = [vocab.transform(t) for t in texts]
+    assert [s.tolist() for s in streams] == [ref_transform(tokens, t) for t in texts]
+    blocks = pack_documents(streams, 64)
+    assert blocks.dtype == np.int64
+    assert np.array_equal(blocks, ref_pack_documents(streams, 64))
+
+
+@pytest.mark.parametrize("streams", [
+    [list(range(10, 17))],                          # 7 tokens + SEP fill one block
+    [list(range(10, 30))],                          # longer than two blocks
+    [[5] * 6, [6] * 3],                             # first document ends one before a block end
+    [[5] * 7, [], np.arange(20, 26), [7]],          # arrays, lists and an empty stream
+    [[]],
+    [],
+])
+def test_pack_matches_the_list_reference(streams):
+    blocks = pack_documents(streams, 8)
+    want = ref_pack_documents(streams, 8)
+    assert blocks.dtype == np.int64 and blocks.shape == want.shape
+    assert np.array_equal(blocks, want)
+
+
+def test_surrogates_are_never_tokens():
+    vocab = build_vocab(["甲\ud800乙\udfff甲"])
+    assert vocab.tokens_[5:] == ["甲", "乙"]
+    assert vocab.transform("\ud800甲\udc00").tolist() == [UNK_ID, 5, UNK_ID]
+
+
+def test_failed_vocab_write_leaves_no_file(tmp_path):
+    vocab = build_vocab(["甲"])
+    vocab.tokens_.append("\ud800")  # cannot be encoded as UTF-8
+    with pytest.raises(UnicodeEncodeError):
+        vocab.save(tmp_path / "vocab.txt")
+    assert list(tmp_path.iterdir()) == []
