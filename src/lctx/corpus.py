@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import replacing
 from .vocab import PAD_ID, SEP_ID, n_tokens
 
 MIN_FACT_TOKENS = 50
@@ -73,9 +74,24 @@ DEFAULT_RULES = {
 
 @dataclass
 class Ruleset:
-    """Marker lists + annotation regexes, JSON-round-trippable."""
+    """Marker lists + annotation regexes, JSON-round-trippable.
+
+    The regexes (the *_pattern keys) are compiled once, when the ruleset is
+    made, into .patterns; a pattern that does not compile is a ValueError
+    naming its key. save() writes the pattern strings.
+    """
 
     rules: dict = field(default_factory=lambda: dict(DEFAULT_RULES))
+    patterns: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.patterns = {}
+        for key, pattern in self.rules.items():
+            if key.endswith("_pattern"):
+                try:
+                    self.patterns[key] = re.compile(pattern)
+                except (re.error, TypeError) as exc:
+                    raise ValueError(f"rule {key!r}: not a regular expression ({exc})") from exc
 
     def __getitem__(self, key):
         return self.rules[key]
@@ -197,11 +213,21 @@ class LabelTable:
         return len(self.labels)
 
     def save(self, path) -> None:
-        Path(path).write_text("\n".join(self.labels) + "\n", encoding="utf-8")
+        """One label per line in UTF-8, replacing `path` whole. A lone
+        surrogate, which UTF-8 cannot hold, is written as its backslash-u
+        escape, which load() turns back into the surrogate."""
+        with replacing(path) as fh:
+            fh.write(("\n".join(self.labels) + "\n").encode("utf-8", "backslashreplace"))
 
     @classmethod
     def load(cls, path) -> "LabelTable":
-        return cls(Path(path).read_text(encoding="utf-8").splitlines())
+        text = Path(path).read_text(encoding="utf-8")
+        return cls(_SURROGATE_ESCAPE.sub(lambda m: chr(int(m.group(1), 16)), text).splitlines())
+
+
+# what save() writes for a lone surrogate; a label holding this text
+# literally reads back as the surrogate
+_SURROGATE_ESCAPE = re.compile(r"\\u(d[89a-f][0-9a-f]{2})")
 
 
 def penalty_months(judgment_text: str, rules: Ruleset) -> int:
@@ -211,7 +237,7 @@ def penalty_months(judgment_text: str, rules: Ruleset) -> int:
     for marker in rules["no_penalty_markers"]:
         if marker in judgment_text:
             return 0
-    m = re.search(rules["penalty_year_month_pattern"], judgment_text)
+    m = rules.patterns["penalty_year_month_pattern"].search(judgment_text)
     if m is None or (m.group(1) is None and m.group(2) is None):
         raise DocumentRejected("NO_ANNOTATION:penalty")
     years = chinese_numeral(m.group(1)) if m.group(1) else 0
@@ -225,9 +251,9 @@ def extract_annotations(doc: CaseDocument, rules: Ruleset,
     """Pull judgment labels out of the judgment section with the configured
     regexes; label ids accumulate into the shared tables."""
     if doc.case_kind == "criminal":
-        charges = sorted(set(re.findall(rules["charge_pattern"], doc.judgment)))
-        laws = sorted(set(re.findall(rules["criminal_law_pattern"],
-                                     doc.court_view + doc.judgment)))
+        charges = sorted(set(rules.patterns["charge_pattern"].findall(doc.judgment)))
+        laws = sorted(set(rules.patterns["criminal_law_pattern"].findall(
+            doc.court_view + doc.judgment)))
         if not charges:
             raise DocumentRejected("NO_ANNOTATION:charge")
         if not laws:
@@ -238,9 +264,9 @@ def extract_annotations(doc: CaseDocument, rules: Ruleset,
             laws={law_table.add(f"刑法第{x}条") for x in laws},
             penalty_months=months)
     if doc.case_kind == "civil":
-        cause = re.search(rules["cause_pattern"], doc.court_view + doc.judgment)
-        laws = sorted(set(re.findall(rules["civil_law_pattern"],
-                                     doc.court_view + doc.judgment)))
+        cause = rules.patterns["cause_pattern"].search(doc.court_view + doc.judgment)
+        laws = sorted(set(rules.patterns["civil_law_pattern"].findall(
+            doc.court_view + doc.judgment)))
         if cause is None:
             raise DocumentRejected("NO_ANNOTATION:cause")
         if not laws:

@@ -1,13 +1,14 @@
 """Minimal dense tensor algebra with reverse-mode automatic differentiation.
 
 Storage is float32 by default; a pure float64 mode (pass dtype=np.float64 at
-creation) exists for gradient checks. Matrix products run in the operands'
-dtype, so float32 storage multiplies and accumulates in float32. Sums,
-softmax, layer norm, GELU and the losses work in float64 internally and round
-their results to the storage dtype.
-Kernels that work in place do so in float64 buffers of their own: no op
-writes into an input's data, its output or an incoming gradient (in float64
-mode astype(copy=False) would hand back the input array itself).
+creation) exists for gradient checks. Products and elementwise work run in the
+storage dtype: float32 storage multiplies, exponentiates and normalises in
+float32. Reductions (sums, means, the softmax denominator, layer-norm
+statistics, loss totals) accumulate in float64 and are cast to the storage
+dtype, so float64 mode computes exactly as a float64-internal kernel would.
+Kernels that work in place do so in buffers of their own (a.data.copy() or
+a fresh result): no op writes into an input's data, its output or an
+incoming gradient.
 Broadcasting is restricted to leading batch axes: two operand shapes must be
 equal, or one must be a suffix of the other. Everything else requires an
 explicit reshape.
@@ -465,24 +466,21 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximated GELU; the approximation itself is what we differentiate.
 
-    0.5 * x * (1 + tanh(c * (x + 0.044715 * x^3))), computed in place in
-    float64. The cube is x*x*x, not x**3, which is a float64 np.power call
-    dozens of times slower. A float32 input squares exactly, so x*x*x is its
-    correctly rounded cube; np.power can differ from that in the last float64
-    bit, which the float32 output does not resolve (no difference in 4e7
-    sampled inputs). Scaling by 0.5 is exact, so it is applied last.
+    0.5 * x * (1 + tanh(c * (x + 0.044715 * x^3))), elementwise in the
+    storage dtype, in fresh buffers. The cube is x*x*x, not x**3, which is an
+    np.power call dozens of times slower. Scaling by 0.5 is exact, so it is
+    applied last.
     """
-    x = a.data.astype(np.float64, copy=False)
+    x = a.data
     t = x * x
     t *= x
     t *= 0.044715
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    y = t + 1.0
-    y *= x
-    y *= 0.5
-    out_data = y.astype(a.data.dtype, copy=False)
+    out_data = t + 1.0
+    out_data *= x
+    out_data *= 0.5
 
     def backward(g):
         if a.requires_grad:
@@ -506,26 +504,24 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data.astype(np.float64, copy=False)
+    x = a.data
     s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out_data = s.astype(a.data.dtype)
 
     def backward(g):
         if a.requires_grad:
-            a._accum((g * (s * (1.0 - s))).astype(a.data.dtype))
+            a._accum(g * (s * (1.0 - s)))
 
-    return make_op(out_data, (a,), backward)
+    return make_op(s, (a,), backward)
 
 
 def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.data.astype(np.float64, copy=False))
-    out_data = t.astype(a.data.dtype)
+    t = np.tanh(a.data)
 
     def backward(g):
         if a.requires_grad:
-            a._accum((g * (1.0 - t**2)).astype(a.data.dtype))
+            a._accum(g * (1.0 - t**2))
 
-    return make_op(out_data, (a,), backward)
+    return make_op(t, (a,), backward)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -543,69 +539,82 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # ----------------------------------------------------------------------
 
 
+def _sum64(x: np.ndarray, axis) -> np.ndarray:
+    """A sum over axis (kept) accumulated in float64, cast back to x's dtype."""
+    return x.sum(axis=axis, keepdims=True, dtype=np.float64).astype(x.dtype, copy=False)
+
+
+def _mean64(x: np.ndarray) -> np.ndarray:
+    """A mean over the last axis (kept) accumulated in float64, cast back to
+    x's dtype."""
+    return x.mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype, copy=False)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Row-stable softmax; -inf entries yield exact zero weight.
 
     A row whose entries are all -inf is a checked error (an all-masked
     attention row cannot legitimately occur).
     """
-    # one float64 copy of a.data, shifted, exponentiated and normalised in
-    # place (a.data itself is never written)
-    y = a.data.astype(np.float64)
+    # one copy of a.data, shifted, exponentiated and normalised in place
+    # (a.data itself is never written); the output is also what backward keeps
+    y = a.data.copy()
     m = np.max(y, axis=axis, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise FloatingPointError("softmax over an all-masked (or non-finite) row")
     y -= m
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
-    out_data = y.astype(a.data.dtype)
+    y /= _sum64(y, axis)
 
     def backward(g):
         if a.requires_grad:
             ga = g * y
-            dot = ga.sum(axis=axis, keepdims=True)
-            np.subtract(g, dot, out=ga, dtype=np.float64)
+            dot = _sum64(ga, axis)
+            np.subtract(g, dot, out=ga)
             ga *= y
             a._accum(ga)
 
-    return make_op(out_data, (a,), backward)
+    return make_op(y, (a,), backward)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Mean, variance and the per-row 1/sqrt(var + eps) are computed in float64
+    and cast to the storage dtype; the rest is elementwise in that dtype.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if gain.shape != a.shape[-1:] or bias.shape != a.shape[-1:]:
         raise ValueError("gain/bias must match the last axis")
-    # xhat is centred, then scaled, in one float64 copy of a.data
-    xhat = a.data.astype(np.float64)
-    xhat -= xhat.mean(axis=-1, keepdims=True)
+    # xhat is centred, then scaled, in one copy of a.data
+    xhat = a.data.copy()
+    xhat -= _mean64(xhat)
     y = np.square(xhat)
-    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    var = y.mean(axis=-1, keepdims=True, dtype=np.float64)
+    inv = (1.0 / np.sqrt(var + eps)).astype(xhat.dtype, copy=False)
     xhat *= inv
     np.multiply(xhat, gain.data, out=y)
     y += bias.data
-    out_data = y.astype(a.data.dtype)
 
     def backward(g):
-        g64 = g.astype(np.float64, copy=False)
         if a.requires_grad:
             # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv
-            dxhat = g64 * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
+            dxhat = g * gain.data
+            m1 = _mean64(dxhat)
             tmp = dxhat * xhat
-            m2 = tmp.mean(axis=-1, keepdims=True)
+            m2 = _mean64(tmp)
             dxhat -= m1
             dxhat -= np.multiply(xhat, m2, out=tmp)
             dxhat *= inv
             a._accum(dxhat)
         red = tuple(range(g.ndim - 1))
         if gain.requires_grad:
-            gain._accum((g64 * xhat).sum(axis=red))
+            gain._accum((g * xhat).sum(axis=red, dtype=np.float64))
         if bias.requires_grad:
-            bias._accum(g64.sum(axis=red))
+            bias._accum(g.sum(axis=red, dtype=np.float64))
 
-    return make_op(out_data, (a, gain, bias), backward)
+    return make_op(y, (a, gain, bias), backward)
 
 
 IGNORE_INDEX = -1
@@ -634,13 +643,14 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
         n_valid = int(valid.sum())
         if n_valid == 0:
             raise ValueError("no valid targets")
-        # the only full-size float64 array is e = exp(x - max), kept for the
-        # backward; the picked logits are exact in the storage dtype
-        e = logits.data.astype(np.float64)
+        # the only full-size array is e = exp(x - max) in the storage dtype,
+        # kept for the backward; the denominators, the log-sum-exp and the
+        # loss total are float64, and the picked logits are exact in either
+        e = logits.data.copy()
         m = e.max(axis=-1, keepdims=True)
         e -= m
         np.exp(e, out=e)
-        denom = e.sum(axis=-1, keepdims=True)
+        denom = e.sum(axis=-1, keepdims=True, dtype=np.float64)
         lse = m[..., 0] + np.log(denom[..., 0])
         idx = np.maximum(target, 0)[..., None]
         picked = np.take_along_axis(logits.data, idx, axis=-1)[..., 0]
@@ -650,7 +660,7 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
         def backward(g):
             if logits.requires_grad:
                 # (softmax - onehot) * valid / n_valid * g
-                p = e / denom
+                p = e / denom.astype(e.dtype, copy=False)
                 np.put_along_axis(p, idx, np.take_along_axis(p, idx, axis=-1) - 1.0, axis=-1)
                 p *= valid[..., None]
                 p /= n_valid
@@ -661,17 +671,20 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
 
     if target.shape != logits.shape:
         raise ValueError("multi-hot target must match logits shape")
-    x = logits.data.astype(np.float64, copy=False)
-    y = target.astype(np.float64)
+    x = logits.data
+    y = target.astype(x.dtype)
     # stable BCE-with-logits: max(x,0) - x*y + log1p(exp(-|x|))
     per = np.maximum(x, 0) - x * y + np.log1p(np.exp(-np.abs(x)))
     n_rows = max(1, int(np.prod(logits.shape[:-1])))
-    out_data = np.asarray(per.sum() / n_rows, dtype=logits.data.dtype)
+    out_data = np.asarray(per.sum(dtype=np.float64) / n_rows, dtype=x.dtype)
 
     def backward(g):
         if logits.requires_grad:
-            s = 1.0 / (1.0 + np.exp(-x))
-            logits._accum((float(g) * (s - y) / n_rows).astype(logits.data.dtype))
+            # exp(-x) overflows to inf (and s to an exact 0) for very negative
+            # x, sooner in float32 than in float64
+            with np.errstate(over="ignore"):
+                s = 1.0 / (1.0 + np.exp(-x))
+            logits._accum(float(g) * (s - y) / n_rows)
 
     return make_op(out_data, (logits,), backward)
 

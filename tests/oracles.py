@@ -90,10 +90,13 @@ def bf_em_f1(pred, gold):
 
 # ---------------------------------------------------------------------------
 # Reference kernels: the lctx.tensor kernels as plain expressions on raw
-# arrays, one fresh array per step, in float64 except for matmul, whose
-# products run in the operands' dtype. Each returns the forward output and
-# the input gradients for an upstream gradient g, each gradient cast and
-# added into zeros. The kernels must match these byte for byte.
+# arrays, one fresh array per step. Products and elementwise work run in the
+# input's dtype; reductions sum in float64 (sum/mean with dtype=np.float64)
+# and are cast to that dtype before elementwise use. With float64 inputs
+# these are the float64-internal formulas. Each returns the forward output
+# and the input gradients for an upstream gradient g of the input's dtype,
+# each gradient cast and added into zeros. The kernels must match these
+# byte for byte, in float32 and in float64 mode.
 # ---------------------------------------------------------------------------
 
 _GELU_C = 0.7978845608028654
@@ -125,61 +128,70 @@ def ref_matmul(a, b, g):
             ref_first_grad(ref_unbroadcast(gb, b.shape), b))
 
 
-def ref_gelu(a, g):
-    x = a.astype(np.float64, copy=False)
-    inner = _GELU_C * (x + 0.044715 * x**3)
+def ref_gelu(x, g):
+    """The cube is x*x*x: np.power(x, 3) can differ from it in the last bit."""
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
-    out = (0.5 * x * (1.0 + t)).astype(a.dtype)
+    out = 0.5 * x * (1.0 + t)
     dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
     da = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
-    return out, ref_first_grad((g.astype(np.float64, copy=False) * da).astype(a.dtype), a)
+    return out, ref_first_grad(g * da, x)
 
 
-def ref_softmax(a, g, axis=-1):
-    x = a.astype(np.float64, copy=False)
+def ref_softmax(x, g, axis=-1):
     m = np.max(x, axis=axis, keepdims=True)
     e = np.exp(x - m)
-    y = e / e.sum(axis=axis, keepdims=True)
-    g64 = g.astype(np.float64, copy=False)
-    dot = (g64 * y).sum(axis=axis, keepdims=True)
-    return y.astype(a.dtype), ref_first_grad(((g64 - dot) * y).astype(a.dtype), a)
+    y = e / e.sum(axis=axis, keepdims=True, dtype=np.float64).astype(x.dtype)
+    dot = (g * y).sum(axis=axis, keepdims=True, dtype=np.float64).astype(x.dtype)
+    return y, ref_first_grad((g - dot) * y, x)
 
 
-def ref_layer_norm(a, gain, bias, g, eps=1e-5):
-    x = a.astype(np.float64, copy=False)
-    mu = x.mean(axis=-1, keepdims=True)
+def ref_layer_norm(x, gain, bias, g, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
     xc = x - mu
-    var = (xc**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    var = (xc**2).mean(axis=-1, keepdims=True, dtype=np.float64)
+    inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
     xhat = xc * inv
-    out = (xhat * gain + bias).astype(a.dtype)
-    g64 = g.astype(np.float64, copy=False)
-    dxhat = g64 * gain
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    ga = ((dxhat - m1 - xhat * m2) * inv).astype(a.dtype)
+    out = xhat * gain + bias
+    dxhat = g * gain
+    m1 = dxhat.mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
+    ga = (dxhat - m1 - xhat * m2) * inv
     red = tuple(range(g.ndim - 1))
-    ggain = (g64 * xhat).sum(axis=red).astype(gain.dtype)
-    gbias = g64.sum(axis=red).astype(bias.dtype)
-    return (out, ref_first_grad(ga, a), ref_first_grad(ggain, gain),
+    ggain = (g * xhat).sum(axis=red, dtype=np.float64)
+    gbias = g.sum(axis=red, dtype=np.float64)
+    return (out, ref_first_grad(ga, x), ref_first_grad(ggain, gain),
             ref_first_grad(gbias, bias))
 
 
-def ref_cross_entropy_index(logits, target, g, ignore_index=-1):
-    x = logits.astype(np.float64, copy=False)
+def ref_cross_entropy_index(x, target, g, ignore_index=-1):
+    """Per-row denominators, log-sum-exp and the loss total in float64."""
     valid = target != ignore_index
     n_valid = int(valid.sum())
     m = x.max(axis=-1, keepdims=True)
-    lse = m[..., 0] + np.log(np.exp(x - m).sum(axis=-1))
+    e = np.exp(x - m)
+    denom = e.sum(axis=-1, keepdims=True, dtype=np.float64)
+    lse = m[..., 0] + np.log(denom[..., 0])
     picked = np.take_along_axis(x, np.maximum(target, 0)[..., None], axis=-1)[..., 0]
     losses = np.where(valid, lse - picked, 0.0)
-    out = np.asarray(losses.sum() / n_valid, dtype=logits.dtype)
-    p = np.exp(x - m)
-    p /= p.sum(axis=-1, keepdims=True)
+    out = np.asarray(losses.sum() / n_valid, dtype=x.dtype)
+    p = e / denom.astype(x.dtype)
     onehot = np.zeros_like(p)
     np.put_along_axis(onehot, np.maximum(target, 0)[..., None], 1.0, axis=-1)
     grad = (p - onehot) * valid[..., None] / n_valid
-    return out, ref_first_grad((float(g) * grad).astype(logits.dtype), logits)
+    return out, ref_first_grad(float(g) * grad, x)
+
+
+def ref_cross_entropy_multihot(x, target, g):
+    """Summed binary cross-entropy per row, averaged over rows; the total
+    in float64."""
+    y = target.astype(x.dtype)
+    per = np.maximum(x, 0) - x * y + np.log1p(np.exp(-np.abs(x)))
+    n_rows = int(np.prod(x.shape[:-1]))
+    out = np.asarray(per.sum(dtype=np.float64) / n_rows, dtype=x.dtype)
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x))
+    return out, ref_first_grad(float(g) * (s - y) / n_rows, x)
 
 
 def ref_slot_sum(w, x, window, gaps):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lctx.cli import _openblas, main
-from lctx.corpus import read_jsonl
+from lctx.corpus import LabelTable, read_jsonl
 from lctx.encoder import Encoder
 from lctx.fixtures import write_fixture_files
 from lctx.metrics import FoldPlan
@@ -77,6 +77,26 @@ def test_preprocess_row_with_a_lone_surrogate(fixture_dir, tmp_path):
     assert vocab.transform("\ud800").tolist() == [UNK_ID]
     facts = [r["fact"] for r in read_jsonl(out / "judgment_criminal.jsonl")]
     assert any("\ud800" in fact for fact in facts)
+    assert not list(out.glob("*.tmp"))
+
+
+def test_preprocess_charge_with_a_lone_surrogate(fixture_dir, tmp_path):
+    # the charge pattern captures the surrogate placed before the judgment's
+    # last 罪, so the charge table holds a label UTF-8 cannot encode
+    rows = read_jsonl(fixture_dir / "fx" / "raw_cases.jsonl")
+    row = next(r for r in rows if r["kind"] == "criminal")
+    cut = row["text"].rindex("罪")
+    row["text"] = row["text"][:cut] + "\ud800" + row["text"][cut:]
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    out = tmp_path / "pp"
+    assert run(["preprocess", "--input", raw, "--out", out, "--seq-len", 48]) == 0
+    charges = LabelTable.load(out / "labels_charges.txt")
+    odd = [lab for lab in charges.labels if "\ud800" in lab]
+    assert len(odd) == 1 and odd[0].endswith("\ud800罪")
+    assert "\\ud800" in (out / "labels_charges.txt").read_text(encoding="utf-8")
+    ids = {i for r in read_jsonl(out / "judgment_criminal.jsonl") for i in r["charges"]}
+    assert charges.index[odd[0]] in ids
     assert not list(out.glob("*.tmp"))
 
 

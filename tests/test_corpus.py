@@ -1,10 +1,13 @@
 """Corpus pipeline: segmentation, filtering, annotation extraction, packing,
 vocabulary, stats."""
 
+import json
+
 import numpy as np
 import pytest
 
 from lctx.corpus import (
+    CaseDocument,
     CivilAnnotation,
     CriminalAnnotation,
     DocumentRejected,
@@ -343,6 +346,34 @@ def test_ruleset_roundtrip(tmp_path):
     rules.save(tmp_path / "rules.json")
     loaded = Ruleset.load(tmp_path / "rules.json")
     assert loaded.rules == rules.rules
+
+
+def test_ruleset_loaded_pattern_is_the_one_applied(tmp_path):
+    (tmp_path / "rules.json").write_text(
+        json.dumps({"charge_pattern": "判处([^罪]{1,20}罪)"}, ensure_ascii=False),
+        encoding="utf-8")
+    loaded = Ruleset.load(tmp_path / "rules.json")
+    assert loaded["fact_markers"] == RULES["fact_markers"]   # merged over the defaults
+    assert loaded.patterns["charge_pattern"].pattern == "判处([^罪]{1,20}罪)"
+    doc = CaseDocument("c", "criminal", "", "", "依照《中华人民共和国刑法》第二百六十四条",
+                       "被告人犯甲罪，判处乙罪，有期徒刑六个月")
+    charges = LabelTable()
+    extract_annotations(doc, loaded, charges, LabelTable(), LabelTable())
+    assert charges.labels == ["乙罪"]
+    extract_annotations(doc, RULES, charges, LabelTable(), LabelTable())
+    assert charges.labels == ["乙罪", "甲罪"]
+
+
+def test_ruleset_pattern_that_does_not_compile_is_named():
+    with pytest.raises(ValueError, match="cause_pattern"):
+        Ruleset({**RULES.rules, "cause_pattern": "系(纠纷"})
+
+
+def test_label_table_roundtrips_a_lone_surrogate(tmp_path):
+    table = LabelTable(["盗窃罪", "诈\ud800骗罪", "\udfff", "a\\b"])
+    table.save(tmp_path / "labels.txt")
+    (tmp_path / "labels.txt").read_bytes().decode("utf-8")     # valid UTF-8
+    assert LabelTable.load(tmp_path / "labels.txt").labels == table.labels
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 
 from lctx import tensor as T
 from lctx.tensor import Tensor
-from oracles import (ref_cross_entropy_index, ref_first_grad, ref_gelu, ref_layer_norm,
-                     ref_matmul, ref_softmax)
+from oracles import (ref_cross_entropy_index, ref_cross_entropy_multihot, ref_first_grad,
+                     ref_gelu, ref_layer_norm, ref_matmul, ref_softmax)
 
 
 def same_bytes(a, b):
@@ -17,13 +17,13 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def f32(rng, shape, scale=1.0):
-    return (rng.standard_normal(shape) * scale).astype(np.float32)
+def f32(rng, shape, scale=1.0, dtype=np.float32):
+    return (rng.standard_normal(shape) * scale).astype(dtype)
 
 
-def upstream(rng, shape):
-    """A float32 upstream gradient with exact zeros of both signs in it."""
-    g = f32(rng, shape)
+def upstream(rng, shape, dtype=np.float32):
+    """An upstream gradient with exact zeros of both signs in it."""
+    g = f32(rng, shape, dtype=dtype)
     flat = g.reshape(-1)
     flat[::7] = 0.0
     flat[3::7] = -0.0
@@ -34,12 +34,18 @@ def leaf(data):
     return Tensor(data, requires_grad=True, dtype=data.dtype)
 
 
-@pytest.mark.parametrize("scale", [1.0, 4.0, 40.0])
-def test_gelu_bytes_match_reference(scale):
+# ---------------------------------------------------------------------------
+# softmax, layer norm, GELU and the losses against tests/oracles.py: each
+# check runs in float32 mode (elementwise work in float32) below, and in
+# float64 mode in test_float64_bytes_match_reference
+# ---------------------------------------------------------------------------
+
+
+def check_gelu(scale, dtype):
     rng = np.random.default_rng(11)
-    x = f32(rng, (3, 64, 48), scale)
+    x = f32(rng, (3, 64, 48), scale, dtype)
     x.reshape(-1)[:6] = [0.0, -0.0, 1e-30, -1e-30, 20.0, -20.0]
-    g = upstream(rng, x.shape)
+    g = upstream(rng, x.shape, dtype)
     a = leaf(x)
     out = T.gelu(a)
     out._backward(g)
@@ -48,16 +54,15 @@ def test_gelu_bytes_match_reference(scale):
     assert same_bytes(a.grad, ref_ga)
 
 
-@pytest.mark.parametrize("scale", [1.0, 30.0])
-def test_masked_softmax_bytes_match_reference(scale):
+def check_masked_softmax(scale, dtype):
     rng = np.random.default_rng(12)
-    x = f32(rng, (2, 3, 40, 19), scale)
+    x = f32(rng, (2, 3, 40, 19), scale, dtype)
     masked = rng.random(x.shape) < 0.4
     masked[..., 4] = False                      # every row keeps a finite entry
     masked[0, 0, 0, :] = True
     masked[0, 0, 0, 7] = False                  # a row with one open entry
     x[masked] = -np.inf
-    g = upstream(rng, x.shape)
+    g = upstream(rng, x.shape, dtype)
     a = leaf(x)
     out = T.softmax(a, axis=-1)
     out._backward(g)
@@ -67,10 +72,10 @@ def test_masked_softmax_bytes_match_reference(scale):
     assert np.all(out.data[masked] == 0.0)
 
 
-def test_softmax_other_axis_bytes_match_reference():
+def check_softmax_other_axis(dtype):
     rng = np.random.default_rng(13)
-    x = f32(rng, (5, 9, 4), 3.0)
-    g = upstream(rng, x.shape)
+    x = f32(rng, (5, 9, 4), 3.0, dtype)
+    g = upstream(rng, x.shape, dtype)
     a = leaf(x)
     out = T.softmax(a, axis=1)
     out._backward(g)
@@ -79,12 +84,12 @@ def test_softmax_other_axis_bytes_match_reference():
     assert same_bytes(a.grad, ref_ga)
 
 
-def test_layer_norm_bytes_match_reference():
+def check_layer_norm(dtype):
     rng = np.random.default_rng(14)
-    x = f32(rng, (3, 17, 24), 2.0)
+    x = f32(rng, (3, 17, 24), 2.0, dtype)
     x[0, 0] = 5.0                                # a constant row
-    gain, bias = f32(rng, (24,)), f32(rng, (24,))
-    g = upstream(rng, x.shape)
+    gain, bias = f32(rng, (24,), dtype=dtype), f32(rng, (24,), dtype=dtype)
+    g = upstream(rng, x.shape, dtype)
     a, tg, tb = leaf(x), leaf(gain), leaf(bias)
     out = T.layer_norm(a, tg, tb)
     out._backward(g)
@@ -93,19 +98,75 @@ def test_layer_norm_bytes_match_reference():
         assert same_bytes(got, want)
 
 
-@pytest.mark.parametrize("g", [1.0, 0.37])
-def test_cross_entropy_index_bytes_match_reference(g):
+def check_cross_entropy_index(g, dtype):
     rng = np.random.default_rng(15)
-    x = f32(rng, (4, 13, 31), 6.0)
+    x = f32(rng, (4, 13, 31), 6.0, dtype)
     target = rng.integers(0, 31, (4, 13))
     target[:, ::5] = T.IGNORE_INDEX
     a = leaf(x)
-    g = np.asarray(g, dtype=np.float32)
+    g = np.asarray(g, dtype=dtype)
     out = T.cross_entropy(a, target)
     out._backward(g)
     ref_out, ref_ga = ref_cross_entropy_index(x, target, g)
     assert same_bytes(out.data, ref_out)
     assert same_bytes(a.grad, ref_ga)
+
+
+def check_cross_entropy_multihot(g, dtype):
+    rng = np.random.default_rng(18)
+    x = f32(rng, (4, 13, 31), 6.0, dtype)
+    x[0, 0, :4] = [100.0, -100.0, 0.0, -0.0]     # exp(-x) overflows float32 at -100
+    target = (rng.random(x.shape) < 0.3).astype(np.float64)
+    a = leaf(x)
+    g = np.asarray(g, dtype=dtype)
+    out = T.cross_entropy(a, target)
+    out._backward(g)
+    ref_out, ref_ga = ref_cross_entropy_multihot(x, target, g)
+    assert same_bytes(out.data, ref_out)
+    assert same_bytes(a.grad, ref_ga)
+
+
+@pytest.mark.parametrize("scale", [1.0, 4.0, 40.0])
+def test_gelu_bytes_match_reference(scale):
+    check_gelu(scale, np.float32)
+
+
+@pytest.mark.parametrize("scale", [1.0, 30.0])
+def test_masked_softmax_bytes_match_reference(scale):
+    check_masked_softmax(scale, np.float32)
+
+
+def test_softmax_other_axis_bytes_match_reference():
+    check_softmax_other_axis(np.float32)
+
+
+def test_layer_norm_bytes_match_reference():
+    check_layer_norm(np.float32)
+
+
+@pytest.mark.parametrize("g", [1.0, 0.37])
+def test_cross_entropy_index_bytes_match_reference(g):
+    check_cross_entropy_index(g, np.float32)
+
+
+@pytest.mark.parametrize("g", [1.0, 0.37])
+def test_cross_entropy_multihot_bytes_match_reference(g):
+    check_cross_entropy_multihot(g, np.float32)
+
+
+@pytest.mark.parametrize("check, args", [
+    pytest.param(check_gelu, (1.0,), id="gelu-1.0"),
+    pytest.param(check_gelu, (40.0,), id="gelu-40.0"),
+    pytest.param(check_masked_softmax, (1.0,), id="masked_softmax-1.0"),
+    pytest.param(check_masked_softmax, (30.0,), id="masked_softmax-30.0"),
+    pytest.param(check_softmax_other_axis, (), id="softmax_other_axis"),
+    pytest.param(check_layer_norm, (), id="layer_norm"),
+    pytest.param(check_cross_entropy_index, (0.37,), id="cross_entropy_index"),
+    pytest.param(check_cross_entropy_multihot, (0.37,), id="cross_entropy_multihot"),
+])
+def test_float64_bytes_match_reference(check, args):
+    # the same formulas in float64: float64 mode keeps float64 internals
+    check(*args, np.float64)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -222,3 +283,17 @@ def test_float64_kernels_leave_inputs_untouched(name):
     assert np.array_equal(g, g_before)
     for first, second in zip(*passes):
         assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("name", ["gelu", "sigmoid", "tanh", "softmax", "softmax_masked",
+                                  "layer_norm", "cross_entropy", "cross_entropy_multihot"])
+def test_float32_backward_keeps_no_float64_buffers(name):
+    """What a float32 op's backward closure holds on to until the graph walk
+    reaches it: its input-sized buffers are float32, never float64 casts."""
+    build, arrays = _ops(np.random.default_rng(19))[name]
+    inputs = [Tensor(arr.astype(np.float32), requires_grad=True) for arr in arrays]
+    out = build(*inputs)
+    kept = [cell.cell_contents for cell in out._backward.__closure__]
+    kept = [k for k in kept if isinstance(k, np.ndarray) and k.size == inputs[0].data.size]
+    assert [k.dtype for k in kept if k.dtype == np.float64] == []
+    assert any(k.dtype == np.float32 for k in kept)
