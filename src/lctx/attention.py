@@ -268,7 +268,7 @@ def _scatter_rows(src: Tensor, positions: np.ndarray, length: int) -> Tensor:
 
 def _project(x: Tensor, w: Tensor, b: Tensor, n_heads: int) -> Tensor:
     B, L, H = x.shape
-    y = T.matmul(x, w) + b
+    y = T.matmul(x, w, b)
     y = T.reshape(y, B, L, n_heads, H // n_heads)
     return T.transpose(y, (0, 2, 1, 3))
 
@@ -337,6 +337,9 @@ def sparse_attention_forward(hidden: Tensor, params: AttentionParams,
         # global columns are scored on their own; drop band slots that duplicate them
         validc &= ~np.isin(idxc, gpos)
     row_ok = _row_valid(lengths, B, L)               # [B, L]
+    # without padded rows every global column and every key of a global row
+    # is open, so their additive masks would be all zeros and are skipped
+    padded = not row_ok.all()
     # key j usable iff its band slot is in range and j < length_b
     key_ok = validc[None] & row_ok[:, idxc]          # [B, h, L, K]
     key_ok[..., half_k] = True  # self slot always open (pad rows are zeroed later)
@@ -347,8 +350,9 @@ def sparse_attention_forward(hidden: Tensor, params: AttentionParams,
         kcols = _gather_rows(k, gpos)                                 # [B,h,G,dh]
         vcols = _gather_rows(v, gpos)
         cscores = T.matmul(q, T.transpose(kcols, (0, 1, 3, 2)))       # [B,h,L,G]
-        cmask = _additive_mask(row_ok[:, None, None, gpos], dtype)
-        scores = T.concat([scores, T.add_const(cscores, cmask)], axis=-1)
+        if padded:
+            cscores = T.add_const(cscores, _additive_mask(row_ok[:, None, None, gpos], dtype))
+        scores = T.concat([scores, cscores], axis=-1)
     probs = T.softmax(scores, axis=-1)
     pband = probs[..., :K] if G else probs
     out = band_mix(pband, v, pattern.window, gaps)                    # [B,h,L,dh]
@@ -360,15 +364,17 @@ def sparse_attention_forward(hidden: Tensor, params: AttentionParams,
         vg = _project(hidden, params.wv_g, params.bv_g, n_heads)
         qg_rows = _gather_rows(qg, gpos)                             # [B,h,G,dh]
         gscores = T.matmul(qg_rows, T.transpose(kg, (0, 1, 3, 2)))   # [B,h,G,L]
-        gok = np.repeat(row_ok[:, None, None, :], G, axis=2)
-        gok[:, :, np.arange(G), gpos] = True
-        gout = T.matmul(T.softmax(T.add_const(gscores, _additive_mask(gok, dtype)), axis=-1), vg)
+        if padded:
+            gok = np.repeat(row_ok[:, None, None, :], G, axis=2)
+            gok[:, :, np.arange(G), gpos] = True
+            gscores = T.add_const(gscores, _additive_mask(gok, dtype))
+        gout = T.matmul(T.softmax(gscores, axis=-1), vg)
         keep = np.ones((L, 1), dtype=dtype)
         keep[gpos] = 0.0
         out = T.mul_const(out, keep) + _scatter_rows(gout, gpos, L)
 
     merged = _merge_heads(out)
-    y = T.matmul(merged, params.wo) + params.bo
+    y = T.matmul(merged, params.wo, params.bo)
     return T.mul_const(y, row_ok[:, :, None].astype(dtype))
 
 
@@ -393,11 +399,17 @@ def dense_attention_oracle(hidden: Tensor, params: AttentionParams,
     v = _project(hidden, params.wv, params.bv, n_heads)
     scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))  # [B,h,L,L]
 
-    masks = np.stack([build_band_mask(L, pattern, h, n_heads) for h in range(n_heads)])
     row_ok = _row_valid(lengths, B, L)
-    allowed = masks[None] & row_ok[:, None, None, :]
-    allowed[:, :, np.arange(L), np.arange(L)] = True
-    add_mask = _additive_mask(allowed, hidden.data.dtype)
+    gaps = [pattern.dilation_for(h, n_heads) for h in range(n_heads)]
+    if row_ok.all() and not any(gaps) and pattern.window // 2 >= L - 1:
+        add_mask = None  # every key of every row is open: nothing to add
+    else:
+        # one mask per distinct gap (build_band_mask of a gap's first head)
+        by_gap = {gap: build_band_mask(L, pattern, gaps.index(gap), n_heads)
+                  for gap in set(gaps)}
+        allowed = np.stack([by_gap[gap] for gap in gaps])[None] & row_ok[:, None, None, :]
+        allowed[:, :, np.arange(L), np.arange(L)] = True
+        add_mask = _additive_mask(allowed, hidden.data.dtype)
 
     if G:
         qg = T.mul(_project(hidden, params.wq_g, params.bq_g, n_heads), 1.0 / np.sqrt(dh))
@@ -407,13 +419,15 @@ def dense_attention_oracle(hidden: Tensor, params: AttentionParams,
         grow = np.zeros((L, 1), dtype=hidden.data.dtype)
         grow[gpos] = 1.0
         scores = T.mul_const(scores, 1.0 - grow) + T.mul_const(gscores, grow)
-        probs = T.softmax(T.add_const(scores, add_mask), axis=-1)
+    if add_mask is not None:
+        scores = T.add_const(scores, add_mask)
+    probs = T.softmax(scores, axis=-1)
+    if G:
         out = T.mul_const(T.matmul(probs, v), 1.0 - grow) + T.mul_const(T.matmul(probs, vg), grow)
     else:
-        probs = T.softmax(T.add_const(scores, add_mask), axis=-1)
         out = T.matmul(probs, v)
 
-    y = T.matmul(_merge_heads(out), params.wo) + params.bo
+    y = T.matmul(_merge_heads(out), params.wo, params.bo)
     return T.mul_const(y, row_ok[:, :, None].astype(hidden.data.dtype))
 
 

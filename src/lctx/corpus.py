@@ -213,16 +213,27 @@ class LabelTable:
         return len(self.labels)
 
     def save(self, path) -> None:
-        """One label per line in UTF-8, replacing `path` whole. A lone
-        surrogate, which UTF-8 cannot hold, is written as its backslash-u
-        escape, which load() turns back into the surrogate."""
+        """Each label followed by "\n" in UTF-8, replacing `path` whole (an
+        empty table is an empty file). A lone surrogate, which UTF-8 cannot
+        hold, is written as its backslash-u escape, which load() turns back
+        into the surrogate. A label holding "\n" is a ValueError naming it."""
+        for label in self.labels:
+            if "\n" in label:
+                raise ValueError(f"label {label!r} holds a line feed")
         with replacing(path) as fh:
-            fh.write(("\n".join(self.labels) + "\n").encode("utf-8", "backslashreplace"))
+            fh.write("".join(lab + "\n" for lab in self.labels).encode("utf-8", "backslashreplace"))
 
     @classmethod
     def load(cls, path) -> "LabelTable":
-        text = Path(path).read_text(encoding="utf-8")
-        return cls(_SURROGATE_ESCAPE.sub(lambda m: chr(int(m.group(1), 16)), text).splitlines())
+        """The table save() wrote: the file is split at "\n" only, with no
+        newline translation, so "\r", U+2028 and the other characters that
+        str.splitlines() breaks at stay inside their label."""
+        text = _SURROGATE_ESCAPE.sub(lambda m: chr(int(m.group(1), 16)),
+                                     Path(path).read_bytes().decode("utf-8"))
+        labels = text.split("\n")
+        if labels[-1] == "":
+            labels.pop()  # what follows the last line feed
+        return cls(labels)
 
 
 # what save() writes for a lone surrogate; a label holding this text

@@ -161,16 +161,16 @@ class Encoder:
                 raise IndexError("position-type id out of range")
 
         x = T.embedding(self.tok_emb, token_ids)
-        x = x + T.embedding(self.pos_emb, np.broadcast_to(np.arange(L), (B, L)))
+        x = x + T.embedding_prefix(self.pos_emb, B, L)
         x = x + T.embedding(self.type_emb, position_type_ids)
         x = T.layer_norm(x, self.emb_ln_g, self.emb_ln_b)
         for layer in self.layers:
             a = attention(x, layer["attn"], pattern, cfg.n_heads, lengths=lengths)
             x = T.layer_norm(x + a, layer["ln1_g"], layer["ln1_b"])
-            f = T.matmul(T.gelu(T.matmul(x, layer["w1"]) + layer["b1"]), layer["w2"]) + layer["b2"]
+            f = T.matmul(T.gelu(T.matmul(x, layer["w1"], layer["b1"])), layer["w2"], layer["b2"])
             x = T.layer_norm(x + f, layer["ln2_g"], layer["ln2_b"])
         return x
 
     def mlm_logits(self, hidden: Tensor) -> Tensor:
         """Per-position vocabulary logits [B, L, V] (untied projection)."""
-        return T.matmul(hidden, self.mlm_w) + self.mlm_b
+        return T.matmul(hidden, self.mlm_w, self.mlm_b)

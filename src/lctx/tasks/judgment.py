@@ -123,10 +123,10 @@ class JudgmentModel(ParamMixin):
         and in criminal mode the log-space penalty [B, 1]."""
         cls = self.model_.encode(inputs)[:, 0, :]
         h = self.model_.heads
-        out = {"a_logits": T.matmul(cls, h["a_w"]) + h["a_b"],
-               "law_logits": T.matmul(cls, h["law_w"]) + h["law_b"]}
+        out = {"a_logits": T.matmul(cls, h["a_w"], h["a_b"]),
+               "law_logits": T.matmul(cls, h["law_w"], h["law_b"])}
         if self.mode == "criminal":
-            out["penalty_log"] = T.matmul(cls, h["pen_w"]) + h["pen_b"]
+            out["penalty_log"] = T.matmul(cls, h["pen_w"], h["pen_b"])
         return out
 
     def decision_scores(self, examples) -> list[dict]:

@@ -46,7 +46,7 @@ class MultipleChoiceModel(ParamMixin):
     def _score(self, inputs: list[EncodedInput]) -> T.Tensor:
         """Raw scores [B, 1] of one batch of question-choice inputs."""
         cls = self.model_.encode(inputs)[:, 0, :]
-        return T.matmul(cls, self.model_.heads["w"]) + self.model_.heads["b"]
+        return T.matmul(cls, self.model_.heads["w"], self.model_.heads["b"])
 
     def fit(self, examples) -> "MultipleChoiceModel":
         if not examples:

@@ -16,7 +16,7 @@ from ..tensor import Tensor
 from ..vocab import PAD_ID
 
 # padded tokens per batch (rows x longest row); a longer row runs alone
-BATCH_TOKENS = 256
+BATCH_TOKENS = 512
 
 
 class HeadedModel:

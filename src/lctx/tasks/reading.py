@@ -96,10 +96,10 @@ class ReadingComprehensionModel(ParamMixin):
         B, L, _ = hidden.shape
 
         def per_position(name):
-            return T.reshape(T.matmul(hidden, h[f"{name}_w"]) + h[f"{name}_b"], B, L)
+            return T.reshape(T.matmul(hidden, h[f"{name}_w"], h[f"{name}_b"]), B, L)
 
         start, end, support = per_position("start"), per_position("end"), per_position("sup")
-        types = T.matmul(hidden[:, 0, :], h["type_w"]) + h["type_b"]
+        types = T.matmul(hidden[:, 0, :], h["type_w"], h["type_b"])
         return [(start[b:b + 1, :len(enc_in)], end[b:b + 1, :len(enc_in)], types[b:b + 1],
                  support[b:b + 1, np.asarray(starts)])
                 for b, (enc_in, starts) in enumerate(batch)]

@@ -68,7 +68,7 @@ class RetrievalRanker(ParamMixin):
         pattern = (AttentionPattern(window=2 * (max(map(len, inputs)) - 1))
                    if self.model_type == "dense" else None)
         cls = self.model_.encode(inputs, pattern)[:, 0, :]
-        return T.matmul(cls, self.model_.heads["w"]) + self.model_.heads["b"]
+        return T.matmul(cls, self.model_.heads["w"], self.model_.heads["b"])
 
     def fit(self, examples) -> "RetrievalRanker":
         if not examples:

@@ -6,6 +6,8 @@ storage dtype: float32 storage multiplies, exponentiates and normalises in
 float32. Reductions (sums, means, the softmax denominator, layer-norm
 statistics, loss totals) accumulate in float64 and are cast to the storage
 dtype, so float64 mode computes exactly as a float64-internal kernel would.
+Embedding gradients are the exception: they add in the storage dtype, with
+the bytes of an np.add.at scatter-add.
 Kernels that work in place do so in buffers of their own (a.data.copy() or
 a fresh result): no op writes into an input's data, its output or an
 incoming gradient.
@@ -325,14 +327,20 @@ def add_const(a: Tensor, c: np.ndarray) -> Tensor:
     return make_op(out_data, (a,), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Stacked matrix product over the trailing two axes.
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Stacked matrix product over the trailing two axes, plus an optional bias.
 
     Leading axes must match exactly, or one operand may be a plain 2-D matrix
     (the usual weight case). The forward product and both backward products
     run in the operands' dtype, np.result_type(a, b): float32 operands
     multiply and accumulate in float32, float64 operands in float64. A 2-D
     operand's gradient sums the per-batch products in float64.
+
+    A bias in the product's dtype, whose shape is a suffix of the product's
+    (a [n] vector for a weight of n columns), is added in place to the fresh
+    product, so the graph keeps one output where matmul(a, b) + bias keeps
+    two. Its forward and its gradient are those of `add`: the bytes equal
+    matmul(a, b) + bias.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have at least 2 dims")
@@ -341,14 +349,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ValueError(f"leading batch axes disagree: {a.shape} x {b.shape}")
     out_data = np.matmul(a.data, b.data).astype(a.data.dtype, copy=False)
+    parents = (a, b)
+    if bias is not None:
+        _check_suffix(out_data.shape, bias.shape)
+        out_data += bias.data
+        parents = (a, b, bias)
 
     def backward(g):
         if a.requires_grad:
             a._accum(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
         if b.requires_grad:
             b._accum(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+        if bias is not None and bias.requires_grad:
+            bias._accum(_unbroadcast(g, bias.shape))
 
-    return make_op(out_data, (a, b), backward)
+    return make_op(out_data, parents, backward)
 
 
 # ----------------------------------------------------------------------
@@ -689,8 +704,46 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
     return make_op(out_data, (logits,), backward)
 
 
+def embedding_prefix(table: Tensor, batch: int, length: int) -> Tensor:
+    """embedding(table, ids) for ids = arange(length) in each of `batch` rows
+    (the position lookup), [batch, length, ...], as a read-only broadcast
+    view of table rows [0, length).
+
+    The backward adds g's batch rows one after another in the storage dtype,
+    which are np.add.at's additions in its order: the bytes are the
+    scatter-add's, without it. (g.sum(axis=0) would not do: the gradient
+    buffer follows the view's layout, batch axis innermost, and numpy sums
+    a contiguous axis pairwise.)
+    """
+    if length > table.shape[0]:
+        raise IndexError("embedding id out of range")
+    rows = table.data[:length]
+    out_data = np.broadcast_to(rows, (batch,) + rows.shape)
+
+    def backward(g):
+        if table.requires_grad:
+            gt = np.zeros_like(table.data)
+            for row in g:
+                gt[:length] += row
+            table._accum(gt)
+
+    return make_op(out_data, (table,), backward)
+
+
+# tables up to this many rows get one masked sum per row in embedding's
+# backward: at 8192 ids of width 64 that took 3.2 ms at 64 rows, against
+# 9.0 ms for np.add.at at any row count
+_MASKED_SUM_ROWS = 64
+
+
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup into an embedding table with scatter-add backward."""
+    """Row lookup into an embedding table with scatter-add backward.
+
+    A table of at most _MASKED_SUM_ROWS rows gets one masked sum per row in
+    place of np.add.at. For rows wider than one element, numpy's sum over
+    the leading axis adds the selected rows one after another, in the C
+    order of ids, as np.add.at does, so the bytes are np.add.at's.
+    """
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError("embedding id out of range")
@@ -699,7 +752,11 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     def backward(g):
         if table.requires_grad:
             gt = np.zeros_like(table.data)
-            np.add.at(gt, ids, g)
+            if table.shape[0] <= _MASKED_SUM_ROWS:
+                for row in range(table.shape[0]):
+                    gt[row] += g[ids == row].sum(axis=0)
+            else:
+                np.add.at(gt, ids, g)
             table._accum(gt)
 
     return make_op(out_data, (table,), backward)

@@ -275,9 +275,7 @@ def test_finetune_encodes_each_row_once(fixture_dir, tmp_path, task, monkeypatch
     rows = read_jsonl(data)
     want = sum(len(r["choices"]) for r in rows) if task == "mcq" else len(rows)
     assert sum(batch_sizes) == want
-    if not task.startswith("judgment"):
-        # judgment rows here are longer than half of BATCH_TOKENS: each runs alone
-        assert len(batch_sizes) < want
+    assert len(batch_sizes) < want
     assert len(read_jsonl(tmp_path / "ft" / "predictions.jsonl")) == len(rows)
 
 

@@ -2,6 +2,7 @@
 vocabulary, stats."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -374,6 +375,20 @@ def test_label_table_roundtrips_a_lone_surrogate(tmp_path):
     table.save(tmp_path / "labels.txt")
     (tmp_path / "labels.txt").read_bytes().decode("utf-8")     # valid UTF-8
     assert LabelTable.load(tmp_path / "labels.txt").labels == table.labels
+
+
+@pytest.mark.parametrize("labels", [[], ["盗\u2028窃罪", "抢\x1c劫罪", "诈\u0085骗罪"],
+                                    ["a\rb罪", "c\r\rd罪", ""]],
+                         ids=["empty", "line-separators", "carriage-returns"])
+def test_label_table_roundtrips_what_splitlines_would_break(tmp_path, labels):
+    LabelTable(labels).save(tmp_path / "labels.txt")
+    assert LabelTable.load(tmp_path / "labels.txt").labels == labels
+
+
+def test_label_table_rejects_a_line_feed_by_name(tmp_path):
+    with pytest.raises(ValueError, match=re.escape(repr("盗\n窃罪"))):
+        LabelTable(["抢劫罪", "盗\n窃罪"]).save(tmp_path / "labels.txt")
+    assert not (tmp_path / "labels.txt").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,67 @@ def test_matmul_products_run_in_the_operand_dtype(b_shape, dtype):
         assert not same_bytes(out.data, wide)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("b_shape", [(2, 24, 7), (24, 7)])
+def test_matmul_bias_bytes_match_matmul_plus_bias(b_shape, dtype):
+    # the folded bias gives the bytes of the two-node graph it replaces:
+    # the output and the gradients of a, b and the bias
+    rng = np.random.default_rng(18)
+    x, w = f32(rng, (2, 9, 24), dtype=dtype), f32(rng, b_shape, dtype=dtype)
+    bias, g = f32(rng, (7,), dtype=dtype), upstream(rng, (2, 9, 7), dtype)
+    runs = []
+    for fold in (True, False):
+        a, b, c = leaf(x), leaf(w), leaf(bias)
+        out = T.matmul(a, b, c) if fold else T.matmul(a, b) + c
+        T.reduce_sum(T.mul_const(out, g)).backward()
+        runs.append([out.data, a.grad, b.grad, c.grad])
+    for got, want in zip(*runs):
+        assert same_bytes(got, want)
+
+
+def test_matmul_bias_must_be_a_suffix_of_the_product():
+    # [3, 1] broadcasts to the [2, 3, 5] product in numpy, but not on leading
+    # axes only, which is add's rule and therefore the bias's
+    x, w = leaf(np.ones((2, 3, 4), np.float32)), leaf(np.ones((4, 5), np.float32))
+    with pytest.raises(ValueError, match="leading axes"):
+        T.matmul(x, w, leaf(np.ones((3, 1), np.float32)))
+
+
+@pytest.mark.parametrize("rows", [2, 64], ids=["type-table", "masked-sum-limit"])
+def test_embedding_gradient_bytes_match_scatter_add(rows):
+    # pretrain shape [2, 4096, 64]; tables up to _MASKED_SUM_ROWS rows take
+    # one masked sum per row in place of np.add.at
+    rng = np.random.default_rng(20)
+    ids = rng.integers(0, rows, (2, 4096))
+    ids[0] = 0                                   # a row with one id throughout
+    g = upstream(rng, (2, 4096, 64))
+    table = leaf(f32(rng, (rows, 64)))
+    T.embedding(table, ids)._backward(g)
+    want = np.zeros((rows, 64), np.float32)
+    np.add.at(want, ids, g)
+    assert same_bytes(table.grad, want)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 4, 9])
+def test_embedding_prefix_matches_embedding_of_positions(batch):
+    # the position lookup at pretrain width and length, added to the token
+    # embeddings as the encoder does: the forward and the gradient bytes of
+    # embedding(table, arange(L) in every row), whose backward is np.add.at
+    rng = np.random.default_rng(21)
+    L, H = 4096, 64
+    data, g = f32(rng, (L + 8, H)), upstream(rng, (batch, L, H))
+    tok = f32(rng, (batch, L, H))
+    runs = []
+    for lookup in (lambda t: T.embedding_prefix(t, batch, L),
+                   lambda t: T.embedding(t, np.broadcast_to(np.arange(L), (batch, L)))):
+        table = leaf(data)
+        out = T.add(Tensor(tok), lookup(table))
+        T.reduce_sum(T.mul_const(out, g)).backward()
+        runs.append((out.data, table.grad))
+    for got, want in zip(*runs):
+        assert same_bytes(got, want)
+
+
 def test_first_gradient_turns_negative_zero_positive():
     # -0.0 as it arrives, and a negative float64 value that rounds to -0.0
     g = np.array([-0.0, -1e-50, 1e-50, -2.5, 0.0])
@@ -238,6 +299,7 @@ def _ops(rng):
         "mul_const": (lambda a: T.mul_const(a, v), [x]),
         "add_const": (lambda a: T.add_const(a, v), [x]),
         "matmul": (lambda a, b: T.matmul(a, b), [x, w]),
+        "matmul_bias": (lambda a, b, c: T.matmul(a, b, c), [x, w, v]),
         "reshape": (lambda a: T.reshape(a, 8, 6), [x]),
         "transpose": (lambda a: T.transpose(a, (2, 0, 1)), [x]),
         "concat": (lambda a, b: T.concat([a, b], axis=1), [x, x[:, :2].copy()]),
@@ -255,6 +317,7 @@ def _ops(rng):
         "cross_entropy": (lambda a: T.cross_entropy(a, target), [x]),
         "cross_entropy_multihot": (lambda a: T.cross_entropy(a, hot), [x]),
         "embedding": (lambda t: T.embedding(t, _IDS), [w]),
+        "embedding_prefix": (lambda t: T.embedding_prefix(t, 3, 4), [w]),
     }
 
 
