@@ -1,18 +1,22 @@
-"""Binary checkpoint format for named float32 arrays.
+"""The writer of every file lctx writes, and the checkpoint format.
 
-Layout (little-endian): magic "LCTX", format version u32, array count u32,
-then per array: name length u32 + UTF-8 name, rank u32, dims (u64 each),
-raw float32 payload.
+Every output is written whole under its name plus ".tmp" and renamed over
+the final path (replacing), so a process killed mid-write leaves the earlier
+file (or none), never a torn one. There is no fsync: the rename covers
+process death, not power loss. Text is UTF-8; JSONL, CSV and label files
+write a lone surrogate as its backslash-u escape, vocabulary files refuse
+one. A directory of several files is committed by a marker file (committing).
 
-Every file is written whole under a temporary name in its own directory and
-then renamed over the final path, so a process killed mid-write leaves the
-earlier file (or none), never a torn one. There is no fsync: the rename
-covers process death, not power loss.
+Checkpoint layout (little-endian): magic "LCTX", format version u32, array
+count u32, then per array: name length u32 + UTF-8 name, rank u32, dims (u64
+each), raw float32 payload.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
 import math
 import os
 import struct
@@ -39,6 +43,45 @@ def replacing(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path, text: str, errors: str = "strict") -> None:
+    """`text` as UTF-8 in place of `path`; an encode error leaves `path` as it was."""
+    data = text.encode("utf-8", errors)
+    with replacing(path) as fh:
+        fh.write(data)
+
+
+def write_csv(path, header, rows) -> None:
+    """The header, then `rows` (cells formatted by the caller), in the csv
+    module's default dialect (CRLF line ends). Cells can hold input text, so a
+    lone surrogate is written as its backslash-u escape."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text(path, buf.getvalue(), errors="backslashreplace")
+
+
+@contextlib.contextmanager
+def committing(directory, marker: str, text: str):
+    """Yield `directory` (created if need be) for the block to write into. The
+    file `marker` is removed first and written as `text` once the block
+    completes, so a directory holding it holds a complete set."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / marker).unlink(missing_ok=True)
+    yield directory
+    write_text(directory / marker, text)
+
+
+def read_marker(directory, marker: str) -> str:
+    """The text of `marker`; a ValueError naming `directory` when it has none."""
+    path = Path(directory) / marker
+    if not path.is_file():
+        raise ValueError(f"{directory}: not a complete checkpoint (no {marker}; its write "
+                         "was cut short, or this is not a checkpoint directory)")
+    return path.read_text(encoding="utf-8")
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:

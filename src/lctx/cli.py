@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import ctypes
 import glob
 import json
@@ -29,6 +28,7 @@ from .attention import (
     dense_attention_oracle,
     sparse_attention_forward,
 )
+from .checkpoint import replacing, write_csv, write_text
 from .corpus import (
     Ruleset,
     corpus_stats,
@@ -127,23 +127,17 @@ def _write_run_config(out_dir: Path, args, extra: dict | None = None) -> None:
     record = {k: (str(v) if isinstance(v, Path) else v)
               for k, v in vars(args).items() if k != "func"}
     record.update(extra or {})
-    (out_dir / "run.json").write_text(
-        json.dumps(record, ensure_ascii=False, indent=2, sort_keys=True, default=str),
-        encoding="utf-8")
+    write_text(out_dir / "run.json",
+               json.dumps(record, ensure_ascii=False, indent=2, sort_keys=True, default=str))
 
 
 def _write_metrics_csv(path, rows: list[dict]) -> None:
     """One row per task; the full paper-table column set, blanks where a
     metric does not apply."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task"] + METRIC_COLUMNS)
-        for row in rows:
-            rendered = [row.get("task", "")]
-            for col in METRIC_COLUMNS:
-                value = row.get(col, "")
-                rendered.append(f"{value:.6f}" if isinstance(value, float) else value)
-            writer.writerow(rendered)
+    write_csv(path, ["task"] + METRIC_COLUMNS,
+              ([row.get("task", "")] +
+               [f"{v:.6f}" if isinstance(v, float) else v
+                for v in (row.get(col, "") for col in METRIC_COLUMNS)] for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +158,8 @@ def cmd_preprocess(args) -> int:
 
     streams = [vocab.transform(doc.full_text()) for doc in result.documents]
     blocks = pack_documents(streams, args.seq_len)
-    np.save(out / "blocks.npy", blocks)
+    with replacing(out / "blocks.npy") as fh:
+        np.save(fh, blocks)
 
     write_jsonl(out / "judgment_criminal.jsonl", result.criminal_examples)
     write_jsonl(out / "judgment_civil.jsonl", result.civil_examples)
@@ -172,22 +167,14 @@ def cmd_preprocess(args) -> int:
     result.law_table.save(out / "labels_laws.txt")
     result.cause_table.save(out / "labels_causes.txt")
 
-    with open(out / "stats_pretrain.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["kind", "docs", "avg_len", "size_bytes"])
-        writer.writeheader()
-        writer.writerows(corpus_stats(result.documents))
-    with open(out / "stats_judgment.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["kind", "cases", "avg_len",
-                                                "n_labels", "n_laws", "prison"])
-        writer.writeheader()
-        writer.writerows(judgment_stats(result.criminal_examples, result.civil_examples,
+    # each stats function gives one row per case kind, its keys in column order
+    for name, stats in (("stats_pretrain.csv", corpus_stats(result.documents)),
+                        ("stats_judgment.csv",
+                         judgment_stats(result.criminal_examples, result.civil_examples,
                                         result.charge_table, result.law_table,
-                                        result.cause_table))
-    with open(out / "rejections.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["reason", "count"])
-        for reason in sorted(result.rejections):
-            writer.writerow([reason, result.rejections[reason]])
+                                        result.cause_table))):
+        write_csv(out / name, list(stats[0]), [list(row.values()) for row in stats])
+    write_csv(out / "rejections.csv", ["reason", "count"], sorted(result.rejections.items()))
 
     _write_run_config(out, args, {"n_blocks": int(blocks.shape[0]),
                                   "vocab_size": len(vocab)})
@@ -284,6 +271,9 @@ def cmd_finetune(args) -> int:
             enc_kwargs = dict(file_cfg["encoder"])
             enc_kwargs.setdefault("vocab_size", len(vocab))
             args.encoder_config = EncoderConfig(**enc_kwargs)
+    if args.folds < 0 or args.folds == 1:
+        raise ValueError(f"--folds {args.folds}: k-fold cross-validation needs at least "
+                         f"2 folds (0 turns it off)")
     if args.folds and args.task != "retrieval":
         raise ValueError(f"--folds (k-fold cross-validation) applies to the retrieval "
                          f"task only, not {args.task}")
@@ -425,6 +415,8 @@ def attention_cases(lengths, params: AttentionParams, pattern: AttentionPattern,
 
 
 def cmd_benchmark_attention(args) -> int:
+    if args.heads < 1:
+        raise ValueError(f"--heads {args.heads}: attention needs at least 1 head")
     lengths = [int(x) for x in args.lengths.split(",")]
     if lengths != sorted(lengths):
         raise ValueError("lengths must be ascending")
@@ -446,13 +438,8 @@ def cmd_benchmark_attention(args) -> int:
         "dense_ms": round(times[("dense", L)], 3),
     } for L in lengths]
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["L", "sparse_flops", "dense_flops",
-                                                "sparse_ms", "dense_ms"])
-        writer.writeheader()
-        writer.writerows(rows)
     _write_run_config(out.parent, args)
+    write_csv(out, list(rows[0]), [list(row.values()) for row in rows])
     for row in rows:
         print(row)
     return 0
@@ -480,7 +467,6 @@ def _smoke_stage(stage: str, timings: list):
 def cmd_smoke(args) -> int:
     seed = args.seed if args.seed is not None else 0
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out, args, {"seed": seed})
     steps = args.steps
     timings: list = []
@@ -548,11 +534,8 @@ def cmd_smoke(args) -> int:
     with _smoke_stage("evaluate", timings):
         _write_metrics_csv(out / "metrics.csv", metric_rows)
 
-    with open(out / "stages.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "wall_s", "peak_rss_mib"])
-        for stage, wall, rss in timings:
-            writer.writerow([stage, f"{wall:.6f}", f"{rss:.1f}"])
+    write_csv(out / "stages.csv", ["stage", "wall_s", "peak_rss_mib"],
+              ([stage, f"{wall:.6f}", f"{rss:.1f}"] for stage, wall, rss in timings))
     print(f"smoke: wrote {out / 'metrics.csv'}")
     return 0
 

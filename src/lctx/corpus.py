@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import replacing
+from .checkpoint import write_text
 from .vocab import PAD_ID, SEP_ID, n_tokens
 
 MIN_FACT_TOKENS = 50
@@ -97,8 +97,7 @@ class Ruleset:
         return self.rules[key]
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.rules, ensure_ascii=False, indent=2),
-                              encoding="utf-8")
+        write_text(path, json.dumps(self.rules, ensure_ascii=False, indent=2))
 
     @classmethod
     def load(cls, path) -> "Ruleset":
@@ -220,8 +219,7 @@ class LabelTable:
         for label in self.labels:
             if "\n" in label:
                 raise ValueError(f"label {label!r} holds a line feed")
-        with replacing(path) as fh:
-            fh.write("".join(lab + "\n" for lab in self.labels).encode("utf-8", "backslashreplace"))
+        write_text(path, "".join(lab + "\n" for lab in self.labels), errors="backslashreplace")
 
     @classmethod
     def load(cls, path) -> "LabelTable":
@@ -374,9 +372,8 @@ def write_jsonl(path, rows) -> None:
     """One sorted-key JSON object per line, non-ASCII as UTF-8. A lone
     surrogate, which UTF-8 cannot hold, is written as its JSON escape
     (backslash-u), so read_jsonl gives the row back unchanged."""
-    with open(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+    write_text(path, "".join(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+                             for row in rows), errors="backslashreplace")
 
 
 @dataclass

@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 from .attention import AttentionParams, AttentionPattern, sparse_attention_forward, dense_attention_oracle
-from .checkpoint import load_params, replacing, save_params
+from .checkpoint import load_params, save_params, write_text
 from .vocab import CLS_ID, MASK_ID, N_SPECIAL, PAD_ID, SEP_ID, UNK_ID  # noqa: F401  (re-exported)
 
 
@@ -47,8 +47,7 @@ class EncoderConfig:
             elif v is None:
                 v = ""
             lines.append(f"{f.name}={v}")
-        with replacing(path) as fh:
-            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+        write_text(path, "\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path) -> "EncoderConfig":

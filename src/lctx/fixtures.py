@@ -4,10 +4,11 @@ sets for each downstream task. Everything is a pure function of the seed."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
+
+from .corpus import write_jsonl
 
 _NAMES = ["张某", "李某", "王某", "赵某", "刘某", "陈某", "杨某", "黄某"]
 _PLACES = ["城南商场", "火车站广场", "工业园区", "某小区楼下", "国道路口", "农贸市场"]
@@ -219,16 +220,10 @@ def write_fixture_files(out_dir, seed: int = 0) -> dict[str, Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
-
-    def dump(name, rows):
-        path = out_dir / f"{name}.jsonl"
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
-        paths[name] = path
-
-    dump("raw_cases", synthetic_cases(8, 8, seed=seed))
-    dump("retrieval", retrieval_examples(seed=seed))
-    dump("rc", rc_examples(seed=seed))
-    dump("mcq", mcq_examples(seed=seed))
+    for name, rows in (("raw_cases", synthetic_cases(8, 8, seed=seed)),
+                       ("retrieval", retrieval_examples(seed=seed)),
+                       ("rc", rc_examples(seed=seed)),
+                       ("mcq", mcq_examples(seed=seed))):
+        paths[name] = out_dir / f"{name}.jsonl"
+        write_jsonl(paths[name], rows)
     return paths

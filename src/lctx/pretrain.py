@@ -3,7 +3,6 @@ checkpointing with bit-identical resume."""
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -12,7 +11,8 @@ import numpy as np
 
 from . import tensor as T
 from .base import ParamMixin, check_fitted, check_random_state
-from .checkpoint import load_arrays, replacing, save_arrays, save_params
+from .checkpoint import (committing, load_arrays, read_marker, save_arrays, save_params,
+                         write_csv, write_text)
 from .encoder import Encoder, EncoderConfig
 from .optim import AdamState, adam_step, zero_grads
 from .tensor import IGNORE_INDEX
@@ -100,43 +100,24 @@ class StepLog:
     masked_acc: float
 
 
-def write_loss_csv(path, history) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "lr", "loss", "masked_acc"])
-        for row in history:
-            writer.writerow([row.step, f"{row.lr:.10g}", f"{row.loss:.8f}", f"{row.masked_acc:.6f}"])
-
-
 def save_checkpoint(out_dir, encoder: Encoder, state: AdamState, step: int) -> Path:
     """Write step `step` to out_dir/stepNNNNNN. state.json is the commit
     marker: it is removed first and written last, so a directory holding it
     holds a complete checkpoint."""
-    ckpt = Path(out_dir) / f"step{step:06d}"
-    ckpt.mkdir(parents=True, exist_ok=True)
-    (ckpt / "state.json").unlink(missing_ok=True)
-    encoder.save(ckpt / "model.ckpt")
-    save_arrays(ckpt / "optim.ckpt", state.state_arrays())
-    encoder.config.save(ckpt / "model.cfg")
-    with replacing(ckpt / "state.json") as fh:
-        fh.write(json.dumps({"step": step}).encode("utf-8"))
+    with committing(Path(out_dir) / f"step{step:06d}", "state.json",
+                    json.dumps({"step": step})) as ckpt:
+        encoder.save(ckpt / "model.ckpt")
+        save_arrays(ckpt / "optim.ckpt", state.state_arrays())
+        encoder.config.save(ckpt / "model.cfg")
     return ckpt
-
-
-def _committed(ckpt_dir) -> Path:
-    ckpt_dir = Path(ckpt_dir)
-    if not (ckpt_dir / "state.json").is_file():
-        raise ValueError(f"{ckpt_dir}: not a complete checkpoint (no state.json; "
-                         "its write was cut short, or this is not a checkpoint directory)")
-    return ckpt_dir
 
 
 def check_resume(ckpt_dir, enc_config: EncoderConfig) -> None:
     """Refuse, with a ValueError naming the directory, a checkpoint without
     state.json or one whose encoder config differs from enc_config (each
     differing field is named with both values)."""
-    ckpt_dir = _committed(ckpt_dir)
-    saved = EncoderConfig.load(ckpt_dir / "model.cfg")
+    read_marker(ckpt_dir, "state.json")
+    saved = EncoderConfig.load(Path(ckpt_dir) / "model.cfg")
     differ = [f"{f.name} {getattr(enc_config, f.name)!r} (checkpoint: "
               f"{getattr(saved, f.name)!r})" for f in fields(EncoderConfig)
               if getattr(enc_config, f.name) != getattr(saved, f.name)]
@@ -147,11 +128,11 @@ def check_resume(ckpt_dir, enc_config: EncoderConfig) -> None:
 
 def load_checkpoint(ckpt_dir):
     """(encoder, step) of a committed checkpoint directory."""
-    ckpt_dir = _committed(ckpt_dir)
+    step = json.loads(read_marker(ckpt_dir, "state.json"))["step"]
+    ckpt_dir = Path(ckpt_dir)
     config = EncoderConfig.load(ckpt_dir / "model.cfg")
     encoder = Encoder(config, np.random.default_rng(0))
     encoder.load(ckpt_dir / "model.ckpt")
-    step = json.loads((ckpt_dir / "state.json").read_text())["step"]
     return encoder, step
 
 
@@ -222,16 +203,17 @@ def pretrain(blocks: np.ndarray, config: PretrainConfig, enc_config: EncoderConf
                                loss=loss_val, masked_acc=acc))
 
         done = step + 1
-        if out_dir is not None and checkpoint_interval and done % checkpoint_interval == 0:
+        if out_dir is not None and (done == start_step + steps or
+                                    checkpoint_interval and done % checkpoint_interval == 0):
             save_checkpoint(out_dir, encoder, state, done)
 
     if out_dir is not None:
-        save_checkpoint(out_dir, encoder, state, start_step + steps)
-        write_loss_csv(out_dir / "loss.csv", history)
-        (out_dir / "pretrain.json").write_text(
-            json.dumps({**asdict(config), "steps": steps,
-                        "skipped_sequences": skipped_sequences}),
-            encoding="utf-8")
+        write_csv(out_dir / "loss.csv", ["step", "lr", "loss", "masked_acc"],
+                  ([row.step, f"{row.lr:.10g}", f"{row.loss:.8f}", f"{row.masked_acc:.6f}"]
+                   for row in history))
+        write_text(out_dir / "pretrain.json",
+                   json.dumps({**asdict(config), "steps": steps,
+                               "skipped_sequences": skipped_sequences}))
     return encoder, history
 
 

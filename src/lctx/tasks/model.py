@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import tensor as T
-from ..checkpoint import load_params, save_params
+from ..checkpoint import committing, load_params, read_marker, save_params
 from ..encoder import Encoder, EncoderConfig
 from ..optim import AdamState, adam_step, zero_grads
 from ..tensor import Tensor
@@ -62,19 +62,19 @@ class HeadedModel:
         return out
 
     def save(self, out_dir, meta: dict) -> None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        save_params(out_dir / "model.ckpt", self.params())
-        self.encoder.config.save(out_dir / "model.cfg")
+        """model.ckpt, model.cfg, and meta.json (`meta` plus the head shapes)
+        as the commit marker, in out_dir."""
         meta = dict(meta)
         meta["head_shapes"] = {k: list(v) for k, v in self.head_shapes.items()}
-        (out_dir / "meta.json").write_text(json.dumps(meta, ensure_ascii=False),
-                                           encoding="utf-8")
+        with committing(out_dir, "meta.json", json.dumps(meta, ensure_ascii=False)) as out_dir:
+            save_params(out_dir / "model.ckpt", self.params())
+            self.encoder.config.save(out_dir / "model.cfg")
 
     @classmethod
     def restore(cls, out_dir) -> tuple["HeadedModel", dict]:
+        """The model and meta that save() wrote; ValueError without meta.json."""
+        meta = json.loads(read_marker(out_dir, "meta.json"))
         out_dir = Path(out_dir)
-        meta = json.loads((out_dir / "meta.json").read_text(encoding="utf-8"))
         config = EncoderConfig.load(out_dir / "model.cfg")
         head_shapes = {k: tuple(v) for k, v in meta["head_shapes"].items()}
         model = cls(config, head_shapes, seed=0)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .base import ParamMixin, check_fitted
-from .checkpoint import replacing
+from .checkpoint import write_text
 
 SPECIAL_TOKENS = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"]
 N_SPECIAL = len(SPECIAL_TOKENS)
@@ -87,8 +87,7 @@ class CharVocab(ParamMixin):
 
     def save(self, path) -> None:
         check_fitted(self, "tokens_")
-        with replacing(path) as fh:
-            fh.write(("\n".join(self.tokens_) + "\n").encode("utf-8"))
+        write_text(path, "\n".join(self.tokens_) + "\n")
 
     @classmethod
     def load(cls, path) -> "CharVocab":

@@ -80,6 +80,19 @@ def test_preprocess_row_with_a_lone_surrogate(fixture_dir, tmp_path):
     assert not list(out.glob("*.tmp"))
 
 
+def test_preprocess_kind_with_a_lone_surrogate(fixture_dir, tmp_path):
+    # the row is rejected, and its reason, which holds the kind, is escaped
+    rows = read_jsonl(fixture_dir / "fx" / "raw_cases.jsonl")
+    rows[0]["kind"] = "\ud800civil"
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    out = tmp_path / "pp"
+    assert run(["preprocess", "--input", raw, "--out", out, "--seq-len", 48]) == 0
+    assert b"UNKNOWN_KIND:\\ud800civil,1\r\n" in (out / "rejections.csv").read_bytes()
+    assert (out / "run.json").is_file()
+    assert not list(out.glob("*.tmp"))
+
+
 def test_preprocess_charge_with_a_lone_surrogate(fixture_dir, tmp_path):
     # the charge pattern captures the surrogate placed before the judgment's
     # last 罪, so the charge table holds a label UTF-8 cannot encode
@@ -279,16 +292,24 @@ def test_finetune_encodes_each_row_once(fixture_dir, tmp_path, task, monkeypatch
     assert len(read_jsonl(tmp_path / "ft" / "predictions.jsonl")) == len(rows)
 
 
-@pytest.mark.parametrize("how", ["flag", "config"])
-def test_finetune_folds_rejected_for_other_tasks(fixture_dir, tmp_path, capsys, how):
+@pytest.mark.parametrize("task, folds, how", [
+    pytest.param("rc", 2, "flag", id="flag"),
+    pytest.param("rc", 2, "config", id="config"),
+    pytest.param("retrieval", -1, "flag", id="retrieval-negative"),
+    pytest.param("retrieval", 1, "flag", id="retrieval-one"),
+    pytest.param("retrieval", 1, "config", id="retrieval-one-config"),
+])
+def test_finetune_folds_rejected_for_other_tasks(fixture_dir, tmp_path, capsys, task, folds,
+                                                 how):
+    # also rejected for retrieval: fewer than 2 folds (0 turns them off)
     out = tmp_path / "ft"
-    argv = ["finetune", "--task", "rc", "--data", fixture_dir / "fx" / "rc.jsonl",
+    argv = ["finetune", "--task", task, "--data", fixture_dir / "fx" / f"{task}.jsonl",
             "--out", out, "--steps", 1]
     if how == "flag":
-        argv += ["--folds", 2]
+        argv += ["--folds", folds]
     else:
         cfg = tmp_path / "task.json"
-        cfg.write_text(json.dumps({"folds": 2}), encoding="utf-8")
+        cfg.write_text(json.dumps({"folds": folds}), encoding="utf-8")
         argv += ["--config", cfg]
     assert run(argv) == 1
     err = capsys.readouterr().err
@@ -399,9 +420,16 @@ def test_benchmark_single_length(tmp_path):
     assert len(rows) == 1
 
 
-def test_benchmark_descending_lengths_rejected(tmp_path, capsys):
-    assert run(["benchmark-attention", "--lengths", "128,64",
-                "--out", tmp_path / "x.csv"]) == 1
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["--lengths", "128,64"], "ascending", id="descending-lengths"),
+    pytest.param(["--heads", "0"], "--heads 0", id="zero-heads"),
+    pytest.param(["--heads", "-2"], "--heads -2", id="negative-heads"),
+])
+def test_benchmark_bad_arguments_rejected(tmp_path, capsys, argv, named):
+    assert run(["benchmark-attention", *argv, "--out", tmp_path / "b" / "x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and "Traceback" not in err
+    assert not (tmp_path / "b").exists()  # rejected before anything is written
 
 
 def test_benchmark_length_over_max_positions_rejected(tmp_path):

@@ -197,6 +197,34 @@ def test_checkpoint_rewrite_cut_short_is_uncommitted(tmp_path, monkeypatch):
         load_checkpoint(tmp_path / "step000002")
 
 
+@pytest.mark.parametrize("steps, interval, resume_at, saved", [
+    pytest.param(2, 1, None, [1, 2], id="end-on-interval"),
+    pytest.param(3, 2, None, [2, 3], id="end-off-interval"),
+    pytest.param(2, 2, 2, [4], id="resumed-end-on-interval"),
+    pytest.param(3, 2, 2, [4, 5], id="resumed-end-off-interval"),
+])
+def test_each_checkpoint_is_written_once(tmp_path, monkeypatch, steps, interval,
+                                         resume_at, saved):
+    blocks, vocab = fixture_blocks()
+    pre, enc_cfg = desk_configs(vocab)
+    resume_from = None
+    if resume_at is not None:
+        pretrain(blocks, pre, enc_cfg, steps=resume_at, out_dir=tmp_path / "part")
+        resume_from = tmp_path / "part" / f"step{resume_at:06d}"
+    calls = []
+
+    def counted(out_dir, encoder, state, step):
+        calls.append(step)
+        return save_checkpoint(out_dir, encoder, state, step)
+
+    monkeypatch.setattr(pretrain_module, "save_checkpoint", counted)
+    pretrain(blocks, pre, enc_cfg, steps=steps, out_dir=tmp_path / "run",
+             checkpoint_interval=interval, resume_from=resume_from)
+    assert calls == saved
+    assert sorted(p.name for p in (tmp_path / "run").glob("step*")) == [
+        f"step{s:06d}" for s in saved]
+
+
 def test_checkpoint_roundtrip_forward_identical(tmp_path):
     blocks, vocab = fixture_blocks()
     pre, enc_cfg = desk_configs(vocab)

@@ -6,6 +6,7 @@ import pytest
 from lctx.attention import build_band_mask
 from lctx.encoder import Encoder, EncoderConfig
 from lctx.fixtures import mcq_examples, rc_examples, retrieval_examples
+from lctx.tasks import model as model_module
 from lctx.tasks import (
     DENSE_CAND_LIMIT,
     DENSE_QUERY_LIMIT,
@@ -165,6 +166,26 @@ def test_headed_model_restore_gives_identical_scores(tmp_path):
     for a, b in zip(before, model.decision_scores(rows)):
         assert a.keys() == b.keys()
         assert all(np.asarray(a[k]).tobytes() == np.asarray(b[k]).tobytes() for k in a)
+
+
+def test_headed_model_without_meta_json_is_refused(tmp_path, monkeypatch):
+    # meta.json is written last, so a save cut short leaves none behind
+    model = HeadedModel(EncoderConfig(n_layers=1, hidden_dim=16, ffn_dim=32), {"w": (16, 1)})
+    model.save(tmp_path / "m", {"task": "rc"})
+    saved = {p.name: p.read_bytes() for p in (tmp_path / "m").iterdir()}
+
+    def dies(path, params):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(model_module, "save_params", dies)
+    with pytest.raises(OSError):
+        model.save(tmp_path / "m", {"task": "rc"})
+    monkeypatch.undo()
+    assert sorted(p.name for p in (tmp_path / "m").iterdir()) == ["model.cfg", "model.ckpt"]
+    with pytest.raises(ValueError, match="m: not a complete checkpoint .*meta.json"):
+        HeadedModel.restore(tmp_path / "m")
+    model.save(tmp_path / "m", {"task": "rc"})
+    assert {p.name: p.read_bytes() for p in (tmp_path / "m").iterdir()} == saved
 
 
 def test_retrieval_tie_break_by_candidate_id():
