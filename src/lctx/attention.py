@@ -7,14 +7,20 @@ independent projection set, and are attended from everywhere. Cost is linear
 in sequence length for fixed window and global count.
 
 The banded kernel gathers nothing per row. K and V are padded once along L,
-and two fused ops read the w+1 band slots as shifted slices of the padded
-copy (slot stride (d+1) rows): band_scores takes one row-wise dot product per
-slot, band_mix sums the probability-weighted slots with one einsum over a
+and the band ops read the w+1 band slots as shifted slices of the padded
+copy (slot stride (d+1) rows): the band scores are one row-wise dot product
+per slot, band_mix sums the probability-weighted slots with one einsum over a
 strided view of the padded copy, and each backward adds every slot's gradient
 back as one shifted slice. No [B,h,L,w+1,dh] array is built.
-Global columns are scored with one q @ k[globals]^T product, concatenated
-with the band scores before the single softmax. When every head's band
-covers the sequence, (w/2)*(d+1) >= L-1, the call goes to the dense kernel.
+
+Scores are written once. band_softmax writes a row's w+1 band scores and its
+G global-column scores (one q @ k[globals]^T product, through matmul's out=)
+side by side into one [B,h,L,w+1+G] buffer, sets the masked entries to -inf
+in place and runs the softmax in that buffer; global_softmax does the same
+for the global rows' [B,h,G,L] scores. Only the global rows' queries are
+projected. The bytes are those of scoring, adding 0/-inf masks,
+concatenating and taking a separate softmax. When every head's band covers
+the sequence, (w/2)*(d+1) >= L-1, the call goes to the dense kernel.
 
 `dense_attention_oracle` materializes the full mask and computes the same
 quantity quadratically; it is the testing ground truth, the quadratic
@@ -165,9 +171,11 @@ def _pad_rows(x: np.ndarray, pad: int) -> np.ndarray:
     return xp
 
 
-def _slot_dots(a: np.ndarray, xp: np.ndarray, runs, width: int) -> np.ndarray:
-    """[B,h,L,width]: entry s of each row is a . (slot s rows of xp) over dh."""
-    out = np.empty(a.shape[:3] + (width,), dtype=np.result_type(a, xp))
+def _slot_dots(a: np.ndarray, xp: np.ndarray, runs, width: int, out=None) -> np.ndarray:
+    """[B,h,L,width]: entry s of each row is a . (slot s rows of xp) over dh,
+    written into `out` when given."""
+    if out is None:
+        out = np.empty(a.shape[:3] + (width,), dtype=np.result_type(a, xp))
     for s, heads, rows in _each_slot(runs, width, a.shape[2]):
         np.einsum("bhld,bhld->bhl", a[:, heads], xp[:, heads, rows], out=out[:, heads, :, s])
     return out
@@ -213,12 +221,17 @@ def band_scores(q: Tensor, k: Tensor, window: int, gaps: tuple[int, ...]) -> Ten
     out_data = _slot_dots(q.data, kp, runs, window + 1)
 
     def backward(g):
-        if q.requires_grad:
-            q._accum(_slot_sum(g, kp, runs))
-        if k.requires_grad:
-            k._accum(_slot_scatter(g, q.data, runs, pad))
+        _band_scores_backward(q, k, kp, runs, pad, g)
 
     return make_op(out_data, (q, k), backward)
+
+
+def _band_scores_backward(q: Tensor, k: Tensor, kp: np.ndarray, runs, pad: int,
+                          g: np.ndarray) -> None:
+    if q.requires_grad:
+        q._accum(_slot_sum(g, kp, runs))
+    if k.requires_grad:
+        k._accum(_slot_scatter(g, q.data, runs, pad))
 
 
 def band_mix(p: Tensor, v: Tensor, window: int, gaps: tuple[int, ...]) -> Tensor:
@@ -237,6 +250,71 @@ def band_mix(p: Tensor, v: Tensor, window: int, gaps: tuple[int, ...]) -> Tensor
             v._accum(_slot_scatter(p.data, g, runs, pad))
 
     return make_op(out_data, (p, v), backward)
+
+
+def band_softmax(q: Tensor, k: Tensor, window: int, gaps: tuple[int, ...],
+                 band_ok: np.ndarray, gpos: np.ndarray, col_ok: np.ndarray | None = None) -> Tensor:
+    """The attention weights of the banded rows, [B,h,L,K+G] for K = w+1
+    band slots and G global columns: softmax over the concatenation of
+    band_scores(q, k) and q @ k[gpos]^T, with -inf wherever `band_ok`
+    [B,h,L,K] or `col_ok` (broadcastable to [B,h,L,G]; None: all open) is
+    False.
+
+    Both products are written into one buffer, the masked entries are set
+    to -inf in place and the softmax runs in that buffer, so the scores are
+    never a graph node of their own. The backward is softmax's, then
+    band_scores' backward on the first K columns and matmul's on the last G,
+    each on a contiguous copy of its slice (fed the strided slice, the band
+    backward's einsums can give other float32 bytes).
+    """
+    K, G = window + 1, len(gpos)
+    pad, runs = _band_runs(window, gaps)
+    kp = _pad_rows(k.data, pad)
+    B, h, L, _ = q.shape
+    y = np.empty((B, h, L, K + G), dtype=q.data.dtype)
+    _slot_dots(q.data, kp, runs, K, out=y[..., :K])
+    np.copyto(y[..., :K], NEG_INF, where=np.logical_not(band_ok))
+    if G:
+        kcols = k.data[:, :, gpos, :]
+        np.matmul(q.data, np.swapaxes(kcols, -1, -2), out=y[..., K:])
+        if col_ok is not None:
+            np.copyto(y[..., K:], NEG_INF, where=np.logical_not(col_ok))
+    T.softmax_(y)
+
+    def backward(g):
+        gs = T.softmax_grad(g, y)
+        _band_scores_backward(q, k, kp, runs, pad, gs[..., :K] + 0.0 if G else gs)
+        if G:
+            gcols = gs[..., K:] + 0.0
+            if q.requires_grad:
+                q._accum(np.matmul(gcols, kcols))
+            if k.requires_grad:
+                gk = np.zeros_like(k.data)
+                gk[:, :, gpos, :] = np.swapaxes(
+                    np.matmul(np.swapaxes(q.data, -1, -2), gcols), -1, -2)
+                k._accum(gk)
+
+    return make_op(y, (q, k), backward)
+
+
+def global_softmax(qg: Tensor, kg: Tensor, allowed: np.ndarray | None = None) -> Tensor:
+    """The attention weights of the global rows, [B,h,G,L]: softmax of
+    qg @ kg^T for qg [B,h,G,dh] and kg [B,h,L,dh], with -inf wherever
+    `allowed` (broadcastable; None: all open) is False. One buffer holds
+    the scores, the mask and the softmax, as in band_softmax."""
+    y = np.matmul(qg.data, np.swapaxes(kg.data, -1, -2))
+    if allowed is not None:
+        np.copyto(y, NEG_INF, where=np.logical_not(allowed))
+    T.softmax_(y)
+
+    def backward(g):
+        gs = T.softmax_grad(g, y)
+        if qg.requires_grad:
+            qg._accum(np.matmul(gs, kg.data))
+        if kg.requires_grad:
+            kg._accum(np.swapaxes(np.matmul(np.swapaxes(qg.data, -1, -2), gs), -1, -2))
+
+    return make_op(y, (qg, kg), backward)
 
 
 def _gather_rows(x: Tensor, positions: np.ndarray) -> Tensor:
@@ -266,9 +344,10 @@ def _scatter_rows(src: Tensor, positions: np.ndarray, length: int) -> Tensor:
     return make_op(out_data, (src,), backward)
 
 
-def _project(x: Tensor, w: Tensor, b: Tensor, n_heads: int) -> Tensor:
-    B, L, H = x.shape
-    y = T.matmul(x, w, b)
+def _project(x: Tensor, w: Tensor, b: Tensor, n_heads: int, rows=None) -> Tensor:
+    """x [B,L,H] -> heads [B,h,L,dh], or [B,h,G,dh] for the rows `rows` only."""
+    y = T.matmul(x, w, b) if rows is None else T.matmul_rows(x, w, b, rows)
+    B, L, H = y.shape
     y = T.reshape(y, B, L, n_heads, H // n_heads)
     return T.transpose(y, (0, 2, 1, 3))
 
@@ -294,22 +373,17 @@ def _row_valid(lengths, batch: int, length: int) -> np.ndarray:
     return np.arange(length)[None, :] < lengths[:, None]
 
 
-def _additive_mask(allowed: np.ndarray, dtype) -> np.ndarray:
-    """0 where allowed, -inf elsewhere, built directly in `dtype`."""
-    return np.where(allowed, np.zeros((), dtype), np.full((), NEG_INF, dtype))
-
-
 def sparse_attention_forward(hidden: Tensor, params: AttentionParams,
                              pattern: AttentionPattern, n_heads: int,
                              lengths=None) -> Tensor:
     """Banded multi-head attention over [B, L, H] hidden states.
 
-    Non-global rows score their w+1 banded keys (band_scores, over the
-    padded keys) plus the global columns (one matmul), under one joint
-    softmax with the local projections; global rows attend everywhere
-    through the global projections. Padding keys beyond `lengths` are
-    excluded and padding rows give zero output. When every head's band
-    reaches the whole sequence ((w/2)*(gap+1) >= L-1), the call goes to
+    Non-global rows score their w+1 banded keys plus the global columns
+    under one joint softmax with the local projections (band_softmax);
+    global rows attend everywhere through the global projections
+    (global_softmax). Padding keys beyond `lengths` are excluded and
+    padding rows give zero output. When every head's band reaches the
+    whole sequence ((w/2)*(gap+1) >= L-1), the call goes to
     `dense_attention_oracle`, which computes the same quantity.
     """
     B, L, H = hidden.shape
@@ -338,37 +412,30 @@ def sparse_attention_forward(hidden: Tensor, params: AttentionParams,
         validc &= ~np.isin(idxc, gpos)
     row_ok = _row_valid(lengths, B, L)               # [B, L]
     # without padded rows every global column and every key of a global row
-    # is open, so their additive masks would be all zeros and are skipped
+    # is open, so their masks are skipped
     padded = not row_ok.all()
     # key j usable iff its band slot is in range and j < length_b
     key_ok = validc[None] & row_ok[:, idxc]          # [B, h, L, K]
     key_ok[..., half_k] = True  # self slot always open (pad rows are zeroed later)
 
-    scores = band_scores(q, k, pattern.window, gaps)                  # [B,h,L,K]
-    scores = T.add_const(scores, _additive_mask(key_ok, dtype))
+    probs = band_softmax(q, k, pattern.window, gaps, key_ok, gpos,
+                         row_ok[:, None, None, gpos] if padded else None)  # [B,h,L,K+G]
+    out = band_mix(probs[..., :K] if G else probs, v, pattern.window, gaps)  # [B,h,L,dh]
     if G:
-        kcols = _gather_rows(k, gpos)                                 # [B,h,G,dh]
-        vcols = _gather_rows(v, gpos)
-        cscores = T.matmul(q, T.transpose(kcols, (0, 1, 3, 2)))       # [B,h,L,G]
-        if padded:
-            cscores = T.add_const(cscores, _additive_mask(row_ok[:, None, None, gpos], dtype))
-        scores = T.concat([scores, cscores], axis=-1)
-    probs = T.softmax(scores, axis=-1)
-    pband = probs[..., :K] if G else probs
-    out = band_mix(pband, v, pattern.window, gaps)                    # [B,h,L,dh]
-
+        out = out + T.matmul(probs[..., K:], _gather_rows(v, gpos))
+    # without a graph nothing else holds the [B,h,L,K+G] buffer: freed here,
+    # its memory serves the global rows' [B,h,G,L] buffer
+    del probs
     if G:
-        out = out + T.matmul(probs[..., K:], vcols)
-        qg = T.mul(_project(hidden, params.wq_g, params.bq_g, n_heads), 1.0 / np.sqrt(dh))
+        qg = T.mul(_project(hidden, params.wq_g, params.bq_g, n_heads, gpos),
+                   1.0 / np.sqrt(dh))                                 # [B,h,G,dh]
         kg = _project(hidden, params.wk_g, params.bk_g, n_heads)
         vg = _project(hidden, params.wv_g, params.bv_g, n_heads)
-        qg_rows = _gather_rows(qg, gpos)                             # [B,h,G,dh]
-        gscores = T.matmul(qg_rows, T.transpose(kg, (0, 1, 3, 2)))   # [B,h,G,L]
+        gok = None
         if padded:
             gok = np.repeat(row_ok[:, None, None, :], G, axis=2)
             gok[:, :, np.arange(G), gpos] = True
-            gscores = T.add_const(gscores, _additive_mask(gok, dtype))
-        gout = T.matmul(T.softmax(gscores, axis=-1), vg)
+        gout = T.matmul(global_softmax(qg, kg, gok), vg)
         keep = np.ones((L, 1), dtype=dtype)
         keep[gpos] = 0.0
         out = T.mul_const(out, keep) + _scatter_rows(gout, gpos, L)
@@ -402,14 +469,13 @@ def dense_attention_oracle(hidden: Tensor, params: AttentionParams,
     row_ok = _row_valid(lengths, B, L)
     gaps = [pattern.dilation_for(h, n_heads) for h in range(n_heads)]
     if row_ok.all() and not any(gaps) and pattern.window // 2 >= L - 1:
-        add_mask = None  # every key of every row is open: nothing to add
+        allowed = None  # every key of every row is open: nothing to mask
     else:
         # one mask per distinct gap (build_band_mask of a gap's first head)
         by_gap = {gap: build_band_mask(L, pattern, gaps.index(gap), n_heads)
                   for gap in set(gaps)}
         allowed = np.stack([by_gap[gap] for gap in gaps])[None] & row_ok[:, None, None, :]
         allowed[:, :, np.arange(L), np.arange(L)] = True
-        add_mask = _additive_mask(allowed, hidden.data.dtype)
 
     if G:
         qg = T.mul(_project(hidden, params.wq_g, params.bq_g, n_heads), 1.0 / np.sqrt(dh))
@@ -419,9 +485,7 @@ def dense_attention_oracle(hidden: Tensor, params: AttentionParams,
         grow = np.zeros((L, 1), dtype=hidden.data.dtype)
         grow[gpos] = 1.0
         scores = T.mul_const(scores, 1.0 - grow) + T.mul_const(gscores, grow)
-    if add_mask is not None:
-        scores = T.add_const(scores, add_mask)
-    probs = T.softmax(scores, axis=-1)
+    probs = T.softmax(scores, axis=-1, allowed=allowed)
     if G:
         out = T.mul_const(T.matmul(probs, v), 1.0 - grow) + T.mul_const(T.matmul(probs, vg), grow)
     else:

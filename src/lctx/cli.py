@@ -280,11 +280,14 @@ def cmd_finetune(args) -> int:
     if args.model_type != "long" and args.task != "retrieval":
         raise ValueError(f"--model-type {args.model_type} (the truncating dense baseline) "
                          f"applies to the retrieval task only, not {args.task}")
+    plan = None
+    if args.folds:
+        # checked before run.json is written: a refused plan leaves no run record
+        plan = FoldPlan.from_query_ids({ex["query_id"] for ex in rows}, args.folds)
+        plan.check_nonempty()
     _write_run_config(out, args)
 
-    if args.folds:
-        plan = FoldPlan.from_query_ids({ex["query_id"] for ex in rows}, args.folds)
-
+    if plan is not None:
         def train_fn(train_rows):
             return _fit_task("retrieval", train_rows, args, vocab)
 
@@ -394,23 +397,34 @@ def interleaved_median_ms(cases: dict, repeats: int = 5) -> dict:
 
 
 def attention_cases(lengths, params: AttentionParams, pattern: AttentionPattern,
-                    heads: int, rng) -> dict:
-    """One no-grad forward call per kernel and length, keyed ("sparse" or
-    "dense", L), each length on its own [1, L, hidden_dim] input drawn from
-    `rng`."""
+                    heads: int, rng, backward: bool = False) -> dict:
+    """One call per kernel and length, each length on its own [1, L,
+    hidden_dim] input drawn from `rng`. Keyed ("sparse" or "dense", L): a
+    no-grad forward. With `backward`, also ("sparse_fwdbwd" or
+    "dense_fwdbwd", L): a forward whose output sum is backpropagated into
+    the parameters, whose gradients are then cleared."""
     kernels = {"sparse": sparse_attention_forward, "dense": dense_attention_oracle}
 
-    def case(kernel, hidden):
+    def forward(kernel, hidden):
         def run():
             with T.no_grad():
                 kernel(hidden, params, pattern, heads)
+        return run
+
+    def forward_backward(kernel, hidden):
+        def run():
+            T.reduce_sum(kernel(hidden, params, pattern, heads)).backward()
+            for p in params.named().values():
+                p.zero_grad()
         return run
 
     cases = {}
     for L in lengths:
         hidden = T.Tensor(rng.standard_normal((1, L, params.hidden_dim)))
         for name, kernel in kernels.items():
-            cases[(name, L)] = case(kernel, hidden)
+            cases[(name, L)] = forward(kernel, hidden)
+            if backward:
+                cases[(f"{name}_fwdbwd", L)] = forward_backward(kernel, hidden)
     return cases
 
 
@@ -428,7 +442,8 @@ def cmd_benchmark_attention(args) -> int:
     pattern = AttentionPattern(
         window=args.window, dilation_per_head=(args.dilation,) * heads,
         global_positions=tuple(range(args.n_global)))
-    times = interleaved_median_ms(attention_cases(lengths, params, pattern, heads, rng))
+    times = interleaved_median_ms(attention_cases(lengths, params, pattern, heads, rng,
+                                                  backward=True))
     rows = [{
         "L": L,
         "sparse_flops": attention_flop_count(L, args.window, args.n_global,
@@ -436,6 +451,8 @@ def cmd_benchmark_attention(args) -> int:
         "dense_flops": dense_attention_flop_count(L, heads, dim),
         "sparse_ms": round(times[("sparse", L)], 3),
         "dense_ms": round(times[("dense", L)], 3),
+        "sparse_fwdbwd_ms": round(times[("sparse_fwdbwd", L)], 3),
+        "dense_fwdbwd_ms": round(times[("dense_fwdbwd", L)], 3),
     } for L in lengths]
     out = Path(args.out)
     _write_run_config(out.parent, args)

@@ -32,6 +32,8 @@ class EncoderConfig:
     dilation: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if self.n_heads < 1:
+            raise ValueError(f"n_heads must be at least 1, got {self.n_heads}")
         if self.hidden_dim % self.n_heads != 0:
             raise ValueError("hidden_dim must be divisible by n_heads")
         if self.dilation is not None:

@@ -200,6 +200,12 @@ class FoldPlan:
             partitions[_stable_hash(qid) % n_folds].add(qid)
         return cls(n_folds=n_folds, partitions=partitions)
 
+    def check_nonempty(self) -> None:
+        """A ValueError naming the first fold that holds no query."""
+        for fold, part in enumerate(self.partitions):
+            if not part:
+                raise ValueError(f"fold {fold} holds no queries")
+
     def fold_of(self, query_id) -> int:
         return _stable_hash(query_id) % self.n_folds
 

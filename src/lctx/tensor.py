@@ -356,14 +356,47 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         parents = (a, b, bias)
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
-        if bias is not None and bias.requires_grad:
-            bias._accum(_unbroadcast(g, bias.shape))
+        _matmul_backward(a, b, bias, g)
 
     return make_op(out_data, parents, backward)
+
+
+def _matmul_backward(a: Tensor, b: Tensor, bias: Tensor | None, g: np.ndarray) -> None:
+    if a.requires_grad:
+        a._accum(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+    if b.requires_grad:
+        b._accum(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+    if bias is not None and bias.requires_grad:
+        bias._accum(_unbroadcast(g, bias.shape))
+
+
+def matmul_rows(a: Tensor, w: Tensor, bias: Tensor, rows: np.ndarray) -> Tensor:
+    """matmul(a, w, bias) at the distinct rows `rows` of a's axis -2 only:
+    [B, G, n] for a [B, L, m] and a 2-D weight w [m, n], L >= 2.
+
+    The forward multiplies only those rows. Each row of a BLAS product has
+    the same bytes at any row count but one: numpy sends a one-row product
+    to gemv, whose sums differ from gemm's in the last bit, so a lone row is
+    multiplied twice. The backward is matmul's over all L rows, with a zero
+    gradient outside `rows`, so the weight gradient sums over the rows in
+    the full product's order and the bytes are those of
+    matmul(a, w, bias)[..., rows, :].
+    """
+    if w.ndim != 2 or a.ndim < 2 or a.shape[-2] < 2:
+        raise ValueError("matmul_rows needs a 2-D weight and at least 2 rows")
+    rows = np.asarray(rows, dtype=np.int64)
+    picked = a.data[..., rows if len(rows) > 1 else np.repeat(rows, 2), :]
+    out_data = np.matmul(picked, w.data).astype(a.data.dtype, copy=False)
+    _check_suffix(out_data.shape, bias.shape)
+    out_data += bias.data
+    out_data = out_data[..., :len(rows), :]
+
+    def backward(g):
+        full = np.zeros(a.shape[:-1] + (w.shape[-1],), dtype=g.dtype)
+        full[..., rows, :] = g
+        _matmul_backward(a, w, bias, full)
+
+    return make_op(out_data, (a, w, bias), backward)
 
 
 # ----------------------------------------------------------------------
@@ -565,29 +598,49 @@ def _mean64(x: np.ndarray) -> np.ndarray:
     return x.mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype, copy=False)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Row-stable softmax; -inf entries yield exact zero weight.
-
-    A row whose entries are all -inf is a checked error (an all-masked
-    attention row cannot legitimately occur).
-    """
-    # one copy of a.data, shifted, exponentiated and normalised in place
-    # (a.data itself is never written); the output is also what backward keeps
-    y = a.data.copy()
+def softmax_(y: np.ndarray, axis: int = -1) -> np.ndarray:
+    """softmax's kernel, in place: normalises y along axis (row-stable;
+    -inf entries get exact zero weight) and returns it. The exponentials
+    are in y's dtype and the denominator is summed in float64. A row whose
+    entries are all -inf is a checked error (an all-masked attention row
+    cannot legitimately occur). softmax_grad is its backward."""
     m = np.max(y, axis=axis, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise FloatingPointError("softmax over an all-masked (or non-finite) row")
     y -= m
     np.exp(y, out=y)
     y /= _sum64(y, axis)
+    return y
+
+
+def softmax_grad(g: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The gradient of softmax's input, (g - sum(g * y)) * y, in a fresh
+    array: y is softmax_'s output and g the gradient of that output."""
+    ga = g * y
+    dot = _sum64(ga, axis)
+    np.subtract(g, dot, out=ga)
+    ga *= y
+    return ga
+
+
+def softmax(a: Tensor, axis: int = -1, allowed: np.ndarray | None = None) -> Tensor:
+    """Row-stable softmax; -inf entries yield exact zero weight.
+
+    `allowed`, a boolean array broadcastable to a.shape, masks the entries
+    where it is False: they are set to -inf in the kernel's own copy of
+    a.data, which has the bytes of adding a 0/-inf mask, without building
+    one. A row whose entries are all -inf is a checked error.
+    """
+    # one copy of a.data, masked and normalised in place (a.data itself is
+    # never written); the output is also what backward keeps
+    y = a.data.copy()
+    if allowed is not None:
+        np.copyto(y, -np.inf, where=np.logical_not(allowed))
+    softmax_(y, axis)
 
     def backward(g):
         if a.requires_grad:
-            ga = g * y
-            dot = _sum64(ga, axis)
-            np.subtract(g, dot, out=ga)
-            ga *= y
-            a._accum(ga)
+            a._accum(softmax_grad(g, y, axis))
 
     return make_op(y, (a,), backward)
 

@@ -227,6 +227,133 @@ def ref_band_mask(length, window, gap, global_positions=()):
 
 
 # ---------------------------------------------------------------------------
+# Reference attention composition: the banded kernel and the dense oracle as
+# a chain of separate lctx graph ops, one array per step. The band scores and
+# the global-column product are two nodes, each plus a 0/-inf additive mask
+# (add_const), concatenated and passed to T.softmax; the probabilities are
+# split by two slices; the global queries are projected over all L rows and
+# then gathered. The fused kernels in lctx.attention must match this chain
+# byte for byte, forward and backward, in float32 and float64 mode.
+# ---------------------------------------------------------------------------
+
+
+def _ref_additive_mask(allowed, dtype):
+    return np.where(allowed, np.zeros((), dtype), np.full((), -np.inf, dtype))
+
+
+def ref_sparse_attention_forward(hidden, params, pattern, n_heads, lengths=None):
+    from lctx import tensor as T
+    from lctx.attention import (_band_index, _gather_rows, _merge_heads, _project,
+                                _row_valid, _scatter_rows, band_mix, band_scores)
+
+    B, L, H = hidden.shape
+    dh = H // n_heads
+    pattern.check_globals(L)
+    gaps = tuple(pattern.dilation_for(h, n_heads) for h in range(n_heads))
+    half_k = pattern.window // 2
+    if all(half_k * (gap + 1) >= L - 1 for gap in gaps):
+        return ref_dense_attention_oracle(hidden, params, pattern, n_heads, lengths)
+    gpos = np.asarray(pattern.global_positions, dtype=np.int64)
+    G = len(gpos)
+    K = pattern.window + 1
+    dtype = hidden.data.dtype
+
+    q = T.mul(_project(hidden, params.wq, params.bq, n_heads), 1.0 / np.sqrt(dh))
+    k = _project(hidden, params.wk, params.bk, n_heads)
+    v = _project(hidden, params.wv, params.bv, n_heads)
+
+    idx_h, valid_h = zip(*(_band_index(L, pattern.window, gap) for gap in gaps))
+    idxc = np.stack(idx_h)
+    validc = np.stack(valid_h)
+    if G:
+        validc &= ~np.isin(idxc, gpos)
+    row_ok = _row_valid(lengths, B, L)
+    padded = not row_ok.all()
+    key_ok = validc[None] & row_ok[:, idxc]
+    key_ok[..., half_k] = True
+
+    scores = band_scores(q, k, pattern.window, gaps)
+    scores = T.add_const(scores, _ref_additive_mask(key_ok, dtype))
+    if G:
+        kcols = _gather_rows(k, gpos)
+        vcols = _gather_rows(v, gpos)
+        cscores = T.matmul(q, T.transpose(kcols, (0, 1, 3, 2)))
+        if padded:
+            cscores = T.add_const(cscores,
+                                  _ref_additive_mask(row_ok[:, None, None, gpos], dtype))
+        scores = T.concat([scores, cscores], axis=-1)
+    probs = T.softmax(scores, axis=-1)
+    pband = probs[..., :K] if G else probs
+    out = band_mix(pband, v, pattern.window, gaps)
+
+    if G:
+        out = out + T.matmul(probs[..., K:], vcols)
+        qg = T.mul(_project(hidden, params.wq_g, params.bq_g, n_heads), 1.0 / np.sqrt(dh))
+        kg = _project(hidden, params.wk_g, params.bk_g, n_heads)
+        vg = _project(hidden, params.wv_g, params.bv_g, n_heads)
+        qg_rows = _gather_rows(qg, gpos)
+        gscores = T.matmul(qg_rows, T.transpose(kg, (0, 1, 3, 2)))
+        if padded:
+            gok = np.repeat(row_ok[:, None, None, :], G, axis=2)
+            gok[:, :, np.arange(G), gpos] = True
+            gscores = T.add_const(gscores, _ref_additive_mask(gok, dtype))
+        gout = T.matmul(T.softmax(gscores, axis=-1), vg)
+        keep = np.ones((L, 1), dtype=dtype)
+        keep[gpos] = 0.0
+        out = T.mul_const(out, keep) + _scatter_rows(gout, gpos, L)
+
+    merged = _merge_heads(out)
+    y = T.matmul(merged, params.wo, params.bo)
+    return T.mul_const(y, row_ok[:, :, None].astype(dtype))
+
+
+def ref_dense_attention_oracle(hidden, params, pattern, n_heads, lengths=None):
+    from lctx import tensor as T
+    from lctx.attention import _merge_heads, _project, _row_valid, build_band_mask
+
+    B, L, H = hidden.shape
+    dh = H // n_heads
+    pattern.check_globals(L)
+    gpos = np.asarray(pattern.global_positions, dtype=np.int64)
+    G = len(gpos)
+
+    q = T.mul(_project(hidden, params.wq, params.bq, n_heads), 1.0 / np.sqrt(dh))
+    k = _project(hidden, params.wk, params.bk, n_heads)
+    v = _project(hidden, params.wv, params.bv, n_heads)
+    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
+
+    row_ok = _row_valid(lengths, B, L)
+    gaps = [pattern.dilation_for(h, n_heads) for h in range(n_heads)]
+    if row_ok.all() and not any(gaps) and pattern.window // 2 >= L - 1:
+        add_mask = None
+    else:
+        by_gap = {gap: build_band_mask(L, pattern, gaps.index(gap), n_heads)
+                  for gap in set(gaps)}
+        allowed = np.stack([by_gap[gap] for gap in gaps])[None] & row_ok[:, None, None, :]
+        allowed[:, :, np.arange(L), np.arange(L)] = True
+        add_mask = _ref_additive_mask(allowed, hidden.data.dtype)
+
+    if G:
+        qg = T.mul(_project(hidden, params.wq_g, params.bq_g, n_heads), 1.0 / np.sqrt(dh))
+        kg = _project(hidden, params.wk_g, params.bk_g, n_heads)
+        vg = _project(hidden, params.wv_g, params.bv_g, n_heads)
+        gscores = T.matmul(qg, T.transpose(kg, (0, 1, 3, 2)))
+        grow = np.zeros((L, 1), dtype=hidden.data.dtype)
+        grow[gpos] = 1.0
+        scores = T.mul_const(scores, 1.0 - grow) + T.mul_const(gscores, grow)
+    if add_mask is not None:
+        scores = T.add_const(scores, add_mask)
+    probs = T.softmax(scores, axis=-1)
+    if G:
+        out = T.mul_const(T.matmul(probs, v), 1.0 - grow) + T.mul_const(T.matmul(probs, vg), grow)
+    else:
+        out = T.matmul(probs, v)
+
+    y = T.matmul(_merge_heads(out), params.wo, params.bo)
+    return T.mul_const(y, row_ok[:, :, None].astype(hidden.data.dtype))
+
+
+# ---------------------------------------------------------------------------
 # Reference corpus pipeline: the per-character vocabulary and the list-based
 # packing, token by token. Special tokens PAD, UNK, CLS, SEP, MASK are ids
 # 0..4. These predate the rule that surrogate codepoints are never tokens,

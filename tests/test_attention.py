@@ -18,7 +18,8 @@ from lctx.attention import (
     sliding_window_offsets,
     sparse_attention_forward,
 )
-from oracles import ref_band_mask, ref_first_grad, ref_slot_sum
+from oracles import (ref_band_mask, ref_dense_attention_oracle, ref_first_grad, ref_slot_sum,
+                     ref_sparse_attention_forward)
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +259,14 @@ def test_padding_rows_zero_and_keys_excluded():
 
 
 def _gradients(forward, params, pat, heads, x_data, r, lengths=None):
+    """The output, x's gradient and the 14 parameter gradients (an empty
+    array for a parameter the call does not reach) of sum(forward(x) * r)."""
     x = Tensor(x_data, requires_grad=True, dtype=x_data.dtype)
     out = forward(x, params, pat, n_heads=heads, lengths=lengths)
     T.reduce_sum(T.mul_const(out, r)).backward()
-    grads = {"x": x.grad}
-    grads.update({k: p.grad.copy() for k, p in params.named().items()})
-    for p in params.named().values():
+    grads = {"out": out.data, "x": x.grad}
+    for name, p in params.named().items():
+        grads[name] = p.grad if p.grad is not None else np.zeros(0)
         p.zero_grad()
     return grads
 
@@ -367,6 +370,149 @@ def test_slot_sum_bytes_match_the_per_slot_loop_mixed_gaps(dtype):
     scores = attention.band_scores(q, Tensor(x, dtype=dtype), window, gaps)
     scores._backward(w)
     assert q.grad.tobytes() == ref_first_grad(want, q.data).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the one-buffer ops against the unfused composition in tests/oracles.py
+# (band_scores, additive masks, concat, softmax, slices; global queries
+# projected over all L rows): the same bytes, forward and backward
+# ---------------------------------------------------------------------------
+
+# name: (B, L, H, heads, pattern, lengths)
+_FUSED_CASES = {
+    "no-globals": (2, 40, 16, 2, AttentionPattern(8), [40, 31]),
+    "global-past-a-padded-length": (2, 12, 8, 2, AttentionPattern(4, (0, 1), (0, 5, 9)),
+                                    [12, 8]),
+    "ragged": (3, 30, 16, 2, AttentionPattern(2, None, (0, 3)), [30, 27, 23]),
+    "mixed-gaps": (2, _MIXED_L, 16, 2, _MIXED, _MIXED_LENGTHS),
+    "w0": (2, 20, 8, 1, AttentionPattern(0, None, (2,)), [20, 11]),
+    "w2-one-global": (2, 33, 16, 2, AttentionPattern(2, None, (0,)), None),
+    "w8-one-global-padded": (2, 33, 16, 2, AttentionPattern(8, None, (0,)), [33, 20]),
+    # a band backward fed the strided K-wide slice of the gradient buffer
+    # gives other float32 bytes at this shape
+    "w16-wide-heads": (2, 256, 128, 2, AttentionPattern(16, None, (0,)), [256, 100]),
+    "many-globals": (2, 300, 32, 2, AttentionPattern(8, None, tuple(range(60))), [300, 250]),
+    "L1": (1, 1, 8, 1, AttentionPattern(0), None),
+    "dense-dispatch": (2, 9, 16, 2, AttentionPattern(4, (3, 3), (1,)), [9, 8]),
+    "banded-at-the-dispatch-edge": (2, 8, 16, 2, AttentionPattern(4, (2, 2), (1,)), [8, 7]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("case", sorted(_FUSED_CASES))
+def test_fused_kernel_bytes_match_the_unfused_composition(case, dtype):
+    B, L, H, heads, pat, lengths = _FUSED_CASES[case]
+    rng = np.random.default_rng(22)
+    params = AttentionParams(H, rng, dtype=dtype, init_scale=0.5)
+    x_data = rng.standard_normal((B, L, H)).astype(dtype)
+    r = rng.standard_normal((B, L, H)).astype(dtype)
+    got = _gradients(sparse_attention_forward, params, pat, heads, x_data, r, lengths)
+    want = _gradients(ref_sparse_attention_forward, params, pat, heads, x_data, r, lengths)
+    assert len(got) == 16
+    for key in want:
+        assert got[key].dtype == want[key].dtype, key
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("window, gaps, globals_, lengths", [
+    pytest.param(4, (0, 1), (0, 5, 9), [12, 8], id="dilated-padded-globals"),
+    pytest.param(22, None, (), [12, 12], id="full-window-no-mask"),
+    pytest.param(22, None, (3,), [12, 7], id="full-window-padded"),
+])
+def test_dense_oracle_bytes_match_the_additive_mask(window, gaps, globals_, lengths, dtype):
+    rng = np.random.default_rng(23)
+    params = AttentionParams(8, rng, dtype=dtype, init_scale=0.5)
+    pat = AttentionPattern(window, gaps, globals_)
+    x_data = rng.standard_normal((2, 12, 8)).astype(dtype)
+    r = rng.standard_normal((2, 12, 8)).astype(dtype)
+    got = _gradients(dense_attention_oracle, params, pat, 2, x_data, r, lengths)
+    want = _gradients(ref_dense_attention_oracle, params, pat, 2, x_data, r, lengths)
+    for key in want:
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+def _graph(root):
+    """Every node of root's graph."""
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def _closure_arrays(fn, seen):
+    """The arrays a function's closure holds: directly, as a Tensor's data
+    or through a function it holds."""
+    for cell in getattr(fn, "__closure__", None) or ():
+        try:
+            value = cell.cell_contents
+        except ValueError:
+            continue
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, Tensor):
+            value = value.data
+        if isinstance(value, np.ndarray):
+            yield value
+        elif callable(value):
+            yield from _closure_arrays(value, seen)
+
+
+def test_float32_attention_backward_keeps_no_float64_buffers():
+    B, L, H, heads, pat, lengths = _FUSED_CASES["global-past-a-padded-length"]
+    rng = np.random.default_rng(24)
+    params = AttentionParams(H, rng)
+    x = Tensor(rng.standard_normal((B, L, H)), requires_grad=True)
+    out = sparse_attention_forward(x, params, pat, heads, lengths)
+    kept = [arr for node in _graph(out) if node._backward is not None
+            for arr in _closure_arrays(node._backward, set())]
+    assert any(arr.dtype == np.float32 and arr.size >= B * heads * L for arr in kept)
+    assert [arr.shape for arr in kept if arr.dtype == np.float64] == []
+
+
+def test_make_op_calls_per_padded_call_with_globals(monkeypatch):
+    """The unfused composition builds 47 graph nodes here: the scores, both
+    masks, the concatenation, the softmax and the gather of k are one node,
+    and the global scores, their mask and softmax another."""
+    calls = []
+    real = T.make_op
+
+    def counting(data, parents, backward):
+        calls.append(T._op_name(backward))
+        return real(data, parents, backward)
+
+    monkeypatch.setattr(T, "make_op", counting)
+    monkeypatch.setattr(attention, "make_op", counting)
+    B, L, H, heads, pat, lengths = _FUSED_CASES["global-past-a-padded-length"]
+    rng = np.random.default_rng(25)
+    params = AttentionParams(H, rng)
+    x = Tensor(rng.standard_normal((B, L, H)), requires_grad=True)
+    sparse_attention_forward(x, params, pat, heads, lengths)
+    assert len(calls) == 36, calls
+    assert calls.count("band_softmax") == calls.count("global_softmax") == 1
+    assert not {"softmax", "concat", "add_const"} & set(calls)
+
+
+def test_debug_checks_pass_a_masked_call():
+    """set_debug checks every op's output for non-finite values; the masked
+    scores live only inside the one-buffer ops, so a padded call with
+    globals passes, forward and backward."""
+    B, L, H, heads, pat, lengths = _FUSED_CASES["global-past-a-padded-length"]
+    rng = np.random.default_rng(26)
+    params = AttentionParams(H, rng)
+    x = Tensor(rng.standard_normal((B, L, H)), requires_grad=True)
+    T.set_debug(True)
+    try:
+        for forward in (sparse_attention_forward, dense_attention_oracle):
+            T.reduce_sum(forward(x, params, pat, heads, lengths)).backward()
+    finally:
+        T.set_debug(False)
+    assert np.isfinite(x.grad).all()
 
 
 def test_local_and_global_parameters_distinct():

@@ -198,6 +198,20 @@ def test_pretrain_config_unknown_key_named(fixture_dir, tmp_path, capsys, config
     assert not out.exists()  # rejected before anything is written
 
 
+def test_pretrain_config_zero_heads_is_a_named_error(fixture_dir, tmp_path, capsys):
+    pp = tmp_path / "pp"
+    run(["preprocess", "--input", fixture_dir / "fx" / "raw_cases.jsonl",
+         "--out", pp, "--seq-len", 48])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"encoder": {"n_heads": 0}}), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "pt"
+    assert run(["pretrain", "--data", pp, "--config", cfg, "--out", out, "--steps", 1]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n_heads" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config, key, section", [
     ({"step": 5}, "step", "top level"),
     ({"encoder": {"n_layers": 1, "dropout": 0.0}}, "dropout", "encoder section"),
@@ -370,6 +384,16 @@ def test_retrieval_cv_cli(fixture_dir, tmp_path):
                                          "retrieval-mean"]
 
 
+def test_retrieval_folds_without_queries_write_nothing(fixture_dir, tmp_path, capsys):
+    rows_path = fixture_dir / "fx" / "retrieval.jsonl"
+    out = tmp_path / "cv"
+    assert run(["finetune", "--task", "retrieval", "--data", rows_path,
+                "--out", out, "--steps", 1, "--folds", 50]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "holds no queries" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_evaluate_known_values(tmp_path):
     pred = tmp_path / "pred.jsonl"
     gold = tmp_path / "gold.jsonl"
@@ -409,7 +433,10 @@ def test_benchmark_attention_csv(tmp_path):
     assert f[2] - 2 * f[1] + f[0] == 0  # equally spaced grid: affine
     d = [int(r["dense_flops"]) for r in rows]
     assert d[1] == 4 * d[0] and d[2] == 9 * d[0]
-    assert all(float(r["sparse_ms"]) > 0 and float(r["dense_ms"]) > 0 for r in rows)
+    assert list(rows[0]) == ["L", "sparse_flops", "dense_flops", "sparse_ms", "dense_ms",
+                             "sparse_fwdbwd_ms", "dense_fwdbwd_ms"]
+    for r in rows:
+        assert all(float(r[col]) > 0 for col in list(r)[3:])
 
 
 def test_benchmark_single_length(tmp_path):

@@ -84,6 +84,31 @@ def check_softmax_other_axis(dtype):
     assert same_bytes(a.grad, ref_ga)
 
 
+def check_softmax_allowed(dtype):
+    """The allowed mask writes -inf into the kernel's own copy: the bytes of
+    softmax over the input plus a 0/-inf mask, and the input is untouched."""
+    rng = np.random.default_rng(20)
+    x = f32(rng, (2, 3, 40, 19), 4.0, dtype)
+    allowed = rng.random((1, 3, 40, 19)) >= 0.4      # broadcast over the batch
+    allowed[..., 4] = True
+    x[0, 0, 0, 4] = -0.0
+    g = upstream(rng, x.shape, dtype)
+    a = leaf(x.copy())
+    out = T.softmax(a, axis=-1, allowed=allowed)
+    out._backward(g)
+    ref_out, ref_ga = ref_softmax(np.where(allowed, x, -np.inf).astype(dtype), g, axis=-1)
+    assert same_bytes(out.data, ref_out)
+    assert same_bytes(a.grad, ref_ga)
+    assert same_bytes(a.data, x)
+    b = leaf(x.copy())
+    masked = T.add_const(b, np.where(allowed, 0.0, -np.inf))
+    added = T.softmax(masked, axis=-1)
+    added._backward(g)
+    masked._backward(masked.grad)
+    assert same_bytes(out.data, added.data)
+    assert same_bytes(a.grad, b.grad)
+
+
 def check_layer_norm(dtype):
     rng = np.random.default_rng(14)
     x = f32(rng, (3, 17, 24), 2.0, dtype)
@@ -140,6 +165,10 @@ def test_softmax_other_axis_bytes_match_reference():
     check_softmax_other_axis(np.float32)
 
 
+def test_softmax_allowed_bytes_match_an_additive_mask():
+    check_softmax_allowed(np.float32)
+
+
 def test_layer_norm_bytes_match_reference():
     check_layer_norm(np.float32)
 
@@ -160,6 +189,7 @@ def test_cross_entropy_multihot_bytes_match_reference(g):
     pytest.param(check_masked_softmax, (1.0,), id="masked_softmax-1.0"),
     pytest.param(check_masked_softmax, (30.0,), id="masked_softmax-30.0"),
     pytest.param(check_softmax_other_axis, (), id="softmax_other_axis"),
+    pytest.param(check_softmax_allowed, (), id="softmax_allowed"),
     pytest.param(check_layer_norm, (), id="layer_norm"),
     pytest.param(check_cross_entropy_index, (0.37,), id="cross_entropy_index"),
     pytest.param(check_cross_entropy_multihot, (0.37,), id="cross_entropy_multihot"),
@@ -186,6 +216,29 @@ def test_matmul_products_run_in_the_operand_dtype(b_shape, dtype):
     if dtype == np.float32:
         wide = np.matmul(x.astype(np.float64), w.astype(np.float64)).astype(np.float32)
         assert not same_bytes(out.data, wide)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [(0,), (37,), (0, 5, 38), tuple(range(40))],
+                         ids=["first", "one-inside", "three", "all"])
+def test_matmul_rows_bytes_match_the_rows_of_matmul(rows, dtype):
+    # forward: the rows of the full product (a lone row included, which
+    # numpy would send to gemv); backward: matmul's with the gradient
+    # scattered into zeros, so every gradient has the full product's bytes
+    rng = np.random.default_rng(21)
+    x, w = f32(rng, (3, 40, 32), dtype=dtype), f32(rng, (32, 24), 0.2, dtype)
+    bias, g = f32(rng, (24,), dtype=dtype), upstream(rng, (3, len(rows), 24), dtype)
+    a, b, c = leaf(x), leaf(w), leaf(bias)
+    out = T.matmul_rows(a, b, c, np.array(rows))
+    out._backward(g)
+    fa, fb, fc = leaf(x), leaf(w), leaf(bias)
+    full = T.matmul(fa, fb, fc)
+    g_full = np.zeros(full.shape, dtype=dtype)
+    g_full[:, list(rows)] = g
+    full._backward(g_full)
+    assert same_bytes(out.data, full.data[:, list(rows)])
+    for got, want in ((a, fa), (b, fb), (c, fc)):
+        assert same_bytes(got.grad, want.grad)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -313,6 +366,8 @@ def _ops(rng):
         "tanh": (T.tanh, [x]),
         "softmax": (lambda a: T.softmax(a, axis=-1), [x]),
         "softmax_masked": (lambda a: T.softmax(a, axis=-1), [scores]),
+        "softmax_allowed": (lambda a: T.softmax(a, axis=-1, allowed=x > -1.0), [x]),
+        "matmul_rows": (lambda a, b, c: T.matmul_rows(a, b, c, np.array([3, 1])), [x, w, v]),
         "layer_norm": (lambda a, g, b: T.layer_norm(a, g, b), [x, v, v[::-1].copy()]),
         "cross_entropy": (lambda a: T.cross_entropy(a, target), [x]),
         "cross_entropy_multihot": (lambda a: T.cross_entropy(a, hot), [x]),
@@ -349,7 +404,8 @@ def test_float64_kernels_leave_inputs_untouched(name):
 
 
 @pytest.mark.parametrize("name", ["gelu", "sigmoid", "tanh", "softmax", "softmax_masked",
-                                  "layer_norm", "cross_entropy", "cross_entropy_multihot"])
+                                  "softmax_allowed", "layer_norm", "cross_entropy",
+                                  "cross_entropy_multihot"])
 def test_float32_backward_keeps_no_float64_buffers(name):
     """What a float32 op's backward closure holds on to until the graph walk
     reaches it: its input-sized buffers are float32, never float64 casts."""
