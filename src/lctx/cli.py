@@ -14,8 +14,9 @@ import resource
 import statistics
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .corpus import (
 from .encoder import EncoderConfig
 from .fixtures import write_fixture_files
 from .metrics import FoldPlan, run_cross_validation
-from .pretrain import PretrainConfig, check_resume, pretrain
+from .pretrain import PretrainConfig, check_blocks, check_resume, pretrain
 from .tasks import (
     JudgmentModel,
     MultipleChoiceModel,
@@ -123,6 +124,8 @@ def _resolve_threads(args) -> int:
 
 
 def _write_run_config(out_dir: Path, args, extra: dict | None = None) -> None:
+    """Called only once the command has checked all of its input, so a
+    refused run leaves no run.json behind."""
     out_dir.mkdir(parents=True, exist_ok=True)
     record = {k: (str(v) if isinstance(v, Path) else v)
               for k, v in vars(args).items() if k != "func"}
@@ -140,6 +143,60 @@ def _write_metrics_csv(path, rows: list[dict]) -> None:
                 for v in (row.get(col, "") for col in METRIC_COLUMNS)] for row in rows))
 
 
+def _at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{flag} {value}: must be at least {least}")
+
+
+def _check_type(name: str, value, kind) -> None:
+    """Refuse the --config value of `name` unless it suits `kind`, the type of
+    the field or option that it sets. A bool is not an int, an int is a
+    float, and tuple[int, ...] | None takes null or a list of ints."""
+    if kind == tuple[int, ...] | None:
+        ok = value is None or type(value) is list and all(type(v) is int for v in value)
+    else:
+        ok = type(value) is kind or kind is float and type(value) is int
+    if not ok:
+        want = {int: "an integer", float: "a number", str: "a string",
+                dict: "an object"}.get(kind, "null or a list of integers")
+        raise ValueError(f"--config {name} must be {want}, got {json.dumps(value)}")
+
+
+def read_config(args, sections: dict[str, type], flags: tuple[str, ...] = ()) -> dict:
+    """{name: keyword arguments} of each of `sections` (name: dataclass) that
+    the --config file of `args` holds, after the whole file is checked. A
+    section key is typed from its dataclass field, whose range the dataclass
+    checks; a top-level key in `flags` is typed from the command's option of
+    that name, and its value replaces the option's in `args`."""
+    try:
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    options = {a.dest: a for a in commands.choices[args.command]._actions}
+    parts = [("", raw, {**{flag: options[flag].type or str for flag in flags},
+                        **dict.fromkeys(sections, dict)})]
+    parts += [(name, raw[name], get_type_hints(cls))
+              for name, cls in sections.items() if name in raw]
+    for section, given, kinds in parts:
+        where = f"{section} section" if section else "top level"
+        if not isinstance(given, dict):
+            raise ValueError(f"--config {where} must be a JSON object")
+        for key, value in given.items():
+            if key not in kinds:
+                raise ValueError(f"unknown key {key!r} in the {where} of --config "
+                                 f"(allowed: {', '.join(kinds)})")
+            _check_type(f"{section}.{key}" if section else key, value, kinds[key])
+    for flag in flags:
+        if flag in raw:
+            choices = options[flag].choices
+            if choices and raw[flag] not in choices:
+                raise ValueError(f"--config {flag} must be one of {', '.join(choices)}, "
+                                 f"got {json.dumps(raw[flag])}")
+            setattr(args, flag, raw[flag])
+    return {name: raw[name] for name in sections if name in raw}
+
+
 # ---------------------------------------------------------------------------
 # preprocess
 # ---------------------------------------------------------------------------
@@ -152,12 +209,11 @@ def cmd_preprocess(args) -> int:
     result = process_corpus(raw, rules, min_fact_tokens=args.min_fact_tokens)
 
     vocab = build_vocab([doc.full_text() for doc in result.documents] or [""])
+    streams = [vocab.transform(doc.full_text()) for doc in result.documents]
+    blocks = pack_documents(streams, args.seq_len)
     out.mkdir(parents=True, exist_ok=True)
     vocab.save(out / "vocab.txt")
     rules.save(out / "rules.json")
-
-    streams = [vocab.transform(doc.full_text()) for doc in result.documents]
-    blocks = pack_documents(streams, args.seq_len)
     with replacing(out / "blocks.npy") as fh:
         np.save(fh, blocks)
 
@@ -189,53 +245,35 @@ def cmd_preprocess(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_config_keys(section: str, given: dict, allowed) -> None:
-    """Reject a --config key that no run reads, naming it and its section."""
-    if not isinstance(given, dict):
-        raise ValueError(f"--config {section} must be a JSON object")
-    for key in given:
-        if key not in allowed:
-            raise ValueError(f"unknown key {key!r} in the {section} of --config "
-                             f"(allowed: {', '.join(allowed)})")
-
-
-def _read_config(path, top_keys) -> dict:
-    """A --config JSON file whose top-level keys and encoder section are
-    checked; {} without a file."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
-    _check_config_keys("top level", raw, top_keys)
-    _check_config_keys("encoder section", raw.get("encoder", {}),
-                       [f.name for f in fields(EncoderConfig)])
-    return raw
-
-
-def _load_pretrain_config(path, seed) -> tuple[PretrainConfig, dict]:
-    raw = _read_config(path, ("pretrain", "encoder"))
-    pre_kwargs = raw.get("pretrain", {})
-    _check_config_keys("pretrain section", pre_kwargs, [f.name for f in fields(PretrainConfig)])
-    if seed is not None:
-        pre_kwargs["seed"] = seed
-    return PretrainConfig(**pre_kwargs), raw.get("encoder", {})
-
-
 def cmd_pretrain(args) -> int:
+    _at_least("--steps", args.steps, 0)
+    if args.checkpoint_interval is not None:
+        _at_least("--checkpoint-interval", args.checkpoint_interval, 1)
     out = Path(args.out)
     data = Path(args.data)
     blocks = np.load(data / "blocks.npy")
     vocab = CharVocab.load(data / "vocab.txt")
-    config, enc_kwargs = _load_pretrain_config(args.config, args.seed)
-    enc_kwargs.setdefault("vocab_size", len(vocab))
-    enc_kwargs.setdefault("max_positions", max(int(blocks.shape[1]), 16))
-    enc_config = EncoderConfig(**enc_kwargs)
+    sections = read_config(args, {"pretrain": PretrainConfig, "encoder": EncoderConfig})
+    seq_len = int(blocks.shape[1])
+    pre_kwargs = {"seq_len": seq_len, **sections.get("pretrain", {})}
+    if args.seed is not None:
+        pre_kwargs["seed"] = args.seed
+    config = PretrainConfig(**pre_kwargs)
+    if config.seq_len != seq_len:
+        raise ValueError(f"--config pretrain.seq_len {config.seq_len} differs from the "
+                         f"{seq_len}-token blocks of {data / 'blocks.npy'}")
+    enc_config = EncoderConfig(**{"vocab_size": len(vocab), "max_positions": max(seq_len, 16),
+                                  **sections.get("encoder", {})})
+    check_blocks(blocks, enc_config)
     if args.resume is not None:
-        # refused before run.json is written: a refused resume leaves no run record
         check_resume(args.resume, enc_config)
-    _write_run_config(out, args, {"pretrain": vars(config).copy()})
+    _write_run_config(out, args, {"pretrain": asdict(config), "encoder": asdict(enc_config)})
     _, history = pretrain(blocks, config, enc_config, steps=args.steps, out_dir=out,
                           checkpoint_interval=args.checkpoint_interval,
                           resume_from=args.resume)
-    print(f"pretrain: {args.steps} steps, final loss {history[-1].loss:.4f}, "
-          f"masked acc {history[-1].masked_acc:.3f}")
+    last = (f", final loss {history[-1].loss:.4f}, masked acc {history[-1].masked_acc:.3f}"
+            if history else "")
+    print(f"pretrain: {args.steps} steps{last}")
     return 0
 
 
@@ -244,33 +282,22 @@ def cmd_pretrain(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fit_task(task: str, rows: list[dict], args, vocab):
-    cls, fixed = TASKS[task]
-    kwargs = dict(fixed, vocab=vocab, steps=args.steps, lr=args.lr, seed=args.seed or 0,
-                  encoder=getattr(args, "encoder_config", None))
-    if task == "retrieval":
-        kwargs["model_type"] = args.model_type
-    return cls(**kwargs).fit(rows)
-
-
 def cmd_finetune(args) -> int:
     out = Path(args.out)
     rows = read_jsonl(args.data)
     vocab = CharVocab.load(args.vocab) if args.vocab else None
-    if args.config:
-        # config file wins over flag defaults: {steps, lr, seed, model_type,
-        # folds, encoder: {...EncoderConfig fields...}}
-        flags = ("steps", "lr", "seed", "model_type", "folds")
-        file_cfg = _read_config(args.config, flags + ("encoder",))
-        for key in flags:
-            if key in file_cfg:
-                setattr(args, key, file_cfg[key])
-        if "encoder" in file_cfg:
-            if vocab is None:
-                raise ValueError("an encoder section in --config requires --vocab")
-            enc_kwargs = dict(file_cfg["encoder"])
-            enc_kwargs.setdefault("vocab_size", len(vocab))
-            args.encoder_config = EncoderConfig(**enc_kwargs)
+    sections = read_config(args, {"encoder": EncoderConfig},
+                           flags=("steps", "lr", "seed", "model_type", "folds"))
+    encoder = None
+    if "encoder" in sections:
+        if vocab is None:
+            raise ValueError("an encoder section in --config requires --vocab")
+        encoder = EncoderConfig(**{"vocab_size": len(vocab), **sections["encoder"]})
+        if encoder.vocab_size < len(vocab):
+            raise ValueError(f"--config encoder.vocab_size {encoder.vocab_size} is smaller "
+                             f"than the {len(vocab)} tokens of {args.vocab}")
+    _at_least("--steps", args.steps, 0)
+    _at_least("--seed", args.seed, 0)
     if args.folds < 0 or args.folds == 1:
         raise ValueError(f"--folds {args.folds}: k-fold cross-validation needs at least "
                          f"2 folds (0 turns it off)")
@@ -282,19 +309,18 @@ def cmd_finetune(args) -> int:
                          f"applies to the retrieval task only, not {args.task}")
     plan = None
     if args.folds:
-        # checked before run.json is written: a refused plan leaves no run record
         plan = FoldPlan.from_query_ids({ex["query_id"] for ex in rows}, args.folds)
         plan.check_nonempty()
-    _write_run_config(out, args)
+    _write_run_config(out, args, {"encoder": asdict(encoder) if encoder else None})
 
+    cls, fixed = TASKS[args.task]
+    kwargs = dict(fixed, vocab=vocab, steps=args.steps, lr=args.lr, seed=args.seed,
+                  encoder=encoder)
+    if args.task == "retrieval":
+        kwargs["model_type"] = args.model_type
     if plan is not None:
-        def train_fn(train_rows):
-            return _fit_task("retrieval", train_rows, args, vocab)
-
-        def eval_fn(model, test_rows):
-            return model.evaluate(test_rows)
-
-        result = run_cross_validation(rows, plan, train_fn, eval_fn)
+        result = run_cross_validation(rows, plan, lambda train: cls(**kwargs).fit(train),
+                                      lambda model, test: model.evaluate(test))
         metrics_rows = [{"task": f"retrieval-fold{i}", **m}
                         for i, m in enumerate(result["folds"])]
         metrics_rows.append({"task": "retrieval-mean", **result["mean"]})
@@ -303,10 +329,8 @@ def cmd_finetune(args) -> int:
               f"mean MAP {result['mean']['MAP']:.4f}")
         return 0
 
-    model = _fit_task(args.task, rows, args, vocab)
-    model.model_.save(out / "model", {"task": args.task})
-    if getattr(model, "vocab_", None) is not None:
-        model.vocab_.save(out / "model" / "vocab.txt")
+    model = cls(**kwargs).fit(rows)
+    model.model_.save(out / "model", {"task": args.task}, vocab=model.vocab_)
     preds = model.predict(rows)
     write_jsonl(out / "predictions.jsonl", preds)
     metrics = _evaluate_rows(args.task, preds, rows)
@@ -482,10 +506,11 @@ def _smoke_stage(stage: str, timings: list):
 
 
 def cmd_smoke(args) -> int:
-    seed = args.seed if args.seed is not None else 0
+    _at_least("--steps", args.steps, 0)
+    _at_least("--seed", args.seed, 0)
+    seed, steps = args.seed, args.steps
     out = Path(args.out)
-    _write_run_config(out, args, {"seed": seed})
-    steps = args.steps
+    _write_run_config(out, args)
     timings: list = []
 
     with _smoke_stage("fixtures", timings):

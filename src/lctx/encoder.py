@@ -32,13 +32,19 @@ class EncoderConfig:
     dilation: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.n_heads < 1:
-            raise ValueError(f"n_heads must be at least 1, got {self.n_heads}")
+        for name in ("n_layers", "n_heads", "hidden_dim", "ffn_dim", "vocab_size",
+                     "max_positions", "n_position_types"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.hidden_dim % self.n_heads != 0:
             raise ValueError("hidden_dim must be divisible by n_heads")
         if self.dilation is not None:
             # a JSON config gives a list; save() and equality expect a tuple
             self.dilation = tuple(self.dilation)
+            if len(self.dilation) != self.n_heads:
+                raise ValueError(f"dilation has {len(self.dilation)} entries for "
+                                 f"{self.n_heads} heads")
+        AttentionPattern(window=self.window, dilation_per_head=self.dilation)  # its own checks
 
     def save(self, path) -> None:
         lines = []
@@ -53,8 +59,12 @@ class EncoderConfig:
 
     @classmethod
     def load(cls, path) -> "EncoderConfig":
+        """The config that save() wrote to `path`. An unknown key is a
+        KeyError, a value that is not an integer (or a comma-separated list
+        of them, for dilation) or out of range a ValueError; each names the
+        file, and the first two the key."""
         kwargs = {}
-        casts = {f.name: f.type for f in fields(cls)}
+        names = {f.name for f in fields(cls)}
         for line in Path(path).read_text(encoding="utf-8").splitlines():
             line = line.strip()
             if not line or line.startswith("#") or "=" not in line:
@@ -64,13 +74,19 @@ class EncoderConfig:
             raw = raw.strip()
             if key == "dropout":
                 continue  # in files written before dropout was removed; no run applied it
-            if key not in casts:
-                raise KeyError(f"unknown config key {key!r}")
-            if key == "dilation":
-                kwargs[key] = tuple(int(x) for x in raw.split(",")) if raw else None
-            else:
-                kwargs[key] = int(raw)
-        return cls(**kwargs)
+            if key not in names:
+                raise KeyError(f"{path}: unknown config key {key!r}")
+            try:
+                if key == "dilation":
+                    kwargs[key] = tuple(int(x) for x in raw.split(",")) if raw else None
+                else:
+                    kwargs[key] = int(raw)
+            except ValueError:
+                raise ValueError(f"{path}: {key}={raw} is not an integer") from None
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 class Encoder:

@@ -34,6 +34,10 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, least in (("seq_len", 1), ("batch_size", 1), ("peak_lr", 0),
+                            ("total_steps", 0), ("warmup_steps", 0), ("seed", 0)):
+            if not getattr(self, name) >= least:  # a NaN fails too
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if not 0.0 < self.mask_rate < 1.0:
             raise ValueError("mask_rate must be in (0, 1)")
         if self.warmup_steps > self.total_steps:
@@ -126,6 +130,21 @@ def check_resume(ckpt_dir, enc_config: EncoderConfig) -> None:
                          f"checkpoint's: " + "; ".join(differ))
 
 
+def check_blocks(blocks, enc_config: EncoderConfig) -> np.ndarray:
+    """`blocks` as an array; a ValueError unless it is a non-empty [n,
+    seq_len] array of token ids that an encoder of enc_config takes."""
+    blocks = np.asarray(blocks)
+    if blocks.ndim != 2 or blocks.size == 0:
+        raise ValueError("blocks must be a non-empty [n, seq_len] array")
+    if blocks.shape[1] > enc_config.max_positions:
+        raise ValueError(f"block length {blocks.shape[1]} exceeds the encoder's "
+                         f"max_positions {enc_config.max_positions}")
+    if blocks.min() < 0 or blocks.max() >= enc_config.vocab_size:
+        raise ValueError(f"block token ids span [{blocks.min()}, {blocks.max()}], outside the "
+                         f"encoder's vocab_size {enc_config.vocab_size}")
+    return blocks
+
+
 def load_checkpoint(ckpt_dir):
     """(encoder, step) of a committed checkpoint directory."""
     step = json.loads(read_marker(ckpt_dir, "state.json"))["step"]
@@ -145,11 +164,7 @@ def pretrain(blocks: np.ndarray, config: PretrainConfig, enc_config: EncoderConf
     pure function of (seed, step), so resuming from a checkpoint reproduces
     the uninterrupted run bit for bit. Returns (encoder, history).
     """
-    blocks = np.asarray(blocks)
-    if blocks.ndim != 2 or blocks.shape[0] == 0:
-        raise ValueError("blocks must be a non-empty [n, seq_len] array")
-    if blocks.shape[1] > enc_config.max_positions:
-        raise ValueError("block length exceeds encoder max_positions")
+    blocks = check_blocks(blocks, enc_config)
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -61,14 +61,17 @@ class HeadedModel:
         out.update({f"head.{k}": v for k, v in self.heads.items()})
         return out
 
-    def save(self, out_dir, meta: dict) -> None:
-        """model.ckpt, model.cfg, and meta.json (`meta` plus the head shapes)
-        as the commit marker, in out_dir."""
+    def save(self, out_dir, meta: dict, vocab=None) -> None:
+        """model.ckpt, model.cfg, vocab.txt when a vocabulary is given, and
+        meta.json (`meta` plus the head shapes) as the commit marker, in
+        out_dir."""
         meta = dict(meta)
         meta["head_shapes"] = {k: list(v) for k, v in self.head_shapes.items()}
         with committing(out_dir, "meta.json", json.dumps(meta, ensure_ascii=False)) as out_dir:
             save_params(out_dir / "model.ckpt", self.params())
             self.encoder.config.save(out_dir / "model.cfg")
+            if vocab is not None:
+                vocab.save(out_dir / "vocab.txt")
 
     @classmethod
     def restore(cls, out_dir) -> tuple["HeadedModel", dict]:

@@ -231,6 +231,118 @@ def test_finetune_config_unknown_key_named(fixture_dir, tmp_path, capsys, config
     assert not out.exists()
 
 
+@pytest.fixture()
+def pp64(fixture_dir):
+    """Preprocessed fixture corpus in 64-token blocks."""
+    pp = fixture_dir / "pp64"
+    assert run(["preprocess", "--input", fixture_dir / "fx" / "raw_cases.jsonl",
+                "--out", pp, "--seq-len", 64, "--min-fact-tokens", 5]) == 0
+    return pp
+
+
+@pytest.mark.parametrize("command, config, argv, named", [
+    pytest.param("finetune", {"steps": "3"}, [], "steps", id="finetune-steps-string"),
+    pytest.param("finetune", {"lr": "x"}, [], "lr", id="finetune-lr-string"),
+    pytest.param("finetune", {"seed": True}, [], "seed", id="finetune-seed-bool"),
+    pytest.param("retrieval", {"model_type": "sparse"}, [], "model_type",
+                 id="retrieval-model-type"),
+    pytest.param("pretrain", {"encoder": {"window": 3}}, [], "window", id="window-odd"),
+    pytest.param("pretrain", {"encoder": {"dilation": [1]}}, [], "dilation",
+                 id="dilation-length"),
+    pytest.param("pretrain", {"encoder": {"dilation": 1}}, [], "encoder.dilation",
+                 id="dilation-int"),
+    pytest.param("pretrain", {"encoder": {"hidden_dim": 32.0}}, [], "encoder.hidden_dim",
+                 id="hidden-dim-float"),
+    pytest.param("pretrain", {"pretrain": {"mask_rate": "0.1"}}, [], "pretrain.mask_rate",
+                 id="mask-rate-string"),
+    pytest.param("pretrain", {"pretrain": {"batch_size": 0}}, [], "batch_size",
+                 id="batch-size-zero"),
+    pytest.param("pretrain", {"encoder": {"n_layers": True}}, [], "encoder.n_layers",
+                 id="n-layers-bool"),
+    pytest.param("pretrain", {"pretrain": {"seq_len": 32}}, [], "seq_len",
+                 id="seq-len-not-the-blocks"),
+    pytest.param("pretrain", {"encoder": {"max_positions": 32}}, [], "max_positions",
+                 id="blocks-longer-than-max-positions"),
+    pytest.param("pretrain", {"encoder": {"vocab_size": 8}}, [], "vocab_size",
+                 id="vocab-size-below-the-blocks"),
+    pytest.param("finetune", None, ["--steps", -1], "--steps -1", id="finetune-steps-negative"),
+    pytest.param("pretrain", None, ["--steps", -2], "--steps -2", id="pretrain-steps-negative"),
+    pytest.param("pretrain", None, ["--checkpoint-interval", -1], "--checkpoint-interval -1",
+                 id="checkpoint-interval-negative"),
+    pytest.param("pretrain", None, ["--checkpoint-interval", 0], "--checkpoint-interval 0",
+                 id="checkpoint-interval-zero"),
+])
+def test_refused_input_writes_nothing(fixture_dir, pp64, tmp_path, capsys, command, config,
+                                      argv, named):
+    if command == "pretrain":
+        argv = ["pretrain", "--data", pp64, "--steps", 3, *argv]
+    else:
+        task = "retrieval" if command == "retrieval" else "rc"
+        argv = ["finetune", "--task", task, "--data", fixture_dir / "fx" / f"{task}.jsonl",
+                "--steps", 1, *argv]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", cfg]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*argv, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_pretrain_records_the_resolved_configs(pp64, tmp_path):
+    # seq_len comes from the blocks; --steps 0 writes the run record and no checkpoint
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"encoder": {"n_layers": 1, "hidden_dim": 32, "ffn_dim": 64,
+                                           "dilation": [0, 1]}}), encoding="utf-8")
+    out = tmp_path / "pt"
+    assert run(["pretrain", "--data", pp64, "--config", cfg, "--out", out, "--steps", 0]) == 0
+    resolved = json.loads((out / "run.json").read_text())
+    assert resolved["pretrain"]["seq_len"] == 64
+    assert json.loads((out / "pretrain.json").read_text())["seq_len"] == 64
+    assert resolved["encoder"] == {
+        "n_layers": 1, "n_heads": 2, "hidden_dim": 32, "ffn_dim": 64,
+        "vocab_size": len(CharVocab.load(pp64 / "vocab.txt")), "max_positions": 64,
+        "n_position_types": 2, "window": 4, "dilation": [0, 1]}
+    assert not list(out.glob("step*"))
+
+
+def test_finetune_records_the_resolved_encoder(fixture_dir, tmp_path):
+    rc = fixture_dir / "fx" / "rc.jsonl"
+    vocab = tmp_path / "vocab.txt"
+    build_vocab(json.dumps(row, ensure_ascii=False) for row in read_jsonl(rc)).save(vocab)
+    cfg = tmp_path / "task.json"
+    cfg.write_text(json.dumps({"lr": 1, "encoder": {"n_layers": 1, "hidden_dim": 16,
+                                                    "ffn_dim": 32, "max_positions": 160}}),
+                   encoding="utf-8")
+    out = tmp_path / "ft"
+    assert run(["finetune", "--task", "rc", "--data", rc, "--vocab", vocab, "--config", cfg,
+                "--out", out, "--steps", 1]) == 0
+    resolved = json.loads((out / "run.json").read_text())
+    assert resolved["lr"] == 1  # an int is taken where the option is a float
+    assert resolved["encoder"]["hidden_dim"] == 16
+    assert resolved["encoder"]["vocab_size"] == len(CharVocab.load(vocab))
+    assert run(["finetune", "--task", "rc", "--data", rc, "--out", tmp_path / "ft2",
+                "--steps", 0]) == 0
+    assert json.loads((tmp_path / "ft2" / "run.json").read_text())["encoder"] is None
+
+
+def test_finetune_vocabulary_is_inside_the_model_commit(fixture_dir, tmp_path, capsys,
+                                                        monkeypatch):
+    def refuse(self, path):
+        raise ValueError("vocabulary write refused")
+
+    monkeypatch.setattr(CharVocab, "save", refuse)
+    out = tmp_path / "ft"
+    assert run(["finetune", "--task", "rc", "--data", fixture_dir / "fx" / "rc.jsonl",
+                "--out", out, "--steps", 0]) == 1
+    assert "vocabulary write refused" in capsys.readouterr().err
+    assert (out / "model" / "model.ckpt").exists()
+    assert not (out / "model" / "meta.json").exists()
+
+
 def test_malformed_vocab_file_is_a_named_error(fixture_dir, tmp_path, capsys):
     pp = tmp_path / "pp"
     run(["preprocess", "--input", fixture_dir / "fx" / "raw_cases.jsonl",

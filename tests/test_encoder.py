@@ -20,6 +20,37 @@ def test_config_validation():
         EncoderConfig(n_heads=3, hidden_dim=16)
 
 
+@pytest.mark.parametrize("over, named", [
+    ({"n_layers": 0}, "n_layers"),
+    ({"ffn_dim": 0}, "ffn_dim"),
+    ({"max_positions": 0}, "max_positions"),
+    ({"window": 3}, "window"),
+    ({"window": -2}, "window"),
+    ({"dilation": (1,)}, "dilation"),
+    ({"dilation": (0, -1)}, "dilation"),
+], ids=["n-layers", "ffn-dim", "max-positions", "window-odd", "window-negative",
+        "dilation-length", "dilation-negative"])
+def test_config_ranges_checked_on_construction(over, named):
+    with pytest.raises(ValueError, match=named):
+        tiny_config(**over)
+
+
+@pytest.mark.parametrize("line, named", [
+    ("n_layers=True", "n_layers=True"),
+    ("dilation=0,x", "dilation=0,x"),
+    ("window=3", "window"),
+], ids=["bool", "dilation", "range"])
+def test_config_file_errors_name_the_file_and_key(tmp_path, line, named):
+    path = tmp_path / "model.cfg"
+    tiny_config().save(path)
+    key = line.partition("=")[0]
+    path.write_text("".join(f"{line}\n" if old.startswith(key + "=") else f"{old}\n"
+                            for old in path.read_text().splitlines()))
+    with pytest.raises(ValueError) as info:
+        EncoderConfig.load(path)
+    assert str(path) in str(info.value) and named in str(info.value)
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = tiny_config(dilation=(0, 1))
     path = tmp_path / "model.cfg"

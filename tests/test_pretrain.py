@@ -66,6 +66,16 @@ def test_config_validation():
         PretrainConfig(warmup_steps=10, total_steps=5)
 
 
+@pytest.mark.parametrize("over", [{"seq_len": 0}, {"batch_size": 0}, {"peak_lr": -1.0},
+                                  {"peak_lr": float("nan")}, {"warmup_steps": -1},
+                                  {"seed": -1}],
+                         ids=["seq-len", "batch-size", "peak-lr", "peak-lr-nan", "warmup",
+                              "seed"])
+def test_config_ranges_checked_on_construction(over):
+    with pytest.raises(ValueError, match=next(iter(over))):
+        PretrainConfig(**over)
+
+
 # ---------------------------------------------------------------------------
 # masking
 # ---------------------------------------------------------------------------
