@@ -6,12 +6,20 @@ global position. Global tokens attend to the whole sequence through a second,
 independent projection set, and are attended from everywhere. Cost is linear
 in sequence length for fixed window and global count.
 
-The banded kernel gathers nothing per row. K and V are padded once along L,
-and the band ops read the w+1 band slots as shifted slices of the padded
-copy (slot stride (d+1) rows): the band scores are one row-wise dot product
-per slot, band_mix sums the probability-weighted slots with one einsum over a
-strided view of the padded copy, and each backward adds every slot's gradient
-back as one shifted slice. No [B,h,L,w+1,dh] array is built.
+The band ops are sliding-chunks matmuls (Longformer's "chunks" form,
+Beltagy et al. 2020). A head with gap d is an undilated band over the d+1
+residue classes of the sequence, so every head runs the same way. Each class
+is cut into chunks of c = max(1, w/2) query rows, and a chunk's keys are the
+c + w rows around it: a read-only strided window view of K, padded once
+along L. One np.matmul per run of heads that share a gap multiplies every
+chunk by its window; the w+1 band entries are read out of that product
+through a strided view. band_mix is the transpose: the probabilities are
+expanded into zeroed chunk products and multiplied by the value windows.
+Each backward is one chunk matmul per operand; the K and V sides give
+window-shaped products that are folded back into rows by three shifted
+slices (one copy, two adds).
+The count of numpy calls does not grow with w, and no [B,h,L,w+1,dh] array
+is built.
 
 Scores are written once. band_softmax writes a row's w+1 band scores and its
 G global-column scores (one q @ k[globals]^T product, through matmul's out=)
@@ -29,8 +37,10 @@ baseline for benchmarks and the kernel for full windows.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,113 +151,190 @@ class AttentionParams:
 # ----------------------------------------------------------------------
 
 
-def _band_runs(window: int, gaps: tuple[int, ...]):
-    """The padding along L that every head's band needs, and one (heads,
-    step, lo) entry per run of heads that share a gap: slot s of row i holds
-    padded row i + lo + s*step, which is row i + (s - w/2)*(gap+1)."""
-    half = window // 2
-    pad = half * (max(gaps) + 1)
+class _Run(NamedTuple):
+    """Heads that share a gap, and the chunking of their residue classes:
+    row i of the sequence is row i // step of class i % step, and each class
+    is cut into n chunks of c rows (the last one zero-padded past L)."""
+
+    heads: slice
+    step: int
+    c: int
+    n: int
+
+
+def _band_runs(length: int, window: int, gaps: tuple[int, ...]) -> list[_Run]:
+    """One _Run per run of heads that share a gap. The chunk length is
+    c = max(1, w/2), so a chunk's keys, its c rows widened by w/2 on each
+    side, are c + w = 3c rows (1 at w = 0)."""
+    c = max(1, window // 2)
     runs, first = [], 0
     for gap, run in itertools.groupby(gaps):
         heads = slice(first, first + len(list(run)))
         first = heads.stop
-        step = gap + 1
-        runs.append((heads, step, pad - half * step))
-    return pad, runs
+        runs.append(_Run(heads, gap + 1, c, -(-length // ((gap + 1) * c))))
+    return runs
 
 
-def _each_slot(runs, width: int, length: int):
-    """(slot, heads, padded rows) for every band slot of every run."""
-    for heads, step, lo in runs:
-        for s in range(width):
-            yield s, heads, slice(lo + s * step, lo + s * step + length)
+def _chunks(x: np.ndarray, run: _Run) -> np.ndarray:
+    """x [B,h,L,X] as the run's chunks, [B,h,step,n,c,X]: rows past L are
+    zero. A view of x when the chunks end at L, else a padded copy."""
+    B, h, L, X = x.shape
+    rows = run.step * run.n * run.c
+    if L != rows:
+        padded = np.zeros((B, h, rows, X), dtype=x.dtype)
+        padded[:, :, :L] = x
+        x = padded
+    return x.reshape(B, h, run.n, run.c, run.step, X).transpose(0, 1, 4, 2, 3, 5)
 
 
-def _pad_rows(x: np.ndarray, pad: int) -> np.ndarray:
-    """x [B,h,L,dh] with `pad` zero rows before and after along L."""
-    B, h, L, dh = x.shape
-    xp = np.zeros((B, h, L + 2 * pad, dh), dtype=x.dtype)
-    xp[:, :, pad:pad + L] = x
+@contextlib.contextmanager
+def _chunk_rows(out: np.ndarray, run: _Run):
+    """A writable _chunks view of out [B,h,L,X]: out's own memory when the
+    chunks end at L, else a scratch buffer whose first L rows are copied
+    into out on exit."""
+    B, h, L, X = out.shape
+    rows = run.step * run.n * run.c
+    if L == rows:
+        yield _chunks(out, run)
+        return
+    scratch = np.empty((B, h, rows, X), dtype=out.dtype)
+    yield _chunks(scratch, run)
+    out[...] = scratch[:, :, :L]
+
+
+def _padded(x: np.ndarray, run: _Run, window: int) -> np.ndarray:
+    """The key side of x [B,h,L,X]: each residue class between w/2 zero rows
+    before and the zero rows after that make n*c + w rows in all,
+    [B,h,step,n*c + w,X]."""
+    B, h, _, X = x.shape
+    half, rows = window // 2, run.n * run.c
+    xp = np.zeros((B, h, run.step, rows + window, X), dtype=x.dtype)
+    xp[:, :, :, half:half + rows] = _chunks(x, run).reshape(B, h, run.step, rows, X)
     return xp
 
 
-def _slot_dots(a: np.ndarray, xp: np.ndarray, runs, width: int, out=None) -> np.ndarray:
-    """[B,h,L,width]: entry s of each row is a . (slot s rows of xp) over dh,
-    written into `out` when given."""
+def _windows(xp: np.ndarray, run: _Run) -> np.ndarray:
+    """The read-only [B,h,step,n,c+w,X] view of _padded rows whose window j
+    is rows j*c .. j*c + c+w - 1: the keys of chunk j."""
+    B, h, step, padded_rows, X = xp.shape
+    width = padded_rows - (run.n - 1) * run.c
+    sB, sh, sm, sl, sx = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, (B, h, step, run.n, width, X), (sB, sh, sm, run.c * sl, sl, sx), writeable=False)
+
+
+def _band(prod: np.ndarray, width: int) -> np.ndarray:
+    """The band of chunk-by-window products [..., c, c+w]: the [..., c, w+1]
+    strided view whose entry (r, s) is prod[..., r, r + s], slot s of row r."""
+    sr, sc = prod.strides[-2:]
+    return np.lib.stride_tricks.as_strided(
+        prod, prod.shape[:-1] + (width,), prod.strides[:-2] + (sr + sc, sc))
+
+
+def _expand(p: np.ndarray, run: _Run, window: int) -> np.ndarray:
+    """The band entries p [B,h,L,w+1] in zeroed chunk-by-window products
+    [B,h,step,n,c,c+w], the adjoint of _band."""
+    B, h = p.shape[:2]
+    pw = np.zeros((B, h, run.step, run.n, run.c, run.c + window), dtype=p.dtype)
+    np.copyto(_band(pw, window + 1), _chunks(p, run))
+    return pw
+
+
+def _fold(xw: np.ndarray, run: _Run, window: int, out: np.ndarray) -> None:
+    """The adjoint of _windows without the padding rows, into out, a _chunks
+    view: window j is c + w rows in blocks of c, and its block t goes to
+    chunk j + t - (w/2)/c. The block that lands on its own chunk is copied,
+    the two others (none at w = 0) are added as shifted slices."""
+    n, c = run.n, run.c
+    own = (window // 2) // c
+    blocks = xw.reshape(xw.shape[:4] + (-1, c, xw.shape[-1]))
+    out[...] = blocks[:, :, :, :, own]
+    for t in range(blocks.shape[4]):
+        shift = t - own
+        if shift > 0:
+            out[:, :, :, shift:] += blocks[:, :, :, :n - shift, t]
+        elif shift < 0:
+            out[:, :, :, :shift] += blocks[:, :, :, -shift:, t]
+
+
+def _band_dots(a: np.ndarray, xps, runs, width: int, out=None) -> np.ndarray:
+    """[B,h,L,width]: slot s of row i is a_i . x_j over dh, for j = i + (s -
+    w/2)*step and x zero outside [0, L), x given as each run's _padded rows;
+    written into `out` when given. One chunk matmul per run, whose band is
+    copied out."""
     if out is None:
-        out = np.empty(a.shape[:3] + (width,), dtype=np.result_type(a, xp))
-    for s, heads, rows in _each_slot(runs, width, a.shape[2]):
-        np.einsum("bhld,bhld->bhl", a[:, heads], xp[:, heads, rows], out=out[:, heads, :, s])
+        out = np.empty(a.shape[:3] + (width,), dtype=np.result_type(a, xps[0]))
+    for run, xp in zip(runs, xps):
+        prod = np.matmul(_chunks(a[:, run.heads], run), np.swapaxes(_windows(xp, run), -1, -2))
+        with _chunk_rows(out[:, run.heads], run) as dst:
+            np.copyto(dst, _band(prod, width))
     return out
 
 
-def _slot_sum(w: np.ndarray, xp: np.ndarray, runs) -> np.ndarray:
-    """sum over slots s of w[..., s] * (slot s rows of xp): [B,h,L,dh]. One
-    einsum per run, over a read-only [B,h,L,w+1,dh] view of xp whose slot
-    stride is `step` rows; nothing of that shape is allocated."""
-    B, h, L, width = w.shape
-    out = np.empty((B, h, L, xp.shape[-1]), dtype=np.result_type(w, xp))
-    for heads, step, lo in runs:
-        first = xp[:, heads, lo:lo + L]
-        sB, sh, sL, sd = first.strides
-        band = np.lib.stride_tricks.as_strided(
-            first, first.shape[:3] + (width, first.shape[3]), (sB, sh, sL, sL * step, sd),
-            writeable=False)
-        np.einsum("bhls,bhlsd->bhld", w[:, heads], band, out=out[:, heads])
+def _band_sum(pws, xps, runs, out: np.ndarray) -> np.ndarray:
+    """out [B,h,L,dh]: row i is the sum over slots s of p[i, s] * x_j, for
+    each run's _expand(p) and _padded(x): one chunk matmul per run."""
+    for run, pw, xp in zip(runs, pws, xps):
+        with _chunk_rows(out[:, run.heads], run) as dst:
+            np.matmul(pw, _windows(xp, run), out=dst)
     return out
 
 
-def _slot_scatter(w: np.ndarray, a: np.ndarray, runs, pad: int) -> np.ndarray:
-    """The adjoint of reading slots from a padded copy: every slot's
-    w[..., s] * a added back into its shifted rows, unpadded: [B,h,L,dh]."""
-    B, h, L, dh = a.shape
-    gp = np.zeros((B, h, L + 2 * pad, dh), dtype=np.result_type(w, a))
-    tmp = np.empty((B, h, L, dh), dtype=gp.dtype)
-    for s, heads, rows in _each_slot(runs, w.shape[-1], L):
-        gp[:, heads, rows] += np.multiply(w[:, heads, :, s, None], a[:, heads], out=tmp[:, heads])
-    return gp[:, :, pad:pad + L]
+def _band_fold(pws, a: np.ndarray, runs, window: int) -> np.ndarray:
+    """The adjoint of reading x's band, [B,h,L,dh]: row j is the sum of
+    p[i, s] * a_i over the (i, s) whose slot holds j, for each run's
+    _expand(p). One chunk matmul per run, folded back by _fold."""
+    out = np.empty(a.shape, dtype=np.result_type(pws[0], a))
+    for run, pw in zip(runs, pws):
+        prod = np.matmul(np.swapaxes(pw, -1, -2), _chunks(a[:, run.heads], run))
+        with _chunk_rows(out[:, run.heads], run) as dst:
+            _fold(prod, run, window, dst)
+    return out
 
 
 def band_scores(q: Tensor, k: Tensor, window: int, gaps: tuple[int, ...]) -> Tensor:
     """q, k [B,h,L,dh] -> [B,h,L,w+1]: slot s of row i is q_i . k_j with
     j = i + (s - w/2)*(gap_h+1), and 0 where j is outside [0, L).
 
-    k is padded once along L; each slot is one dot product of q with a
-    shifted slice of the padded copy, so no [B,h,L,w+1,dh] array is built,
-    in the forward or the backward.
+    Each chunk of c query rows is multiplied against the c + w key rows
+    around it in one matmul per run of heads, and the band is read out of
+    the product; the backward is one chunk matmul for q and one for k,
+    whose window-shaped product is folded back.
     """
-    pad, runs = _band_runs(window, gaps)
-    kp = _pad_rows(k.data, pad)
-    out_data = _slot_dots(q.data, kp, runs, window + 1)
+    runs = _band_runs(q.shape[2], window, gaps)
+    kps = [_padded(k.data[:, run.heads], run, window) for run in runs]
+    out_data = _band_dots(q.data, kps, runs, window + 1)
 
     def backward(g):
-        _band_scores_backward(q, k, kp, runs, pad, g)
+        _band_scores_backward(q, k, kps, runs, window, g)
 
     return make_op(out_data, (q, k), backward)
 
 
-def _band_scores_backward(q: Tensor, k: Tensor, kp: np.ndarray, runs, pad: int,
+def _band_scores_backward(q: Tensor, k: Tensor, kps, runs, window: int,
                           g: np.ndarray) -> None:
+    gws = [_expand(g[:, run.heads], run, window) for run in runs]
     if q.requires_grad:
-        q._accum(_slot_sum(g, kp, runs))
+        q._accum(_band_sum(gws, kps, runs, np.empty(q.shape, dtype=np.result_type(g, k.data))))
     if k.requires_grad:
-        k._accum(_slot_scatter(g, q.data, runs, pad))
+        k._accum(_band_fold(gws, q.data, runs, window))
 
 
 def band_mix(p: Tensor, v: Tensor, window: int, gaps: tuple[int, ...]) -> Tensor:
     """p [B,h,L,w+1], v [B,h,L,dh] -> [B,h,L,dh]: row i is the sum over slots
     of p[i, s] * v_j, j = i + (s - w/2)*(gap_h+1), with v zero outside
-    [0, L). The transpose of band_scores: v is padded once, and nothing
-    [B,h,L,w+1,dh] is built."""
-    pad, runs = _band_runs(window, gaps)
-    vp = _pad_rows(v.data, pad)
-    out_data = _slot_sum(p.data, vp, runs)
+    [0, L). The transpose of band_scores: p is expanded into zeroed chunk
+    products and multiplied by the value windows, one matmul per run."""
+    runs = _band_runs(p.shape[2], window, gaps)
+    pws = [_expand(p.data[:, run.heads], run, window) for run in runs]
+    vps = [_padded(v.data[:, run.heads], run, window) for run in runs]
+    out_data = _band_sum(pws, vps, runs, np.empty(v.shape, dtype=np.result_type(p.data, v.data)))
 
     def backward(g):
         if p.requires_grad:
-            p._accum(_slot_dots(g, vp, runs, window + 1))
+            p._accum(_band_dots(g, vps, runs, window + 1))
         if v.requires_grad:
-            v._accum(_slot_scatter(p.data, g, runs, pad))
+            v._accum(_band_fold(pws, g, runs, window))
 
     return make_op(out_data, (p, v), backward)
 
@@ -263,16 +350,15 @@ def band_softmax(q: Tensor, k: Tensor, window: int, gaps: tuple[int, ...],
     Both products are written into one buffer, the masked entries are set
     to -inf in place and the softmax runs in that buffer, so the scores are
     never a graph node of their own. The backward is softmax's, then
-    band_scores' backward on the first K columns and matmul's on the last G,
-    each on a contiguous copy of its slice (fed the strided slice, the band
-    backward's einsums can give other float32 bytes).
+    band_scores' backward on the first K columns and matmul's on a
+    contiguous copy of the last G.
     """
     K, G = window + 1, len(gpos)
-    pad, runs = _band_runs(window, gaps)
-    kp = _pad_rows(k.data, pad)
+    runs = _band_runs(q.shape[2], window, gaps)
+    kps = [_padded(k.data[:, run.heads], run, window) for run in runs]
     B, h, L, _ = q.shape
     y = np.empty((B, h, L, K + G), dtype=q.data.dtype)
-    _slot_dots(q.data, kp, runs, K, out=y[..., :K])
+    _band_dots(q.data, kps, runs, K, out=y[..., :K])
     np.copyto(y[..., :K], NEG_INF, where=np.logical_not(band_ok))
     if G:
         kcols = k.data[:, :, gpos, :]
@@ -283,7 +369,7 @@ def band_softmax(q: Tensor, k: Tensor, window: int, gaps: tuple[int, ...],
 
     def backward(g):
         gs = T.softmax_grad(g, y)
-        _band_scores_backward(q, k, kp, runs, pad, gs[..., :K] + 0.0 if G else gs)
+        _band_scores_backward(q, k, kps, runs, window, gs[..., :K])
         if G:
             gcols = gs[..., K:] + 0.0
             if q.requires_grad:
@@ -423,14 +509,15 @@ def sparse_attention_forward(hidden: Tensor, params: AttentionParams,
     out = band_mix(probs[..., :K] if G else probs, v, pattern.window, gaps)  # [B,h,L,dh]
     if G:
         out = out + T.matmul(probs[..., K:], _gather_rows(v, gpos))
-    # without a graph nothing else holds the [B,h,L,K+G] buffer: freed here,
-    # its memory serves the global rows' [B,h,G,L] buffer
-    del probs
-    if G:
         qg = T.mul(_project(hidden, params.wq_g, params.bq_g, n_heads, gpos),
                    1.0 / np.sqrt(dh))                                 # [B,h,G,dh]
         kg = _project(hidden, params.wk_g, params.bk_g, n_heads)
         vg = _project(hidden, params.wv_g, params.bv_g, n_heads)
+    # without a graph nothing else holds the [B,h,L,K+G] buffer: freed here,
+    # its memory serves the global rows' [B,h,G,L] buffer. The global
+    # projections are made before, so that none of them lands in that memory.
+    del probs
+    if G:
         gok = None
         if padded:
             gok = np.repeat(row_ok[:, None, None, :], G, axis=2)
@@ -502,10 +589,13 @@ def dense_attention_oracle(hidden: Tensor, params: AttentionParams,
 
 def attention_flop_count(length: int, window: int, n_global: int,
                          n_heads: int, dim: int, dilation: int = 0) -> int:
-    """Exact multiply-add count of the banded kernel (score dot products plus
-    probability-weighted value sums; projections are common to both paths and
-    excluded). Global tokens are assumed at the sequence head, which is where
-    every task policy puts them. Affine in L for fixed (w, d, n_global)."""
+    """Multiply-adds of the attended pairs: score dot products plus
+    probability-weighted value sums over every (row, key) pair the pattern
+    allows (projections are common to both paths and excluded). This counts
+    band entries, not the chunk kernel's work, which also multiplies the
+    out-of-band entries of each chunk's c + w key window. Global tokens are
+    assumed at the sequence head, which is where every task policy puts
+    them. Affine in L for fixed (w, d, n_global)."""
     if length == 0:
         return 0
     dh = dim // n_heads

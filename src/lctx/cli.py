@@ -307,17 +307,18 @@ def cmd_finetune(args) -> int:
     if args.model_type != "long" and args.task != "retrieval":
         raise ValueError(f"--model-type {args.model_type} (the truncating dense baseline) "
                          f"applies to the retrieval task only, not {args.task}")
+    cls, fixed = TASKS[args.task]
+    kwargs = dict(fixed, vocab=vocab, steps=args.steps, lr=args.lr, seed=args.seed,
+                  encoder=encoder)
+    if args.task == "retrieval":
+        kwargs["model_type"] = args.model_type
+    cls(**kwargs).check_rows(rows)
     plan = None
     if args.folds:
         plan = FoldPlan.from_query_ids({ex["query_id"] for ex in rows}, args.folds)
         plan.check_nonempty()
     _write_run_config(out, args, {"encoder": asdict(encoder) if encoder else None})
 
-    cls, fixed = TASKS[args.task]
-    kwargs = dict(fixed, vocab=vocab, steps=args.steps, lr=args.lr, seed=args.seed,
-                  encoder=encoder)
-    if args.task == "retrieval":
-        kwargs["model_type"] = args.model_type
     if plan is not None:
         result = run_cross_validation(rows, plan, lambda train: cls(**kwargs).fit(train),
                                       lambda model, test: model.evaluate(test))
@@ -668,7 +669,9 @@ def main(argv=None) -> int:
             args.blas_threads = blas_threads
             return args.func(args)
     except (StageError, ValueError, FileNotFoundError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str() is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -14,7 +14,7 @@ from ..encoder import EncoderConfig
 from ..metrics import log_distance, micro_macro_f1
 from ..vocab import CharVocab
 from .inputs import single_text_input
-from .model import HeadedModel, fit_adam, mse, predict_batches
+from .model import HeadedModel, check_rows, fit_adam, mse, predict_batches
 
 
 def decode_label_set(logits: np.ndarray, threshold: float = 0.5) -> set[int]:
@@ -57,15 +57,6 @@ class JudgmentModel(ParamMixin):
 
     # -- plumbing -------------------------------------------------------
 
-    def _label_a(self, ex) -> object:
-        if self.mode == "criminal":
-            if "charges" not in ex:
-                raise ValueError("criminal example lacks charges")
-            return ex["charges"]
-        if "cause" not in ex:
-            raise ValueError("civil example lacks cause")
-        return ex["cause"]
-
     def _prepare(self, examples):
         check_fitted(self, "model_")
         enc_cfg = self.model_.encoder.config
@@ -74,11 +65,14 @@ class JudgmentModel(ParamMixin):
 
     # -- estimator surface ----------------------------------------------
 
+    def check_rows(self, examples) -> None:
+        """Refuse training rows without the fields of this mode."""
+        keys = (("fact", "charges", "laws", "penalty_months") if self.mode == "criminal"
+                else ("fact", "cause", "laws"))
+        check_rows(examples, keys, f"judgment-{self.mode}")
+
     def fit(self, examples) -> "JudgmentModel":
-        if not examples:
-            raise ValueError("no training examples")
-        for ex in examples:
-            self._label_a(ex)  # rejects mode/annotation mismatches early
+        self.check_rows(examples)
         self.vocab_ = self.vocab or CharVocab().fit([ex["fact"] for ex in examples])
         if self.mode == "criminal":
             n_a = self.n_label_a or 1 + max(max(ex["charges"]) for ex in examples)

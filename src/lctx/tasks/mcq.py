@@ -13,7 +13,7 @@ from ..encoder import EncoderConfig
 from ..metrics import mcq_accuracy
 from ..vocab import CharVocab
 from .inputs import EncodedInput, pair_input
-from .model import HeadedModel, fit_adam, predict_batches
+from .model import HeadedModel, check_rows, fit_adam, predict_batches
 
 LETTERS = "ABCD"
 
@@ -48,9 +48,11 @@ class MultipleChoiceModel(ParamMixin):
         cls = self.model_.encode(inputs)[:, 0, :]
         return T.matmul(cls, self.model_.heads["w"], self.model_.heads["b"])
 
+    def check_rows(self, examples) -> None:
+        check_rows(examples, ("question", "choices", "answer_set"), "mcq")
+
     def fit(self, examples) -> "MultipleChoiceModel":
-        if not examples:
-            raise ValueError("no training examples")
+        self.check_rows(examples)
         texts = [ex["question"] for ex in examples]
         for ex in examples:
             texts.extend(ex["choices"])

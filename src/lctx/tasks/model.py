@@ -144,6 +144,20 @@ def fit_adam(model: HeadedModel, items, enc_of, batch_loss, steps: int,
     return history
 
 
+def check_rows(examples, keys: tuple[str, ...], task: str) -> None:
+    """Refuse training rows that fit cannot use: no rows at all, a row that
+    is not an object, or a row without one of `keys`. Each head's fit and
+    `lctx finetune` call it before any work is done."""
+    if not examples:
+        raise ValueError("no training examples")
+    for i, ex in enumerate(examples):
+        if not isinstance(ex, dict):
+            raise ValueError(f"{task} row {i} is not a JSON object")
+        for key in keys:
+            if key not in ex:
+                raise ValueError(f"{task} row {i} has no {key!r}")
+
+
 def mse(pred: Tensor, target: np.ndarray) -> Tensor:
     diff = T.add_const(pred, -np.asarray(target, dtype=pred.data.dtype))
     return T.reduce_mean(T.mul(diff, diff))

@@ -19,7 +19,7 @@ from ..encoder import EncoderConfig
 from ..metrics import em_f1
 from ..vocab import CharVocab, char_tokens
 from .inputs import EncodedInput, pair_input
-from .model import HeadedModel, fit_adam, predict_batches
+from .model import HeadedModel, check_rows, fit_adam, predict_batches
 
 ANSWER_TYPES = ("span", "yes", "no", "unanswerable")
 _TYPE_TEXT = {"yes": "YES", "no": "NO", "unanswerable": ""}
@@ -106,9 +106,11 @@ class ReadingComprehensionModel(ParamMixin):
 
     # -- estimator surface ------------------------------------------------
 
+    def check_rows(self, examples) -> None:
+        check_rows(examples, ("question", "context", "answer", "answer_type", "support"), "rc")
+
     def fit(self, examples) -> "ReadingComprehensionModel":
-        if not examples:
-            raise ValueError("no training examples")
+        self.check_rows(examples)
         texts = []
         for ex in examples:
             texts.append(ex["question"])

@@ -24,7 +24,7 @@ from .inputs import (
     EncodedInput,
     pair_input,
 )
-from .model import HeadedModel, fit_adam, predict_batches
+from .model import HeadedModel, check_rows, fit_adam, predict_batches
 
 
 def retrieval_input(query_ids, cand_ids, model_type: str = "long") -> EncodedInput:
@@ -70,9 +70,12 @@ class RetrievalRanker(ParamMixin):
         cls = self.model_.encode(inputs, pattern)[:, 0, :]
         return T.matmul(cls, self.model_.heads["w"], self.model_.heads["b"])
 
+    def check_rows(self, examples) -> None:
+        check_rows(examples, ("query_id", "candidate_id", "query", "candidate", "relevant"),
+                   "retrieval")
+
     def fit(self, examples) -> "RetrievalRanker":
-        if not examples:
-            raise ValueError("no training examples")
+        self.check_rows(examples)
         self.vocab_ = self.vocab or CharVocab().fit(
             [ex["query"] for ex in examples] + [ex["candidate"] for ex in examples])
         enc_cfg = self.encoder or EncoderConfig(

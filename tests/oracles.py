@@ -194,6 +194,30 @@ def ref_cross_entropy_multihot(x, target, g):
     return out, ref_first_grad(float(g) * (s - y) / n_rows, x)
 
 
+def _ref_shifted(x, head, shift):
+    """x[:, head] moved up by `shift` rows, [B, L, dh]: row i holds row
+    i + shift, and zeros where that is outside [0, L)."""
+    B, _, L, dh = x.shape
+    shifted = np.zeros((B, L, dh), dtype=x.dtype)
+    lo, hi = max(0, -shift), min(L, L - shift)
+    if lo < hi:
+        shifted[:, lo:hi] = x[:, head, lo + shift:hi + shift]
+    return shifted
+
+
+def ref_slot_dots(a, x, window, gaps):
+    """The band scores straight from their definition, [B,h,L,w+1]: slot s of
+    row i of head h is a[..., i, :] . x[..., j, :] with
+    j = i + (s - w/2)*(gaps[h]+1), and 0 where j is outside [0, L)."""
+    B, h, L, _ = a.shape
+    out = np.zeros((B, h, L, window + 1), dtype=np.result_type(a, x))
+    for head, gap in enumerate(gaps):
+        for s in range(window + 1):
+            shifted = _ref_shifted(x, head, (s - window // 2) * (gap + 1))
+            out[:, head, :, s] = (a[:, head] * shifted).sum(axis=-1)
+    return out
+
+
 def ref_slot_sum(w, x, window, gaps):
     """The band mix straight from its definition: row i of head h is the sum,
     slot by slot from s = 0, of w[..., i, s] * x[..., j, :] with
@@ -203,12 +227,23 @@ def ref_slot_sum(w, x, window, gaps):
     out = np.zeros((B, h, L, dh), dtype=np.result_type(w, x))
     for head, gap in enumerate(gaps):
         for s in range(window + 1):
+            shifted = _ref_shifted(x, head, (s - window // 2) * (gap + 1))
+            out[:, head] += w[:, head, :, s, None] * shifted
+    return out
+
+
+def ref_slot_scatter(w, a, window, gaps):
+    """The adjoint of reading the band's slots, [B,h,L,dh]: every slot's
+    w[..., i, s] * a[..., i, :] added, slot by slot, into row
+    j = i + (s - w/2)*(gaps[h]+1) when j is inside [0, L)."""
+    B, h, L, dh = a.shape
+    out = np.zeros((B, h, L, dh), dtype=np.result_type(w, a))
+    for head, gap in enumerate(gaps):
+        for s in range(window + 1):
             shift = (s - window // 2) * (gap + 1)
-            shifted = np.zeros((B, L, dh), dtype=x.dtype)
             lo, hi = max(0, -shift), min(L, L - shift)
             if lo < hi:
-                shifted[:, lo:hi] = x[:, head, lo + shift:hi + shift]
-            out[:, head] += w[:, head, :, s, None] * shifted
+                out[:, head, lo + shift:hi + shift] += w[:, head, lo:hi, s, None] * a[:, head, lo:hi]
     return out
 
 

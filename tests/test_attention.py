@@ -1,5 +1,6 @@
 """Banded attention vs the dense masked-attention oracle."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,8 @@ from lctx.attention import (
     sliding_window_offsets,
     sparse_attention_forward,
 )
-from oracles import (ref_band_mask, ref_dense_attention_oracle, ref_first_grad, ref_slot_sum,
+from oracles import (ref_band_mask, ref_dense_attention_oracle, ref_slot_dots, ref_slot_scatter,
+                     ref_slot_sum,
                      ref_sparse_attention_forward)
 
 
@@ -349,27 +351,80 @@ def test_band_ops_input_gradient_mixed_gaps_float64_finite_differences():
     assert np.abs(got - fd).max() / np.abs(fd).max() <= 1e-4
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_slot_sum_bytes_match_the_per_slot_loop_mixed_gaps(dtype):
-    """band_mix's forward and band_scores' q-gradient are one einsum per run
-    of heads over a strided slot view; both must equal the slot-by-slot sum
-    byte for byte, zero signs included."""
+# name: (B, L, dh, window, gaps, lengths); the kernel cuts each residue
+# class into chunks of c = max(1, w/2) rows
+_BAND_CASES = {
+    "w0": (2, 7, 4, 0, (0, 0), None),
+    "w2": (2, 9, 4, 2, (0,), None),
+    "w8": (2, 40, 4, 8, (0, 0), None),
+    "w64": (1, 150, 4, 64, (0,), None),
+    "L-not-a-multiple-of-c": (2, 23, 5, 8, (0,), None),
+    "L-below-c": (2, 3, 4, 16, (0,), None),
+    "mixed-gaps": (2, 19, 3, 6, (0, 5, 5, 2), None),
+    "padded-rows": (2, 21, 4, 6, (0, 1), [21, 13]),
+    # (w/2)(gap+1) = L-2: the last banded length; L-1: the band covers the
+    # sequence, where sparse_attention_forward dispatches to the dense kernel
+    "banded-at-the-dispatch-edge": (2, 8, 4, 4, (2, 2), None),
+    "at-the-dense-dispatch": (2, 9, 4, 4, (3, 3), None),
+}
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)],
+                         ids=["float32", "float64"])
+@pytest.mark.parametrize("case", sorted(_BAND_CASES))
+def test_band_ops_match_the_per_slot_oracles(case, dtype, tol):
+    """band_scores and band_mix, forward and backward, against the slot-by-
+    slot definitions computed in float64 from the same inputs."""
+    B, L, dh, window, gaps, lengths = _BAND_CASES[case]
     rng = np.random.default_rng(21)
-    gaps, window = (0, 5, 5, 2), 6
-    B, L, dh = 2, 19, 3
-    x = rng.standard_normal((B, len(gaps), L, dh)).astype(dtype)
-    w = rng.standard_normal((B, len(gaps), L, window + 1)).astype(dtype)
-    w[w > 1.2] = -0.0
-    want = ref_slot_sum(w, x, window, gaps)
+    rows = (B, len(gaps), L)
+    q, k, v, g = (rng.standard_normal(rows + (dh,)).astype(dtype) for _ in range(4))
+    p, gs = (rng.standard_normal(rows + (window + 1,)).astype(dtype) for _ in range(2))
+    for b, n in enumerate(lengths or ()):
+        # padding rows: zero inputs and no weight on them or from them
+        for x in (q, k, v, g, p, gs):
+            x[b, :, n:] = 0.0
+    q64, k64, v64, g64, p64, gs64 = (x.astype(np.float64) for x in (q, k, v, g, p, gs))
 
-    mixed = attention.band_mix(Tensor(w, dtype=dtype), Tensor(x, dtype=dtype), window, gaps)
-    assert mixed.data.dtype == dtype
-    assert mixed.data.tobytes() == want.tobytes()
+    def close(got, want):
+        assert got.dtype == dtype
+        assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
 
-    q = Tensor(rng.standard_normal(x.shape).astype(dtype), requires_grad=True, dtype=dtype)
-    scores = attention.band_scores(q, Tensor(x, dtype=dtype), window, gaps)
-    scores._backward(w)
-    assert q.grad.tobytes() == ref_first_grad(want, q.data).tobytes()
+    qt, kt = (Tensor(x, requires_grad=True, dtype=dtype) for x in (q, k))
+    scores = attention.band_scores(qt, kt, window, gaps)
+    close(scores.data, ref_slot_dots(q64, k64, window, gaps))
+    scores._backward(gs)
+    close(qt.grad, ref_slot_sum(gs64, k64, window, gaps))
+    close(kt.grad, ref_slot_scatter(gs64, q64, window, gaps))
+
+    pt, vt = (Tensor(x, requires_grad=True, dtype=dtype) for x in (p, v))
+    mixed = attention.band_mix(pt, vt, window, gaps)
+    close(mixed.data, ref_slot_sum(p64, v64, window, gaps))
+    mixed._backward(g)
+    close(pt.grad, ref_slot_dots(g64, v64, window, gaps))
+    close(vt.grad, ref_slot_scatter(p64, g64, window, gaps))
+
+
+def test_band_op_calls_do_not_grow_with_the_window():
+    """The band ops have no per-slot loop: their forward and backward make
+    as many Python-level calls at w=2 as at w=64 (L = 256 fills the chunks
+    of both)."""
+    rng = np.random.default_rng(27)
+
+    def calls(window):
+        q, k, v = (Tensor(rng.standard_normal((1, 2, 256, 8)), requires_grad=True)
+                   for _ in range(3))
+        p = Tensor(rng.standard_normal((1, 2, 256, window + 1)), requires_grad=True)
+        events = []
+        sys.setprofile(lambda frame, event, arg: events.append(event))
+        try:
+            attention.band_scores(q, k, window, (0, 0))._backward(np.ones(p.shape))
+            attention.band_mix(p, v, window, (0, 0))._backward(np.ones(v.shape))
+        finally:
+            sys.setprofile(None)
+        return len(events)
+
+    assert calls(2) == calls(64)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,29 @@ def test_refused_resume_writes_no_run_json(fixture_dir, tmp_path, capsys):
     assert not (tmp_path / "pt3" / "run.json").exists()
 
 
+def test_resume_of_an_unknown_config_key_prints_it_unquoted(fixture_dir, tmp_path, capsys):
+    pp = tmp_path / "pp"
+    run(["preprocess", "--input", fixture_dir / "fx" / "raw_cases.jsonl",
+         "--out", pp, "--seq-len", 48])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "pretrain": {"seq_len": 48, "batch_size": 4, "total_steps": 4, "warmup_steps": 1},
+        "encoder": {"n_layers": 1, "n_heads": 2, "hidden_dim": 32, "ffn_dim": 64}}),
+        encoding="utf-8")
+    assert run(["pretrain", "--data", pp, "--config", cfg, "--out", tmp_path / "pt",
+                "--steps", 2, "--seed", 1]) == 0
+    ckpt = tmp_path / "pt" / "step000002"
+    with open(ckpt / "model.cfg", "a", encoding="utf-8") as fh:
+        fh.write("bogus=1\n")
+    capsys.readouterr()
+    out = tmp_path / "pt2"
+    assert run(["pretrain", "--data", pp, "--config", cfg, "--out", out,
+                "--steps", 2, "--resume", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {ckpt / 'model.cfg'}: unknown config key 'bogus'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config, key, section", [
     ({"encoder": {"bogus": 1}}, "bogus", "encoder section"),
     ({"encoder": {"window": 4, "dropout": 0.1}}, "dropout", "encoder section"),
@@ -458,6 +481,25 @@ def test_finetune_dense_model_type_rejected_for_other_tasks(fixture_dir, tmp_pat
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--model-type" in err and "Traceback" not in err
+    assert not out.exists()  # rejected before anything is written
+
+
+@pytest.mark.parametrize("rows, message", [
+    pytest.param([], "no training examples", id="empty-file"),
+    pytest.param(None, "rc row 1 has no 'answer'", id="rc-row-without-answer"),
+])
+def test_finetune_rows_checked_before_anything_is_written(fixture_dir, tmp_path, capsys,
+                                                          rows, message):
+    if rows is None:
+        rows = read_jsonl(fixture_dir / "fx" / "rc.jsonl")[:3]
+        del rows[1]["answer"]
+    data = tmp_path / "rows.jsonl"
+    data.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows),
+                    encoding="utf-8")
+    out = tmp_path / "ft"
+    assert run(["finetune", "--task", "rc", "--data", data, "--out", out, "--steps", 1]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
     assert not out.exists()  # rejected before anything is written
 
 
