@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import functools
 import glob
 import json
 import os
@@ -60,13 +61,18 @@ METRIC_COLUMNS = ["Mic@c", "Mac@c", "Mic@l", "Mac@l", "Dis@t",
                   "NDCG@5", "NDCG@10", "NDCG@20", "NDCG@30",
                   "MAP", "EM", "F1", "single", "all"]
 
-# task name: (estimator class, the constructor arguments fixed by the task)
+# task name: (estimator class, the constructor arguments fixed by the task,
+# score_rows(pred_rows, gold_rows), the head's own scoring path, which for
+# judgment counts the labels of both row lists). finetune, evaluate and smoke
+# all read their tasks from this table.
 TASKS = {
-    "judgment-criminal": (JudgmentModel, {"mode": "criminal"}),
-    "judgment-civil": (JudgmentModel, {"mode": "civil"}),
-    "retrieval": (RetrievalRanker, {}),
-    "rc": (ReadingComprehensionModel, {}),
-    "mcq": (MultipleChoiceModel, {}),
+    "judgment-criminal": (JudgmentModel, {"mode": "criminal"},
+                          functools.partial(judgment.score_rows, mode="criminal")),
+    "judgment-civil": (JudgmentModel, {"mode": "civil"},
+                       functools.partial(judgment.score_rows, mode="civil")),
+    "retrieval": (RetrievalRanker, {}, retrieval.score_rows),
+    "rc": (ReadingComprehensionModel, {}, reading.score_rows),
+    "mcq": (MultipleChoiceModel, {}, mcq.score_rows),
 }
 
 
@@ -307,7 +313,7 @@ def cmd_finetune(args) -> int:
     if args.model_type != "long" and args.task != "retrieval":
         raise ValueError(f"--model-type {args.model_type} (the truncating dense baseline) "
                          f"applies to the retrieval task only, not {args.task}")
-    cls, fixed = TASKS[args.task]
+    cls, fixed, score = TASKS[args.task]
     kwargs = dict(fixed, vocab=vocab, steps=args.steps, lr=args.lr, seed=args.seed,
                   encoder=encoder)
     if args.task == "retrieval":
@@ -334,7 +340,7 @@ def cmd_finetune(args) -> int:
     model.model_.save(out / "model", {"task": args.task}, vocab=model.vocab_)
     preds = model.predict(rows)
     write_jsonl(out / "predictions.jsonl", preds)
-    metrics = _evaluate_rows(args.task, preds, rows)
+    metrics = score(preds, rows)
     _write_metrics_csv(out / "metrics.csv", [{"task": args.task, **metrics}])
     shown = {k: round(v, 4) for k, v in metrics.items() if isinstance(v, float)}
     print(f"finetune {args.task}: {shown}")
@@ -346,42 +352,14 @@ def cmd_finetune(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _label_count(rows, key) -> int:
-    """One more than the largest label id under `key` (an id or a list)."""
-    return 1 + max([max(r[key], default=0) if isinstance(r[key], list) else r[key]
-                    for r in rows], default=0)
-
-
-def _judgment_scorer(mode: str):
-    def score(pred_rows, gold_rows) -> dict:
-        rows = pred_rows + gold_rows
-        n_a = _label_count(rows, "charges" if mode == "criminal" else "cause")
-        return judgment.score_rows(pred_rows, gold_rows, mode, n_a,
-                                   _label_count(rows, "laws"))
-    return score
-
-
-# task name: score_rows(pred_rows, gold_rows), the head's own scoring path
-_SCORERS = {
-    "judgment-criminal": _judgment_scorer("criminal"),
-    "judgment-civil": _judgment_scorer("civil"),
-    "retrieval": retrieval.score_rows,
-    "rc": reading.score_rows,
-    "mcq": mcq.score_rows,
-}
-
-
-def _evaluate_rows(task: str, pred_rows, gold_rows) -> dict:
-    """Score prediction rows with the task's shared scoring path. Judgment
-    label counts come from the two files; retrieval aligns its scores to the
-    gold rows by (query_id, candidate_id), every other task row by row."""
-    if len(pred_rows) != len(gold_rows) and task != "retrieval":
-        raise ValueError("pred and gold files must align")
-    return _SCORERS[task](pred_rows, gold_rows)
-
-
 def cmd_evaluate(args) -> int:
-    metrics = _evaluate_rows(args.task, read_jsonl(args.pred), read_jsonl(args.gold))
+    cls, fixed, score = TASKS[args.task]
+    pred_rows, gold_rows = read_jsonl(args.pred), read_jsonl(args.gold)
+    cls(**fixed).check_rows(gold_rows, gold=True)
+    # retrieval aligns its scores to the gold rows by (query_id, candidate_id)
+    if len(pred_rows) != len(gold_rows) and args.task != "retrieval":
+        raise ValueError("pred and gold files must align")
+    metrics = score(pred_rows, gold_rows)
     # --out is the CSV file itself, or without a suffix the run directory
     out = Path(args.out)
     run_dir = out.parent if out.suffix else out
@@ -543,35 +521,21 @@ def cmd_smoke(args) -> int:
                                 vocab_size=len(vocab), max_positions=64, window=4)
         pretrain(blocks, pre_cfg, enc_cfg, steps=steps, out_dir=out / "pretrain")
 
-    small = dict(n_layers=1, n_heads=2, hidden_dim=32, ffn_dim=64, window=4,
-                 vocab_size=len(vocab))
-    deep = {**small, "n_layers": 2}
-    common = dict(vocab=vocab, steps=steps, lr=3e-3, seed=seed)
-    heads = [
-        ("judgment-criminal",
-         JudgmentModel(mode="criminal", encoder=EncoderConfig(max_positions=160, **small),
-                       n_label_a=len(result.charge_table), n_laws=len(result.law_table),
-                       **common),
-         result.criminal_examples),
-        ("judgment-civil",
-         JudgmentModel(mode="civil", encoder=EncoderConfig(max_positions=160, **small),
-                       n_label_a=len(result.cause_table), n_laws=len(result.law_table),
-                       **common),
-         result.civil_examples),
-        ("retrieval", RetrievalRanker(encoder=EncoderConfig(max_positions=256, **small),
-                                      **common),
-         fixture_rows["retrieval"]),
-        ("rc", ReadingComprehensionModel(encoder=EncoderConfig(max_positions=160, **deep),
-                                         **common),
-         fixture_rows["rc"]),
-        ("mcq", MultipleChoiceModel(encoder=EncoderConfig(max_positions=160, **deep),
-                                    **common),
-         fixture_rows["mcq"]),
-    ]
+    # each head at its default depth and length, at the smoke widths; the
+    # judgment heads take their label counts from the preprocess tables
+    small = dict(n_heads=2, hidden_dim=32, ffn_dim=64, window=4, vocab_size=len(vocab))
+    rows = {"judgment-criminal": result.criminal_examples,
+            "judgment-civil": result.civil_examples, **fixture_rows}
+    label_a = {"judgment-criminal": result.charge_table, "judgment-civil": result.cause_table}
     metric_rows = []
-    for task, model, rows in heads:
+    for task, (cls, fixed, _) in TASKS.items():
         with _smoke_stage(f"finetune-{task}", timings):
-            metrics = model.fit(rows).evaluate(rows)
+            model = cls(**fixed, vocab=vocab, steps=steps, lr=3e-3, seed=seed)
+            model.set_params(encoder=EncoderConfig(n_layers=model.n_layers,
+                                                   max_positions=model.max_positions, **small))
+            if task in label_a:
+                model.set_params(n_label_a=len(label_a[task]), n_laws=len(result.law_table))
+            metrics = model.fit(rows[task]).evaluate(rows[task])
             metric_rows.append({"task": task, **metrics})
 
     with _smoke_stage("evaluate", timings):

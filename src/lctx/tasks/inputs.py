@@ -14,6 +14,8 @@ from ..vocab import CLS_ID, SEP_ID
 # query/candidate truncation limits (long model vs 512-token dense baseline)
 LONG_QUERY_LIMIT, LONG_CAND_LIMIT = 509, 3072
 DENSE_QUERY_LIMIT, DENSE_CAND_LIMIT = 100, 409
+# question limit of reading comprehension and multiple choice, choice limit
+QUESTION_LIMIT, CHOICE_LIMIT = 64, 64
 
 _CLS = np.array([CLS_ID], dtype=np.int64)
 _SEP = np.array([SEP_ID], dtype=np.int64)

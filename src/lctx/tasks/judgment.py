@@ -1,20 +1,43 @@
 """Judgment prediction: multi-label charges/laws plus penalty regression for
 criminal cases; single-label cause plus multi-label laws for civil cases.
 Criminal and civil models are trained separately; CLS carries global
-attention; the multi-task loss is the unweighted sum of the head losses."""
+attention; the multi-task loss is the unweighted sum of the head losses.
+The default encoder has 1 layer over 160 positions; fit and score_rows count
+labels by one rule, label_count, unless the counts are given."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .. import tensor as T
-from ..base import ParamMixin, check_fitted
+from ..base import check_fitted
 from ..corpus import PENALTY_CAP_MONTHS
 from ..encoder import EncoderConfig
 from ..metrics import log_distance, micro_macro_f1
 from ..vocab import CharVocab
 from .inputs import single_text_input
-from .model import HeadedModel, check_rows, fit_adam, mse, predict_batches
+from .model import TEXT, TaskHead, mse, predict_batches
+
+
+def _is_id(value) -> bool:
+    return type(value) is int and value >= 0  # a bool is not an id
+
+
+LABEL = ("a label id (an integer >= 0)", lambda v, row: _is_id(v))
+LABELS = ("a list of label ids (integers >= 0)",
+          lambda v, row: type(v) is list and all(map(_is_id, v)))
+MONTHS = ("a finite number >= 0",
+          lambda v, row: type(v) in (int, float) and math.isfinite(v) and v >= 0)
+
+# the label-a field of each mode, whose ids the a_w head scores
+LABEL_A = {"criminal": "charges", "civil": "cause"}
+# row fields per mode: the fact, then the labels that score_rows reads
+_FIELDS = {
+    "criminal": {"fact": TEXT, "charges": LABELS, "laws": LABELS, "penalty_months": MONTHS},
+    "civil": {"fact": TEXT, "cause": LABEL, "laws": LABELS},
+}
 
 
 def decode_label_set(logits: np.ndarray, threshold: float = 0.5) -> set[int]:
@@ -26,6 +49,13 @@ def decode_label_set(logits: np.ndarray, threshold: float = 0.5) -> set[int]:
     return chosen
 
 
+def label_count(rows, key: str) -> int:
+    """One more than the largest label id under `key` (an id or a list of
+    ids, which may be empty) in `rows`; 1 when they hold none."""
+    return 1 + max([max(r[key], default=0) if isinstance(r[key], list) else r[key]
+                    for r in rows], default=0)
+
+
 def _multi_hot(label_sets, n_labels: int) -> np.ndarray:
     """[B, n_labels] float64 targets, 1.0 at each row's label ids."""
     out = np.zeros((len(label_sets), n_labels), dtype=np.float64)
@@ -34,28 +64,26 @@ def _multi_hot(label_sets, n_labels: int) -> np.ndarray:
     return out
 
 
-class JudgmentModel(ParamMixin):
+class JudgmentModel(TaskHead):
     """fit(examples)/predict(examples) over the judgment JSONL rows
     ({fact, charges, laws, penalty_months} criminal; {fact, cause, laws}
     civil, label fields holding ids)."""
 
+    task = property(lambda self: f"judgment-{self.mode}")
+    row_fields = property(lambda self: _FIELDS[self.mode])
+    label_fields = property(lambda self: tuple(_FIELDS[self.mode])[1:])
+    fit = TaskHead.fit
+
     def __init__(self, mode: str = "criminal", vocab: CharVocab | None = None,
                  encoder: EncoderConfig | None = None, steps: int = 200,
-                 lr: float = 2e-3, seed: int = 0, threshold: float = 0.5,
-                 n_label_a: int | None = None, n_laws: int | None = None):
+                 lr: float = 2e-3, seed: int = 0, n_label_a: int | None = None,
+                 n_laws: int | None = None):
         if mode not in ("criminal", "civil"):
             raise ValueError("mode must be criminal or civil")
+        super().__init__(vocab, encoder, steps, lr, seed)
         self.mode = mode
-        self.vocab = vocab
-        self.encoder = encoder
-        self.steps = steps
-        self.lr = lr
-        self.seed = seed
-        self.threshold = threshold
         self.n_label_a = n_label_a  # charges (criminal) or causes (civil)
         self.n_laws = n_laws
-
-    # -- plumbing -------------------------------------------------------
 
     def _prepare(self, examples):
         check_fitted(self, "model_")
@@ -63,54 +91,35 @@ class JudgmentModel(ParamMixin):
         return [single_text_input(self.vocab_.transform(ex["fact"]), enc_cfg.max_positions)
                 for ex in examples]
 
-    # -- estimator surface ----------------------------------------------
+    def _texts(self, examples):
+        return [ex["fact"] for ex in examples]
 
-    def check_rows(self, examples) -> None:
-        """Refuse training rows without the fields of this mode."""
-        keys = (("fact", "charges", "laws", "penalty_months") if self.mode == "criminal"
-                else ("fact", "cause", "laws"))
-        check_rows(examples, keys, f"judgment-{self.mode}")
-
-    def fit(self, examples) -> "JudgmentModel":
-        self.check_rows(examples)
-        self.vocab_ = self.vocab or CharVocab().fit([ex["fact"] for ex in examples])
-        if self.mode == "criminal":
-            n_a = self.n_label_a or 1 + max(max(ex["charges"]) for ex in examples)
-        else:
-            n_a = self.n_label_a or 1 + max(ex["cause"] for ex in examples)
-        n_laws = self.n_laws or 1 + max(max(ex["laws"]) for ex in examples)
-        self.n_label_a_, self.n_laws_ = n_a, n_laws
-
-        enc_cfg = self.encoder or EncoderConfig(
-            n_layers=1, n_heads=2, hidden_dim=64, ffn_dim=128,
-            vocab_size=len(self.vocab_), max_positions=160, window=8)
-        H = enc_cfg.hidden_dim
-        heads = {"a_w": (H, n_a), "a_b": (n_a,),
-                 "law_w": (H, n_laws), "law_b": (n_laws,)}
+    def _head_shapes(self, examples, H) -> dict:
+        """The heads' shapes; fixes the label counts n_label_a_ and n_laws_."""
+        self.n_label_a_ = n_a = self.n_label_a or label_count(examples, LABEL_A[self.mode])
+        self.n_laws_ = n_laws = self.n_laws or label_count(examples, "laws")
+        heads = {"a_w": (H, n_a), "a_b": (n_a,), "law_w": (H, n_laws), "law_b": (n_laws,)}
         if self.mode == "criminal":
             heads.update({"pen_w": (H, 1), "pen_b": (1,)})
-        self.model_ = HeadedModel(enc_cfg, heads, seed=self.seed)
+        return heads
 
-        def batch_loss(batch):
-            examples = [ex for ex, _ in batch]
-            out = self._forward([enc_in for _, enc_in in batch])
-            loss = T.cross_entropy(out["law_logits"],
-                                   _multi_hot([ex["laws"] for ex in examples], self.n_laws_))
-            if self.mode == "criminal":
-                loss = loss + T.cross_entropy(
-                    out["a_logits"],
-                    _multi_hot([ex["charges"] for ex in examples], self.n_label_a_))
-                loss = loss + mse(out["penalty_log"],
-                                  [[np.log1p(ex["penalty_months"])] for ex in examples])
-            else:
-                loss = loss + T.cross_entropy(out["a_logits"],
-                                              np.asarray([ex["cause"] for ex in examples]))
-            return loss
+    def _items(self, examples):
+        return list(zip(self._prepare(examples), examples))
 
-        items = list(zip(examples, self._prepare(examples)))
-        self.history_ = fit_adam(self.model_, items, lambda item: item[1], batch_loss,
-                                 self.steps, self.lr)
-        return self
+    def _batch_loss(self, batch):
+        examples = [ex for _, ex in batch]
+        out = self._forward([enc_in for enc_in, _ in batch])
+        loss = T.cross_entropy(out["law_logits"],
+                               _multi_hot([ex["laws"] for ex in examples], self.n_laws_))
+        if self.mode == "criminal":
+            loss = loss + T.cross_entropy(
+                out["a_logits"], _multi_hot([ex["charges"] for ex in examples], self.n_label_a_))
+            loss = loss + mse(out["penalty_log"],
+                              [[np.log1p(ex["penalty_months"])] for ex in examples])
+        else:
+            loss = loss + T.cross_entropy(out["a_logits"],
+                                          np.asarray([ex["cause"] for ex in examples]))
+        return loss
 
     def _forward(self, inputs) -> dict:
         """Head outputs of one batch of inputs: label-a and law logits [B, n],
@@ -141,11 +150,10 @@ class JudgmentModel(ParamMixin):
         id lists, the penalty in months."""
         rows = []
         for scores in self.decision_scores(examples):
-            laws = sorted(decode_label_set(scores["law_logits"], self.threshold))
+            laws = sorted(decode_label_set(scores["law_logits"]))
             if self.mode == "criminal":
                 months = float(np.clip(np.expm1(scores["penalty_log"]), 0.0, PENALTY_CAP_MONTHS))
-                rows.append({"charges": sorted(decode_label_set(scores["a_logits"],
-                                                                self.threshold)),
+                rows.append({"charges": sorted(decode_label_set(scores["a_logits"])),
                              "laws": laws, "penalty_months": months})
             else:
                 rows.append({"cause": int(scores["a_logits"].argmax()), "laws": laws})
@@ -157,12 +165,18 @@ class JudgmentModel(ParamMixin):
                           self.n_label_a_, self.n_laws_)
 
 
-def score_rows(preds, golds, mode: str, n_label_a: int, n_laws: int) -> dict:
+def score_rows(preds, golds, mode: str, n_label_a: int | None = None,
+               n_laws: int | None = None) -> dict:
     """Mic@c/Mac@c over charges (criminal) or the cause (civil), Mic@l/Mac@l
     over laws, and Dis@t for criminal mode, of predicted rows against gold
-    rows. Label fields hold ids, as sets or lists."""
+    rows. Label fields hold ids, as sets or lists. A label count that is not
+    given is the label_count of the predicted and gold rows together."""
+    key = LABEL_A[mode]
+    n_label_a = n_label_a or label_count(preds + golds, key)
+    n_laws = n_laws or label_count(preds + golds, "laws")
+
     def label_a(row) -> set:
-        return set(row["charges"]) if mode == "criminal" else {row["cause"]}
+        return set(row[key]) if mode == "criminal" else {row[key]}
 
     mic_c, mac_c = micro_macro_f1([label_a(p) for p in preds],
                                   [label_a(g) for g in golds], n_label_a)

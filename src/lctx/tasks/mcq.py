@@ -1,46 +1,43 @@
 """Bar-exam multiple choice: each (question, choice) pair is scored by a
 linear layer on CLS; the question span carries global attention and
 position-type id 0, the choice span id 1. Multi-answer decoding uses the
-sign of the raw score; single-answer evaluation uses the argmax choice."""
+sign of the raw score; single-answer evaluation uses the argmax choice.
+The default encoder has 2 layers over 160 positions."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .. import tensor as T
-from ..base import ParamMixin, check_fitted
-from ..encoder import EncoderConfig
+from ..base import check_fitted
 from ..metrics import mcq_accuracy
-from ..vocab import CharVocab
-from .inputs import EncodedInput, pair_input
-from .model import HeadedModel, check_rows, fit_adam, predict_batches
+from .inputs import CHOICE_LIMIT, QUESTION_LIMIT, EncodedInput, pair_input
+from .model import TEXT, TaskHead, predict_batches
 
-LETTERS = "ABCD"
+LETTERS = tuple("ABCD")
 
 
-class MultipleChoiceModel(ParamMixin):
+class MultipleChoiceModel(TaskHead):
     """fit/predict over {question, choices, answer_set} rows."""
 
-    def __init__(self, vocab: CharVocab | None = None,
-                 encoder: EncoderConfig | None = None, steps: int = 200,
-                 lr: float = 2e-3, seed: int = 0, question_limit: int = 64,
-                 choice_limit: int = 64):
-        self.vocab = vocab
-        self.encoder = encoder
-        self.steps = steps
-        self.lr = lr
-        self.seed = seed
-        self.question_limit = question_limit
-        self.choice_limit = choice_limit
+    task = "mcq"
+    # question-choice matching needs an interaction step, hence 2 layers
+    n_layers = 2
+    row_fields = {
+        "question": TEXT,
+        "choices": (f"a list of 2 to {len(LETTERS)} strings",
+                    lambda v, row: type(v) is list and 2 <= len(v) <= len(LETTERS)
+                    and all(type(c) is str for c in v)),
+        "answer_set": ("a non-empty list of the letters of its choices",
+                       lambda v, row: type(v) is list and len(v) > 0
+                       and all(x in LETTERS[:len(row["choices"])] for x in v)),
+    }
+    label_fields = ("choices", "answer_set")  # the letters name choices
+    fit = TaskHead.fit
 
     def _assemble(self, ex) -> list[EncodedInput]:
-        if len(ex["choices"]) < 2:
-            raise ValueError("question needs at least 2 choices")
-        if "answer_set" in ex and not ex["answer_set"]:
-            raise ValueError("empty answer_set")
         q_ids = self.vocab_.transform(ex["question"])
-        return [pair_input(q_ids, self.vocab_.transform(choice),
-                           self.question_limit, self.choice_limit)
+        return [pair_input(q_ids, self.vocab_.transform(choice), QUESTION_LIMIT, CHOICE_LIMIT)
                 for choice in ex["choices"]]
 
     def _score(self, inputs: list[EncodedInput]) -> T.Tensor:
@@ -48,32 +45,22 @@ class MultipleChoiceModel(ParamMixin):
         cls = self.model_.encode(inputs)[:, 0, :]
         return T.matmul(cls, self.model_.heads["w"], self.model_.heads["b"])
 
-    def check_rows(self, examples) -> None:
-        check_rows(examples, ("question", "choices", "answer_set"), "mcq")
-
-    def fit(self, examples) -> "MultipleChoiceModel":
-        self.check_rows(examples)
+    def _texts(self, examples):
         texts = [ex["question"] for ex in examples]
         for ex in examples:
             texts.extend(ex["choices"])
-        self.vocab_ = self.vocab or CharVocab().fit(texts)
-        # question-choice matching needs an interaction step, hence 2 layers
-        enc_cfg = self.encoder or EncoderConfig(
-            n_layers=2, n_heads=2, hidden_dim=64, ffn_dim=128,
-            vocab_size=len(self.vocab_), max_positions=160, window=8)
-        H = enc_cfg.hidden_dim
-        self.model_ = HeadedModel(enc_cfg, {"w": (H, 1), "b": (1,)}, seed=self.seed)
+        return texts
 
-        pairs = [(enc_in, LETTERS[i] in ex["answer_set"])
-                 for ex in examples for i, enc_in in enumerate(self._assemble(ex))]
+    def _head_shapes(self, examples, H) -> dict:
+        return {"w": (H, 1), "b": (1,)}
 
-        def batch_loss(batch):
-            return T.cross_entropy(self._score([enc_in for enc_in, _ in batch]),
-                                   np.asarray([[float(label)] for _, label in batch]))
+    def _items(self, examples):
+        return [(enc_in, LETTERS[i] in ex["answer_set"])
+                for ex in examples for i, enc_in in enumerate(self._assemble(ex))]
 
-        self.history_ = fit_adam(self.model_, pairs, lambda pair: pair[0], batch_loss,
-                                 self.steps, self.lr)
-        return self
+    def _batch_loss(self, batch):
+        return T.cross_entropy(self._score([enc_in for enc_in, _ in batch]),
+                               np.asarray([[float(label)] for _, label in batch]))
 
     def scores(self, examples) -> list[np.ndarray]:
         """Raw score per choice, one array per question."""

@@ -1,5 +1,6 @@
-"""Encoder + task-head parameter container, the batching rule the heads
-share, and the shared fine-tuning loop."""
+"""What the task heads share: the encoder + head parameter container, the
+batching rule, the fine-tuning loop, the row check, and TaskHead, the
+estimator base that holds their fit scaffolding."""
 
 from __future__ import annotations
 
@@ -9,11 +10,12 @@ from pathlib import Path
 import numpy as np
 
 from .. import tensor as T
+from ..base import ParamMixin
 from ..checkpoint import committing, load_params, read_marker, save_params
 from ..encoder import Encoder, EncoderConfig
 from ..optim import AdamState, adam_step, zero_grads
 from ..tensor import Tensor
-from ..vocab import PAD_ID
+from ..vocab import PAD_ID, CharVocab
 
 # padded tokens per batch (rows x longest row); a longer row runs alone
 BATCH_TOKENS = 512
@@ -144,18 +146,64 @@ def fit_adam(model: HeadedModel, items, enc_of, batch_loss, steps: int,
     return history
 
 
-def check_rows(examples, keys: tuple[str, ...], task: str) -> None:
-    """Refuse training rows that fit cannot use: no rows at all, a row that
-    is not an object, or a row without one of `keys`. Each head's fit and
-    `lctx finetune` call it before any work is done."""
-    if not examples:
-        raise ValueError("no training examples")
-    for i, ex in enumerate(examples):
-        if not isinstance(ex, dict):
-            raise ValueError(f"{task} row {i} is not a JSON object")
-        for key in keys:
-            if key not in ex:
-                raise ValueError(f"{task} row {i} has no {key!r}")
+def is_flag(value) -> bool:
+    return type(value) is int and value in (0, 1)  # a bool is not a flag
+
+
+# a row-field kind: (what a value must be, its test given the value and its row)
+TEXT = ("a string", lambda v, row: type(v) is str)
+
+
+class TaskHead(ParamMixin):
+    """Estimator base of the task heads: the shared parameters, row check,
+    vocabulary fit, default encoder, HeadedModel build and fit_adam call. A
+    head declares `task` (its name in messages), `n_layers` and
+    `max_positions` (its default encoder's), `row_fields` (name: kind, what
+    fit reads) and `label_fields` (what score_rows reads in gold rows, and any
+    field their kinds look at), implements `_texts`, `_head_shapes`, `_items`
+    and `_batch_loss`, and binds `fit = TaskHead.fit` as its own attribute,
+    so that tracing can wrap one head's fit alone."""
+
+    n_layers = 1
+    max_positions = 160
+
+    def __init__(self, vocab: CharVocab | None = None, encoder: EncoderConfig | None = None,
+                 steps: int = 200, lr: float = 2e-3, seed: int = 0):
+        self.vocab = vocab
+        self.encoder = encoder
+        self.steps = steps
+        self.lr = lr
+        self.seed = seed
+
+    def check_rows(self, rows, gold: bool = False) -> None:
+        """Refuse rows that cannot be used: no rows, a row that is not an
+        object, or one without a field or whose value fails the field's kind,
+        over row_fields (or with `gold`, over label_fields)."""
+        fields = {k: self.row_fields[k] for k in self.label_fields} if gold else self.row_fields
+        if not rows:
+            raise ValueError("no gold rows" if gold else "no training examples")
+        for i, row in enumerate(rows):
+            if not isinstance(row, dict):
+                raise ValueError(f"{self.task} row {i} is not a JSON object")
+            for key, (want, ok) in fields.items():
+                if key not in row:
+                    raise ValueError(f"{self.task} row {i} has no {key!r}")
+                if not ok(row[key], row):
+                    raise ValueError(f"{self.task} row {i}: {key!r} must be {want}, "
+                                     f"got {json.dumps(row[key], ensure_ascii=False)}")
+
+    def fit(self, examples):
+        """Train on the rows; an item's first element is its assembled input."""
+        self.check_rows(examples)
+        self.vocab_ = self.vocab or CharVocab().fit(self._texts(examples))
+        enc_cfg = self.encoder or EncoderConfig(
+            n_layers=self.n_layers, n_heads=2, hidden_dim=64, ffn_dim=128,
+            vocab_size=len(self.vocab_), max_positions=self.max_positions, window=8)
+        self.model_ = HeadedModel(enc_cfg, self._head_shapes(examples, enc_cfg.hidden_dim),
+                                  seed=self.seed)
+        self.history_ = fit_adam(self.model_, self._items(examples), lambda item: item[0],
+                                 self._batch_loss, self.steps, self.lr)
+        return self
 
 
 def mse(pred: Tensor, target: np.ndarray) -> Tensor:

@@ -5,6 +5,7 @@ Input is [CLS] question [SEP] sentence_1 ... sentence_S [SEP] with global
 attention on the whole question. Span start/end heads score every position;
 a 4-way answer-type head reads CLS; the support head reads each sentence's
 first token. Non-span answers train the span heads onto the CLS position.
+The default encoder has 2 layers over 160 positions.
 """
 
 from __future__ import annotations
@@ -14,22 +15,21 @@ import re
 import numpy as np
 
 from .. import tensor as T
-from ..base import ParamMixin, check_fitted
-from ..encoder import EncoderConfig
+from ..base import check_fitted
 from ..metrics import em_f1
-from ..vocab import CharVocab, char_tokens
-from .inputs import EncodedInput, pair_input
-from .model import HeadedModel, check_rows, fit_adam, predict_batches
+from ..vocab import char_tokens
+from .inputs import QUESTION_LIMIT, EncodedInput, pair_input
+from .model import TEXT, TaskHead, is_flag, predict_batches
 
 ANSWER_TYPES = ("span", "yes", "no", "unanswerable")
+MAX_SPAN = 64  # longest decoded answer span, in tokens
 _TYPE_TEXT = {"yes": "YES", "no": "NO", "unanswerable": ""}
 
 
 def split_sentences(context) -> list[str]:
     """Contexts arrive as sentence lists; plain strings split after 。？！"""
     if isinstance(context, str):
-        parts = [s for s in re.split("(?<=[。？！])", context) if s.strip()]
-        return parts
+        return [s for s in re.split("(?<=[。？！])", context) if s.strip()]
     return list(context)
 
 
@@ -42,32 +42,33 @@ def _find_subsequence(haystack: np.ndarray, needle: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-class ReadingComprehensionModel(ParamMixin):
+class ReadingComprehensionModel(TaskHead):
     """fit/predict over {question, context, answer, answer_type, support} rows."""
 
-    def __init__(self, vocab: CharVocab | None = None,
-                 encoder: EncoderConfig | None = None, steps: int = 200,
-                 lr: float = 2e-3, seed: int = 0, max_span: int = 64,
-                 question_limit: int = 64):
-        self.vocab = vocab
-        self.encoder = encoder
-        self.steps = steps
-        self.lr = lr
-        self.seed = seed
-        self.max_span = max_span
-        self.question_limit = question_limit
-
-    # -- input assembly --------------------------------------------------
+    task = "rc"
+    n_layers = 2
+    row_fields = {
+        "question": TEXT,
+        "context": ("a string or a list of strings, with at least one sentence",
+                    lambda v, row: (type(v) is str or type(v) is list
+                                    and all(type(s) is str for s in v))
+                    and len(split_sentences(v)) > 0),
+        "answer": TEXT,
+        "answer_type": (f"one of {', '.join(ANSWER_TYPES)}",
+                        lambda v, row: type(v) is str and v in ANSWER_TYPES),
+        "support": ("a list of 0/1 flags, one per context sentence",
+                    lambda v, row: type(v) is list and all(map(is_flag, v))
+                    and len(v) == len(split_sentences(row["context"]))),
+    }
+    label_fields = ("answer",)
+    fit = TaskHead.fit
 
     def _assemble(self, ex) -> tuple[EncodedInput, list[int]]:
-        sentences = split_sentences(ex["context"])
-        if not sentences:
-            raise ValueError("context has no sentences")
-        sent_ids = [self.vocab_.transform(s) for s in sentences]
+        sent_ids = [self.vocab_.transform(s) for s in split_sentences(ex["context"])]
         flat = np.concatenate(sent_ids)
-        cand_limit = self.model_.encoder.config.max_positions - self.question_limit - 3
+        cand_limit = self.model_.encoder.config.max_positions - QUESTION_LIMIT - 3
         enc_in = pair_input(self.vocab_.transform(ex["question"]), flat,
-                            self.question_limit, cand_limit)
+                            QUESTION_LIMIT, cand_limit)
         starts, offset = [], enc_in.sections["second"].start
         pos = 0
         for ids in sent_ids:
@@ -104,28 +105,19 @@ class ReadingComprehensionModel(ParamMixin):
                  support[b:b + 1, np.asarray(starts)])
                 for b, (enc_in, starts) in enumerate(batch)]
 
-    # -- estimator surface ------------------------------------------------
-
-    def check_rows(self, examples) -> None:
-        check_rows(examples, ("question", "context", "answer", "answer_type", "support"), "rc")
-
-    def fit(self, examples) -> "ReadingComprehensionModel":
-        self.check_rows(examples)
+    def _texts(self, examples):
         texts = []
         for ex in examples:
             texts.append(ex["question"])
             texts.extend(split_sentences(ex["context"]))
             texts.append(ex["answer"])
-        self.vocab_ = self.vocab or CharVocab().fit(texts)
-        enc_cfg = self.encoder or EncoderConfig(
-            n_layers=2, n_heads=2, hidden_dim=64, ffn_dim=128,
-            vocab_size=len(self.vocab_), max_positions=160, window=8)
-        H = enc_cfg.hidden_dim
-        self.model_ = HeadedModel(enc_cfg, {
-            "start_w": (H, 1), "start_b": (1,), "end_w": (H, 1), "end_b": (1,),
-            "type_w": (H, 4), "type_b": (4,), "sup_w": (H, 1), "sup_b": (1,),
-        }, seed=self.seed)
+        return texts
 
+    def _head_shapes(self, examples, H) -> dict:
+        return {"start_w": (H, 1), "start_b": (1,), "end_w": (H, 1), "end_b": (1,),
+                "type_w": (H, 4), "type_b": (4,), "sup_w": (H, 1), "sup_b": (1,)}
+
+    def _items(self, examples):
         prepared = []
         for ex in examples:
             enc_in, starts = self._assemble(ex)
@@ -133,20 +125,17 @@ class ReadingComprehensionModel(ParamMixin):
             prepared.append((enc_in, starts, s_t, e_t,
                              ANSWER_TYPES.index(ex["answer_type"]),
                              np.asarray(ex["support"], dtype=np.float64)[None, :len(starts)]))
+        return prepared
 
-        def batch_loss(batch):
-            logits = self._forward([(enc_in, starts) for enc_in, starts, *_ in batch])
-            losses = [T.cross_entropy(s_log, np.asarray([s_t]))
-                      + T.cross_entropy(e_log, np.asarray([e_t]))
-                      + T.cross_entropy(t_log, np.asarray([type_t]))
-                      + T.cross_entropy(sup_log, support_t)
-                      for (s_log, e_log, t_log, sup_log), (_, _, s_t, e_t, type_t, support_t)
-                      in zip(logits, batch)]
-            return T.mul(sum(losses[1:], losses[0]), 1.0 / len(batch))
-
-        self.history_ = fit_adam(self.model_, prepared, lambda item: item[0], batch_loss,
-                                 self.steps, self.lr)
-        return self
+    def _batch_loss(self, batch):
+        logits = self._forward([(enc_in, starts) for enc_in, starts, *_ in batch])
+        losses = [T.cross_entropy(s_log, np.asarray([s_t]))
+                  + T.cross_entropy(e_log, np.asarray([e_t]))
+                  + T.cross_entropy(t_log, np.asarray([type_t]))
+                  + T.cross_entropy(sup_log, support_t)
+                  for (s_log, e_log, t_log, sup_log), (_, _, s_t, e_t, type_t, support_t)
+                  in zip(logits, batch)]
+        return T.mul(sum(losses[1:], losses[0]), 1.0 / len(batch))
 
     def _decode_span(self, enc_in, start_logits, end_logits) -> str:
         second = enc_in.sections["second"]
@@ -154,7 +143,7 @@ class ReadingComprehensionModel(ParamMixin):
         e = end_logits[second.start:second.stop]
         best, best_pair = -np.inf, (0, 0)
         for i in range(len(s)):
-            j_hi = min(len(e), i + self.max_span)
+            j_hi = min(len(e), i + MAX_SPAN)
             for j in range(i, j_hi):
                 if s[i] + e[j] > best:
                     best, best_pair = s[i] + e[j], (i, j)

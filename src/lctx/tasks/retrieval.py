@@ -4,6 +4,7 @@ Input is [CLS] query [SEP] candidate [SEP], truncated to 509/3072 for the
 long model and 100/409 for the 512-token dense baseline. The long model puts
 global attention on CLS plus every query token; the dense baseline runs full
 self-attention. Candidate pools rank by score, ties broken by candidate id.
+The default encoder has 1 layer over 256 positions (512 for the dense one).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 
 from .. import tensor as T
 from ..attention import AttentionPattern
-from ..base import ParamMixin, check_fitted
+from ..base import check_fitted
 from ..encoder import EncoderConfig
 from ..metrics import RankedList, mean_average_precision, ndcg_at_k, precision_at_k
 from ..vocab import CharVocab
@@ -24,7 +25,7 @@ from .inputs import (
     EncodedInput,
     pair_input,
 )
-from .model import HeadedModel, check_rows, fit_adam, predict_batches
+from .model import TEXT, TaskHead, is_flag, predict_batches
 
 
 def retrieval_input(query_ids, cand_ids, model_type: str = "long") -> EncodedInput:
@@ -41,19 +42,23 @@ def retrieval_input(query_ids, cand_ids, model_type: str = "long") -> EncodedInp
     raise ValueError(f"unknown model_type {model_type!r}")
 
 
-class RetrievalRanker(ParamMixin):
+class RetrievalRanker(TaskHead):
     """fit/predict_proba/predict/rank over {query_id, candidate_id, query,
     candidate, relevant} rows."""
+
+    task = "retrieval"
+    row_fields = {"query_id": TEXT, "candidate_id": TEXT, "query": TEXT,
+                  "candidate": ("a non-empty string", lambda v, row: type(v) is str and v != ""),
+                  "relevant": ("0 or 1", lambda v, row: is_flag(v))}
+    label_fields = ("query_id", "candidate_id", "relevant")
+    max_positions = property(lambda self: 512 if self.model_type == "dense" else 256)
+    fit = TaskHead.fit
 
     def __init__(self, model_type: str = "long", vocab: CharVocab | None = None,
                  encoder: EncoderConfig | None = None, steps: int = 200,
                  lr: float = 2e-3, seed: int = 0):
+        super().__init__(vocab, encoder, steps, lr, seed)
         self.model_type = model_type
-        self.vocab = vocab
-        self.encoder = encoder
-        self.steps = steps
-        self.lr = lr
-        self.seed = seed
 
     def _prepare(self, examples) -> list[EncodedInput]:
         check_fitted(self, "model_")
@@ -70,29 +75,18 @@ class RetrievalRanker(ParamMixin):
         cls = self.model_.encode(inputs, pattern)[:, 0, :]
         return T.matmul(cls, self.model_.heads["w"], self.model_.heads["b"])
 
-    def check_rows(self, examples) -> None:
-        check_rows(examples, ("query_id", "candidate_id", "query", "candidate", "relevant"),
-                   "retrieval")
+    def _texts(self, examples):
+        return [ex["query"] for ex in examples] + [ex["candidate"] for ex in examples]
 
-    def fit(self, examples) -> "RetrievalRanker":
-        self.check_rows(examples)
-        self.vocab_ = self.vocab or CharVocab().fit(
-            [ex["query"] for ex in examples] + [ex["candidate"] for ex in examples])
-        enc_cfg = self.encoder or EncoderConfig(
-            n_layers=1, n_heads=2, hidden_dim=64, ffn_dim=128,
-            vocab_size=len(self.vocab_),
-            max_positions=512 if self.model_type == "dense" else 256, window=8)
-        H = enc_cfg.hidden_dim
-        self.model_ = HeadedModel(enc_cfg, {"w": (H, 1), "b": (1,)}, seed=self.seed)
+    def _head_shapes(self, examples, H) -> dict:
+        return {"w": (H, 1), "b": (1,)}
 
-        def batch_loss(batch):
-            return T.cross_entropy(self._score([enc_in for enc_in, _ in batch]),
-                                   np.asarray([[float(ex["relevant"])] for _, ex in batch]))
+    def _items(self, examples):
+        return list(zip(self._prepare(examples), examples))
 
-        items = list(zip(self._prepare(examples), examples))
-        self.history_ = fit_adam(self.model_, items, lambda item: item[0], batch_loss,
-                                 self.steps, self.lr)
-        return self
+    def _batch_loss(self, batch):
+        return T.cross_entropy(self._score([enc_in for enc_in, _ in batch]),
+                               np.asarray([[float(ex["relevant"])] for _, ex in batch]))
 
     def predict_proba(self, examples) -> np.ndarray:
         """Relevance probability in [0, 1] per example row."""

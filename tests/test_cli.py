@@ -484,20 +484,86 @@ def test_finetune_dense_model_type_rejected_for_other_tasks(fixture_dir, tmp_pat
     assert not out.exists()  # rejected before anything is written
 
 
-@pytest.mark.parametrize("rows, message", [
-    pytest.param([], "no training examples", id="empty-file"),
-    pytest.param(None, "rc row 1 has no 'answer'", id="rc-row-without-answer"),
+def write_rows(path, rows):
+    path.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows),
+                    encoding="utf-8")
+    return path
+
+
+def bad_field(task, field, value, want, case_id):
+    """A refusal case: row 1's `field` set to `value`, which is not `want`."""
+    return pytest.param(task, lambda rows: rows[1].update({field: value}),
+                        f"{task} row 1: {field!r} must be {want}, "
+                        f"got {json.dumps(value, ensure_ascii=False)}", id=case_id)
+
+
+LABEL_ID = "a label id (an integer >= 0)"
+LABEL_IDS = "a list of label ids (integers >= 0)"
+ANSWER_SET = "a non-empty list of the letters of its choices"
+
+
+@pytest.mark.parametrize("task, edit, message", [
+    pytest.param("rc", lambda rows: rows.clear(), "no training examples", id="empty-file"),
+    pytest.param("rc", lambda rows: rows[1].pop("answer"), "rc row 1 has no 'answer'",
+                 id="rc-row-without-answer"),
+    bad_field("judgment-criminal", "charges", ["盗窃罪"], LABEL_IDS, "charge-names"),
+    bad_field("judgment-criminal", "penalty_months", -5, "a finite number >= 0",
+              "negative-penalty"),
+    bad_field("judgment-civil", "cause", -1, LABEL_ID, "cause-ignore-index"),
+    bad_field("judgment-civil", "cause", True, LABEL_ID, "cause-bool"),
+    bad_field("rc", "answer_type", "maybe", "one of span, yes, no, unanswerable",
+              "rc-answer-type"),
+    bad_field("rc", "context", [], "a string or a list of strings, with at least one sentence",
+              "rc-no-sentences"),
+    bad_field("retrieval", "relevant", "yes", "0 or 1", "relevant-string"),
+    bad_field("mcq", "answer_set", ["E"], ANSWER_SET, "mcq-letter-beyond-choices"),
+    bad_field("mcq", "choices", ["只有一个"], "a list of 2 to 4 strings", "mcq-one-choice"),
 ])
 def test_finetune_rows_checked_before_anything_is_written(fixture_dir, tmp_path, capsys,
-                                                          rows, message):
-    if rows is None:
-        rows = read_jsonl(fixture_dir / "fx" / "rc.jsonl")[:3]
-        del rows[1]["answer"]
-    data = tmp_path / "rows.jsonl"
-    data.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows),
-                    encoding="utf-8")
+                                                          task, edit, message):
+    rows = read_jsonl(task_data(fixture_dir, task))[:3]
+    edit(rows)
+    data = write_rows(tmp_path / "rows.jsonl", rows)
     out = tmp_path / "ft"
-    assert run(["finetune", "--task", "rc", "--data", data, "--out", out, "--steps", 1]) == 1
+    capsys.readouterr()
+    assert run(["finetune", "--task", task, "--data", data, "--out", out, "--steps", 2]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not out.exists()  # rejected before anything is written
+
+
+def test_finetune_trains_on_an_empty_label_list(fixture_dir, tmp_path):
+    # an empty charge set is an all-negative target; fit counts labels by the
+    # rule that lctx evaluate uses, which accepts it
+    rows = read_jsonl(task_data(fixture_dir, "judgment-criminal"))[:3]
+    rows[1]["charges"] = []
+    data = write_rows(tmp_path / "rows.jsonl", rows)
+    out = tmp_path / "ft"
+    assert run(["finetune", "--task", "judgment-criminal", "--data", data, "--out", out,
+                "--steps", 2]) == 0
+    assert run(["evaluate", "--task", "judgment-criminal", "--pred",
+                out / "predictions.jsonl", "--gold", data, "--out", tmp_path / "ev"]) == 0
+
+
+@pytest.mark.parametrize("task, edit, message", [
+    pytest.param("rc", lambda rows: rows.clear(), "no gold rows", id="empty-file"),
+    pytest.param("rc", lambda rows: rows[1].pop("answer"), "rc row 1 has no 'answer'",
+                 id="rc-row-without-answer"),
+    bad_field("judgment-criminal", "charges", "盗窃罪", LABEL_IDS, "charges-string"),
+    bad_field("judgment-civil", "cause", True, LABEL_ID, "cause-bool"),
+    bad_field("retrieval", "relevant", "yes", "0 or 1", "relevant-string"),
+    bad_field("rc", "answer", 5, "a string", "rc-answer-number"),
+    bad_field("mcq", "answer_set", "A", ANSWER_SET, "mcq-answer-set-string"),
+])
+def test_evaluate_gold_rows_checked_before_anything_is_written(fixture_dir, tmp_path, capsys,
+                                                               task, edit, message):
+    gold = read_jsonl(task_data(fixture_dir, task))[:3]
+    pred = write_rows(tmp_path / "pred.jsonl", [dict(row, score=0.5) for row in gold])
+    edit(gold)
+    out = tmp_path / "ev"
+    capsys.readouterr()
+    assert run(["evaluate", "--task", task, "--pred", pred,
+                "--gold", write_rows(tmp_path / "gold.jsonl", gold), "--out", out]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert not out.exists()  # rejected before anything is written

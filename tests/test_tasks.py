@@ -7,6 +7,7 @@ from lctx.attention import build_band_mask
 from lctx.encoder import Encoder, EncoderConfig
 from lctx.fixtures import mcq_examples, rc_examples, retrieval_examples
 from lctx.tasks import model as model_module
+from lctx.tasks.reading import MAX_SPAN
 from lctx.tasks import (
     DENSE_CAND_LIMIT,
     DENSE_QUERY_LIMIT,
@@ -252,8 +253,8 @@ def test_rc_decode_constraints_and_type_override():
     e_log[second.start] = 10.0
     text = model._decode_span(enc_in, s_log, e_log)
     assert isinstance(text, str)  # a legal i <= j pair was still produced
-    # decode never returns a span longer than max_span
-    assert len(text) <= model.max_span
+    # decode never returns a span longer than MAX_SPAN
+    assert len(text) <= MAX_SPAN
 
     preds = model.predict(rows)
     for p in preds:
@@ -301,10 +302,12 @@ def test_mcq_too_few_choices():
 
 
 def test_estimator_protocol_surface():
-    for est in (JudgmentModel(), RetrievalRanker(), ReadingComprehensionModel(),
-                MultipleChoiceModel()):
+    for est in (JudgmentModel(mode="civil", n_laws=7), RetrievalRanker(model_type="dense"),
+                ReadingComprehensionModel(lr=1e-3), MultipleChoiceModel(seed=4)):
         params = est.get_params()
         assert "steps" in params and "lr" in params and "seed" in params
+        # the scikit-learn clone contract: the parameters rebuild the estimator
+        assert type(est)(**params).get_params() == params
         est.set_params(steps=3)
         assert est.get_params()["steps"] == 3
         with pytest.raises(ValueError):
