@@ -54,6 +54,7 @@ from .tasks import (
     reading,
     retrieval,
 )
+from .tasks.model import check_fields
 from .vocab import CharVocab, build_vocab
 
 METRIC_COLUMNS = ["Mic@c", "Mac@c", "Mic@l", "Mac@l", "Dis@t",
@@ -61,7 +62,7 @@ METRIC_COLUMNS = ["Mic@c", "Mac@c", "Mic@l", "Mac@l", "Dis@t",
                   "NDCG@5", "NDCG@10", "NDCG@20", "NDCG@30",
                   "MAP", "EM", "F1", "single", "all"]
 
-# task name: (estimator class, the constructor arguments fixed by the task,
+# task name: (head class, the constructor arguments fixed by the task,
 # score_rows(pred_rows, gold_rows), the head's own scoring path, which for
 # judgment counts the labels of both row lists). finetune, evaluate and smoke
 # all read their tasks from this table.
@@ -355,7 +356,9 @@ def cmd_finetune(args) -> int:
 def cmd_evaluate(args) -> int:
     cls, fixed, score = TASKS[args.task]
     pred_rows, gold_rows = read_jsonl(args.pred), read_jsonl(args.gold)
-    cls(**fixed).check_rows(gold_rows, gold=True)
+    head = cls(**fixed)
+    head.check_rows(gold_rows, gold=True)
+    check_fields(pred_rows, head.pred_fields, f"{args.task} prediction")
     # retrieval aligns its scores to the gold rows by (query_id, candidate_id)
     if len(pred_rows) != len(gold_rows) and args.task != "retrieval":
         raise ValueError("pred and gold files must align")
@@ -526,15 +529,16 @@ def cmd_smoke(args) -> int:
     small = dict(n_heads=2, hidden_dim=32, ffn_dim=64, window=4, vocab_size=len(vocab))
     rows = {"judgment-criminal": result.criminal_examples,
             "judgment-civil": result.civil_examples, **fixture_rows}
-    label_a = {"judgment-criminal": result.charge_table, "judgment-civil": result.cause_table}
+    counts = {task: {"n_label_a": len(table), "n_laws": len(result.law_table)}
+              for task, table in (("judgment-criminal", result.charge_table),
+                                  ("judgment-civil", result.cause_table))}
     metric_rows = []
     for task, (cls, fixed, _) in TASKS.items():
         with _smoke_stage(f"finetune-{task}", timings):
-            model = cls(**fixed, vocab=vocab, steps=steps, lr=3e-3, seed=seed)
-            model.set_params(encoder=EncoderConfig(n_layers=model.n_layers,
-                                                   max_positions=model.max_positions, **small))
-            if task in label_a:
-                model.set_params(n_label_a=len(label_a[task]), n_laws=len(result.law_table))
+            model = cls(**fixed, **counts.get(task, {}), vocab=vocab, steps=steps, lr=3e-3,
+                        seed=seed)
+            model.encoder = EncoderConfig(n_layers=model.n_layers,
+                                          max_positions=model.max_positions, **small)
             metrics = model.fit(rows[task]).evaluate(rows[task])
             metric_rows.append({"task": task, **metrics})
 

@@ -209,10 +209,6 @@ class FoldPlan:
     def fold_of(self, query_id) -> int:
         return _stable_hash(query_id) % self.n_folds
 
-    def plan_hash(self) -> str:
-        blob = "|".join(",".join(sorted(map(str, part))) for part in self.partitions)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
 
 def run_cross_validation(examples, plan: FoldPlan, train_fn, eval_fn) -> dict:
     """Rotate over folds of the examples' query_id: train on the other folds,

@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .base import ParamMixin, check_fitted, check_random_state
 from .checkpoint import (committing, load_arrays, read_marker, save_arrays, save_params,
                          write_csv, write_text)
 from .encoder import Encoder, EncoderConfig
@@ -57,7 +56,7 @@ def lr_at(step: int, config: PretrainConfig) -> float:
     return config.peak_lr * (config.total_steps - step) / span
 
 
-def mask_tokens(seq: np.ndarray, rate: float, rng, vocab_size: int):
+def mask_tokens(seq: np.ndarray, rate: float, rng: np.random.Generator, vocab_size: int):
     """MLM corruption of one sequence.
 
     Selects round(rate * eligible) non-special positions (at least one); of
@@ -65,7 +64,6 @@ def mask_tokens(seq: np.ndarray, rate: float, rng, vocab_size: int):
     unchanged. Labels hold the original token at selected positions and
     IGNORE_INDEX elsewhere.
     """
-    rng = check_random_state(rng)
     seq = np.asarray(seq)
     eligible = np.flatnonzero(seq >= N_SPECIAL)
     if eligible.size == 0:
@@ -249,31 +247,3 @@ def masked_recovery_accuracy(encoder: Encoder, blocks: np.ndarray,
         total += int(masked.sum())
     return hits / max(1, total)
 
-
-class MlmPretrainer(ParamMixin):
-    """Estimator facade over the pretraining loop: fit(blocks) trains an
-    encoder and exposes it as .encoder_ with the per-step log in .history_."""
-
-    def __init__(self, config: PretrainConfig | None = None,
-                 model: EncoderConfig | None = None, steps: int = 100,
-                 out_dir=None, checkpoint_interval: int | None = None):
-        self.config = config
-        self.model = model
-        self.steps = steps
-        self.out_dir = out_dir
-        self.checkpoint_interval = checkpoint_interval
-
-    def fit(self, blocks) -> "MlmPretrainer":
-        config = self.config or PretrainConfig()
-        model = self.model or EncoderConfig()
-        self.encoder_, self.history_ = pretrain(
-            blocks, config, model, steps=self.steps, out_dir=self.out_dir,
-            checkpoint_interval=self.checkpoint_interval)
-        return self
-
-    def predict(self, blocks) -> np.ndarray:
-        """Argmax token ids for each position of the given blocks."""
-        check_fitted(self, "encoder_")
-        with T.no_grad():
-            logits = self.encoder_.mlm_logits(self.encoder_.encode(np.asarray(blocks)))
-        return logits.data.argmax(axis=-1)

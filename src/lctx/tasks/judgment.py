@@ -14,9 +14,7 @@ import numpy as np
 from .. import tensor as T
 from ..base import check_fitted
 from ..corpus import PENALTY_CAP_MONTHS
-from ..encoder import EncoderConfig
 from ..metrics import log_distance, micro_macro_f1
-from ..vocab import CharVocab
 from .inputs import single_text_input
 from .model import TEXT, TaskHead, mse, predict_batches
 
@@ -74,13 +72,11 @@ class JudgmentModel(TaskHead):
     label_fields = property(lambda self: tuple(_FIELDS[self.mode])[1:])
     fit = TaskHead.fit
 
-    def __init__(self, mode: str = "criminal", vocab: CharVocab | None = None,
-                 encoder: EncoderConfig | None = None, steps: int = 200,
-                 lr: float = 2e-3, seed: int = 0, n_label_a: int | None = None,
-                 n_laws: int | None = None):
+    def __init__(self, mode: str = "criminal", n_label_a: int | None = None,
+                 n_laws: int | None = None, **settings):
         if mode not in ("criminal", "civil"):
             raise ValueError("mode must be criminal or civil")
-        super().__init__(vocab, encoder, steps, lr, seed)
+        super().__init__(**settings)
         self.mode = mode
         self.n_label_a = n_label_a  # charges (criminal) or causes (civil)
         self.n_laws = n_laws

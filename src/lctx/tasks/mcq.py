@@ -33,6 +33,8 @@ class MultipleChoiceModel(TaskHead):
                        and all(x in LETTERS[:len(row["choices"])] for x in v)),
     }
     label_fields = ("choices", "answer_set")  # the letters name choices
+    pred_fields = {"answer_set": (f"a possibly empty list of the letters {', '.join(LETTERS)}",
+                                  lambda v, row: type(v) is list and all(x in LETTERS for x in v))}
     fit = TaskHead.fit
 
     def _assemble(self, ex) -> list[EncodedInput]:
@@ -69,11 +71,7 @@ class MultipleChoiceModel(TaskHead):
         flat = predict_batches([enc_in for inputs in per_question for enc_in in inputs],
                                lambda enc_in: enc_in,
                                lambda batch: [float(x) for x in self._score(batch).data[:, 0]])
-        out, lo = [], 0
-        for inputs in per_question:
-            out.append(np.asarray(flat[lo:lo + len(inputs)]))
-            lo += len(inputs)
-        return out
+        return np.split(np.asarray(flat), np.cumsum([len(inputs) for inputs in per_question])[:-1])
 
     def predict(self, examples) -> list[dict]:
         """{"answer_set": letters with positive score, "argmax": best letter}."""

@@ -1,6 +1,6 @@
 """What the task heads share: the encoder + head parameter container, the
-batching rule, the fine-tuning loop, the row check, and TaskHead, the
-estimator base that holds their fit scaffolding."""
+batching rule, the fine-tuning loop, the row check, and TaskHead, the base
+class that holds their fit scaffolding."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 
 from .. import tensor as T
-from ..base import ParamMixin
 from ..checkpoint import committing, load_params, read_marker, save_params
 from ..encoder import Encoder, EncoderConfig
 from ..optim import AdamState, adam_step, zero_grads
@@ -154,20 +153,37 @@ def is_flag(value) -> bool:
 TEXT = ("a string", lambda v, row: type(v) is str)
 
 
-class TaskHead(ParamMixin):
-    """Estimator base of the task heads: the shared parameters, row check,
-    vocabulary fit, default encoder, HeadedModel build and fit_adam call. A
-    head declares `task` (its name in messages), `n_layers` and
-    `max_positions` (its default encoder's), `row_fields` (name: kind, what
-    fit reads) and `label_fields` (what score_rows reads in gold rows, and any
-    field their kinds look at), implements `_texts`, `_head_shapes`, `_items`
-    and `_batch_loss`, and binds `fit = TaskHead.fit` as its own attribute,
-    so that tracing can wrap one head's fit alone."""
+def check_fields(rows, fields: dict, what: str) -> None:
+    """Refuse, naming `what`, the row and the field, a row that is not an
+    object, or one without one of `fields` (name: kind) or whose value fails
+    the field's kind."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"{what} row {i} is not a JSON object")
+        for key, (want, ok) in fields.items():
+            if key not in row:
+                raise ValueError(f"{what} row {i} has no {key!r}")
+            if not ok(row[key], row):
+                raise ValueError(f"{what} row {i}: {key!r} must be {want}, "
+                                 f"got {json.dumps(row[key], ensure_ascii=False)}")
+
+
+class TaskHead:
+    """Base of the task heads: the shared settings, row check, vocabulary
+    fit, default encoder, HeadedModel build and fit_adam call. A head
+    declares `task` (its name in messages), `n_layers` and `max_positions`
+    (its default encoder's), `row_fields` (name: kind, what fit reads),
+    `label_fields` (what score_rows reads in gold rows, and any field their
+    kinds look at) and, where they differ from the gold label fields,
+    `pred_fields` (what score_rows reads in prediction rows); it implements
+    `_texts`, `_head_shapes`, `_items` and `_batch_loss`, and binds
+    `fit = TaskHead.fit` as its own attribute, so that tracing can wrap one
+    head's fit alone."""
 
     n_layers = 1
     max_positions = 160
 
-    def __init__(self, vocab: CharVocab | None = None, encoder: EncoderConfig | None = None,
+    def __init__(self, *, vocab: CharVocab | None = None, encoder: EncoderConfig | None = None,
                  steps: int = 200, lr: float = 2e-3, seed: int = 0):
         self.vocab = vocab
         self.encoder = encoder
@@ -175,22 +191,15 @@ class TaskHead(ParamMixin):
         self.lr = lr
         self.seed = seed
 
+    gold_fields = property(lambda self: {k: self.row_fields[k] for k in self.label_fields})
+    pred_fields = gold_fields
+
     def check_rows(self, rows, gold: bool = False) -> None:
-        """Refuse rows that cannot be used: no rows, a row that is not an
-        object, or one without a field or whose value fails the field's kind,
-        over row_fields (or with `gold`, over label_fields)."""
-        fields = {k: self.row_fields[k] for k in self.label_fields} if gold else self.row_fields
+        """Refuse rows that cannot be used: no rows, or a row that fails
+        check_fields over row_fields (or with `gold`, over gold_fields)."""
         if not rows:
             raise ValueError("no gold rows" if gold else "no training examples")
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict):
-                raise ValueError(f"{self.task} row {i} is not a JSON object")
-            for key, (want, ok) in fields.items():
-                if key not in row:
-                    raise ValueError(f"{self.task} row {i} has no {key!r}")
-                if not ok(row[key], row):
-                    raise ValueError(f"{self.task} row {i}: {key!r} must be {want}, "
-                                     f"got {json.dumps(row[key], ensure_ascii=False)}")
+        check_fields(rows, self.gold_fields if gold else self.row_fields, self.task)
 
     def fit(self, examples):
         """Train on the rows; an item's first element is its assembled input."""

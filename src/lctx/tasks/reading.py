@@ -10,6 +10,7 @@ The default encoder has 2 layers over 160 positions.
 
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .. import tensor as T
 from ..base import check_fitted
 from ..metrics import em_f1
-from ..vocab import char_tokens
+from ..vocab import char_tokens, n_tokens
 from .inputs import QUESTION_LIMIT, EncodedInput, pair_input
 from .model import TEXT, TaskHead, is_flag, predict_batches
 
@@ -33,13 +34,13 @@ def split_sentences(context) -> list[str]:
     return list(context)
 
 
-def _find_subsequence(haystack: np.ndarray, needle: np.ndarray) -> int | None:
-    """The first i with haystack[i:i + len(needle)] == needle, else None."""
-    if not len(needle) or len(needle) > len(haystack):
-        return None
-    windows = np.lib.stride_tricks.sliding_window_view(haystack, len(needle))
-    hits = np.flatnonzero((windows == needle).all(axis=1))
-    return int(hits[0]) if hits.size else None
+def best_span(start_logits: np.ndarray, end_logits: np.ndarray) -> tuple[int, int]:
+    """The (i, j) with i <= j < i + MAX_SPAN that maximises start_logits[i] +
+    end_logits[j]; the first in (i, j) order among ties."""
+    n = len(start_logits)
+    i, j = np.ogrid[:n, :n]
+    pair = np.where((i <= j) & (j < i + MAX_SPAN), start_logits[:, None] + end_logits, -np.inf)
+    return divmod(int(pair.argmax()), n)
 
 
 class ReadingComprehensionModel(TaskHead):
@@ -49,10 +50,11 @@ class ReadingComprehensionModel(TaskHead):
     n_layers = 2
     row_fields = {
         "question": TEXT,
+        # a sentence of whitespace alone holds no token, so it does not count
         "context": ("a string or a list of strings, with at least one sentence",
                     lambda v, row: (type(v) is str or type(v) is list
                                     and all(type(s) is str for s in v))
-                    and len(split_sentences(v)) > 0),
+                    and n_tokens("".join(v)) > 0),
         "answer": TEXT,
         "answer_type": (f"one of {', '.join(ANSWER_TYPES)}",
                         lambda v, row: type(v) is str and v in ANSWER_TYPES),
@@ -63,19 +65,34 @@ class ReadingComprehensionModel(TaskHead):
     label_fields = ("answer",)
     fit = TaskHead.fit
 
+    def _context_limit(self) -> int:
+        """Context tokens that assembly keeps: the encoder's positions less
+        the question's and CLS, SEP, SEP."""
+        return (self.encoder or self).max_positions - QUESTION_LIMIT - 3
+
+    def check_rows(self, rows, gold: bool = False) -> None:
+        """TaskHead's row check; a training row's span answer must also lie in
+        the context that assembly keeps."""
+        super().check_rows(rows, gold)
+        if gold:
+            return
+        limit = self._context_limit()
+        for i, row in enumerate(rows):
+            context = "".join("".join(row["context"]).split())[:limit]
+            answer = "".join(row["answer"].split())
+            if row["answer_type"] == "span" and not (answer and answer in context):
+                raise ValueError(f"{self.task} row {i}: a span 'answer' must be in the first "
+                                 f"{limit} tokens of its context, got "
+                                 f"{json.dumps(row['answer'], ensure_ascii=False)}")
+
     def _assemble(self, ex) -> tuple[EncodedInput, list[int]]:
         sent_ids = [self.vocab_.transform(s) for s in split_sentences(ex["context"])]
-        flat = np.concatenate(sent_ids)
-        cand_limit = self.model_.encoder.config.max_positions - QUESTION_LIMIT - 3
-        enc_in = pair_input(self.vocab_.transform(ex["question"]), flat,
-                            QUESTION_LIMIT, cand_limit)
-        starts, offset = [], enc_in.sections["second"].start
-        pos = 0
-        for ids in sent_ids:
-            if pos < len(enc_in.sections["second"]):
-                starts.append(offset + pos)
-            pos += len(ids)
-        return enc_in, starts
+        enc_in = pair_input(self.vocab_.transform(ex["question"]), np.concatenate(sent_ids),
+                            QUESTION_LIMIT, self._context_limit())
+        # the first position of each sentence that truncation keeps
+        second = enc_in.sections["second"]
+        offsets = np.cumsum([0] + [len(ids) for ids in sent_ids[:-1]]).tolist()
+        return enc_in, [second.start + pos for pos in offsets if pos < len(second)]
 
     def _span_target(self, ex, enc_in: EncodedInput) -> tuple[int, int]:
         if ex["answer_type"] != "span":
@@ -83,9 +100,9 @@ class ReadingComprehensionModel(TaskHead):
         second = enc_in.sections["second"]
         context_ids = enc_in.ids[second.start:second.stop]
         answer_ids = self.vocab_.transform(ex["answer"])
-        hit = _find_subsequence(context_ids, answer_ids)
-        if hit is None:
-            raise ValueError(f"span answer {ex['answer']!r} not found in context")
+        # the first hit; the row check has made sure that there is one
+        windows = np.lib.stride_tricks.sliding_window_view(context_ids, len(answer_ids))
+        hit = int(np.flatnonzero((windows == answer_ids).all(axis=1))[0])
         return second.start + hit, second.start + hit + len(answer_ids) - 1
 
     def _forward(self, batch) -> list[tuple]:
@@ -139,15 +156,8 @@ class ReadingComprehensionModel(TaskHead):
 
     def _decode_span(self, enc_in, start_logits, end_logits) -> str:
         second = enc_in.sections["second"]
-        s = start_logits[second.start:second.stop]
-        e = end_logits[second.start:second.stop]
-        best, best_pair = -np.inf, (0, 0)
-        for i in range(len(s)):
-            j_hi = min(len(e), i + MAX_SPAN)
-            for j in range(i, j_hi):
-                if s[i] + e[j] > best:
-                    best, best_pair = s[i] + e[j], (i, j)
-        lo, hi = best_pair
+        lo, hi = best_span(start_logits[second.start:second.stop],
+                           end_logits[second.start:second.stop])
         ids = enc_in.ids[second.start + lo: second.start + hi + 1]
         return self.vocab_.decode(ids)
 

@@ -9,14 +9,14 @@ The default encoder has 1 layer over 256 positions (512 for the dense one).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .. import tensor as T
 from ..attention import AttentionPattern
 from ..base import check_fitted
-from ..encoder import EncoderConfig
 from ..metrics import RankedList, mean_average_precision, ndcg_at_k, precision_at_k
-from ..vocab import CharVocab
 from .inputs import (
     DENSE_CAND_LIMIT,
     DENSE_QUERY_LIMIT,
@@ -51,13 +51,14 @@ class RetrievalRanker(TaskHead):
                   "candidate": ("a non-empty string", lambda v, row: type(v) is str and v != ""),
                   "relevant": ("0 or 1", lambda v, row: is_flag(v))}
     label_fields = ("query_id", "candidate_id", "relevant")
+    pred_fields = {"query_id": TEXT, "candidate_id": TEXT,
+                   "score": ("a finite number",
+                             lambda v, row: type(v) in (int, float) and math.isfinite(v))}
     max_positions = property(lambda self: 512 if self.model_type == "dense" else 256)
     fit = TaskHead.fit
 
-    def __init__(self, model_type: str = "long", vocab: CharVocab | None = None,
-                 encoder: EncoderConfig | None = None, steps: int = 200,
-                 lr: float = 2e-3, seed: int = 0):
-        super().__init__(vocab, encoder, steps, lr, seed)
+    def __init__(self, model_type: str = "long", **settings):
+        super().__init__(**settings)
         self.model_type = model_type
 
     def _prepare(self, examples) -> list[EncodedInput]:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .base import ParamMixin, check_fitted
+from .base import check_fitted
 from .checkpoint import write_text
 
 SPECIAL_TOKENS = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"]
@@ -44,23 +44,18 @@ def n_tokens(text: str) -> int:
     return sum(map(len, text.split()))
 
 
-class CharVocab(ParamMixin):
+class CharVocab:
     """Frequency-ranked character vocabulary (ties broken by codepoint).
 
     fit(texts) builds the table; transform(text) maps to an int64 id array
     with UNK=1 for out-of-vocabulary characters.
     """
 
-    def __init__(self, max_size: int | None = None):
-        self.max_size = max_size
-
     def fit(self, texts) -> "CharVocab":
         counts = np.bincount(codepoints("".join(texts)))
         counts[_SURROGATES] = 0
         cps = np.flatnonzero(counts)
         ranked = cps[np.lexsort((cps, -counts[cps]))]
-        if self.max_size is not None:
-            ranked = ranked[: max(0, self.max_size - N_SPECIAL)]
         self.tokens_ = SPECIAL_TOKENS + [chr(cp) for cp in ranked.tolist()]
         self._build_table(ranked, np.arange(N_SPECIAL, len(self.tokens_)))
         return self
@@ -107,6 +102,6 @@ class CharVocab(ParamMixin):
         return vocab
 
 
-def build_vocab(corpus, max_size: int | None = None) -> CharVocab:
+def build_vocab(corpus) -> CharVocab:
     """Vocabulary over an iterable of texts; deterministic for a fixed corpus."""
-    return CharVocab(max_size=max_size).fit(corpus)
+    return CharVocab().fit(corpus)

@@ -1,8 +1,9 @@
 """Brute-force metric oracles, written straight from the definitions (plain
 loops, no shared code with the implementations). Used by the metric tests and
 the acceptance suite. Also the reference formulas of the numeric kernels,
-which the kernel byte-identity tests compare against, and the per-character
-corpus pipeline that the numpy one must reproduce exactly."""
+which the kernel byte-identity tests compare against, the per-character
+corpus pipeline that the numpy one must reproduce exactly, and the span
+decoding loop of reading comprehension."""
 
 import itertools
 import math
@@ -402,14 +403,12 @@ def ref_char_tokens(text):
     return [ch for ch in text if not ch.isspace()]
 
 
-def ref_vocab_tokens(texts, max_size=None):
+def ref_vocab_tokens(texts):
     """Special tokens, then characters by descending count, ties by codepoint."""
     counts = Counter()
     for text in texts:
         counts.update(ref_char_tokens(text))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    if max_size is not None:
-        ranked = ranked[: max(0, max_size - len(REF_SPECIAL_TOKENS))]
     return REF_SPECIAL_TOKENS + [tok for tok, _ in ranked]
 
 
@@ -432,3 +431,18 @@ def ref_pack_documents(token_streams, target_len):
     if current:
         blocks.append(current + [0] * (target_len - len(current)))
     return np.asarray(blocks, dtype=np.int64).reshape(-1, target_len)
+
+
+# ---------------------------------------------------------------------------
+# Reference span decoding: every legal (start, end) pair in order, the first
+# strictly best one kept.
+# ---------------------------------------------------------------------------
+
+
+def ref_best_span(start_logits, end_logits, max_span):
+    best, best_pair = -np.inf, (0, 0)
+    for i in range(len(start_logits)):
+        for j in range(i, min(len(end_logits), i + max_span)):
+            if start_logits[i] + end_logits[j] > best:
+                best, best_pair = start_logits[i] + end_logits[j], (i, j)
+    return best_pair

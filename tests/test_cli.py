@@ -515,6 +515,16 @@ ANSWER_SET = "a non-empty list of the letters of its choices"
               "rc-answer-type"),
     bad_field("rc", "context", [], "a string or a list of strings, with at least one sentence",
               "rc-no-sentences"),
+    bad_field("rc", "context", [" ", "\u3000"],
+              "a string or a list of strings, with at least one sentence", "rc-blank-sentences"),
+    pytest.param("rc", lambda rows: rows[1].update(answer="不在文中", answer_type="span"),
+                 "rc row 1: a span 'answer' must be in the first 93 tokens of its context, "
+                 'got "不在文中"', id="rc-span-not-in-context"),
+    # the default rc encoder keeps 160 - 64 - 3 = 93 context tokens
+    pytest.param("rc", lambda rows: rows[1].update(context=["甲" * 93 + "乙。"], answer="乙",
+                                                   answer_type="span", support=[1]),
+                 "rc row 1: a span 'answer' must be in the first 93 tokens of its context, "
+                 'got "乙"', id="rc-span-cut-off"),
     bad_field("retrieval", "relevant", "yes", "0 or 1", "relevant-string"),
     bad_field("mcq", "answer_set", ["E"], ANSWER_SET, "mcq-letter-beyond-choices"),
     bad_field("mcq", "choices", ["只有一个"], "a list of 2 to 4 strings", "mcq-one-choice"),
@@ -567,6 +577,35 @@ def test_evaluate_gold_rows_checked_before_anything_is_written(fixture_dir, tmp_
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert not out.exists()  # rejected before anything is written
+
+
+@pytest.mark.parametrize("task, field, value, want", [
+    pytest.param("rc", "answer", 5, "a string", id="rc-answer-number"),
+    pytest.param("retrieval", "score", "x", "a finite number", id="retrieval-score-string"),
+    pytest.param("judgment-civil", "cause", "a", LABEL_ID, id="cause-string"),
+    pytest.param("mcq", "answer_set", "A", "a possibly empty list of the letters A, B, C, D",
+                 id="mcq-answer-set-string"),
+])
+def test_evaluate_prediction_rows_checked_before_anything_is_written(
+        fixture_dir, tmp_path, capsys, task, field, value, want):
+    gold = write_rows(tmp_path / "gold.jsonl", read_jsonl(task_data(fixture_dir, task))[:3])
+    pred = [dict(row, score=0.5) for row in read_jsonl(gold)]
+    pred[1][field] = value
+    out = tmp_path / "ev"
+    capsys.readouterr()
+    assert run(["evaluate", "--task", task, "--pred", write_rows(tmp_path / "pred.jsonl", pred),
+                "--gold", gold, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {task} prediction row 1: {field!r} must be {want}, "
+                   f"got {json.dumps(value)}\n")
+    assert not out.exists()  # rejected before anything is written
+
+
+def test_evaluate_takes_an_empty_predicted_answer_set(fixture_dir, tmp_path):
+    gold = write_rows(tmp_path / "gold.jsonl", read_jsonl(task_data(fixture_dir, "mcq"))[:3])
+    pred = [dict(row, answer_set=[]) for row in read_jsonl(gold)]
+    assert run(["evaluate", "--task", "mcq", "--pred", write_rows(tmp_path / "pred.jsonl", pred),
+                "--gold", gold, "--out", tmp_path / "ev"]) == 0
 
 
 def test_finetune_config_file_overrides(fixture_dir, tmp_path):

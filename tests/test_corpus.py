@@ -260,11 +260,6 @@ def test_vocab_unknown_maps_to_unk():
     assert vocab.transform("z").tolist() == [1]
 
 
-def test_vocab_max_size():
-    vocab = build_vocab(["abcdef"], max_size=7)
-    assert len(vocab) == 7
-
-
 def test_vocab_roundtrip(tmp_path):
     vocab = build_vocab(["法院判决"])
     vocab.save(tmp_path / "v.txt")
@@ -414,10 +409,9 @@ def test_codepoints_drop_exactly_the_isspace_characters():
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("max_size", [None, 0, 5, 7, 9, 14])
-def test_vocab_matches_the_per_character_reference(max_size):
-    vocab = build_vocab(EDGE_TEXTS, max_size=max_size)
-    tokens = ref_vocab_tokens(EDGE_TEXTS, max_size)
+def test_vocab_matches_the_per_character_reference():
+    vocab = build_vocab(EDGE_TEXTS)
+    tokens = ref_vocab_tokens(EDGE_TEXTS)
     assert vocab.tokens_ == tokens
     for text in EDGE_TEXTS + ["未见 字\U0001F601", ""]:
         ids = vocab.transform(text)

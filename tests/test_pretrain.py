@@ -9,7 +9,6 @@ from lctx.fixtures import mlm_sentences
 from lctx import pretrain as pretrain_module
 from lctx.optim import AdamState
 from lctx.pretrain import (
-    MlmPretrainer,
     PretrainConfig,
     load_checkpoint,
     lr_at,
@@ -257,20 +256,6 @@ def test_nonfinite_loss_aborts_with_dump(tmp_path):
     with pytest.raises(FloatingPointError):
         pretrain(blocks, pre, enc_cfg, steps=2, out_dir=tmp_path, encoder=encoder)
     assert (tmp_path / "diagnostic_dump.ckpt").exists()
-
-
-def test_estimator_facade():
-    blocks, vocab = fixture_blocks()
-    pre, enc_cfg = desk_configs(vocab)
-    est = MlmPretrainer(config=pre, model=enc_cfg, steps=30)
-    params = est.get_params()
-    assert params["steps"] == 30 and params["config"] is pre
-    est.set_params(steps=25).fit(blocks)
-    assert len(est.history_) == 25
-    pred = est.predict(blocks)
-    assert pred.shape == blocks.shape
-    with pytest.raises(ValueError):
-        est.set_params(bogus=1)
 
 
 def test_empty_blocks_rejected():
