@@ -6,6 +6,7 @@ file (or none), never a torn one. There is no fsync: the rename covers
 process death, not power loss. Text is UTF-8; JSONL, CSV and label files
 write a lone surrogate as its backslash-u escape, vocabulary files refuse
 one. A directory of several files is committed by a marker file (committing).
+Every JSON object lctx reads (--config, --rules, markers) has one checker.
 
 Checkpoint layout (little-endian): magic "LCTX", format version u32, array
 count u32, then per array: name length u32 + UTF-8 name, rank u32, dims (u64
@@ -17,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import json
 import math
 import os
 import struct
@@ -75,13 +77,42 @@ def committing(directory, marker: str, text: str):
     write_text(directory / marker, text)
 
 
-def read_marker(directory, marker: str) -> str:
-    """The text of `marker`; a ValueError naming `directory` when it has none."""
-    path = Path(directory) / marker
-    if not path.is_file():
-        raise ValueError(f"{directory}: not a complete checkpoint (no {marker}; its write "
-                         "was cut short, or this is not a checkpoint directory)")
-    return path.read_text(encoding="utf-8")
+def read_json(path):
+    """The JSON value in `path`; a ValueError naming the file when it is not JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+# field type: (what its JSON value must be, its test); a bool is not an int
+_JSON_KINDS = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    str: ("a string", lambda v: type(v) is str),
+    dict: ("an object", lambda v: type(v) is dict),
+    list[str]: ("a list of strings",
+                lambda v: type(v) is list and all(type(x) is str for x in v)),
+    tuple[int, ...] | None: ("null or a list of integers",
+                             lambda v: v is None or type(v) is list
+                             and all(type(x) is int for x in v)),
+}
+
+
+def check_json_object(given, kinds: dict, source: str, section: str = "") -> None:
+    """Refuse `given` unless it is a JSON object of `kinds` keys (name: field
+    type) and values; messages name `source`, the key and `section`."""
+    where = f"{section} section" if section else "top level"
+    if not isinstance(given, dict):
+        raise ValueError(f"{source} {where} must be a JSON object")
+    for key, value in given.items():
+        if key not in kinds:
+            raise ValueError(f"unknown key {key!r} in the {where} of {source} "
+                             f"(allowed: {', '.join(kinds)})")
+        want, ok = _JSON_KINDS[kinds[key]]
+        if not ok(value):
+            raise ValueError(f"{source} {section + '.' if section else ''}{key} must be "
+                             f"{want}, got {json.dumps(value)}")
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:

@@ -30,7 +30,7 @@ from .attention import (
     dense_attention_oracle,
     sparse_attention_forward,
 )
-from .checkpoint import replacing, write_csv, write_text
+from .checkpoint import check_json_object, read_json, replacing, write_csv, write_text
 from .corpus import (
     Ruleset,
     corpus_stats,
@@ -155,45 +155,20 @@ def _at_least(flag: str, value: int, least: int) -> None:
         raise ValueError(f"{flag} {value}: must be at least {least}")
 
 
-def _check_type(name: str, value, kind) -> None:
-    """Refuse the --config value of `name` unless it suits `kind`, the type of
-    the field or option that it sets. A bool is not an int, an int is a
-    float, and tuple[int, ...] | None takes null or a list of ints."""
-    if kind == tuple[int, ...] | None:
-        ok = value is None or type(value) is list and all(type(v) is int for v in value)
-    else:
-        ok = type(value) is kind or kind is float and type(value) is int
-    if not ok:
-        want = {int: "an integer", float: "a number", str: "a string",
-                dict: "an object"}.get(kind, "null or a list of integers")
-        raise ValueError(f"--config {name} must be {want}, got {json.dumps(value)}")
-
-
 def read_config(args, sections: dict[str, type], flags: tuple[str, ...] = ()) -> dict:
     """{name: keyword arguments} of each of `sections` (name: dataclass) that
     the --config file of `args` holds, after the whole file is checked. A
     section key is typed from its dataclass field, whose range the dataclass
     checks; a top-level key in `flags` is typed from the command's option of
     that name, and its value replaces the option's in `args`."""
-    try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{args.config}: {exc}") from None
+    raw = read_json(args.config) if args.config else {}
     commands = next(a for a in build_parser()._actions if a.dest == "command")
     options = {a.dest: a for a in commands.choices[args.command]._actions}
-    parts = [("", raw, {**{flag: options[flag].type or str for flag in flags},
-                        **dict.fromkeys(sections, dict)})]
-    parts += [(name, raw[name], get_type_hints(cls))
-              for name, cls in sections.items() if name in raw]
-    for section, given, kinds in parts:
-        where = f"{section} section" if section else "top level"
-        if not isinstance(given, dict):
-            raise ValueError(f"--config {where} must be a JSON object")
-        for key, value in given.items():
-            if key not in kinds:
-                raise ValueError(f"unknown key {key!r} in the {where} of --config "
-                                 f"(allowed: {', '.join(kinds)})")
-            _check_type(f"{section}.{key}" if section else key, value, kinds[key])
+    check_json_object(raw, {**{flag: options[flag].type or str for flag in flags},
+                            **dict.fromkeys(sections, dict)}, "--config")
+    for name, cls in sections.items():
+        if name in raw:
+            check_json_object(raw[name], get_type_hints(cls), "--config", name)
     for flag in flags:
         if flag in raw:
             choices = options[flag].choices

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import write_text
+from .checkpoint import check_json_object, read_json, write_text
 from .vocab import PAD_ID, SEP_ID, n_tokens
 
 MIN_FACT_TOKENS = 50
@@ -101,9 +101,15 @@ class Ruleset:
 
     @classmethod
     def load(cls, path) -> "Ruleset":
-        merged = dict(DEFAULT_RULES)
-        merged.update(json.loads(Path(path).read_text(encoding="utf-8")))
-        return cls(merged)
+        """DEFAULT_RULES updated by `path`'s: lists of strings (*_markers) and
+        strings (*_pattern). A refusal names the file and the key."""
+        rules = read_json(path)
+        check_json_object(rules, {key: list[str] if key.endswith("_markers") else str
+                                  for key in DEFAULT_RULES}, str(path))
+        try:
+            return cls({**DEFAULT_RULES, **rules})
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,17 @@ question/choice distinction (0/1). The MLM output projection is untied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import json
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
 from .attention import AttentionParams, AttentionPattern, sparse_attention_forward, dense_attention_oracle
-from .checkpoint import load_params, save_params, write_text
-from .vocab import CLS_ID, MASK_ID, N_SPECIAL, PAD_ID, SEP_ID, UNK_ID  # noqa: F401  (re-exported)
+from .checkpoint import check_json_object, read_json
 
 
 @dataclass
@@ -39,54 +40,36 @@ class EncoderConfig:
         if self.hidden_dim % self.n_heads != 0:
             raise ValueError("hidden_dim must be divisible by n_heads")
         if self.dilation is not None:
-            # a JSON config gives a list; save() and equality expect a tuple
+            # a JSON config gives a list; equality expects a tuple
             self.dilation = tuple(self.dilation)
             if len(self.dilation) != self.n_heads:
                 raise ValueError(f"dilation has {len(self.dilation)} entries for "
                                  f"{self.n_heads} heads")
         AttentionPattern(window=self.window, dilation_per_head=self.dilation)  # its own checks
 
-    def save(self, path) -> None:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(str(x) for x in v)
-            elif v is None:
-                v = ""
-            lines.append(f"{f.name}={v}")
-        write_text(path, "\n".join(lines) + "\n")
 
-    @classmethod
-    def load(cls, path) -> "EncoderConfig":
-        """The config that save() wrote to `path`. An unknown key is a
-        KeyError, a value that is not an integer (or a comma-separated list
-        of them, for dilation) or out of range a ValueError; each names the
-        file, and the first two the key."""
-        kwargs = {}
-        names = {f.name for f in fields(cls)}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key == "dropout":
-                continue  # in files written before dropout was removed; no run applied it
-            if key not in names:
-                raise KeyError(f"{path}: unknown config key {key!r}")
-            try:
-                if key == "dilation":
-                    kwargs[key] = tuple(int(x) for x in raw.split(",")) if raw else None
-                else:
-                    kwargs[key] = int(raw)
-            except ValueError:
-                raise ValueError(f"{path}: {key}={raw} is not an integer") from None
-        try:
-            return cls(**kwargs)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+def model_marker(meta: dict, config: EncoderConfig) -> str:
+    """A model directory's marker: `meta` plus `config` as --config takes it."""
+    return json.dumps({**meta, "encoder": asdict(config)}, ensure_ascii=False)
+
+
+def read_model_marker(directory, marker: str) -> tuple[dict, EncoderConfig]:
+    """(meta, encoder config) from one read of a model directory's marker,
+    whose encoder section has the --config checks, then EncoderConfig's."""
+    path = Path(directory) / marker
+    if not path.is_file():
+        raise ValueError(f"{directory}: not a complete checkpoint (no {marker}; its write "
+                         "was cut short, or this is not a checkpoint directory)")
+    meta = read_json(path)
+    if not isinstance(meta, dict) or "encoder" not in meta:
+        raise ValueError(f"{path}: no encoder section (a model directory of the old "
+                         "layout, with its config in model.cfg, is no longer read)")
+    section = meta.pop("encoder")
+    check_json_object(section, get_type_hints(EncoderConfig), str(path), "encoder")
+    try:
+        return meta, EncoderConfig(**section)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 class Encoder:
@@ -132,12 +115,6 @@ class Encoder:
             for key in ("ln1_g", "ln1_b", "w1", "b1", "w2", "b2", "ln2_g", "ln2_b"):
                 out[f"layer{li}.{key}"] = layer[key]
         return out
-
-    def save(self, path) -> None:
-        save_params(path, self.named_params())
-
-    def load(self, path) -> None:
-        load_params(path, self.named_params())
 
     # -- forward passes -----------------------------------------------
 

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import (committing, load_arrays, read_marker, save_arrays, save_params,
+from .checkpoint import (committing, load_arrays, load_params, save_arrays, save_params,
                          write_csv, write_text)
-from .encoder import Encoder, EncoderConfig
+from .encoder import Encoder, EncoderConfig, model_marker, read_model_marker
 from .optim import AdamState, adam_step, zero_grads
 from .tensor import IGNORE_INDEX
 from .vocab import MASK_ID, N_SPECIAL
@@ -103,14 +103,13 @@ class StepLog:
 
 
 def save_checkpoint(out_dir, encoder: Encoder, state: AdamState, step: int) -> Path:
-    """Write step `step` to out_dir/stepNNNNNN. state.json is the commit
-    marker: it is removed first and written last, so a directory holding it
-    holds a complete checkpoint."""
+    """Write step `step` to out_dir/stepNNNNNN. state.json, the step and the
+    encoder config, is the commit marker: it is removed first and written
+    last, so a directory holding it holds a complete checkpoint."""
     with committing(Path(out_dir) / f"step{step:06d}", "state.json",
-                    json.dumps({"step": step})) as ckpt:
-        encoder.save(ckpt / "model.ckpt")
+                    model_marker({"step": step}, encoder.config)) as ckpt:
+        save_params(ckpt / "model.ckpt", encoder.named_params())
         save_arrays(ckpt / "optim.ckpt", state.state_arrays())
-        encoder.config.save(ckpt / "model.cfg")
     return ckpt
 
 
@@ -118,8 +117,7 @@ def check_resume(ckpt_dir, enc_config: EncoderConfig) -> None:
     """Refuse, with a ValueError naming the directory, a checkpoint without
     state.json or one whose encoder config differs from enc_config (each
     differing field is named with both values)."""
-    read_marker(ckpt_dir, "state.json")
-    saved = EncoderConfig.load(Path(ckpt_dir) / "model.cfg")
+    _, saved = read_model_marker(ckpt_dir, "state.json")
     differ = [f"{f.name} {getattr(enc_config, f.name)!r} (checkpoint: "
               f"{getattr(saved, f.name)!r})" for f in fields(EncoderConfig)
               if getattr(enc_config, f.name) != getattr(saved, f.name)]
@@ -145,17 +143,15 @@ def check_blocks(blocks, enc_config: EncoderConfig) -> np.ndarray:
 
 def load_checkpoint(ckpt_dir):
     """(encoder, step) of a committed checkpoint directory."""
-    step = json.loads(read_marker(ckpt_dir, "state.json"))["step"]
-    ckpt_dir = Path(ckpt_dir)
-    config = EncoderConfig.load(ckpt_dir / "model.cfg")
+    meta, config = read_model_marker(ckpt_dir, "state.json")
     encoder = Encoder(config, np.random.default_rng(0))
-    encoder.load(ckpt_dir / "model.ckpt")
-    return encoder, step
+    load_params(Path(ckpt_dir) / "model.ckpt", encoder.named_params())
+    return encoder, meta["step"]
 
 
 def pretrain(blocks: np.ndarray, config: PretrainConfig, enc_config: EncoderConfig,
              steps: int, out_dir=None, checkpoint_interval: int | None = None,
-             resume_from=None, encoder: Encoder | None = None):
+             resume_from=None):
     """Run `steps` MLM updates over packed token blocks.
 
     Batches cycle through the blocks in corpus order; masking randomness is a
@@ -174,8 +170,7 @@ def pretrain(blocks: np.ndarray, config: PretrainConfig, enc_config: EncoderConf
         state = AdamState(encoder.named_params())
         state.load_arrays(load_arrays(Path(resume_from) / "optim.ckpt"))
     else:
-        if encoder is None:
-            encoder = Encoder(enc_config, np.random.default_rng(config.seed))
+        encoder = Encoder(enc_config, np.random.default_rng(config.seed))
         state = AdamState(encoder.named_params())
 
     params = encoder.named_params()

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from .. import tensor as T
-from ..checkpoint import committing, load_params, read_marker, save_params
-from ..encoder import Encoder, EncoderConfig
+from ..checkpoint import committing, load_params, save_params
+from ..encoder import Encoder, EncoderConfig, model_marker, read_model_marker
 from ..optim import AdamState, adam_step, zero_grads
 from ..tensor import Tensor
 from ..vocab import PAD_ID, CharVocab
@@ -63,26 +63,22 @@ class HeadedModel:
         return out
 
     def save(self, out_dir, meta: dict, vocab=None) -> None:
-        """model.ckpt, model.cfg, vocab.txt when a vocabulary is given, and
-        meta.json (`meta` plus the head shapes) as the commit marker, in
-        out_dir."""
-        meta = dict(meta)
-        meta["head_shapes"] = {k: list(v) for k, v in self.head_shapes.items()}
-        with committing(out_dir, "meta.json", json.dumps(meta, ensure_ascii=False)) as out_dir:
+        """model.ckpt, vocab.txt when a vocabulary is given, and meta.json
+        (`meta` plus the head shapes and the encoder config) as the commit
+        marker, in out_dir."""
+        meta = {**meta, "head_shapes": {k: list(v) for k, v in self.head_shapes.items()}}
+        with committing(out_dir, "meta.json", model_marker(meta, self.encoder.config)) as out_dir:
             save_params(out_dir / "model.ckpt", self.params())
-            self.encoder.config.save(out_dir / "model.cfg")
             if vocab is not None:
                 vocab.save(out_dir / "vocab.txt")
 
     @classmethod
     def restore(cls, out_dir) -> tuple["HeadedModel", dict]:
         """The model and meta that save() wrote; ValueError without meta.json."""
-        meta = json.loads(read_marker(out_dir, "meta.json"))
-        out_dir = Path(out_dir)
-        config = EncoderConfig.load(out_dir / "model.cfg")
+        meta, config = read_model_marker(out_dir, "meta.json")
         head_shapes = {k: tuple(v) for k, v in meta["head_shapes"].items()}
         model = cls(config, head_shapes, seed=0)
-        load_params(out_dir / "model.ckpt", model.params())
+        load_params(Path(out_dir) / "model.ckpt", model.params())
         return model, meta
 
 

@@ -71,12 +71,16 @@ class ReadingComprehensionModel(TaskHead):
         return (self.encoder or self).max_positions - QUESTION_LIMIT - 3
 
     def check_rows(self, rows, gold: bool = False) -> None:
-        """TaskHead's row check; a training row's span answer must also lie in
-        the context that assembly keeps."""
+        """TaskHead's row check; for training, the encoder must keep at least
+        one context token, and a row's span answer must lie in the context
+        that assembly keeps."""
         super().check_rows(rows, gold)
         if gold:
             return
         limit = self._context_limit()
+        if limit < 1:
+            raise ValueError(f"an {self.task} encoder needs max_positions of at least "
+                             f"{QUESTION_LIMIT + 4}, got {limit + QUESTION_LIMIT + 3}")
         for i, row in enumerate(rows):
             context = "".join("".join(row["context"]).split())[:limit]
             answer = "".join(row["answer"].split())

@@ -63,6 +63,26 @@ def test_preprocess_corrupted_line_reports_lineno(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, named", [
+    ('["经审理查明"]', "rules.json top level must be a JSON object"),
+    ('{"fact_markers": "经审理查明"}', "rules.json fact_markers must be a list of strings, got "),
+    ('{"fact_marker": ["经审理查明"]}', "unknown key 'fact_marker' in the top level of "),
+    ('{fact_markers: []}', "rules.json: Expecting property name"),
+], ids=["list", "markers-string", "unknown-key", "not-json"])
+def test_preprocess_rules_checked_before_anything_is_written(fixture_dir, tmp_path, capsys,
+                                                             text, named):
+    rules = tmp_path / "rules.json"
+    rules.write_text(text, encoding="utf-8")
+    out = tmp_path / "pp"
+    capsys.readouterr()
+    assert run(["preprocess", "--input", fixture_dir / "fx" / "raw_cases.jsonl",
+                "--rules", rules, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(rules) in err and named in err
+    assert not out.exists()
+
+
 def test_preprocess_row_with_a_lone_surrogate(fixture_dir, tmp_path):
     rows = read_jsonl(fixture_dir / "fx" / "raw_cases.jsonl")
     row = next(r for r in rows if r["kind"] == "criminal")
@@ -127,7 +147,8 @@ def test_pretrain_and_resume_cli(fixture_dir, tmp_path, capsys):
     out = tmp_path / "pt"
     assert run(["pretrain", "--data", pp, "--config", cfg, "--out", out,
                 "--steps", 10, "--seed", 1]) == 0
-    assert (out / "step000010" / "model.ckpt").exists()
+    assert sorted(p.name for p in (out / "step000010").iterdir()) == [
+        "model.ckpt", "optim.ckpt", "state.json"]
     assert (out / "loss.csv").exists()
     out2 = tmp_path / "pt2"
     assert run(["pretrain", "--data", pp, "--config", cfg, "--out", out2,
@@ -136,7 +157,7 @@ def test_pretrain_and_resume_cli(fixture_dir, tmp_path, capsys):
     # a checkpoint cut inside its first array's dims is a named error
     cut = tmp_path / "cut"
     cut.mkdir()
-    for name in ("model.cfg", "optim.ckpt", "state.json"):
+    for name in ("optim.ckpt", "state.json"):
         (cut / name).write_bytes((out / "step000010" / name).read_bytes())
     (cut / "model.ckpt").write_bytes((out / "step000010" / "model.ckpt").read_bytes()[:33])
     capsys.readouterr()
@@ -189,14 +210,38 @@ def test_resume_of_an_unknown_config_key_prints_it_unquoted(fixture_dir, tmp_pat
     assert run(["pretrain", "--data", pp, "--config", cfg, "--out", tmp_path / "pt",
                 "--steps", 2, "--seed", 1]) == 0
     ckpt = tmp_path / "pt" / "step000002"
-    with open(ckpt / "model.cfg", "a", encoding="utf-8") as fh:
-        fh.write("bogus=1\n")
+    state = json.loads((ckpt / "state.json").read_text(encoding="utf-8"))
+    state["encoder"]["bogus"] = 1
+    (ckpt / "state.json").write_text(json.dumps(state), encoding="utf-8")
     capsys.readouterr()
     out = tmp_path / "pt2"
     assert run(["pretrain", "--data", pp, "--config", cfg, "--out", out,
                 "--steps", 2, "--resume", ckpt]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {ckpt / 'model.cfg'}: unknown config key 'bogus'\n"
+    assert err == (f"error: unknown key 'bogus' in the encoder section of {ckpt / 'state.json'} "
+                   "(allowed: n_layers, n_heads, hidden_dim, ffn_dim, vocab_size, max_positions, "
+                   "n_position_types, window, dilation)\n")
+    assert not out.exists()
+
+
+def test_resume_of_the_old_layout_is_refused(fixture_dir, tmp_path, capsys):
+    # before the encoder config moved into state.json it was model.cfg's
+    # key=value lines; such a checkpoint is refused, not read
+    pp = tmp_path / "pp"
+    run(["preprocess", "--input", fixture_dir / "fx" / "raw_cases.jsonl",
+         "--out", pp, "--seq-len", 48])
+    assert run(["pretrain", "--data", pp, "--out", tmp_path / "pt", "--steps", 1]) == 0
+    ckpt = tmp_path / "pt" / "step000001"
+    state = json.loads((ckpt / "state.json").read_text(encoding="utf-8"))
+    (ckpt / "state.json").write_text(json.dumps({"step": 1}), encoding="utf-8")
+    (ckpt / "model.cfg").write_text("".join(f"{k}={'' if v is None else v}\n"
+                                            for k, v in state["encoder"].items()))
+    capsys.readouterr()
+    out = tmp_path / "pt2"
+    assert run(["pretrain", "--data", pp, "--out", out, "--steps", 1, "--resume", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt / 'state.json'}: no encoder section")
+    assert err.count("\n") == 1 and "model.cfg" in err
     assert not out.exists()
 
 
@@ -542,6 +587,24 @@ def test_finetune_rows_checked_before_anything_is_written(fixture_dir, tmp_path,
     assert not out.exists()  # rejected before anything is written
 
 
+@pytest.mark.parametrize("max_positions", [64, 67])
+def test_finetune_rc_encoder_too_short_for_a_context(fixture_dir, tmp_path, capsys,
+                                                     max_positions):
+    # rc keeps max_positions - 64 (the question) - 3 (CLS, SEP, SEP) context tokens
+    rc = fixture_dir / "fx" / "rc.jsonl"
+    vocab = tmp_path / "vocab.txt"
+    build_vocab(json.dumps(row, ensure_ascii=False) for row in read_jsonl(rc)).save(vocab)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"encoder": {"max_positions": max_positions}}), encoding="utf-8")
+    out = tmp_path / "ft"
+    capsys.readouterr()
+    assert run(["finetune", "--task", "rc", "--data", rc, "--vocab", vocab, "--config", cfg,
+                "--out", out, "--steps", 1]) == 1
+    assert capsys.readouterr().err == ("error: an rc encoder needs max_positions of at least "
+                                       f"68, got {max_positions}\n")
+    assert not out.exists()
+
+
 def test_finetune_trains_on_an_empty_label_list(fixture_dir, tmp_path):
     # an empty charge set is an all-negative target; fit counts labels by the
     # rule that lctx evaluate uses, which accepts it
@@ -624,8 +687,10 @@ def test_finetune_config_file_overrides(fixture_dir, tmp_path):
                 "--config", cfg, "--out", ft, "--steps", 500]) == 0
     resolved = json.loads((ft / "run.json").read_text())
     assert resolved["steps"] == 3  # the config file wins
-    with open(ft / "model" / "model.cfg", encoding="utf-8") as fh:
-        assert "hidden_dim=16" in fh.read()
+    assert sorted(p.name for p in (ft / "model").iterdir()) == [
+        "meta.json", "model.ckpt", "vocab.txt"]
+    meta = json.loads((ft / "model" / "meta.json").read_text(encoding="utf-8"))
+    assert meta["task"] == "judgment-civil" and meta["encoder"]["hidden_dim"] == 16
 
 
 def test_retrieval_cv_cli(fixture_dir, tmp_path):

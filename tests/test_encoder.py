@@ -1,11 +1,15 @@
 """Encoder stack: determinism, locality, dense-reference parity, checkpointing."""
 
+import json
+
 import numpy as np
 import pytest
 
 from lctx import tensor as T
 from lctx.attention import AttentionPattern
-from lctx.encoder import CLS_ID, Encoder, EncoderConfig
+from lctx.checkpoint import load_params, save_params
+from lctx.encoder import Encoder, EncoderConfig, model_marker, read_model_marker
+from lctx.vocab import CLS_ID
 
 
 def tiny_config(**over):
@@ -35,49 +39,52 @@ def test_config_ranges_checked_on_construction(over, named):
         tiny_config(**over)
 
 
-@pytest.mark.parametrize("line, named", [
-    ("n_layers=True", "n_layers=True"),
-    ("dilation=0,x", "dilation=0,x"),
-    ("window=3", "window"),
-], ids=["bool", "dilation", "range"])
-def test_config_file_errors_name_the_file_and_key(tmp_path, line, named):
-    path = tmp_path / "model.cfg"
-    tiny_config().save(path)
-    key = line.partition("=")[0]
-    path.write_text("".join(f"{line}\n" if old.startswith(key + "=") else f"{old}\n"
-                            for old in path.read_text().splitlines()))
+def write_marker(directory, text=None, **over):
+    """A model directory's state.json: `text`, or else tiny_config's marker
+    with `over` set in its encoder section."""
+    directory.mkdir(exist_ok=True)
+    if text is None:
+        marker = json.loads(model_marker({"step": 1}, tiny_config()))
+        marker["encoder"].update(over)
+        text = json.dumps(marker)
+    (directory / "state.json").write_text(text, encoding="utf-8")
+    return directory / "state.json"
+
+
+@pytest.mark.parametrize("over, named", [
+    ({"n_layers": True}, "encoder.n_layers must be an integer, got true"),
+    ({"dilation": [0, "x"]}, 'encoder.dilation must be null or a list of integers, got [0, "x"]'),
+    ({"window": 3}, "window"),
+    ({"bogus": 1}, "unknown key 'bogus' in the encoder section"),
+    ({"text": "n_layers=1\n"}, "Expecting value"),
+], ids=["bool", "dilation", "range", "unknown-key", "not-json"])
+def test_config_file_errors_name_the_file_and_key(tmp_path, over, named):
+    path = write_marker(tmp_path / "m", **over)
     with pytest.raises(ValueError) as info:
-        EncoderConfig.load(path)
+        read_model_marker(tmp_path / "m", "state.json")
     assert str(path) in str(info.value) and named in str(info.value)
 
 
 def test_config_file_roundtrip(tmp_path):
     cfg = tiny_config(dilation=(0, 1))
-    path = tmp_path / "model.cfg"
-    cfg.save(path)
-    assert EncoderConfig.load(path) == cfg
-    with pytest.raises(KeyError):
-        (tmp_path / "bad.cfg").write_text("nonsense=1\n")
-        EncoderConfig.load(tmp_path / "bad.cfg")
+    (tmp_path / "meta.json").write_text(model_marker({"task": "rc"}, cfg), encoding="utf-8")
+    assert read_model_marker(tmp_path, "meta.json") == ({"task": "rc"}, cfg)
 
 
 def test_config_from_json_list_dilation_roundtrips(tmp_path):
     # a --config JSON file gives dilation as a list
     cfg = tiny_config(dilation=[0, 1])
-    cfg.save(tmp_path / "model.cfg")
-    assert EncoderConfig.load(tmp_path / "model.cfg") == cfg == tiny_config(dilation=(0, 1))
+    (tmp_path / "meta.json").write_text(model_marker({}, cfg), encoding="utf-8")
+    assert read_model_marker(tmp_path, "meta.json")[1] == cfg == tiny_config(dilation=(0, 1))
 
 
-def test_config_file_with_dropout_line_still_loads(tmp_path):
-    # model.cfg files written before dropout was removed carry a dropout=
-    # line; it is skipped on load and no longer written
-    old = ("n_layers=1\nn_heads=2\nhidden_dim=16\nffn_dim=32\nvocab_size=30\n"
-           "max_positions=32\nn_position_types=2\nwindow=2\ndilation=\ndropout=0.0\n")
-    (tmp_path / "old.cfg").write_text(old)
-    cfg = EncoderConfig.load(tmp_path / "old.cfg")
-    assert cfg == tiny_config()
-    cfg.save(tmp_path / "new.cfg")
-    assert (tmp_path / "new.cfg").read_text() == old.replace("dropout=0.0\n", "")
+def test_marker_of_the_old_layout_is_refused(tmp_path):
+    # before the config moved into the marker, it was key=value lines in model.cfg
+    path = write_marker(tmp_path, text='{"step": 1}')
+    (tmp_path / "model.cfg").write_text("n_layers=1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="no encoder section .*model.cfg") as info:
+        read_model_marker(tmp_path, "state.json")
+    assert str(path) in str(info.value)
 
 
 def test_out_of_range_ids_rejected():
@@ -192,9 +199,9 @@ def test_checkpoint_roundtrip_forward_bit_identical(tmp_path):
     with T.no_grad():
         before = enc.encode(ids).data.copy()
     path = tmp_path / "enc.ckpt"
-    enc.save(path)
+    save_params(path, enc.named_params())
     other = Encoder(cfg, np.random.default_rng(999))  # different init
-    other.load(path)
+    load_params(path, other.named_params())
     with T.no_grad():
         after = other.encode(ids).data
     assert np.array_equal(before, after)
@@ -202,22 +209,25 @@ def test_checkpoint_roundtrip_forward_bit_identical(tmp_path):
 
 def test_checkpoint_vocab_mismatch_names_the_parameter(tmp_path):
     path = tmp_path / "enc.ckpt"
-    Encoder(tiny_config(), np.random.default_rng(13)).save(path)
+    save_params(path, Encoder(tiny_config(), np.random.default_rng(13)).named_params())
     other = Encoder(tiny_config(vocab_size=40), np.random.default_rng(14))
     before = {k: p.data.copy() for k, p in other.named_params().items()}
     with pytest.raises(ValueError, match="'embed.tok'"):
-        other.load(path)
+        load_params(path, other.named_params())
     # a rejected checkpoint changes no parameter
     assert all(np.array_equal(p.data, before[k]) for k, p in other.named_params().items())
 
 
 def test_checkpoint_layer_count_mismatch_lists_the_names(tmp_path):
     two, one = tmp_path / "two.ckpt", tmp_path / "one.ckpt"
-    Encoder(tiny_config(n_layers=2), np.random.default_rng(13)).save(two)
-    Encoder(tiny_config(), np.random.default_rng(13)).save(one)
+    def params(n_layers, seed):
+        return Encoder(tiny_config(n_layers=n_layers), np.random.default_rng(seed)).named_params()
+
+    save_params(two, params(2, 13))
+    save_params(one, params(1, 13))
     with pytest.raises(ValueError, match="unexpected") as err:
-        Encoder(tiny_config(), np.random.default_rng(14)).load(two)
+        load_params(two, params(1, 14))
     assert "layer1.w1" in str(err.value) and "layer0" not in str(err.value)
     with pytest.raises(ValueError, match="missing") as err:
-        Encoder(tiny_config(n_layers=2), np.random.default_rng(14)).load(one)
+        load_params(one, params(2, 14))
     assert "layer1.w1" in str(err.value)

@@ -1,10 +1,14 @@
 """Masking, schedule, training loop, resume equivalence."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from lctx.checkpoint import load_arrays, save_arrays
 from lctx.corpus import pack_documents
-from lctx.encoder import Encoder, EncoderConfig
+from lctx.encoder import EncoderConfig
 from lctx.fixtures import mlm_sentences
 from lctx import pretrain as pretrain_module
 from lctx.optim import AdamState
@@ -188,6 +192,25 @@ def test_checkpoint_without_state_json_is_refused(tmp_path):
                  resume_from=ckpt)
 
 
+def test_checkpoint_of_the_old_layout_is_refused(tmp_path):
+    # before the encoder config moved into state.json, it was model.cfg's
+    # key=value lines; such a directory is refused, not read
+    blocks, vocab = fixture_blocks()
+    pre, enc_cfg = desk_configs(vocab)
+    pretrain(blocks, pre, enc_cfg, steps=2, out_dir=tmp_path / "part")
+    ckpt = tmp_path / "part" / "step000002"
+    assert sorted(p.name for p in ckpt.iterdir()) == ["model.ckpt", "optim.ckpt", "state.json"]
+    state = json.loads((ckpt / "state.json").read_text(encoding="utf-8"))
+    assert state == {"step": 2, "encoder": asdict(enc_cfg)}
+    (ckpt / "state.json").write_text('{"step": 2}', encoding="utf-8")
+    (ckpt / "model.cfg").write_text("".join(f"{k}={'' if v is None else v}\n"
+                                            for k, v in state["encoder"].items()))
+    for load in (load_checkpoint, lambda ckpt: pretrain(blocks, pre, enc_cfg, steps=2,
+                                                        resume_from=ckpt)):
+        with pytest.raises(ValueError, match="state.json: no encoder section"):
+            load(ckpt)
+
+
 def test_checkpoint_rewrite_cut_short_is_uncommitted(tmp_path, monkeypatch):
     # a rewrite of an existing checkpoint that dies before state.json leaves
     # no state.json behind, so the mix of old and new files is never loaded
@@ -251,11 +274,15 @@ def test_checkpoint_roundtrip_forward_identical(tmp_path):
 def test_nonfinite_loss_aborts_with_dump(tmp_path):
     blocks, vocab = fixture_blocks()
     pre, enc_cfg = desk_configs(vocab)
-    encoder = Encoder(enc_cfg, np.random.default_rng(0))
-    encoder.mlm_w.data[0, 0] = np.nan
-    with pytest.raises(FloatingPointError):
-        pretrain(blocks, pre, enc_cfg, steps=2, out_dir=tmp_path, encoder=encoder)
-    assert (tmp_path / "diagnostic_dump.ckpt").exists()
+    pretrain(blocks, pre, enc_cfg, steps=1, out_dir=tmp_path / "part")
+    model = tmp_path / "part" / "step000001" / "model.ckpt"
+    arrays = load_arrays(model)
+    arrays["mlm.w"][0, 0] = np.nan
+    save_arrays(model, arrays)
+    with pytest.raises(FloatingPointError, match="aborted at step 1"):
+        pretrain(blocks, pre, enc_cfg, steps=2, out_dir=tmp_path / "run",
+                 resume_from=tmp_path / "part" / "step000001")
+    assert (tmp_path / "run" / "diagnostic_dump.ckpt").exists()
 
 
 def test_empty_blocks_rejected():

@@ -1,5 +1,8 @@
 """Task heads: input layout, truncation, global attention, decode rules."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -183,11 +186,25 @@ def test_headed_model_without_meta_json_is_refused(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         model.save(tmp_path / "m", {"task": "rc"})
     monkeypatch.undo()
-    assert sorted(p.name for p in (tmp_path / "m").iterdir()) == ["model.cfg", "model.ckpt"]
+    assert sorted(p.name for p in (tmp_path / "m").iterdir()) == ["model.ckpt"]
     with pytest.raises(ValueError, match="m: not a complete checkpoint .*meta.json"):
         HeadedModel.restore(tmp_path / "m")
     model.save(tmp_path / "m", {"task": "rc"})
     assert {p.name: p.read_bytes() for p in (tmp_path / "m").iterdir()} == saved
+
+
+def test_headed_model_of_the_old_layout_is_refused(tmp_path):
+    # before the encoder config moved into meta.json, it was model.cfg's lines
+    model = HeadedModel(EncoderConfig(n_layers=1, hidden_dim=16, ffn_dim=32), {"w": (16, 1)})
+    model.save(tmp_path, {"task": "rc"})
+    meta = json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))
+    assert meta == {"task": "rc", "head_shapes": {"w": [16, 1]},
+                    "encoder": asdict(model.encoder.config)}
+    del meta["encoder"]
+    (tmp_path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    (tmp_path / "model.cfg").write_text("n_layers=1\nhidden_dim=16\nffn_dim=32\n")
+    with pytest.raises(ValueError, match="meta.json: no encoder section"):
+        HeadedModel.restore(tmp_path)
 
 
 def test_retrieval_tie_break_by_candidate_id():
