@@ -30,6 +30,13 @@ projected. The bytes are those of scoring, adding 0/-inf masks,
 concatenating and taking a separate softmax. When every head's band covers
 the sequence, (w/2)*(d+1) >= L-1, the call goes to the dense kernel.
 
+A global row's output needs only Longformer's global path: its query, the
+keys and values of all L rows, and the output projection of that row.
+global_rows_attention computes chosen global rows that way alone, with no
+band score and no local projection (the encoder's last layer, for heads
+that read only CLS); sparse_attention_forward computes its global rows with
+the same helpers.
+
 `dense_attention_oracle` materializes the full mask and computes the same
 quantity quadratically; it is the testing ground truth, the quadratic
 baseline for benchmarks and the kernel for full windows.
@@ -459,6 +466,83 @@ def _row_valid(lengths, batch: int, length: int) -> np.ndarray:
     return np.arange(length)[None, :] < lengths[:, None]
 
 
+def _check_call(hidden: Tensor, pattern: AttentionPattern, n_heads: int) -> tuple[int, ...]:
+    """The per-head gaps of a kernel call, after its shape checks."""
+    if hidden.shape[-1] % n_heads != 0:
+        raise ValueError("hidden dim not divisible by head count")
+    pattern.check_globals(hidden.shape[1])
+    return tuple(pattern.dilation_for(h, n_heads) for h in range(n_heads))
+
+
+def _band_covers(length: int, window: int, gaps: tuple[int, ...]) -> bool:
+    """Every head's band reaches the whole sequence, (w/2)*(gap+1) >= L-1:
+    the call goes to the dense kernel."""
+    return all(window // 2 * (gap + 1) >= length - 1 for gap in gaps)
+
+
+def _global_projections(hidden: Tensor, params: AttentionParams, n_heads: int,
+                        rows: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
+    """The global projections: the scaled queries of rows `rows` [B,h,R,dh]
+    and the keys and values of every row [B,h,L,dh]."""
+    dh = hidden.shape[-1] // n_heads
+    qg = T.mul(_project(hidden, params.wq_g, params.bq_g, n_heads, rows), 1.0 / np.sqrt(dh))
+    kg = _project(hidden, params.wk_g, params.bk_g, n_heads)
+    vg = _project(hidden, params.wv_g, params.bv_g, n_heads)
+    return qg, kg, vg
+
+
+def _global_rows(qg: Tensor, kg: Tensor, vg: Tensor, rows: np.ndarray,
+                 row_ok: np.ndarray) -> Tensor:
+    """[B,h,R,dh]: the global rows `rows`, whose _global_projections are
+    given, attend to every key of their sequence (row_ok [B, L]) and to
+    themselves. Without padded rows no key is masked."""
+    gok = None
+    if not row_ok.all():
+        gok = np.repeat(row_ok[:, None, None, :], len(rows), axis=2)
+        gok[:, :, np.arange(len(rows)), rows] = True
+    return T.matmul(global_softmax(qg, kg, gok), vg)
+
+
+def global_rows_attention(hidden: Tensor, params: AttentionParams, pattern: AttentionPattern,
+                          n_heads: int, rows, lengths=None) -> Tensor:
+    """The attention outputs of the global rows `rows` only, [B,R,H]:
+    sparse_attention_forward(hidden, params, pattern, n_heads,
+    lengths)[:, rows], from Longformer's global path alone. The queries of
+    those rows are scored against the keys of all L rows, and their
+    mixture of the values goes through the output projection. No band
+    score and no local projection is made, whether the pattern is banded
+    or covers the sequence. Rows that repeat, or that are not global
+    positions, are a ValueError.
+
+    Each output row has the bytes of the full call's wherever BLAS gives a
+    product's rows the same bytes at any row count but one (see
+    T.matmul_rows): a lone row is multiplied twice wherever the full call
+    multiplies more than one row at once, which is every product but the
+    banded call's scores and mixture at a single global position.
+    """
+    B, L, H = hidden.shape
+    gaps = _check_call(hidden, pattern, n_heads)
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    if len(set(rows.tolist())) < len(rows) or not np.isin(rows, pattern.global_positions).all():
+        raise ValueError(f"rows {rows.tolist()} are not distinct global positions "
+                         f"{list(pattern.global_positions)}")
+    # rows the full call scores at once: its global rows, or every row at
+    # the dense kernel
+    full_rows = L if _band_covers(L, pattern.window, gaps) else len(pattern.global_positions)
+    lone = len(rows) == 1 and L > 1
+    row_ok = _row_valid(lengths, B, L)
+    qg, kg, vg = _global_projections(hidden, params, n_heads, rows)
+    if lone and full_rows > 1:
+        qg = T.index_select(qg, (slice(None), slice(None), [0, 0]))
+        rows = np.repeat(rows, 2)
+    mixed = _merge_heads(_global_rows(qg, kg, vg, rows, row_ok))
+    if lone and full_rows == 1:
+        mixed = T.index_select(mixed, (slice(None), [0, 0]))
+    y = T.mul_const(T.matmul(mixed, params.wo, params.bo),
+                    row_ok[:, rows, None].astype(hidden.data.dtype))
+    return T.index_select(y, (slice(None), slice(0, 1))) if lone else y
+
+
 def sparse_attention_forward(hidden: Tensor, params: AttentionParams,
                              pattern: AttentionPattern, n_heads: int,
                              lengths=None) -> Tensor:
@@ -473,13 +557,10 @@ def sparse_attention_forward(hidden: Tensor, params: AttentionParams,
     `dense_attention_oracle`, which computes the same quantity.
     """
     B, L, H = hidden.shape
-    if H % n_heads != 0:
-        raise ValueError("hidden dim not divisible by head count")
+    gaps = _check_call(hidden, pattern, n_heads)
     dh = H // n_heads
-    pattern.check_globals(L)
-    gaps = tuple(pattern.dilation_for(h, n_heads) for h in range(n_heads))
     half_k = pattern.window // 2
-    if all(half_k * (gap + 1) >= L - 1 for gap in gaps):
+    if _band_covers(L, pattern.window, gaps):
         return dense_attention_oracle(hidden, params, pattern, n_heads, lengths)
     gpos = np.asarray(pattern.global_positions, dtype=np.int64)
     G = len(gpos)
@@ -509,20 +590,13 @@ def sparse_attention_forward(hidden: Tensor, params: AttentionParams,
     out = band_mix(probs[..., :K] if G else probs, v, pattern.window, gaps)  # [B,h,L,dh]
     if G:
         out = out + T.matmul(probs[..., K:], _gather_rows(v, gpos))
-        qg = T.mul(_project(hidden, params.wq_g, params.bq_g, n_heads, gpos),
-                   1.0 / np.sqrt(dh))                                 # [B,h,G,dh]
-        kg = _project(hidden, params.wk_g, params.bk_g, n_heads)
-        vg = _project(hidden, params.wv_g, params.bv_g, n_heads)
+        qkv = _global_projections(hidden, params, n_heads, gpos)
     # without a graph nothing else holds the [B,h,L,K+G] buffer: freed here,
     # its memory serves the global rows' [B,h,G,L] buffer. The global
     # projections are made before, so that none of them lands in that memory.
     del probs
     if G:
-        gok = None
-        if padded:
-            gok = np.repeat(row_ok[:, None, None, :], G, axis=2)
-            gok[:, :, np.arange(G), gpos] = True
-        gout = T.matmul(global_softmax(qg, kg, gok), vg)
+        gout = _global_rows(*qkv, gpos, row_ok)
         keep = np.ones((L, 1), dtype=dtype)
         keep[gpos] = 0.0
         out = T.mul_const(out, keep) + _scatter_rows(gout, gpos, L)
@@ -551,7 +625,8 @@ def dense_attention_oracle(hidden: Tensor, params: AttentionParams,
     q = T.mul(_project(hidden, params.wq, params.bq, n_heads), 1.0 / np.sqrt(dh))
     k = _project(hidden, params.wk, params.bk, n_heads)
     v = _project(hidden, params.wv, params.bv, n_heads)
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))  # [B,h,L,L]
+    if G:
+        scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))  # [B,h,L,L]
 
     row_ok = _row_valid(lengths, B, L)
     gaps = [pattern.dilation_for(h, n_heads) for h in range(n_heads)]
@@ -572,11 +647,11 @@ def dense_attention_oracle(hidden: Tensor, params: AttentionParams,
         grow = np.zeros((L, 1), dtype=hidden.data.dtype)
         grow[gpos] = 1.0
         scores = T.mul_const(scores, 1.0 - grow) + T.mul_const(gscores, grow)
-    probs = T.softmax(scores, axis=-1, allowed=allowed)
-    if G:
+        probs = T.softmax(scores, axis=-1, allowed=allowed)
         out = T.mul_const(T.matmul(probs, v), 1.0 - grow) + T.mul_const(T.matmul(probs, vg), grow)
     else:
-        out = T.matmul(probs, v)
+        # the scores, their mask and the softmax in one [B,h,L,L] buffer
+        out = T.matmul(global_softmax(q, k, allowed), v)
 
     y = T.matmul(_merge_heads(out), params.wo, params.bo)
     return T.mul_const(y, row_ok[:, :, None].astype(hidden.data.dtype))

@@ -96,12 +96,19 @@ _JSON_KINDS = {
     tuple[int, ...] | None: ("null or a list of integers",
                              lambda v: v is None or type(v) is list
                              and all(type(x) is int for x in v)),
+    dict[str, list[int]]: ("an object of shapes (lists of integers >= 0)",
+                           lambda v: type(v) is dict and all(
+                               type(s) is list and all(type(x) is int and x >= 0 for x in s)
+                               for s in v.values())),
 }
 
 
-def check_json_object(given, kinds: dict, source: str, section: str = "") -> None:
+def check_json_object(given, kinds: dict, source: str, section: str = "",
+                      required=()) -> None:
     """Refuse `given` unless it is a JSON object of `kinds` keys (name: field
-    type) and values; messages name `source`, the key and `section`."""
+    type) and values that holds every key in `required`; messages name
+    `source`, the key and `section`, and echo a refused value as it reads,
+    non-ASCII text included."""
     where = f"{section} section" if section else "top level"
     if not isinstance(given, dict):
         raise ValueError(f"{source} {where} must be a JSON object")
@@ -112,7 +119,10 @@ def check_json_object(given, kinds: dict, source: str, section: str = "") -> Non
         want, ok = _JSON_KINDS[kinds[key]]
         if not ok(value):
             raise ValueError(f"{source} {section + '.' if section else ''}{key} must be "
-                             f"{want}, got {json.dumps(value)}")
+                             f"{want}, got {json.dumps(value, ensure_ascii=False)}")
+    missing = [key for key in required if key not in given]
+    if missing:
+        raise ValueError(f"no {', '.join(map(repr, missing))} in the {where} of {source}")
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:

@@ -3,6 +3,9 @@
 Blocks are post-layer-norm residual (x = LN(x + sublayer(x))). Position
 embeddings are learned absolute vectors; position-type embeddings carry the
 question/choice distinction (0/1). The MLM output projection is untied.
+A caller that reads only some rows, as the CLS heads read row 0, asks
+encode() for them: the last block then computes those rows alone, through
+the global path when they are global positions.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .attention import AttentionParams, AttentionPattern, sparse_attention_forward, dense_attention_oracle
+from .attention import (
+    AttentionParams,
+    AttentionPattern,
+    dense_attention_oracle,
+    global_rows_attention,
+    sparse_attention_forward,
+)
 from .checkpoint import check_json_object, read_json
 
 
@@ -53,9 +62,18 @@ def model_marker(meta: dict, config: EncoderConfig) -> str:
     return json.dumps({**meta, "encoder": asdict(config)}, ensure_ascii=False)
 
 
-def read_model_marker(directory, marker: str) -> tuple[dict, EncoderConfig]:
-    """(meta, encoder config) from one read of a model directory's marker,
-    whose encoder section has the --config checks, then EncoderConfig's."""
+# what a model directory's marker holds beside its encoder section, by
+# marker: a pretraining checkpoint's step, a fine-tuned model's task name and
+# head shapes
+MARKER_KINDS = {"state.json": {"step": int},
+                "meta.json": {"task": str, "head_shapes": dict[str, list[int]]}}
+
+
+def read_model_marker(directory, marker: str, required=()) -> tuple[dict, EncoderConfig]:
+    """(meta, encoder config) from one read of a model directory's marker.
+    Its keys are typed by MARKER_KINDS and must include `required`; its
+    encoder section must hold every EncoderConfig field, typed as --config
+    types them, then checked by EncoderConfig."""
     path = Path(directory) / marker
     if not path.is_file():
         raise ValueError(f"{directory}: not a complete checkpoint (no {marker}; its write "
@@ -64,8 +82,11 @@ def read_model_marker(directory, marker: str) -> tuple[dict, EncoderConfig]:
     if not isinstance(meta, dict) or "encoder" not in meta:
         raise ValueError(f"{path}: no encoder section (a model directory of the old "
                          "layout, with its config in model.cfg, is no longer read)")
+    check_json_object(meta, {**MARKER_KINDS[marker], "encoder": dict}, str(path),
+                      required=required)
     section = meta.pop("encoder")
-    check_json_object(section, get_type_hints(EncoderConfig), str(path), "encoder")
+    kinds = get_type_hints(EncoderConfig)
+    check_json_object(section, kinds, str(path), "encoder", required=kinds)
     try:
         return meta, EncoderConfig(**section)
     except ValueError as exc:
@@ -119,13 +140,24 @@ class Encoder:
     # -- forward passes -----------------------------------------------
 
     def encode(self, token_ids: np.ndarray, position_type_ids=None,
-               pattern: AttentionPattern | None = None, lengths=None) -> Tensor:
-        """Contextual representations [B, L, H]. The pattern defaults to the
-        config's window and dilation with no global positions."""
+               pattern: AttentionPattern | None = None, lengths=None, rows=None) -> Tensor:
+        """Contextual representations [B, L, H], or with `rows` (positions)
+        those rows' only, [B, R, H]. The pattern defaults to the config's
+        window and dilation with no global positions.
+
+        With `rows`, every layer but the last runs as without. When every
+        row asked for is a global position, the last layer's attention is
+        global_rows_attention, which computes those rows alone; otherwise
+        it computes every row and keeps `rows` (the dense baseline's row 0
+        is not global). The residual, both layer norms and the FFN then run
+        on those rows only, a lone row carried twice through the FFN's
+        products (see T.matmul_rows), so each row has the bytes of
+        encode()[:, rows] wherever BLAS keeps a row's bytes at any row count.
+        """
         # the kernel is looked up at call time, so a module-level replacement
         # of sparse_attention_forward takes effect here
         return self._forward(sparse_attention_forward, token_ids, position_type_ids,
-                             pattern, lengths)
+                             pattern, lengths, rows)
 
     def encode_dense_reference(self, token_ids, position_type_ids=None,
                                pattern=None, lengths=None) -> Tensor:
@@ -133,7 +165,8 @@ class Encoder:
         return self._forward(dense_attention_oracle, token_ids, position_type_ids,
                              pattern, lengths)
 
-    def _forward(self, attention, token_ids, position_type_ids, pattern, lengths) -> Tensor:
+    def _forward(self, attention, token_ids, position_type_ids, pattern, lengths,
+                 rows=None) -> Tensor:
         token_ids = np.asarray(token_ids)
         if token_ids.ndim == 1:
             token_ids = token_ids[None, :]
@@ -158,12 +191,36 @@ class Encoder:
         x = x + T.embedding_prefix(self.pos_emb, B, L)
         x = x + T.embedding(self.type_emb, position_type_ids)
         x = T.layer_norm(x, self.emb_ln_g, self.emb_ln_b)
-        for layer in self.layers:
+        for layer in self.layers if rows is None else self.layers[:-1]:
             a = attention(x, layer["attn"], pattern, cfg.n_heads, lengths=lengths)
-            x = T.layer_norm(x + a, layer["ln1_g"], layer["ln1_b"])
-            f = T.matmul(T.gelu(T.matmul(x, layer["w1"], layer["b1"])), layer["w2"], layer["b2"])
-            x = T.layer_norm(x + f, layer["ln2_g"], layer["ln2_b"])
-        return x
+            x = self._block_rest(x, a, layer)
+        if rows is None:
+            return x
+        return self._last_layer_rows(x, self.layers[-1], attention, pattern, lengths, rows)
+
+    def _last_layer_rows(self, x, layer, attention, pattern, lengths, rows) -> Tensor:
+        """The last layer at the rows `rows` only, [B, R, H] (see encode)."""
+        rows = [int(r) for r in rows]
+        n_heads = self.config.n_heads
+        lone = len(rows) == 1 and x.shape[1] > 1
+        pick = rows * 2 if lone else rows
+        if set(rows) <= set(pattern.global_positions):
+            a = global_rows_attention(x, layer["attn"], pattern, n_heads, rows, lengths)
+            if lone:
+                a = T.index_select(a, (slice(None), [0, 0]))
+        else:
+            a = T.index_select(attention(x, layer["attn"], pattern, n_heads, lengths=lengths),
+                               (slice(None), pick))
+        x = self._block_rest(T.index_select(x, (slice(None), pick)), a, layer)
+        return T.index_select(x, (slice(None), slice(0, 1))) if lone else x
+
+    @staticmethod
+    def _block_rest(x: Tensor, a: Tensor, layer: dict) -> Tensor:
+        """A block after its attention a: the residual and first layer norm,
+        then the FFN, its residual and the second layer norm."""
+        x = T.layer_norm(x + a, layer["ln1_g"], layer["ln1_b"])
+        f = T.matmul(T.gelu(T.matmul(x, layer["w1"], layer["b1"])), layer["w2"], layer["b2"])
+        return T.layer_norm(x + f, layer["ln2_g"], layer["ln2_b"])
 
     def mlm_logits(self, hidden: Tensor) -> Tensor:
         """Per-position vocabulary logits [B, L, V] (untied projection)."""

@@ -113,11 +113,21 @@ def save_checkpoint(out_dir, encoder: Encoder, state: AdamState, step: int) -> P
     return ckpt
 
 
+def read_state(ckpt_dir) -> tuple[int, EncoderConfig]:
+    """(step, encoder config) of a checkpoint directory's state.json, whose
+    step is an integer >= 0."""
+    meta, config = read_model_marker(ckpt_dir, "state.json", required=("step",))
+    if meta["step"] < 0:
+        raise ValueError(f"{Path(ckpt_dir) / 'state.json'} step must be at least 0, "
+                         f"got {meta['step']}")
+    return meta["step"], config
+
+
 def check_resume(ckpt_dir, enc_config: EncoderConfig) -> None:
     """Refuse, with a ValueError naming the directory, a checkpoint without
     state.json or one whose encoder config differs from enc_config (each
     differing field is named with both values)."""
-    _, saved = read_model_marker(ckpt_dir, "state.json")
+    _, saved = read_state(ckpt_dir)
     differ = [f"{f.name} {getattr(enc_config, f.name)!r} (checkpoint: "
               f"{getattr(saved, f.name)!r})" for f in fields(EncoderConfig)
               if getattr(enc_config, f.name) != getattr(saved, f.name)]
@@ -143,10 +153,10 @@ def check_blocks(blocks, enc_config: EncoderConfig) -> np.ndarray:
 
 def load_checkpoint(ckpt_dir):
     """(encoder, step) of a committed checkpoint directory."""
-    meta, config = read_model_marker(ckpt_dir, "state.json")
+    step, config = read_state(ckpt_dir)
     encoder = Encoder(config, np.random.default_rng(0))
     load_params(Path(ckpt_dir) / "model.ckpt", encoder.named_params())
-    return encoder, meta["step"]
+    return encoder, step
 
 
 def pretrain(blocks: np.ndarray, config: PretrainConfig, enc_config: EncoderConfig,

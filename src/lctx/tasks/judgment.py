@@ -120,7 +120,7 @@ class JudgmentModel(TaskHead):
     def _forward(self, inputs) -> dict:
         """Head outputs of one batch of inputs: label-a and law logits [B, n],
         and in criminal mode the log-space penalty [B, 1]."""
-        cls = self.model_.encode(inputs)[:, 0, :]
+        cls = self.model_.encode(inputs, rows=(0,))[:, 0, :]
         h = self.model_.heads
         out = {"a_logits": T.matmul(cls, h["a_w"], h["a_b"]),
                "law_logits": T.matmul(cls, h["law_w"], h["law_b"])}

@@ -44,7 +44,7 @@ class MultipleChoiceModel(TaskHead):
 
     def _score(self, inputs: list[EncodedInput]) -> T.Tensor:
         """Raw scores [B, 1] of one batch of question-choice inputs."""
-        cls = self.model_.encode(inputs)[:, 0, :]
+        cls = self.model_.encode(inputs, rows=(0,))[:, 0, :]
         return T.matmul(cls, self.model_.heads["w"], self.model_.heads["b"])
 
     def _texts(self, examples):

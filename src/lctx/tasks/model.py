@@ -35,13 +35,14 @@ class HeadedModel:
             else:
                 self.heads[name] = T.randn(shape, rng, 0.02, requires_grad=True)
 
-    def encode(self, batch, pattern=None) -> Tensor:
+    def encode(self, batch, pattern=None, rows=None) -> Tensor:
         """Hidden states [B, L_max, H] of assembled inputs that share their
-        global positions. Shorter rows are right-padded with PAD_ID and type
-        id 0, and their lengths go to the encoder, which masks padding keys;
-        row b is valid on its first len(batch[b]) positions. The pattern
-        defaults to the encoder's window and dilation with the rows' global
-        positions."""
+        global positions, or with `rows` those positions' only, [B, R, H]
+        (see Encoder.encode). Shorter rows are right-padded with PAD_ID and
+        type id 0, and their lengths go to the encoder, which masks padding
+        keys; row b is valid on its first len(batch[b]) positions. The
+        pattern defaults to the encoder's window and dilation with the rows'
+        global positions."""
         if len({enc_in.global_positions for enc_in in batch}) != 1:
             raise ValueError("a batch must share its global positions")
         if pattern is None:
@@ -55,7 +56,7 @@ class HeadedModel:
             type_ids[b, :len(enc_in)] = enc_in.type_ids
         ragged = min(lengths) != max(lengths)
         return self.encoder.encode(ids, type_ids, pattern,
-                                   lengths=lengths if ragged else None)
+                                   lengths=lengths if ragged else None, rows=rows)
 
     def params(self) -> dict[str, Tensor]:
         out = self.encoder.named_params()
@@ -64,8 +65,8 @@ class HeadedModel:
 
     def save(self, out_dir, meta: dict, vocab=None) -> None:
         """model.ckpt, vocab.txt when a vocabulary is given, and meta.json
-        (`meta` plus the head shapes and the encoder config) as the commit
-        marker, in out_dir."""
+        (`meta`, {"task": name}, plus the head shapes and the encoder
+        config) as the commit marker, in out_dir."""
         meta = {**meta, "head_shapes": {k: list(v) for k, v in self.head_shapes.items()}}
         with committing(out_dir, "meta.json", model_marker(meta, self.encoder.config)) as out_dir:
             save_params(out_dir / "model.ckpt", self.params())
@@ -75,7 +76,7 @@ class HeadedModel:
     @classmethod
     def restore(cls, out_dir) -> tuple["HeadedModel", dict]:
         """The model and meta that save() wrote; ValueError without meta.json."""
-        meta, config = read_model_marker(out_dir, "meta.json")
+        meta, config = read_model_marker(out_dir, "meta.json", required=("task", "head_shapes"))
         head_shapes = {k: tuple(v) for k, v in meta["head_shapes"].items()}
         model = cls(config, head_shapes, seed=0)
         load_params(Path(out_dir) / "model.ckpt", model.params())

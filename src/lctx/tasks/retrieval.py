@@ -73,7 +73,7 @@ class RetrievalRanker(TaskHead):
         # the dense baseline is ordinary full self-attention over the batch
         pattern = (AttentionPattern(window=2 * (max(map(len, inputs)) - 1))
                    if self.model_type == "dense" else None)
-        cls = self.model_.encode(inputs, pattern)[:, 0, :]
+        cls = self.model_.encode(inputs, pattern, rows=(0,))[:, 0, :]
         return T.matmul(cls, self.model_.heads["w"], self.model_.heads["b"])
 
     def _texts(self, examples):

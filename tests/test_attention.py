@@ -16,6 +16,7 @@ from lctx.attention import (
     build_band_mask,
     dense_attention_flop_count,
     dense_attention_oracle,
+    global_rows_attention,
     sliding_window_offsets,
     sparse_attention_forward,
 )
@@ -485,6 +486,69 @@ def test_dense_oracle_bytes_match_the_additive_mask(window, gaps, globals_, leng
     want = _gradients(ref_dense_attention_oracle, params, pat, 2, x_data, r, lengths)
     for key in want:
         assert got[key].tobytes() == want[key].tobytes(), key
+
+
+# (B, L, H, heads, pattern, lengths, rows) of a call whose global rows `rows`
+# are computed alone
+_GLOBAL_ROWS_CASES = {
+    "one-row": (2, 40, 16, 2, AttentionPattern(4, None, tuple(range(6))), None, (0,)),
+    "several-rows": (2, 40, 16, 2, AttentionPattern(4, None, tuple(range(6))), None, (0, 2, 5)),
+    "unsorted-rows": (2, 40, 16, 2, AttentionPattern(4, None, tuple(range(6))), None, (5, 0, 2)),
+    "one-global": (2, 40, 16, 2, AttentionPattern(4, None, (0,)), None, (0,)),
+    # the third row's length ends before global 9
+    "ragged": (3, 30, 16, 2, AttentionPattern(2, None, (0, 3, 9)), [30, 27, 8], (0, 9)),
+    "ragged-one-row": (3, 30, 16, 2, AttentionPattern(2, None, (0, 3)), [30, 27, 23], (0,)),
+    "dilated": (2, 33, 16, 2, AttentionPattern(4, (0, 2), (0, 7)), [33, 20], (0,)),
+    "dense-dispatch": (2, 9, 16, 2, AttentionPattern(4, (3, 3), (1, 4)), [9, 8], (1,)),
+    "dense-dispatch-no-padding": (1, 5, 8, 1, AttentionPattern(8, None, (0,)), None, (0,)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("case", sorted(_GLOBAL_ROWS_CASES))
+def test_global_rows_attention_matches_the_full_call_at_its_rows(case, dtype):
+    """Output and gradients of the global rows alone equal those of the full
+    call's rows, at the oracle bound and, at these shapes, where BLAS gives
+    a row the same bytes at two rows and at the full call's count, byte for
+    byte. Rows out of order sum the key and value gradients in another
+    order, so there only the bound holds."""
+    B, L, H, heads, pat, lengths, rows = _GLOBAL_ROWS_CASES[case]
+    rng = np.random.default_rng(27)
+    params = AttentionParams(H, rng, dtype=dtype, init_scale=0.5)
+    x_data = rng.standard_normal((B, L, H)).astype(dtype)
+    r = rng.standard_normal((B, len(rows), H)).astype(dtype)
+    r_full = np.zeros((B, L, H), dtype=dtype)
+    r_full[:, list(rows)] = r
+
+    def alone(x, params, pat, n_heads, lengths):
+        return global_rows_attention(x, params, pat, n_heads, rows, lengths)
+
+    got = _gradients(alone, params, pat, heads, x_data, r, lengths)
+    want = _gradients(sparse_attention_forward, params, pat, heads, x_data, r_full, lengths)
+    want["out"] = want["out"][:, list(rows)]
+    assert got["out"].shape == (B, len(rows), H) and got["out"].dtype == dtype
+    # per-tensor denominators floored by the largest gradient, so that the
+    # key biases, which the output provably does not depend on, are compared
+    # at noise level rather than 0/0
+    scale = max(np.abs(g).max() for key, g in want.items() if key != "out")
+    for key in want:
+        if got[key].size == 0:
+            # the local projections are not reached; the full call gives them zeros
+            assert not want[key].any(), key
+            continue
+        denom = max(np.abs(want[key]).max(), 1e-8 if key == "out" else scale)
+        assert np.abs(got[key] - want[key]).max() / denom <= 1e-5, key
+        if list(rows) == sorted(rows):
+            assert got[key].tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("rows", [(0, 3), (0, 0)], ids=["not-global", "repeated"])
+def test_global_rows_attention_refuses_rows_it_cannot_compute_alone(rows):
+    rng = np.random.default_rng(28)
+    params = AttentionParams(8, rng)
+    x = Tensor(rng.standard_normal((1, 12, 8)))
+    with pytest.raises(ValueError, match=r"are not distinct global positions \[0, 5\]"):
+        global_rows_attention(x, params, AttentionPattern(4, None, (0, 5)), 2, rows)
 
 
 def _graph(root):

@@ -68,7 +68,8 @@ def test_preprocess_corrupted_line_reports_lineno(tmp_path, capsys):
     ('{"fact_markers": "经审理查明"}', "rules.json fact_markers must be a list of strings, got "),
     ('{"fact_marker": ["经审理查明"]}', "unknown key 'fact_marker' in the top level of "),
     ('{fact_markers: []}', "rules.json: Expecting property name"),
-], ids=["list", "markers-string", "unknown-key", "not-json"])
+    ('{"fact_markers": "经审理查明"}', 'got "经审理查明"'),
+], ids=["list", "markers-string", "unknown-key", "not-json", "echo-as-written"])
 def test_preprocess_rules_checked_before_anything_is_written(fixture_dir, tmp_path, capsys,
                                                              text, named):
     rules = tmp_path / "rules.json"
@@ -221,6 +222,25 @@ def test_resume_of_an_unknown_config_key_prints_it_unquoted(fixture_dir, tmp_pat
     assert err == (f"error: unknown key 'bogus' in the encoder section of {ckpt / 'state.json'} "
                    "(allowed: n_layers, n_heads, hidden_dim, ffn_dim, vocab_size, max_positions, "
                    "n_position_types, window, dilation)\n")
+    assert not out.exists()
+
+
+def test_resume_of_a_string_step_is_refused(fixture_dir, tmp_path, capsys):
+    # a step of "100" used to pass the resume check and end in a TypeError
+    # traceback out of the step loop
+    pp = tmp_path / "pp"
+    run(["preprocess", "--input", fixture_dir / "fx" / "raw_cases.jsonl",
+         "--out", pp, "--seq-len", 48])
+    assert run(["pretrain", "--data", pp, "--out", tmp_path / "pt", "--steps", 1]) == 0
+    ckpt = tmp_path / "pt" / "step000001"
+    state = json.loads((ckpt / "state.json").read_text(encoding="utf-8"))
+    state["step"] = "100"
+    (ckpt / "state.json").write_text(json.dumps(state), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "pt2"
+    assert run(["pretrain", "--data", pp, "--out", out, "--steps", 1, "--resume", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert err == f'error: {ckpt / "state.json"} step must be an integer, got "100"\n'
     assert not out.exists()
 
 

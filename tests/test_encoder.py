@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from lctx import encoder as encoder_module
 from lctx import tensor as T
 from lctx.attention import AttentionPattern
 from lctx.checkpoint import load_params, save_params
@@ -85,6 +86,39 @@ def test_marker_of_the_old_layout_is_refused(tmp_path):
     with pytest.raises(ValueError, match="no encoder section .*model.cfg") as info:
         read_model_marker(tmp_path, "state.json")
     assert str(path) in str(info.value)
+
+
+def test_marker_without_an_encoder_field_is_refused(tmp_path):
+    # a marker without window used to load with the default window 4
+    marker = json.loads(model_marker({"step": 1}, tiny_config()))
+    del marker["encoder"]["window"], marker["encoder"]["dilation"]
+    path = write_marker(tmp_path, text=json.dumps(marker))
+    with pytest.raises(ValueError) as info:
+        read_model_marker(tmp_path, "state.json")
+    assert str(info.value) == f"no 'window', 'dilation' in the encoder section of {path}"
+
+
+@pytest.mark.parametrize("marker, meta, named", [
+    ("state.json", {"step": "100"}, 'step must be an integer, got "100"'),
+    ("meta.json", {"task": 5}, "task must be a string, got 5"),
+    ("meta.json", {"head_shapes": {"w": [16, "1"]}},
+     'head_shapes must be an object of shapes (lists of integers >= 0), got {"w": [16, "1"]}'),
+    ("meta.json", {"head_shapes": {"w": [16, -1]}}, "head_shapes must be an object of shapes"),
+    ("meta.json", {"step": 1}, "unknown key 'step' in the top level of"),
+], ids=["step-string", "task-number", "shape-string", "shape-negative", "key-of-the-other"])
+def test_marker_keys_are_typed(tmp_path, marker, meta, named):
+    (tmp_path / marker).write_text(model_marker(meta, tiny_config()), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_model_marker(tmp_path, marker)
+    assert str(tmp_path / marker) in str(info.value) and named in str(info.value)
+
+
+def test_marker_without_a_required_key_is_refused(tmp_path):
+    (tmp_path / "meta.json").write_text(model_marker({"task": "rc"}, tiny_config()),
+                                        encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_model_marker(tmp_path, "meta.json", required=("task", "head_shapes"))
+    assert str(info.value) == f"no 'head_shapes' in the top level of {tmp_path / 'meta.json'}"
 
 
 def test_out_of_range_ids_rejected():
@@ -231,3 +265,99 @@ def test_checkpoint_layer_count_mismatch_lists_the_names(tmp_path):
     with pytest.raises(ValueError, match="missing") as err:
         load_params(one, params(2, 14))
     assert "layer1.w1" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the last layer at chosen rows only
+# ---------------------------------------------------------------------------
+
+
+def _count_global_rows_calls(monkeypatch) -> list:
+    calls = []
+    real = encoder_module.global_rows_attention
+
+    def counting(*args, **kwargs):
+        calls.append(tuple(args[4]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(encoder_module, "global_rows_attention", counting)
+    return calls
+
+
+@pytest.mark.parametrize("rows, alone", [
+    ((0,), True), ((0, 4), True), ((4,), True), ((3,), False), ((0, 3), False),
+], ids=["cls", "two-globals", "other-global", "not-global", "mixed"])
+def test_encode_rows_equals_the_rows_of_encode(rows, alone, monkeypatch):
+    """Rows that are all global take the global path alone in the last
+    layer; others fall back to computing every row and selecting. Either way
+    the rows have encode()'s bytes at this shape."""
+    calls = _count_global_rows_calls(monkeypatch)
+    enc = Encoder(tiny_config(n_layers=2), np.random.default_rng(15))
+    ids = np.random.default_rng(16).integers(0, 30, (3, 20))
+    pat = AttentionPattern(window=2, global_positions=(0, 4))
+    lengths = [20, 17, 12]
+    with T.no_grad():
+        got = enc.encode(ids, pattern=pat, lengths=lengths, rows=rows).data
+        want = enc.encode(ids, pattern=pat, lengths=lengths).data[:, list(rows)]
+    assert got.shape == (3, len(rows), 16)
+    assert got.tobytes() == want.tobytes()
+    assert calls == ([rows] if alone else [])
+
+
+def test_encode_rows_of_the_dense_baseline_select_from_every_row(monkeypatch):
+    # the full-window baseline has no global position: its row 0 is computed
+    # with every row, then kept
+    calls = _count_global_rows_calls(monkeypatch)
+    enc = Encoder(tiny_config(), np.random.default_rng(17))
+    ids = np.random.default_rng(18).integers(0, 30, (2, 9))
+    pat = AttentionPattern(window=2 * (9 - 1))
+    with T.no_grad():
+        got = enc.encode(ids, pattern=pat, rows=(0,)).data
+        want = enc.encode(ids, pattern=pat).data[:, :1]
+    assert got.tobytes() == want.tobytes() and calls == []
+
+
+def test_encode_rows_gradient_matches_finite_differences():
+    """Analytic float64 gradients of a loss on row 0 of a 2-layer encoder,
+    whose last layer computes row 0 alone, against central differences, at
+    criterion 2's bound. The last layer's local projections are not
+    reached."""
+    cfg = EncoderConfig(n_layers=2, n_heads=2, hidden_dim=8, ffn_dim=16,
+                        vocab_size=20, max_positions=12, window=4)
+    rng = np.random.default_rng(19)
+    enc = Encoder(cfg, rng, dtype=np.float64, init_scale=0.1)
+    ids = rng.integers(5, 20, (2, 12))
+    pattern = AttentionPattern(window=4, global_positions=(0, 3))
+    lengths = [12, 9]
+    weights = rng.standard_normal((2, 1, cfg.hidden_dim))
+
+    def loss_value():
+        with T.no_grad():
+            out = enc.encode(ids, pattern=pattern, lengths=lengths, rows=(0,))
+        return float((out.data * weights).sum())
+
+    out = enc.encode(ids, pattern=pattern, lengths=lengths, rows=(0,))
+    T.reduce_sum(T.mul_const(out, weights)).backward()
+    params = enc.named_params()
+    reached = {name for name, p in params.items() if p.grad is not None}
+    assert {f"layer1.attn.{n}" for n in ("wq", "bq", "wk", "bk", "wv", "bv")} \
+        .isdisjoint(reached)
+    h = 1e-3
+    fds = {}
+    for name in reached:
+        flat = params[name].data.reshape(-1)
+        fd = np.zeros(flat.size)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            hi = loss_value()
+            flat[i] = orig - h
+            lo = loss_value()
+            flat[i] = orig
+            fd[i] = (hi - lo) / (2 * h)
+        fds[name] = fd.reshape(params[name].shape)
+    scale = max(np.abs(params[n].grad).max() for n in fds)
+    for name, fd in fds.items():
+        g = params[name].grad
+        denom = max(np.abs(g).max(), np.abs(fd).max(), scale)
+        assert np.abs(g - fd).max() / denom <= 1e-4, name

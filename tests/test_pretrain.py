@@ -211,6 +211,29 @@ def test_checkpoint_of_the_old_layout_is_refused(tmp_path):
             load(ckpt)
 
 
+@pytest.mark.parametrize("step, named", [
+    (-1, "state.json step must be at least 0, got -1"),
+    ("2", 'state.json step must be an integer, got "2"'),
+    (None, "no 'step' in the top level of "),
+], ids=["negative", "string", "missing"])
+def test_checkpoint_step_is_checked(tmp_path, step, named):
+    blocks, vocab = fixture_blocks()
+    pre, enc_cfg = desk_configs(vocab)
+    pretrain(blocks, pre, enc_cfg, steps=2, out_dir=tmp_path / "part")
+    ckpt = tmp_path / "part" / "step000002"
+    state = json.loads((ckpt / "state.json").read_text(encoding="utf-8"))
+    if step is None:
+        del state["step"]
+    else:
+        state["step"] = step
+    (ckpt / "state.json").write_text(json.dumps(state), encoding="utf-8")
+    for load in (load_checkpoint, lambda ckpt: pretrain(blocks, pre, enc_cfg, steps=2,
+                                                        resume_from=ckpt)):
+        with pytest.raises(ValueError) as info:
+            load(ckpt)
+        assert str(ckpt / "state.json") in str(info.value) and named in str(info.value)
+
+
 def test_checkpoint_rewrite_cut_short_is_uncommitted(tmp_path, monkeypatch):
     # a rewrite of an existing checkpoint that dies before state.json leaves
     # no state.json behind, so the mix of old and new files is never loaded

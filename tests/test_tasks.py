@@ -8,7 +8,8 @@ import pytest
 
 from lctx.attention import build_band_mask
 from lctx.encoder import Encoder, EncoderConfig
-from lctx.fixtures import mcq_examples, rc_examples, retrieval_examples
+from lctx.corpus import Ruleset, process_corpus
+from lctx.fixtures import mcq_examples, rc_examples, retrieval_examples, synthetic_cases
 from lctx.tasks import model as model_module
 from lctx.tasks.reading import MAX_SPAN, best_span
 from lctx.tasks import (
@@ -27,7 +28,7 @@ from lctx.tasks import (
     single_text_input,
     split_sentences,
 )
-from lctx.vocab import CLS_ID, SEP_ID
+from lctx.vocab import CLS_ID, SEP_ID, build_vocab
 from oracles import ref_best_span
 
 
@@ -207,6 +208,23 @@ def test_headed_model_of_the_old_layout_is_refused(tmp_path):
         HeadedModel.restore(tmp_path)
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda meta: meta.pop("head_shapes"), "no 'head_shapes' in the top level of "),
+    (lambda meta: meta.update(task=["rc"]), 'task must be a string, got ["rc"]'),
+    (lambda meta: meta["head_shapes"].update(w=16),
+     "head_shapes must be an object of shapes (lists of integers >= 0), got "),
+], ids=["no-head-shapes", "task-list", "shape-number"])
+def test_headed_model_meta_is_typed(tmp_path, edit, named):
+    model = HeadedModel(EncoderConfig(n_layers=1, hidden_dim=16, ffn_dim=32), {"w": (16, 1)})
+    model.save(tmp_path, {"task": "rc"})
+    meta = json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))
+    edit(meta)
+    (tmp_path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        HeadedModel.restore(tmp_path)
+    assert str(tmp_path / "meta.json") in str(info.value) and named in str(info.value)
+
+
 def test_retrieval_tie_break_by_candidate_id():
     rows = retrieval_examples(1, 4, seed=0)
     ranker = RetrievalRanker(steps=1, lr=0.0).fit(rows)
@@ -339,3 +357,68 @@ def test_retrieval_short_overfit():
     metrics = ranker.evaluate(rows, ks=(1, 2))
     assert metrics["accuracy"] >= 0.95
     assert metrics["MAP"] >= 0.95
+
+
+# ---------------------------------------------------------------------------
+# the CLS heads compute only row 0 in the last layer
+# ---------------------------------------------------------------------------
+
+
+def _smoke_heads():
+    """(name, head factory, rows) of the CLS heads on the smoke fixtures, at
+    the smoke command's widths."""
+    result = process_corpus(synthetic_cases(seed=0), Ruleset())
+    rows = {"retrieval": retrieval_examples(seed=0), "mcq": mcq_examples(seed=0)}
+    texts = [doc.full_text() for doc in result.documents]
+    texts += [r["query"] for r in rows["retrieval"]] + [r["candidate"] for r in rows["retrieval"]]
+    texts += [r["question"] for r in rows["mcq"]] + [c for r in rows["mcq"] for c in r["choices"]]
+    vocab = build_vocab(texts)
+
+    def head(cls, **kw):
+        def make():
+            model = cls(vocab=vocab, steps=4, lr=3e-3, seed=0, **kw)
+            model.encoder = small_encoder(vocab, n_layers=model.n_layers,
+                                          max_positions=model.max_positions)
+            return model
+        return make
+
+    return [
+        ("judgment-criminal", head(JudgmentModel, mode="criminal"), result.criminal_examples),
+        ("judgment-civil", head(JudgmentModel, mode="civil"), result.civil_examples),
+        ("retrieval-long", head(RetrievalRanker), rows["retrieval"]),
+        ("retrieval-dense", head(RetrievalRanker, model_type="dense"), rows["retrieval"]),
+        ("mcq", head(MultipleChoiceModel), rows["mcq"]),
+    ]
+
+
+def _assert_rows_match(got, want):
+    """Prediction rows: floats at the oracle bound, everything else equal."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.keys() == b.keys()
+        for key in a:
+            if isinstance(a[key], float):
+                np.testing.assert_allclose(a[key], b[key], rtol=1e-5, atol=1e-7)
+            else:
+                assert a[key] == b[key], key
+
+
+@pytest.mark.parametrize("name", ["judgment-criminal", "judgment-civil", "retrieval-long",
+                                  "retrieval-dense", "mcq"])
+def test_cls_heads_match_the_full_row_path(name, monkeypatch):
+    """Fitting and predicting with row 0 alone in the last layer gives the
+    history and predictions of computing every row and keeping row 0. The
+    backward's one- and two-row products may take other BLAS kernels than
+    the full path's, so the floats are compared at the oracle bound."""
+    make, rows = next((make, rows) for head, make, rows in _smoke_heads() if head == name)
+    alone = make().fit(rows)
+    real = HeadedModel.encode
+
+    def every_row(self, batch, pattern=None, rows=None):
+        out = real(self, batch, pattern)
+        return out if rows is None else out[:, list(rows)]
+
+    monkeypatch.setattr(HeadedModel, "encode", every_row)
+    full = make().fit(rows)
+    np.testing.assert_allclose(alone.history_, full.history_, rtol=1e-5)
+    _assert_rows_match(alone.predict(rows), full.predict(rows))

@@ -169,6 +169,26 @@ def test_softmax_allowed_bytes_match_an_additive_mask():
     check_softmax_allowed(np.float32)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 2, 300, 9), (512, 16), (512, 1), (512, 17), (64, 9),
+                                   (3, 519)],
+                         ids=["band-rows", "widest-running", "one-column", "past-the-width",
+                              "few-rows", "retrieval-long-width"])
+def test_softmax_row_max_equals_np_max(shape, dtype):
+    # the running max over narrow columns, and np.max everywhere else, give
+    # np.max's bytes, with masked entries, a masked row and a NaN row
+    rng = np.random.default_rng(30)
+    y = f32(rng, shape, 4.0, dtype)
+    y[rng.random(shape) < 0.2] = -np.inf
+    flat = y.reshape(-1, shape[-1])
+    flat[0] = -np.inf
+    flat[-1, -1] = np.nan
+    assert same_bytes(T._row_max(y, -1), np.max(y, axis=-1, keepdims=True))
+    flat[-1, -1] = 0.0
+    with pytest.raises(FloatingPointError):
+        T.softmax_(y)
+
+
 def test_layer_norm_bytes_match_reference():
     check_layer_norm(np.float32)
 
