@@ -35,11 +35,16 @@ keys and values of all L rows, and the output projection of that row.
 global_rows_attention computes chosen global rows that way alone, with no
 band score and no local projection (the encoder's last layer, for heads
 that read only CLS); sparse_attention_forward computes its global rows with
-the same helpers.
+the same helpers. Under a pattern that covers the sequence a non-global row
+is the same query-row path through the local projections, under its row of
+the band mask: dense_rows_attention computes chosen rows so, one [B,h,R,L]
+score block where the dense kernel scores [B,h,L,L] (the encoder's last
+layer, for the full-window baseline's CLS).
 
 `dense_attention_oracle` materializes the full mask and computes the same
 quantity quadratically; it is the testing ground truth, the quadratic
-baseline for benchmarks and the kernel for full windows.
+baseline for benchmarks and the kernel for full windows. Its global rows'
+scores are written into the rows of its one [B,h,L,L] score buffer.
 """
 
 from __future__ import annotations
@@ -87,6 +92,12 @@ class AttentionPattern:
     def check_globals(self, seq_len: int) -> None:
         if self.global_positions and self.global_positions[-1] >= seq_len:
             raise ValueError("global position outside [0, sequence_length)")
+
+    def covers(self, length: int, n_heads: int) -> bool:
+        """Every head's band reaches the whole sequence, (w/2)*(gap+1) >= L-1:
+        a call goes to the dense kernel."""
+        return all(self.window // 2 * (self.dilation_for(h, n_heads) + 1) >= length - 1
+                   for h in range(n_heads))
 
 
 def sliding_window_offsets(i: int, length: int, window: int, gap: int = 0) -> set[int]:
@@ -410,6 +421,66 @@ def global_softmax(qg: Tensor, kg: Tensor, allowed: np.ndarray | None = None) ->
     return make_op(y, (qg, kg), backward)
 
 
+def _few_rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.matmul(a, b), a lone row of a multiplied twice: numpy sends a
+    one-row product to gemv, whose sums differ from gemm's in the last bit
+    (see T.matmul_rows)."""
+    if a.shape[-2] != 1:
+        return np.matmul(a, b)
+    return np.matmul(np.repeat(a, 2, axis=-2), b)[..., :1, :]
+
+
+def _split_softmax(q: Tensor, k: Tensor, qg: Tensor, kg: Tensor, gpos: np.ndarray,
+                   allowed: np.ndarray | None = None) -> Tensor:
+    """The dense kernel's attention weights with global rows, [B,h,L,L]: row
+    i is the softmax of q_i @ k^T, but row gpos[r] that of qg_r @ kg^T (qg
+    [B,h,G,dh]), with -inf wherever `allowed` (None: all open) is False.
+    The global rows' scores are written into the rows of the one score
+    buffer, where s*(1-grow) + g*grow, exact, would build five more."""
+    y = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    y[:, :, gpos] = _few_rows_matmul(qg.data, np.swapaxes(kg.data, -1, -2))
+    if allowed is not None:
+        np.copyto(y, NEG_INF, where=np.logical_not(allowed))
+    T.softmax_(y)
+
+    def backward(g):
+        gs = T.softmax_grad(g, y)
+        gsg = gs[:, :, gpos]
+        gs[:, :, gpos] = 0.0
+        for a, b, gab in ((q, k, gs), (qg, kg, gsg)):
+            if a.requires_grad:
+                a._accum(_few_rows_matmul(gab, b.data))
+            if b.requires_grad:
+                b._accum(np.swapaxes(np.matmul(np.swapaxes(a.data, -1, -2), gab), -1, -2))
+
+    return make_op(y, (q, k, qg, kg), backward)
+
+
+def _split_mix(p: Tensor, v: Tensor, vg: Tensor, gpos: np.ndarray) -> Tensor:
+    """[B,h,L,dh]: row i is p_i @ v, but row gpos[r] is p_gpos[r] @ vg: the
+    bytes of (p @ v)*(1-grow) + (p @ vg)*grow, selected by rows."""
+    out = np.matmul(p.data, v.data)
+    pg = p.data[:, :, gpos]
+    out[:, :, gpos] = _few_rows_matmul(pg, vg.data)
+
+    def backward(g):
+        gg = g[:, :, gpos]
+        if p.requires_grad:
+            gp = np.matmul(g, np.swapaxes(v.data, -1, -2))
+            gp[:, :, gpos] = _few_rows_matmul(gg, np.swapaxes(vg.data, -1, -2))
+            p._accum(gp)
+        if v.requires_grad:
+            local = g.copy()
+            local[:, :, gpos] = 0.0
+            v._accum(np.matmul(np.swapaxes(p.data, -1, -2), local))
+        if vg.requires_grad:
+            vg._accum(np.matmul(np.swapaxes(pg, -1, -2), gg))
+
+    # parents in this order, so that the graph walk reaches the projections
+    # in the additive form's order and their input gradients sum in it
+    return make_op(out, (v, p, vg), backward)
+
+
 def _gather_rows(x: Tensor, positions: np.ndarray) -> Tensor:
     """x [B,h,L,dh] -> rows `positions` [B,h,G,dh]. Positions are distinct,
     so the backward assigns instead of scatter-adding."""
@@ -474,33 +545,66 @@ def _check_call(hidden: Tensor, pattern: AttentionPattern, n_heads: int) -> tupl
     return tuple(pattern.dilation_for(h, n_heads) for h in range(n_heads))
 
 
-def _band_covers(length: int, window: int, gaps: tuple[int, ...]) -> bool:
-    """Every head's band reaches the whole sequence, (w/2)*(gap+1) >= L-1:
-    the call goes to the dense kernel."""
-    return all(window // 2 * (gap + 1) >= length - 1 for gap in gaps)
-
-
-def _global_projections(hidden: Tensor, params: AttentionParams, n_heads: int,
-                        rows: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
-    """The global projections: the scaled queries of rows `rows` [B,h,R,dh]
-    and the keys and values of every row [B,h,L,dh]."""
+def _row_projections(hidden: Tensor, params: AttentionParams, n_heads: int, rows: np.ndarray,
+                     names: tuple[str, ...]) -> tuple[Tensor, Tensor, Tensor]:
+    """The scaled queries of rows `rows` [B,h,R,dh] and the keys and values
+    of every row [B,h,L,dh], through the projections `names` (wq, bq, wk,
+    bk, wv, bv: _GLOBAL_NAMES, or the local ones)."""
+    wq, bq, wk, bk, wv, bv = (getattr(params, name) for name in names)
     dh = hidden.shape[-1] // n_heads
-    qg = T.mul(_project(hidden, params.wq_g, params.bq_g, n_heads, rows), 1.0 / np.sqrt(dh))
-    kg = _project(hidden, params.wk_g, params.bk_g, n_heads)
-    vg = _project(hidden, params.wv_g, params.bv_g, n_heads)
-    return qg, kg, vg
+    q = T.mul(_project(hidden, wq, bq, n_heads, rows), 1.0 / np.sqrt(dh))
+    return q, _project(hidden, wk, bk, n_heads), _project(hidden, wv, bv, n_heads)
 
 
-def _global_rows(qg: Tensor, kg: Tensor, vg: Tensor, rows: np.ndarray,
-                 row_ok: np.ndarray) -> Tensor:
-    """[B,h,R,dh]: the global rows `rows`, whose _global_projections are
-    given, attend to every key of their sequence (row_ok [B, L]) and to
-    themselves. Without padded rows no key is masked."""
-    gok = None
-    if not row_ok.all():
-        gok = np.repeat(row_ok[:, None, None, :], len(rows), axis=2)
-        gok[:, :, np.arange(len(rows)), rows] = True
-    return T.matmul(global_softmax(qg, kg, gok), vg)
+def _attend_rows(q: Tensor, k: Tensor, v: Tensor, rows: np.ndarray, row_ok: np.ndarray,
+                 band: np.ndarray | None = None) -> Tensor:
+    """[B,h,R,dh]: the rows `rows`, whose queries q [B,h,R,dh] and every
+    row's keys and values are given, attend to every key of their sequence
+    (row_ok [B, L]) that their band-mask rows `band` [h,R,L] open (None:
+    all), and to themselves. Without padded rows or a band no key is
+    masked."""
+    allowed = None
+    if band is not None or not row_ok.all():
+        allowed = np.repeat(row_ok[:, None, None, :], len(rows), axis=2)
+        if band is not None:
+            allowed = allowed & band
+        allowed[:, :, np.arange(len(rows)), rows] = True
+    return T.matmul(global_softmax(q, k, allowed), v)
+
+
+def _rows_output(hidden: Tensor, params: AttentionParams, qkv, rows: np.ndarray, lengths,
+                 full_rows: int, band: np.ndarray | None = None) -> Tensor:
+    """[B,R,H]: the rows `rows` attend (_attend_rows, with their projections
+    qkv) and their mixture goes through the output projection; padded rows
+    give zero. A lone row is multiplied twice wherever the full call
+    multiplies more than one row at once (its scores when it scores
+    `full_rows` > 1 rows at once, and the output projection)."""
+    B, L, _ = hidden.shape
+    lone = len(rows) == 1 and L > 1
+    row_ok = _row_valid(lengths, B, L)
+    q, k, v = qkv
+    if lone and full_rows > 1:
+        q = T.index_select(q, (slice(None), slice(None), [0, 0]))
+        rows = np.repeat(rows, 2)
+        band = None if band is None else np.repeat(band, 2, axis=1)
+    mixed = _merge_heads(_attend_rows(q, k, v, rows, row_ok, band))
+    if lone and full_rows == 1:
+        mixed = T.index_select(mixed, (slice(None), [0, 0]))
+    y = T.mul_const(T.matmul(mixed, params.wo, params.bo),
+                    row_ok[:, rows, None].astype(hidden.data.dtype))
+    return T.index_select(y, (slice(None), slice(0, 1))) if lone else y
+
+
+def _head_masks(length: int, pattern: AttentionPattern, gaps) -> np.ndarray:
+    """[h, L, L]: each head's build_band_mask, built once per distinct gap
+    (as the mask of that gap's first head)."""
+    by_gap = {gap: build_band_mask(length, pattern, gaps.index(gap), len(gaps))
+              for gap in set(gaps)}
+    return np.stack([by_gap[gap] for gap in gaps])
+
+
+def _distinct(rows: np.ndarray) -> bool:
+    return len(set(rows.tolist())) == len(rows)
 
 
 def global_rows_attention(hidden: Tensor, params: AttentionParams, pattern: AttentionPattern,
@@ -520,27 +624,42 @@ def global_rows_attention(hidden: Tensor, params: AttentionParams, pattern: Atte
     multiplies more than one row at once, which is every product but the
     banded call's scores and mixture at a single global position.
     """
-    B, L, H = hidden.shape
-    gaps = _check_call(hidden, pattern, n_heads)
+    L = hidden.shape[1]
+    _check_call(hidden, pattern, n_heads)
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-    if len(set(rows.tolist())) < len(rows) or not np.isin(rows, pattern.global_positions).all():
+    if not _distinct(rows) or not np.isin(rows, pattern.global_positions).all():
         raise ValueError(f"rows {rows.tolist()} are not distinct global positions "
                          f"{list(pattern.global_positions)}")
     # rows the full call scores at once: its global rows, or every row at
     # the dense kernel
-    full_rows = L if _band_covers(L, pattern.window, gaps) else len(pattern.global_positions)
-    lone = len(rows) == 1 and L > 1
-    row_ok = _row_valid(lengths, B, L)
-    qg, kg, vg = _global_projections(hidden, params, n_heads, rows)
-    if lone and full_rows > 1:
-        qg = T.index_select(qg, (slice(None), slice(None), [0, 0]))
-        rows = np.repeat(rows, 2)
-    mixed = _merge_heads(_global_rows(qg, kg, vg, rows, row_ok))
-    if lone and full_rows == 1:
-        mixed = T.index_select(mixed, (slice(None), [0, 0]))
-    y = T.mul_const(T.matmul(mixed, params.wo, params.bo),
-                    row_ok[:, rows, None].astype(hidden.data.dtype))
-    return T.index_select(y, (slice(None), slice(0, 1))) if lone else y
+    full_rows = L if pattern.covers(L, n_heads) else len(pattern.global_positions)
+    qkv = _row_projections(hidden, params, n_heads, rows, _GLOBAL_NAMES)
+    return _rows_output(hidden, params, qkv, rows, lengths, full_rows)
+
+
+def dense_rows_attention(hidden: Tensor, params: AttentionParams, pattern: AttentionPattern,
+                         n_heads: int, rows, lengths=None) -> Tensor:
+    """The attention outputs of the rows `rows` only, [B,R,H], of a call
+    that goes to the dense kernel (pattern.covers): sparse_attention_forward(
+    hidden, params, pattern, n_heads, lengths)[:, rows]. Those rows' local
+    queries are scored against the local keys of all L rows, each under its
+    row of the band mask (all open unless a head is dilated) and row_ok,
+    and their mixture of the values goes through the output projection:
+    one [B,h,R,L] score row per row, where the dense kernel scores [B,h,L,L].
+    Rows that repeat or are global positions, or a pattern whose band does
+    not cover the sequence, are a ValueError. The bytes hold as in
+    global_rows_attention: a lone row is multiplied twice throughout.
+    """
+    L = hidden.shape[1]
+    gaps = _check_call(hidden, pattern, n_heads)
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    if (not _distinct(rows) or np.isin(rows, pattern.global_positions).any()
+            or not pattern.covers(L, n_heads)):
+        raise ValueError(f"rows {rows.tolist()} are not distinct non-global rows of a "
+                         f"pattern that covers the sequence")
+    band = _head_masks(L, pattern, gaps)[:, rows] if any(gaps) else None
+    qkv = _row_projections(hidden, params, n_heads, rows, _LOCAL_NAMES[:6])
+    return _rows_output(hidden, params, qkv, rows, lengths, L, band)
 
 
 def sparse_attention_forward(hidden: Tensor, params: AttentionParams,
@@ -560,7 +679,7 @@ def sparse_attention_forward(hidden: Tensor, params: AttentionParams,
     gaps = _check_call(hidden, pattern, n_heads)
     dh = H // n_heads
     half_k = pattern.window // 2
-    if _band_covers(L, pattern.window, gaps):
+    if pattern.covers(L, n_heads):
         return dense_attention_oracle(hidden, params, pattern, n_heads, lengths)
     gpos = np.asarray(pattern.global_positions, dtype=np.int64)
     G = len(gpos)
@@ -590,13 +709,13 @@ def sparse_attention_forward(hidden: Tensor, params: AttentionParams,
     out = band_mix(probs[..., :K] if G else probs, v, pattern.window, gaps)  # [B,h,L,dh]
     if G:
         out = out + T.matmul(probs[..., K:], _gather_rows(v, gpos))
-        qkv = _global_projections(hidden, params, n_heads, gpos)
+        qkv = _row_projections(hidden, params, n_heads, gpos, _GLOBAL_NAMES)
     # without a graph nothing else holds the [B,h,L,K+G] buffer: freed here,
     # its memory serves the global rows' [B,h,G,L] buffer. The global
     # projections are made before, so that none of them lands in that memory.
     del probs
     if G:
-        gout = _global_rows(*qkv, gpos, row_ok)
+        gout = _attend_rows(*qkv, gpos, row_ok)
         keep = np.ones((L, 1), dtype=dtype)
         keep[gpos] = 0.0
         out = T.mul_const(out, keep) + _scatter_rows(gout, gpos, L)
@@ -625,32 +744,23 @@ def dense_attention_oracle(hidden: Tensor, params: AttentionParams,
     q = T.mul(_project(hidden, params.wq, params.bq, n_heads), 1.0 / np.sqrt(dh))
     k = _project(hidden, params.wk, params.bk, n_heads)
     v = _project(hidden, params.wv, params.bv, n_heads)
-    if G:
-        scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))  # [B,h,L,L]
 
     row_ok = _row_valid(lengths, B, L)
     gaps = [pattern.dilation_for(h, n_heads) for h in range(n_heads)]
     if row_ok.all() and not any(gaps) and pattern.window // 2 >= L - 1:
         allowed = None  # every key of every row is open: nothing to mask
     else:
-        # one mask per distinct gap (build_band_mask of a gap's first head)
-        by_gap = {gap: build_band_mask(L, pattern, gaps.index(gap), n_heads)
-                  for gap in set(gaps)}
-        allowed = np.stack([by_gap[gap] for gap in gaps])[None] & row_ok[:, None, None, :]
+        allowed = _head_masks(L, pattern, gaps)[None] & row_ok[:, None, None, :]
         allowed[:, :, np.arange(L), np.arange(L)] = True
 
+    # the scores, their mask and the softmax in one [B,h,L,L] buffer
     if G:
         qg = T.mul(_project(hidden, params.wq_g, params.bq_g, n_heads), 1.0 / np.sqrt(dh))
         kg = _project(hidden, params.wk_g, params.bk_g, n_heads)
         vg = _project(hidden, params.wv_g, params.bv_g, n_heads)
-        gscores = T.matmul(qg, T.transpose(kg, (0, 1, 3, 2)))
-        grow = np.zeros((L, 1), dtype=hidden.data.dtype)
-        grow[gpos] = 1.0
-        scores = T.mul_const(scores, 1.0 - grow) + T.mul_const(gscores, grow)
-        probs = T.softmax(scores, axis=-1, allowed=allowed)
-        out = T.mul_const(T.matmul(probs, v), 1.0 - grow) + T.mul_const(T.matmul(probs, vg), grow)
+        probs = _split_softmax(q, k, _gather_rows(qg, gpos), kg, gpos, allowed)
+        out = _split_mix(probs, v, vg, gpos)
     else:
-        # the scores, their mask and the softmax in one [B,h,L,L] buffer
         out = T.matmul(global_softmax(q, k, allowed), v)
 
     y = T.matmul(_merge_heads(out), params.wo, params.bo)

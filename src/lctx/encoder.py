@@ -3,9 +3,12 @@
 Blocks are post-layer-norm residual (x = LN(x + sublayer(x))). Position
 embeddings are learned absolute vectors; position-type embeddings carry the
 question/choice distinction (0/1). The MLM output projection is untied.
-A caller that reads only some rows, as the CLS heads read row 0, asks
-encode() for them: the last block then computes those rows alone, through
-the global path when they are global positions.
+A caller that reads only some rows asks encode() for them: the CLS heads
+row 0, MLM pretraining its masked positions. The last block then computes
+those rows alone where its attention can (through the global path for
+global positions, through one score row each under a full window, as the
+dense baseline's CLS), and runs its residual, layer norms and FFN on those
+rows only.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .attention import (
     AttentionParams,
     AttentionPattern,
     dense_attention_oracle,
+    dense_rows_attention,
     global_rows_attention,
     sparse_attention_forward,
 )
@@ -141,18 +145,23 @@ class Encoder:
 
     def encode(self, token_ids: np.ndarray, position_type_ids=None,
                pattern: AttentionPattern | None = None, lengths=None, rows=None) -> Tensor:
-        """Contextual representations [B, L, H], or with `rows` (positions)
-        those rows' only, [B, R, H]. The pattern defaults to the config's
-        window and dilation with no global positions.
+        """Contextual representations [B, L, H]. With `rows`, those rows'
+        only: positions shared by every sequence give [B, R, H], a boolean
+        [B, L] mask gives its True rows in order, [N, H]. The pattern
+        defaults to the config's window and dilation with no global
+        positions.
 
-        With `rows`, every layer but the last runs as without. When every
-        row asked for is a global position, the last layer's attention is
-        global_rows_attention, which computes those rows alone; otherwise
-        it computes every row and keeps `rows` (the dense baseline's row 0
-        is not global). The residual, both layer norms and the FFN then run
-        on those rows only, a lone row carried twice through the FFN's
-        products (see T.matmul_rows), so each row has the bytes of
-        encode()[:, rows] wherever BLAS keeps a row's bytes at any row count.
+        With `rows`, every layer but the last runs as without. The last
+        layer's attention computes positions alone where it can:
+        global_rows_attention when every one is a global position, and
+        dense_rows_attention when none is and every head's band covers the
+        sequence (the dense baseline's row 0). Otherwise, and for a mask, it
+        computes every row and keeps the rows asked for. The residual, both
+        layer norms and the FFN then run on those rows only, a lone position
+        carried twice through the FFN's products (see T.matmul_rows), so a
+        position's row has the bytes of encode()[:, rows] wherever BLAS
+        keeps a row's bytes at any row count. A mask's rows are one [N, H]
+        product, whose bytes may differ from the full call's in the last bit.
         """
         # the kernel is looked up at call time, so a module-level replacement
         # of sparse_attention_forward takes effect here
@@ -199,19 +208,29 @@ class Encoder:
         return self._last_layer_rows(x, self.layers[-1], attention, pattern, lengths, rows)
 
     def _last_layer_rows(self, x, layer, attention, pattern, lengths, rows) -> Tensor:
-        """The last layer at the rows `rows` only, [B, R, H] (see encode)."""
-        rows = [int(r) for r in rows]
-        n_heads = self.config.n_heads
-        lone = len(rows) == 1 and x.shape[1] > 1
-        pick = rows * 2 if lone else rows
-        if set(rows) <= set(pattern.global_positions):
-            a = global_rows_attention(x, layer["attn"], pattern, n_heads, rows, lengths)
-            if lone:
-                a = T.index_select(a, (slice(None), [0, 0]))
+        """The last layer at the rows `rows` only (see encode)."""
+        n_heads, L = self.config.n_heads, x.shape[1]
+        params = layer["attn"]
+        rows = np.asarray(rows)
+        a = None
+        if rows.dtype == bool:
+            # a mask's rows are one [N, H] product, whose bytes are not the
+            # full call's anyway: no lone-row rule
+            key, lone = rows, False
         else:
-            a = T.index_select(attention(x, layer["attn"], pattern, n_heads, lengths=lengths),
-                               (slice(None), pick))
-        x = self._block_rest(T.index_select(x, (slice(None), pick)), a, layer)
+            rows = [int(r) for r in rows.reshape(-1)]
+            lone = len(rows) == 1 and L > 1
+            key = (slice(None), rows * 2 if lone else rows)
+            glob = set(pattern.global_positions)
+            if set(rows) <= glob:
+                a = global_rows_attention(x, params, pattern, n_heads, rows, lengths)
+            elif not glob & set(rows) and pattern.covers(L, n_heads):
+                a = dense_rows_attention(x, params, pattern, n_heads, rows, lengths)
+            if a is not None and lone:
+                a = T.index_select(a, (slice(None), [0, 0]))
+        if a is None:
+            a = T.index_select(attention(x, params, pattern, n_heads, lengths=lengths), key)
+        x = self._block_rest(T.index_select(x, key), a, layer)
         return T.index_select(x, (slice(None), slice(0, 1))) if lone else x
 
     @staticmethod
@@ -223,5 +242,6 @@ class Encoder:
         return T.layer_norm(x + f, layer["ln2_g"], layer["ln2_b"])
 
     def mlm_logits(self, hidden: Tensor) -> Tensor:
-        """Per-position vocabulary logits [B, L, V] (untied projection)."""
+        """Vocabulary logits [..., V] of hidden states [..., H] (untied
+        projection)."""
         return T.matmul(hidden, self.mlm_w, self.mlm_b)

@@ -1,5 +1,11 @@
 """Masked-language-model pretraining: masking, warmup schedule, Adam loop,
-checkpointing with bit-identical resume."""
+checkpointing with bit-identical resume.
+
+The loss reads the masked positions only, so pretraining asks the encoder
+for those rows (a boolean [B, L] mask): the last layer's residual, layer
+norms and FFN, the MLM head and the loss run on the [N, H] masked rows alone,
+as BERT gathers them before its output head (Devlin et al. 2019).
+masked_recovery_accuracy asks for the same rows."""
 
 from __future__ import annotations
 
@@ -199,10 +205,12 @@ def pretrain(blocks: np.ndarray, config: PretrainConfig, enc_config: EncoderConf
         zero_grads(params)
         # packing pads only block tails, so non-PAD counts are valid lengths
         lengths = (batch != 0).sum(axis=1)
+        masked = labels != IGNORE_INDEX
         try:
-            hidden = encoder.encode(inputs, lengths=lengths)
+            # the last layer, the MLM head and the loss see the masked rows only
+            hidden = encoder.encode(inputs, lengths=lengths, rows=masked)
             logits = encoder.mlm_logits(hidden)
-            loss = T.cross_entropy(logits, labels)
+            loss = T.cross_entropy(logits, labels[masked])
             loss_val = loss.item()
             if not np.isfinite(loss_val):
                 raise FloatingPointError("non-finite loss")
@@ -214,9 +222,8 @@ def pretrain(blocks: np.ndarray, config: PretrainConfig, enc_config: EncoderConf
         state.learning_rate = lr_at(step + 1, config)
         adam_step(params, state)
 
-        masked = labels != IGNORE_INDEX
         pred = logits.data.argmax(axis=-1)
-        acc = float((pred[masked] == labels[masked]).mean()) if masked.any() else 0.0
+        acc = float((pred == labels[masked]).mean()) if masked.any() else 0.0
         history.append(StepLog(step=step, lr=state.learning_rate,
                                loss=loss_val, masked_acc=acc))
 
@@ -243,12 +250,11 @@ def masked_recovery_accuracy(encoder: Encoder, blocks: np.ndarray,
         rng = np.random.default_rng((config.seed, 1_000_003, r))
         inputs, labels, _ = _mask_batch(blocks, config.mask_rate, rng,
                                         encoder.config.vocab_size)
+        masked = labels != IGNORE_INDEX
         with T.no_grad():
             logits = encoder.mlm_logits(
-                encoder.encode(inputs, lengths=(blocks != 0).sum(axis=1)))
-        masked = labels != IGNORE_INDEX
-        pred = logits.data.argmax(axis=-1)
-        hits += int((pred[masked] == labels[masked]).sum())
+                encoder.encode(inputs, lengths=(blocks != 0).sum(axis=1), rows=masked))
+        hits += int((logits.data.argmax(axis=-1) == labels[masked]).sum())
         total += int(masked.sum())
     return hits / max(1, total)
 

@@ -448,21 +448,26 @@ def concat(tensors, axis: int) -> Tensor:
     return make_op(out_data, tuple(tensors), backward)
 
 
-def _is_basic_index(key) -> bool:
+def _selects_once(key) -> bool:
+    """Whether the key selects every element at most once: a basic key, or a
+    lone boolean mask."""
+    if isinstance(key, np.ndarray) and key.dtype == bool:
+        return True
     parts = key if isinstance(key, tuple) else (key,)
     return all(isinstance(k, (slice, int, np.integer, type(Ellipsis), type(None))) for k in parts)
 
 
 def index_select(a: Tensor, key) -> Tensor:
-    """Basic slicing / integer-array indexing. A basic key selects every
-    element at most once, so its backward assigns; array keys scatter-add."""
+    """Basic slicing, integer-array indexing or a boolean mask. A basic key
+    or a mask selects every element at most once, so its backward assigns;
+    integer arrays scatter-add."""
     out_data = a.data[key]
-    basic = _is_basic_index(key)
+    once = _selects_once(key)
 
     def backward(g):
         if a.requires_grad:
             ga = np.zeros_like(a.data)
-            if basic:
+            if once:
                 ga[key] = g
             else:
                 np.add.at(ga, key, g)

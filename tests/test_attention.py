@@ -16,6 +16,7 @@ from lctx.attention import (
     build_band_mask,
     dense_attention_flop_count,
     dense_attention_oracle,
+    dense_rows_attention,
     global_rows_attention,
     sliding_window_offsets,
     sparse_attention_forward,
@@ -504,15 +505,13 @@ _GLOBAL_ROWS_CASES = {
 }
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-@pytest.mark.parametrize("case", sorted(_GLOBAL_ROWS_CASES))
-def test_global_rows_attention_matches_the_full_call_at_its_rows(case, dtype):
-    """Output and gradients of the global rows alone equal those of the full
+def _assert_rows_match_the_full_call(row_kernel, case, dtype, exact=True):
+    """Output and gradients of the rows `rows` alone equal those of the full
     call's rows, at the oracle bound and, at these shapes, where BLAS gives
     a row the same bytes at two rows and at the full call's count, byte for
     byte. Rows out of order sum the key and value gradients in another
-    order, so there only the bound holds."""
-    B, L, H, heads, pat, lengths, rows = _GLOBAL_ROWS_CASES[case]
+    order, so there only the bound holds; so it does where not `exact`."""
+    B, L, H, heads, pat, lengths, rows = case
     rng = np.random.default_rng(27)
     params = AttentionParams(H, rng, dtype=dtype, init_scale=0.5)
     x_data = rng.standard_normal((B, L, H)).astype(dtype)
@@ -521,7 +520,7 @@ def test_global_rows_attention_matches_the_full_call_at_its_rows(case, dtype):
     r_full[:, list(rows)] = r
 
     def alone(x, params, pat, n_heads, lengths):
-        return global_rows_attention(x, params, pat, n_heads, rows, lengths)
+        return row_kernel(x, params, pat, n_heads, rows, lengths)
 
     got = _gradients(alone, params, pat, heads, x_data, r, lengths)
     want = _gradients(sparse_attention_forward, params, pat, heads, x_data, r_full, lengths)
@@ -530,16 +529,23 @@ def test_global_rows_attention_matches_the_full_call_at_its_rows(case, dtype):
     # per-tensor denominators floored by the largest gradient, so that the
     # key biases, which the output provably does not depend on, are compared
     # at noise level rather than 0/0
-    scale = max(np.abs(g).max() for key, g in want.items() if key != "out")
+    scale = max(np.abs(g).max() for key, g in want.items() if key != "out" and g.size)
     for key in want:
         if got[key].size == 0:
-            # the local projections are not reached; the full call gives them zeros
+            # a projection set the rows do not reach; the full call gives it
+            # zeros, or does not reach it either
             assert not want[key].any(), key
             continue
         denom = max(np.abs(want[key]).max(), 1e-8 if key == "out" else scale)
         assert np.abs(got[key] - want[key]).max() / denom <= 1e-5, key
-        if list(rows) == sorted(rows):
+        if exact and list(rows) == sorted(rows):
             assert got[key].tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("case", sorted(_GLOBAL_ROWS_CASES))
+def test_global_rows_attention_matches_the_full_call_at_its_rows(case, dtype):
+    _assert_rows_match_the_full_call(global_rows_attention, _GLOBAL_ROWS_CASES[case], dtype)
 
 
 @pytest.mark.parametrize("rows", [(0, 3), (0, 0)], ids=["not-global", "repeated"])
@@ -549,6 +555,49 @@ def test_global_rows_attention_refuses_rows_it_cannot_compute_alone(rows):
     x = Tensor(rng.standard_normal((1, 12, 8)))
     with pytest.raises(ValueError, match=r"are not distinct global positions \[0, 5\]"):
         global_rows_attention(x, params, AttentionPattern(4, None, (0, 5)), 2, rows)
+
+
+# (B, L, H, heads, pattern, lengths, rows) of a call that goes to the dense
+# kernel, whose non-global rows `rows` are computed alone
+_DENSE_ROWS_CASES = {
+    "one-row": (2, 9, 16, 2, AttentionPattern(16), None, (0,)),
+    "several-rows": (2, 9, 16, 2, AttentionPattern(16), None, (0, 3, 8)),
+    "unsorted-rows": (2, 9, 16, 2, AttentionPattern(16), None, (8, 0, 3)),
+    # the third row's length ends before row 7
+    "ragged": (3, 12, 16, 2, AttentionPattern(22), [12, 9, 5], (0, 7)),
+    "ragged-one-row": (3, 12, 16, 2, AttentionPattern(22), [12, 9, 5], (0,)),
+    # gaps 3 and 1 still cover 9 rows at w = 4 and 8: each row sees its own class
+    "dilated": (2, 9, 16, 2, AttentionPattern(4, (3, 3)), [9, 8], (0, 2)),
+    "dilated-one-row": (2, 9, 16, 2, AttentionPattern(8, (1, 3)), None, (1,)),
+    # non-global rows of a covering pattern with globals
+    "with-globals": (2, 9, 16, 2, AttentionPattern(16, None, (1, 4)), [9, 6], (0, 5)),
+    "one-head": (1, 5, 8, 1, AttentionPattern(8), None, (2,)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("case", sorted(_DENSE_ROWS_CASES))
+def test_dense_rows_attention_matches_the_full_call_at_its_rows(case, dtype):
+    B, L, H, heads, pat, lengths, rows = _DENSE_ROWS_CASES[case]
+    assert pat.covers(L, heads) and not set(rows) & set(pat.global_positions)
+    # with globals the dense kernel reaches the value projection before the
+    # query and key projections, so x's gradient sums them in another order
+    _assert_rows_match_the_full_call(dense_rows_attention, _DENSE_ROWS_CASES[case], dtype,
+                                     exact=not pat.global_positions)
+
+
+@pytest.mark.parametrize("pattern, rows", [
+    (AttentionPattern(16, None, (0, 5)), (0, 3)),
+    (AttentionPattern(16), (3, 3)),
+    (AttentionPattern(20), (3,)),
+], ids=["global-row", "repeated", "band-does-not-cover"])
+def test_dense_rows_attention_refuses_rows_it_cannot_compute_alone(pattern, rows):
+    rng = np.random.default_rng(29)
+    params = AttentionParams(8, rng)
+    x = Tensor(rng.standard_normal((1, 12, 8)))
+    with pytest.raises(ValueError, match="are not distinct non-global rows of a pattern "
+                                         "that covers the sequence"):
+        dense_rows_attention(x, params, pattern, 2, rows)
 
 
 def _graph(root):

@@ -272,15 +272,16 @@ def test_checkpoint_layer_count_mismatch_lists_the_names(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _count_global_rows_calls(monkeypatch) -> list:
+def _count_calls(monkeypatch, name) -> list:
+    """The rows of each call of the encoder's `name` row kernel."""
     calls = []
-    real = encoder_module.global_rows_attention
+    real = getattr(encoder_module, name)
 
     def counting(*args, **kwargs):
         calls.append(tuple(args[4]))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(encoder_module, "global_rows_attention", counting)
+    monkeypatch.setattr(encoder_module, name, counting)
     return calls
 
 
@@ -291,7 +292,7 @@ def test_encode_rows_equals_the_rows_of_encode(rows, alone, monkeypatch):
     """Rows that are all global take the global path alone in the last
     layer; others fall back to computing every row and selecting. Either way
     the rows have encode()'s bytes at this shape."""
-    calls = _count_global_rows_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, "global_rows_attention")
     enc = Encoder(tiny_config(n_layers=2), np.random.default_rng(15))
     ids = np.random.default_rng(16).integers(0, 30, (3, 20))
     pat = AttentionPattern(window=2, global_positions=(0, 4))
@@ -304,17 +305,74 @@ def test_encode_rows_equals_the_rows_of_encode(rows, alone, monkeypatch):
     assert calls == ([rows] if alone else [])
 
 
-def test_encode_rows_of_the_dense_baseline_select_from_every_row(monkeypatch):
-    # the full-window baseline has no global position: its row 0 is computed
-    # with every row, then kept
-    calls = _count_global_rows_calls(monkeypatch)
+def test_encode_rows_of_the_dense_baseline_compute_row_0_alone(monkeypatch):
+    # the full-window baseline has no global position: its row 0 takes the
+    # dense row path, one score row per head, not the global path
+    dense = _count_calls(monkeypatch, "dense_rows_attention")
+    glob = _count_calls(monkeypatch, "global_rows_attention")
     enc = Encoder(tiny_config(), np.random.default_rng(17))
     ids = np.random.default_rng(18).integers(0, 30, (2, 9))
     pat = AttentionPattern(window=2 * (9 - 1))
     with T.no_grad():
         got = enc.encode(ids, pattern=pat, rows=(0,)).data
         want = enc.encode(ids, pattern=pat).data[:, :1]
-    assert got.tobytes() == want.tobytes() and calls == []
+    assert dense == [(0,)] and glob == []
+    assert got.shape == (2, 1, 16)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lengths", [None, [11, 7, 2]], ids=["full", "ragged"])
+def test_encode_masked_rows_are_the_masked_rows_of_encode(lengths):
+    """A [B, L] mask gives its True rows in order, [N, H], within the oracle
+    bound of encode()'s (one [N, H] product may round otherwise), one
+    masked row too; no row of a padded tail is asked for."""
+    enc = Encoder(tiny_config(n_layers=2), np.random.default_rng(20))
+    ids = np.random.default_rng(21).integers(0, 30, (3, 11))
+    pat = AttentionPattern(window=2, global_positions=(1,))
+    valid = np.arange(11)[None] < np.asarray(lengths or [11] * 3)[:, None]
+    one = np.zeros((3, 11), dtype=bool)
+    one[1, 6] = True
+    for mask in (np.random.default_rng(22).random((3, 11)) < 0.3, one):
+        mask &= valid
+        with T.no_grad():
+            got = enc.encode(ids, pattern=pat, lengths=lengths, rows=mask).data
+            want = enc.encode(ids, pattern=pat, lengths=lengths).data[mask]
+        assert mask.any() and got.shape == (mask.sum(), 16)
+        assert np.abs(got - want).max() <= 1e-5
+
+
+def _assert_gradients_match_finite_differences(enc, loss):
+    """Analytic float64 gradients of loss(), built with a graph, against
+    central differences of loss() without one, at criterion 2's bound, for
+    every parameter the loss reaches. Returns the names reached."""
+    loss().backward()
+    params = enc.named_params()
+    reached = {name for name, p in params.items() if p.grad is not None}
+
+    def value():
+        with T.no_grad():
+            return loss().item()
+
+    h = 1e-3
+    fds = {}
+    for name in reached:
+        flat = params[name].data.reshape(-1)
+        fd = np.zeros(flat.size)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            hi = value()
+            flat[i] = orig - h
+            lo = value()
+            flat[i] = orig
+            fd[i] = (hi - lo) / (2 * h)
+        fds[name] = fd.reshape(params[name].shape)
+    scale = max(np.abs(params[n].grad).max() for n in fds)
+    for name, fd in fds.items():
+        g = params[name].grad
+        denom = max(np.abs(g).max(), np.abs(fd).max(), scale)
+        assert np.abs(g - fd).max() / denom <= 1e-4, name
+    return reached
 
 
 def test_encode_rows_gradient_matches_finite_differences():
@@ -331,33 +389,35 @@ def test_encode_rows_gradient_matches_finite_differences():
     lengths = [12, 9]
     weights = rng.standard_normal((2, 1, cfg.hidden_dim))
 
-    def loss_value():
-        with T.no_grad():
-            out = enc.encode(ids, pattern=pattern, lengths=lengths, rows=(0,))
-        return float((out.data * weights).sum())
+    def loss():
+        out = enc.encode(ids, pattern=pattern, lengths=lengths, rows=(0,))
+        return T.reduce_sum(T.mul_const(out, weights))
 
-    out = enc.encode(ids, pattern=pattern, lengths=lengths, rows=(0,))
-    T.reduce_sum(T.mul_const(out, weights)).backward()
-    params = enc.named_params()
-    reached = {name for name, p in params.items() if p.grad is not None}
+    reached = _assert_gradients_match_finite_differences(enc, loss)
     assert {f"layer1.attn.{n}" for n in ("wq", "bq", "wk", "bk", "wv", "bv")} \
         .isdisjoint(reached)
-    h = 1e-3
-    fds = {}
-    for name in reached:
-        flat = params[name].data.reshape(-1)
-        fd = np.zeros(flat.size)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = loss_value()
-            flat[i] = orig - h
-            lo = loss_value()
-            flat[i] = orig
-            fd[i] = (hi - lo) / (2 * h)
-        fds[name] = fd.reshape(params[name].shape)
-    scale = max(np.abs(params[n].grad).max() for n in fds)
-    for name, fd in fds.items():
-        g = params[name].grad
-        denom = max(np.abs(g).max(), np.abs(fd).max(), scale)
-        assert np.abs(g - fd).max() / denom <= 1e-4, name
+
+
+def test_encode_masked_rows_gradient_matches_finite_differences():
+    """Analytic float64 gradients of the MLM loss on masked rows of a
+    2-layer encoder, whose last layer keeps those rows after its attention,
+    against central differences, at criterion 2's bound. Every parameter but
+    the unused global projections is reached, the MLM head included."""
+    cfg = EncoderConfig(n_layers=2, n_heads=2, hidden_dim=8, ffn_dim=16,
+                        vocab_size=20, max_positions=12, window=4)
+    rng = np.random.default_rng(23)
+    enc = Encoder(cfg, rng, dtype=np.float64, init_scale=0.1)
+    ids = rng.integers(5, 20, (2, 12))
+    lengths = [12, 9]
+    mask = np.zeros((2, 12), dtype=bool)
+    mask[0, [1, 6, 11]] = True
+    mask[1, [0, 4]] = True
+    labels = rng.integers(5, 20, int(mask.sum()))
+
+    def loss():
+        hidden = enc.encode(ids, lengths=lengths, rows=mask)
+        return T.cross_entropy(enc.mlm_logits(hidden), labels)
+
+    reached = _assert_gradients_match_finite_differences(enc, loss)
+    assert reached == {name for name in enc.named_params()
+                       if not (".attn." in name and name.endswith("_g"))}

@@ -6,12 +6,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from lctx import tensor as T
 from lctx.checkpoint import load_arrays, save_arrays
 from lctx.corpus import pack_documents
-from lctx.encoder import EncoderConfig
+from lctx.encoder import Encoder, EncoderConfig
 from lctx.fixtures import mlm_sentences
 from lctx import pretrain as pretrain_module
-from lctx.optim import AdamState
+from lctx.optim import AdamState, adam_step, zero_grads
 from lctx.pretrain import (
     PretrainConfig,
     load_checkpoint,
@@ -144,6 +145,44 @@ def test_short_run_decreases_loss(tmp_path):
     assert (tmp_path / "loss.csv").exists()
     header = (tmp_path / "loss.csv").read_text().splitlines()[0]
     assert header == "step,lr,loss,masked_acc"
+
+
+def _full_row_history(blocks, config, enc_config, steps):
+    """(loss, masked accuracy) per step of pretrain()'s loop with the MLM
+    head and the loss over every row, [B, L, V]."""
+    encoder = Encoder(enc_config, np.random.default_rng(config.seed))
+    params = encoder.named_params()
+    state = AdamState(params)
+    bsz = min(config.batch_size, len(blocks))
+    history = []
+    for step in range(steps):
+        rng = np.random.default_rng((config.seed, step))
+        batch = blocks[(np.arange(bsz) + step * bsz) % len(blocks)]
+        inputs, labels, _ = pretrain_module._mask_batch(batch, config.mask_rate, rng,
+                                                        enc_config.vocab_size)
+        zero_grads(params)
+        logits = encoder.mlm_logits(encoder.encode(inputs, lengths=(batch != 0).sum(axis=1)))
+        loss = T.cross_entropy(logits, labels)
+        loss.backward()
+        state.learning_rate = lr_at(step + 1, config)
+        adam_step(params, state)
+        masked = labels != IGNORE_INDEX
+        history.append((loss.item(),
+                        float((logits.data.argmax(axis=-1)[masked] == labels[masked]).mean())))
+    return history
+
+
+def test_history_matches_a_full_row_reference():
+    """Pretraining on the masked rows alone follows the run that computes
+    the last layer, the MLM head and the loss over every row: the weight
+    gradients sum over fewer rows, so the losses agree to float32 rounding
+    and the accuracies exactly."""
+    blocks, vocab = fixture_blocks()
+    pre, enc_cfg = desk_configs(vocab, total_steps=40)
+    _, history = pretrain(blocks, pre, enc_cfg, steps=40)
+    want = _full_row_history(blocks, pre, enc_cfg, 40)
+    np.testing.assert_allclose([h.loss for h in history], [w[0] for w in want], rtol=1e-5)
+    assert [h.masked_acc for h in history] == [w[1] for w in want]
 
 
 def test_resume_is_bit_identical(tmp_path):
