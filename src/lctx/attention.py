@@ -41,6 +41,16 @@ the band mask: dense_rows_attention computes chosen rows so, one [B,h,R,L]
 score block where the dense kernel scores [B,h,L,L] (the encoder's last
 layer, for the full-window baseline's CLS).
 
+band_rows_attention computes the rows that a boolean [B, L] mask selects
+under a banded pattern with no global position (the encoder's last layer,
+for MLM pretraining's masked positions). It projects queries for those N
+rows only, and keys and values for every row; each row gathers its w+1
+band keys and values (per-head gap) and scores, softmaxes and mixes them
+in one [N,h,w+1] buffer, by one small product per row and head, not by
+chunk matmuls. The backward adds the key and value gradients with one
+indexed += per slot into rows padded by (w/2)*(max gap + 1): the rows of
+one slot are distinct, so no np.add.at is needed.
+
 `dense_attention_oracle` materializes the full mask and computes the same
 quantity quadratically; it is the testing ground truth, the quadratic
 baseline for benchmarks and the kernel for full windows. Its global rows'
@@ -333,9 +343,10 @@ def _band_scores_backward(q: Tensor, k: Tensor, kps, runs, window: int,
                           g: np.ndarray) -> None:
     gws = [_expand(g[:, run.heads], run, window) for run in runs]
     if q.requires_grad:
-        q._accum(_band_sum(gws, kps, runs, np.empty(q.shape, dtype=np.result_type(g, k.data))))
+        gq = np.empty(q.shape, dtype=np.result_type(g, k.data))
+        q._accum(_band_sum(gws, kps, runs, gq), owned=True)
     if k.requires_grad:
-        k._accum(_band_fold(gws, q.data, runs, window))
+        k._accum(_band_fold(gws, q.data, runs, window), owned=True)
 
 
 def band_mix(p: Tensor, v: Tensor, window: int, gaps: tuple[int, ...]) -> Tensor:
@@ -350,9 +361,9 @@ def band_mix(p: Tensor, v: Tensor, window: int, gaps: tuple[int, ...]) -> Tensor
 
     def backward(g):
         if p.requires_grad:
-            p._accum(_band_dots(g, vps, runs, window + 1))
+            p._accum(_band_dots(g, vps, runs, window + 1), owned=True)
         if v.requires_grad:
-            v._accum(_band_fold(pws, g, runs, window))
+            v._accum(_band_fold(pws, g, runs, window), owned=True)
 
     return make_op(out_data, (p, v), backward)
 
@@ -391,12 +402,12 @@ def band_softmax(q: Tensor, k: Tensor, window: int, gaps: tuple[int, ...],
         if G:
             gcols = gs[..., K:] + 0.0
             if q.requires_grad:
-                q._accum(np.matmul(gcols, kcols))
+                q._accum(np.matmul(gcols, kcols), owned=True)
             if k.requires_grad:
                 gk = np.zeros_like(k.data)
                 gk[:, :, gpos, :] = np.swapaxes(
                     np.matmul(np.swapaxes(q.data, -1, -2), gcols), -1, -2)
-                k._accum(gk)
+                k._accum(gk, owned=True)
 
     return make_op(y, (q, k), backward)
 
@@ -414,9 +425,10 @@ def global_softmax(qg: Tensor, kg: Tensor, allowed: np.ndarray | None = None) ->
     def backward(g):
         gs = T.softmax_grad(g, y)
         if qg.requires_grad:
-            qg._accum(np.matmul(gs, kg.data))
+            qg._accum(np.matmul(gs, kg.data), owned=True)
         if kg.requires_grad:
-            kg._accum(np.swapaxes(np.matmul(np.swapaxes(qg.data, -1, -2), gs), -1, -2))
+            kg._accum(np.swapaxes(np.matmul(np.swapaxes(qg.data, -1, -2), gs), -1, -2),
+                      owned=True)
 
     return make_op(y, (qg, kg), backward)
 
@@ -449,9 +461,10 @@ def _split_softmax(q: Tensor, k: Tensor, qg: Tensor, kg: Tensor, gpos: np.ndarra
         gs[:, :, gpos] = 0.0
         for a, b, gab in ((q, k, gs), (qg, kg, gsg)):
             if a.requires_grad:
-                a._accum(_few_rows_matmul(gab, b.data))
+                a._accum(_few_rows_matmul(gab, b.data), owned=True)
             if b.requires_grad:
-                b._accum(np.swapaxes(np.matmul(np.swapaxes(a.data, -1, -2), gab), -1, -2))
+                b._accum(np.swapaxes(np.matmul(np.swapaxes(a.data, -1, -2), gab), -1, -2),
+                         owned=True)
 
     return make_op(y, (q, k, qg, kg), backward)
 
@@ -468,13 +481,13 @@ def _split_mix(p: Tensor, v: Tensor, vg: Tensor, gpos: np.ndarray) -> Tensor:
         if p.requires_grad:
             gp = np.matmul(g, np.swapaxes(v.data, -1, -2))
             gp[:, :, gpos] = _few_rows_matmul(gg, np.swapaxes(vg.data, -1, -2))
-            p._accum(gp)
+            p._accum(gp, owned=True)
         if v.requires_grad:
             local = g.copy()
             local[:, :, gpos] = 0.0
-            v._accum(np.matmul(np.swapaxes(p.data, -1, -2), local))
+            v._accum(np.matmul(np.swapaxes(p.data, -1, -2), local), owned=True)
         if vg.requires_grad:
-            vg._accum(np.matmul(np.swapaxes(pg, -1, -2), gg))
+            vg._accum(np.matmul(np.swapaxes(pg, -1, -2), gg), owned=True)
 
     # parents in this order, so that the graph walk reaches the projections
     # in the additive form's order and their input gradients sum in it
@@ -490,7 +503,7 @@ def _gather_rows(x: Tensor, positions: np.ndarray) -> Tensor:
         if x.requires_grad:
             gx = np.zeros_like(x.data)
             gx[:, :, positions, :] = g
-            x._accum(gx)
+            x._accum(gx, owned=True)
 
     return make_op(out_data, (x,), backward)
 
@@ -503,7 +516,7 @@ def _scatter_rows(src: Tensor, positions: np.ndarray, length: int) -> Tensor:
 
     def backward(g):
         if src.requires_grad:
-            src._accum(g[:, :, positions, :])
+            src._accum(g[:, :, positions, :], owned=True)
 
     return make_op(out_data, (src,), backward)
 
@@ -660,6 +673,95 @@ def dense_rows_attention(hidden: Tensor, params: AttentionParams, pattern: Atten
     band = _head_masks(L, pattern, gaps)[:, rows] if any(gaps) else None
     qkv = _row_projections(hidden, params, n_heads, rows, _LOCAL_NAMES[:6])
     return _rows_output(hidden, params, qkv, rows, lengths, L, band)
+
+
+def _band_rows(q: Tensor, k: Tensor, v: Tensor, keys: np.ndarray, key_ok: np.ndarray,
+               runs: list[slice], pad: int) -> Tensor:
+    """[N, H]: in each head, query row n of q [N, H] attends to the rows
+    keys[n, head] [N, h, K] of k and v [B, L, H], flat row numbers b*L + j
+    at most `pad` rows outside [0, B*L), where key_ok [N, h, K] is True.
+    The heads of each slice in `runs` read the same rows.
+
+    The forward gathers every row's K keys and values (an index outside
+    [0, B*L) reads a clipped row, whose slot is masked), scores and mixes
+    them with one small matmul per row and head, and runs the softmax in
+    the scores' buffer. The backward adds the key and value gradients slot
+    by slot into rows padded by `pad` on either side: the rows of one slot
+    are distinct, so one indexed += per slot and run sums them, with no
+    np.add.at."""
+    N, H = q.shape
+    n_heads, K = keys.shape[1:]
+    dh = H // n_heads
+    n_rows = k.data.size // H
+    # a (row, head) pair is one dh-wide row of k.data viewed as [B*L*h, dh]
+    gather = np.clip(keys, 0, n_rows - 1) * n_heads + np.arange(n_heads)[:, None]
+    q3 = q.data.reshape(N, n_heads, dh)
+    kg = k.data.reshape(-1, dh)[gather]                 # [N, h, K, dh]
+    vg = v.data.reshape(-1, dh)[gather]
+    y = np.matmul(kg, q3[..., None])[..., 0]            # [N, h, K]
+    np.copyto(y, NEG_INF, where=np.logical_not(key_ok))
+    T.softmax_(y)
+    out = np.matmul(y[..., None, :], vg).reshape(N, H)
+
+    def backward(g):
+        g3 = g.reshape(N, n_heads, dh)
+        gs = T.softmax_grad(np.matmul(vg, g3[..., None])[..., 0], y)
+        if q.requires_grad:
+            q._accum(np.matmul(gs[..., None, :], kg).reshape(N, H), owned=True)
+        # slot s of a row adds weight[..., s] * other to the key (value) row it read
+        for x, weight, other in ((k, gs, q3), (v, y, g3)):
+            if x.requires_grad:
+                gx = np.zeros((n_rows + 2 * pad, n_heads, dh), dtype=weight.dtype)
+                part = np.empty((N, n_heads, dh), dtype=weight.dtype)
+                for s in range(K):
+                    np.multiply(weight[:, :, s, None], other, out=part)
+                    for heads in runs:
+                        gx[keys[:, heads.start, s] + pad, heads] += part[:, heads]
+                x._accum(gx[pad:pad + n_rows].reshape(x.shape), owned=True)
+
+    return make_op(out, (q, k, v), backward)
+
+
+def band_rows_attention(hidden: Tensor, params: AttentionParams, pattern: AttentionPattern,
+                        n_heads: int, mask, lengths=None) -> Tensor:
+    """The attention outputs of the rows that a boolean [B, L] `mask`
+    selects, in order, [N, H]: sparse_attention_forward(hidden, params,
+    pattern, n_heads, lengths)[mask], for a pattern with no global position
+    whose band does not cover the sequence (MLM pretraining's masked
+    positions). Only those rows' queries are projected; the keys and values
+    of every row are, and each selected row scores and mixes its own w+1
+    band slots (_band_rows) under the band kernel's mask: a slot is open
+    when its key lies inside the sequence's length, and the self slot
+    always is. Padded rows give zero. The bytes are not the full call's:
+    one small product per row and head replaces the chunk matmuls. Any
+    other pattern, or a mask of another shape, is a ValueError.
+    """
+    B, L, H = hidden.shape
+    gaps = _check_call(hidden, pattern, n_heads)
+    mask = np.asarray(mask)
+    if (mask.dtype != bool or mask.shape != (B, L) or pattern.global_positions
+            or pattern.covers(L, n_heads)):
+        raise ValueError(f"band_rows_attention takes a boolean [{B}, {L}] mask under a "
+                         "pattern with no global position whose band does not cover "
+                         "the sequence")
+    half = pattern.window // 2
+    rows = np.flatnonzero(mask)                                  # b*L + i, in mask order
+    # slot s of a head with gap d reads row i + (s - w/2)*(d+1)
+    offsets = np.arange(-half, half + 1) * (np.asarray(gaps)[:, None] + 1)   # [h, K]
+    pos = (rows % L)[:, None, None] + offsets                    # [N, h, K]
+    keys = rows[:, None, None] + offsets
+    row_ok = _row_valid(lengths, B, L)
+    key_ok = (pos >= 0) & (pos < L) & row_ok.reshape(-1)[np.clip(keys, 0, B * L - 1)]
+    key_ok[..., half] = True
+
+    dh = H // n_heads
+    q = T.mul(T.matmul(T.index_select(hidden, mask), params.wq, params.bq), 1.0 / np.sqrt(dh))
+    k = T.matmul(hidden, params.wk, params.bk)
+    v = T.matmul(hidden, params.wv, params.bv)
+    runs = [run.heads for run in _band_runs(L, pattern.window, gaps)]
+    mixed = _band_rows(q, k, v, keys, key_ok, runs, half * (max(gaps) + 1))
+    y = T.matmul(mixed, params.wo, params.bo)
+    return T.mul_const(y, row_ok[mask][:, None].astype(hidden.data.dtype))
 
 
 def sparse_attention_forward(hidden: Tensor, params: AttentionParams,

@@ -10,7 +10,9 @@ Every JSON object lctx reads (--config, --rules, markers) has one checker.
 
 Checkpoint layout (little-endian): magic "LCTX", format version u32, array
 count u32, then per array: name length u32 + UTF-8 name, rank u32, dims (u64
-each), raw float32 payload.
+each), raw float32 payload, and the zlib.crc32 u32 of the array's record from
+its name length through its payload. Version 1 files, written before the
+checksum, have none and still load.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import math
 import os
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +32,7 @@ import numpy as np
 from .tensor import Tensor
 
 MAGIC = b"LCTX"
-VERSION = 1
+VERSION = 2
 
 
 @contextlib.contextmanager
@@ -125,6 +128,12 @@ def check_json_object(given, kinds: dict, source: str, section: str = "",
         raise ValueError(f"no {', '.join(map(repr, missing))} in the {where} of {source}")
 
 
+def _array_header(encoded_name: bytes, dims) -> bytes:
+    """An array's record before its payload: name length, name, rank, dims."""
+    return struct.pack(f"<I{len(encoded_name)}sI{len(dims)}Q", len(encoded_name),
+                       encoded_name, len(dims), *dims)
+
+
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
     with replacing(path) as fh:
         fh.write(MAGIC)
@@ -132,17 +141,16 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
         fh.write(struct.pack("<I", len(arrays)))
         for name, arr in arrays.items():
             data = np.ascontiguousarray(arr, dtype="<f4")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
+            header = _array_header(name.encode("utf-8"), data.shape)
+            fh.write(header)
             fh.write(data.tobytes())
+            fh.write(struct.pack("<I", zlib.crc32(data, zlib.crc32(header))))
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
-    """Every named array in the file; a file cut short or otherwise malformed
-    raises ValueError naming the file, and the array where it is known."""
+    """Every named array in the file; a file cut short, a checksum that does
+    not match or a file otherwise malformed raises ValueError naming the
+    file, and the array where it is known."""
     path = Path(path)
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
@@ -160,16 +168,29 @@ def load_arrays(path) -> dict[str, np.ndarray]:
         if read(4, "magic") != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic)")
         (version,) = unpack("<I", "version")
-        if version != VERSION:
+        if version not in (1, VERSION):
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        checksum = 4 if version > 1 else 0
         (count,) = unpack("<I", "array count")
         for i in range(count):
             (name_len,) = unpack("<I", f"name of array {i}")
-            name = read(name_len, f"name of array {i}").decode("utf-8")
+            encoded = read(name_len, f"name of array {i}")
+            try:
+                name = encoded.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: the name of array {i} is not UTF-8") from None
             (rank,) = unpack("<I", f"rank of array {name!r}")
             dims = unpack(f"<{rank}Q", f"dims of array {name!r}")
-            payload = read(4 * math.prod(dims), f"payload of array {name!r}")
+            n = 4 * math.prod(dims)
+            record = read(n + checksum, f"payload of array {name!r}"
+                          + (" and its checksum" if checksum else ""))
+            payload = memoryview(record)[:n]     # no copy of the payload
+            if checksum and zlib.crc32(payload, zlib.crc32(_array_header(encoded, dims))) \
+                    != int.from_bytes(record[n:], "little"):
+                raise ValueError(f"{path}: checksum mismatch in array {name!r} (corrupt file)")
             out[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        if fh.tell() != size:
+            raise ValueError(f"{path}: {size - fh.tell()} bytes after the last array")
     return out
 
 

@@ -122,6 +122,30 @@ def blas_thread_limit(threads: int):
         set_(previous)
 
 
+# glibc's mallopt(3) parameter numbers (malloc.h), and the values main sets
+# for every command. Below the mmap threshold a freed array goes back to the
+# heap, and the heap is not trimmed below the trim threshold, so the next
+# allocation reuses those pages: glibc's defaults unmap each freed array of
+# over 128 KiB (its threshold then rises with what was freed) and trim the
+# heap top, and a training step faults the same pages in again.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MALLOC_THRESHOLDS = {"mmap_threshold": 1 << 30, "trim_threshold": 1 << 30}
+
+
+def raise_malloc_thresholds() -> dict | None:
+    """Set glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD to MALLOC_THRESHOLDS
+    for the rest of the process. Returns the values set, or None where the
+    C library has no mallopt (not glibc) or refuses a value."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    done = [mallopt(param, MALLOC_THRESHOLDS[name]) == 1 for name, param in
+            (("mmap_threshold", _M_MMAP_THRESHOLD), ("trim_threshold", _M_TRIM_THRESHOLD))]
+    return dict(MALLOC_THRESHOLDS) if all(done) else None
+
+
 def _resolve_threads(args) -> int:
     """BLAS thread cap: --threads, else LCTX_THREADS, else 1 for
     benchmark-attention (per-size thread dispatch would distort its scaling
@@ -607,6 +631,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.threads = _resolve_threads(args)
+        # for the process, which runs this one command; run.json records it
+        args.malloc_thresholds = raise_malloc_thresholds()
         with blas_thread_limit(args.threads) as blas_threads:
             # run.json records the count read back from the library (None: unknown)
             args.blas_threads = blas_threads

@@ -7,8 +7,9 @@ A caller that reads only some rows asks encode() for them: the CLS heads
 row 0, MLM pretraining its masked positions. The last block then computes
 those rows alone where its attention can (through the global path for
 global positions, through one score row each under a full window, as the
-dense baseline's CLS), and runs its residual, layer norms and FFN on those
-rows only.
+dense baseline's CLS, through each row's band slots for a mask under a
+banded pattern without globals, as MLM's), and runs its residual, layer
+norms and FFN on those rows only.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .tensor import Tensor
 from .attention import (
     AttentionParams,
     AttentionPattern,
+    band_rows_attention,
     dense_attention_oracle,
     dense_rows_attention,
     global_rows_attention,
@@ -155,13 +157,17 @@ class Encoder:
         layer's attention computes positions alone where it can:
         global_rows_attention when every one is a global position, and
         dense_rows_attention when none is and every head's band covers the
-        sequence (the dense baseline's row 0). Otherwise, and for a mask, it
-        computes every row and keeps the rows asked for. The residual, both
-        layer norms and the FFN then run on those rows only, a lone position
-        carried twice through the FFN's products (see T.matmul_rows), so a
-        position's row has the bytes of encode()[:, rows] wherever BLAS
-        keeps a row's bytes at any row count. A mask's rows are one [N, H]
-        product, whose bytes may differ from the full call's in the last bit.
+        sequence (the dense baseline's row 0). A mask's rows are computed
+        alone by band_rows_attention under a pattern with no global
+        position whose band does not cover the sequence (MLM pretraining's).
+        Otherwise it computes every row and keeps the rows asked for. The
+        residual, both layer norms and the FFN then run on those rows only,
+        a lone position carried twice through the FFN's products (see
+        T.matmul_rows), so a position's row has the bytes of
+        encode()[:, rows] wherever BLAS keeps a row's bytes at any row
+        count. A mask's rows are one [N, H] product, whose bytes may differ
+        from the full call's in the last bits, and band_rows_attention's
+        sums run in another order than the chunk matmuls'.
         """
         # the kernel is looked up at call time, so a module-level replacement
         # of sparse_attention_forward takes effect here
@@ -217,6 +223,8 @@ class Encoder:
             # a mask's rows are one [N, H] product, whose bytes are not the
             # full call's anyway: no lone-row rule
             key, lone = rows, False
+            if not pattern.global_positions and not pattern.covers(L, n_heads):
+                a = band_rows_attention(x, params, pattern, n_heads, rows, lengths)
         else:
             rows = [int(r) for r in rows.reshape(-1)]
             lone = len(rows) == 1 and L > 1

@@ -36,8 +36,9 @@ class AdamState:
 def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     """One bias-corrected Adam update from the parameters' .grad buffers.
 
-    Parameters with no gradient this step keep their moments decayed-free
-    (treated as zero gradient). Non-finite gradients are a checked error.
+    A parameter with no gradient this step counts as a zero gradient: its
+    moments decay, and it still moves by the step they give. Non-finite
+    gradients are a checked error.
     """
     state.step += 1
     t = state.step

@@ -2,10 +2,11 @@
 checkpointing with bit-identical resume.
 
 The loss reads the masked positions only, so pretraining asks the encoder
-for those rows (a boolean [B, L] mask): the last layer's residual, layer
-norms and FFN, the MLM head and the loss run on the [N, H] masked rows alone,
-as BERT gathers them before its output head (Devlin et al. 2019).
-masked_recovery_accuracy asks for the same rows."""
+for those rows (a boolean [B, L] mask): the last layer's banded attention
+(band_rows_attention), residual, layer norms and FFN, the MLM head and the
+loss run on the [N, H] masked rows alone, as BERT gathers them before its
+output head (Devlin et al. 2019). masked_recovery_accuracy asks for the
+same rows."""
 
 from __future__ import annotations
 

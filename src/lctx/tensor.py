@@ -9,8 +9,15 @@ dtype, so float64 mode computes exactly as a float64-internal kernel would.
 Embedding gradients are the exception: they add in the storage dtype, with
 the bytes of an np.add.at scatter-add.
 Kernels that work in place do so in buffers of their own (a.data.copy() or
-a fresh result): no op writes into an input's data, its output or an
-incoming gradient.
+a fresh result): no op writes into an input's data or its output.
+Gradient buffers have one owner each. The graph walk hands a node's
+gradient to its backward and then drops it, so a backward owns its incoming
+gradient and the fresh arrays it makes, and hands each of them to at most
+one parent (_accum's `owned`; add hands g itself to its first operand only).
+When that is a parent's first gradient, the parent adopts the buffer if a
+copy would have its dtype, shape and C layout, and later gradients are
+added into it; otherwise the parent gets a copy. Either way the bytes are
+the copy's, and after backward() no two tensors share a gradient buffer.
 Broadcasting is restricted to leading batch axes: two operand shapes must be
 equal, or one must be a suffix of the other. Everything else requires an
 explicit reshape.
@@ -102,13 +109,20 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # one cast copy in data's layout; adding +0.0 after the cast turns
-            # -0.0 into +0.0, as accumulating into zeros would
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data), dtype=self.data.dtype)
-        else:
+    def _accum(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add g to .grad. The first gradient is one cast copy in data's
+        layout; adding +0.0 turns -0.0 into +0.0, as accumulating into zeros
+        would. An `owned` g, which no one else holds, is adopted instead of
+        copied when the copy would have its dtype, shape and layout (both C
+        order): the +0.0 is then added in place, with the same bytes."""
+        if self.grad is not None:
             self.grad += g.astype(self.data.dtype, copy=False)
+        elif (owned and g.dtype == self.data.dtype and g.shape == self.data.shape
+              and g.flags.c_contiguous and g.flags.writeable and self.data.flags.c_contiguous):
+            g += 0.0
+            self.grad = g
+        else:
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data), dtype=self.data.dtype)
 
     def backward(self) -> None:
         """Populate .grad on every requires_grad tensor reachable from this scalar.
@@ -141,7 +155,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self._accum(np.ones_like(self.data))
+        self._accum(np.ones_like(self.data), owned=True)
         while topo:
             node = topo.pop()
             if node._backward is None:
@@ -194,9 +208,11 @@ class Tensor:
 def make_op(data: np.ndarray, parents, backward) -> Tensor:
     """Assemble a graph node from precomputed forward data and a backward fn.
 
-    `backward(g)` receives the output gradient and must push gradients into
-    the parents via their _accum method. Used by fused ops (attention gathers)
-    that do not decompose nicely into the generic primitives here.
+    `backward(g)` receives the output gradient, which it owns, and must push
+    gradients into the parents via their _accum method, each buffer it owns
+    (g, a view of it, or an array it made) to at most one parent as owned.
+    Used by fused ops (attention gathers) that do not decompose nicely into
+    the generic primitives here.
     """
     if _debug_checks and not np.all(np.isfinite(data)):
         raise FloatingPointError(f"non-finite values produced by op {_op_name(backward)!r}")
@@ -272,10 +288,12 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
+        # g itself goes to a only: b gets a copy of it (or a fresh sum), so
+        # no two gradients share a buffer, add(x, x) included
         if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape))
+            a._accum(_unbroadcast(g, a.shape), owned=True)
         if b.requires_grad:
-            b._accum(_unbroadcast(g, b.shape))
+            b._accum(_unbroadcast(g, b.shape), owned=b.shape != g.shape)
 
     return make_op(out_data, (a, b), backward)
 
@@ -288,9 +306,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.shape))
+            a._accum(_unbroadcast(g * b.data, a.shape), owned=True)
         if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.shape))
+            b._accum(_unbroadcast(g * a.data, b.shape), owned=True)
 
     return make_op(out_data, (a, b), backward)
 
@@ -308,7 +326,7 @@ def mul_const(a: Tensor, c: np.ndarray) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accum(g * c)
+            a._accum(g * c, owned=True)
 
     return make_op(out_data, (a,), backward)
 
@@ -322,7 +340,7 @@ def add_const(a: Tensor, c: np.ndarray) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accum(g)
+            a._accum(g, owned=True)
 
     return make_op(out_data, (a,), backward)
 
@@ -363,11 +381,11 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
 def _matmul_backward(a: Tensor, b: Tensor, bias: Tensor | None, g: np.ndarray) -> None:
     if a.requires_grad:
-        a._accum(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+        a._accum(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape), owned=True)
     if b.requires_grad:
-        b._accum(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+        b._accum(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape), owned=True)
     if bias is not None and bias.requires_grad:
-        bias._accum(_unbroadcast(g, bias.shape))
+        bias._accum(_unbroadcast(g, bias.shape), owned=True)
 
 
 def matmul_rows(a: Tensor, w: Tensor, bias: Tensor, rows: np.ndarray) -> Tensor:
@@ -415,7 +433,7 @@ def reshape(a: Tensor, *shape) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accum(g.reshape(old))
+            a._accum(g.reshape(old), owned=True)
 
     return make_op(out_data, (a,), backward)
 
@@ -427,7 +445,7 @@ def transpose(a: Tensor, axes) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accum(g.transpose(inv))
+            a._accum(g.transpose(inv), owned=True)
 
     return make_op(out_data, (a,), backward)
 
@@ -471,7 +489,7 @@ def index_select(a: Tensor, key) -> Tensor:
                 ga[key] = g
             else:
                 np.add.at(ga, key, g)
-            a._accum(ga)
+            a._accum(ga, owned=True)
 
     return make_op(out_data, (a,), backward)
 
@@ -511,7 +529,7 @@ def relu(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accum(g * (a.data > 0))
+            a._accum(g * (a.data > 0), owned=True)
 
     return make_op(out_data, (a,), backward)
 
@@ -554,7 +572,7 @@ def gelu(a: Tensor) -> Tensor:
             dinner *= 0.5
             dinner += da
             dinner *= g
-            a._accum(dinner)
+            a._accum(dinner, owned=True)
 
     return make_op(out_data, (a,), backward)
 
@@ -565,7 +583,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accum(g * (s * (1.0 - s)))
+            a._accum(g * (s * (1.0 - s)), owned=True)
 
     return make_op(s, (a,), backward)
 
@@ -575,7 +593,7 @@ def tanh(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accum(g * (1.0 - t**2))
+            a._accum(g * (1.0 - t**2), owned=True)
 
     return make_op(t, (a,), backward)
 
@@ -672,7 +690,7 @@ def softmax(a: Tensor, axis: int = -1, allowed: np.ndarray | None = None) -> Ten
 
     def backward(g):
         if a.requires_grad:
-            a._accum(softmax_grad(g, y, axis))
+            a._accum(softmax_grad(g, y, axis), owned=True)
 
     return make_op(y, (a,), backward)
 
@@ -707,12 +725,12 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             dxhat -= m1
             dxhat -= np.multiply(xhat, m2, out=tmp)
             dxhat *= inv
-            a._accum(dxhat)
+            a._accum(dxhat, owned=True)
         red = tuple(range(g.ndim - 1))
         if gain.requires_grad:
-            gain._accum((g * xhat).sum(axis=red, dtype=np.float64))
+            gain._accum((g * xhat).sum(axis=red, dtype=np.float64), owned=True)
         if bias.requires_grad:
-            bias._accum(g.sum(axis=red, dtype=np.float64))
+            bias._accum(g.sum(axis=red, dtype=np.float64), owned=True)
 
     return make_op(y, (a, gain, bias), backward)
 
@@ -765,7 +783,7 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
                 p *= valid[..., None]
                 p /= n_valid
                 p *= float(g)
-                logits._accum(p)
+                logits._accum(p, owned=True)
 
         return make_op(out_data, (logits,), backward)
 
@@ -784,7 +802,7 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
             # x, sooner in float32 than in float64
             with np.errstate(over="ignore"):
                 s = 1.0 / (1.0 + np.exp(-x))
-            logits._accum(float(g) * (s - y) / n_rows)
+            logits._accum(float(g) * (s - y) / n_rows, owned=True)
 
     return make_op(out_data, (logits,), backward)
 
@@ -810,7 +828,7 @@ def embedding_prefix(table: Tensor, batch: int, length: int) -> Tensor:
             gt = np.zeros_like(table.data)
             for row in g:
                 gt[:length] += row
-            table._accum(gt)
+            table._accum(gt, owned=True)
 
     return make_op(out_data, (table,), backward)
 
@@ -842,6 +860,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
                     gt[row] += g[ids == row].sum(axis=0)
             else:
                 np.add.at(gt, ids, g)
-            table._accum(gt)
+            table._accum(gt, owned=True)
 
     return make_op(out_data, (table,), backward)

@@ -13,6 +13,7 @@ from lctx.attention import (
     AttentionParams,
     AttentionPattern,
     attention_flop_count,
+    band_rows_attention,
     build_band_mask,
     dense_attention_flop_count,
     dense_attention_oracle,
@@ -310,6 +311,7 @@ def test_gradient_parity_with_oracle_padded_batch():
 # banded kernel runs with one band part per head; row 1 is padded
 _MIXED = AttentionPattern(window=4, dilation_per_head=(0, 5), global_positions=(0, 7))
 _MIXED_L, _MIXED_LENGTHS = 13, [13, 9]
+_MIXED_NO_GLOBALS = AttentionPattern(window=4, dilation_per_head=(0, 5))
 
 
 def _mixed_case(dtype):
@@ -598,6 +600,78 @@ def test_dense_rows_attention_refuses_rows_it_cannot_compute_alone(pattern, rows
     with pytest.raises(ValueError, match="are not distinct non-global rows of a pattern "
                                          "that covers the sequence"):
         dense_rows_attention(x, params, pattern, 2, rows)
+
+
+# (B, L, H, heads, pattern, lengths, masked rows per sequence) of a call
+# whose masked rows are computed alone; a row past its sequence's length
+# (row 27 of the ragged case's third sequence) gives zero
+_BAND_ROWS_CASES = {
+    "ragged": (3, 30, 16, 2, AttentionPattern(4), [30, 21, 9],
+               [(0, 5, 6, 29), (1, 2, 20), (0, 4, 8, 27)]),
+    "dilated": (2, 33, 16, 2, AttentionPattern(4, (0, 2)), [33, 20],
+                [(0, 3, 16, 31, 32), (1, 6, 7, 19)]),
+    "dilated-one-gap": (2, 33, 16, 2, AttentionPattern(6, (2, 2)), None,
+                        [(2, 9, 10, 30), (0, 32)]),
+    "w0": (2, 17, 8, 2, AttentionPattern(0), [17, 12], [(0, 8, 16), (3, 11)]),
+    "one-masked-row": (2, 24, 16, 2, AttentionPattern(8), [24, 15], [(), (7,)]),
+    "a-sequence-without-masked-rows": (3, 24, 16, 2, AttentionPattern(8), None,
+                                       [(1, 2, 23), (), (0, 12)]),
+    "one-head": (2, 20, 8, 1, AttentionPattern(2, (1,)), [20, 20], [(4, 5, 19), (0,)]),
+    # head 1's band covers the sequence, head 0's does not: a banded call
+    "mixed-gaps": (2, _MIXED_L, 16, 2, _MIXED_NO_GLOBALS, _MIXED_LENGTHS, [(0, 6, 12), (2, 8)]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("case", sorted(_BAND_ROWS_CASES))
+def test_band_rows_attention_matches_the_full_call_at_its_rows(case, dtype):
+    """Output and every gradient of the masked rows alone equal those of
+    the full call's masked rows at the oracle bound (the per-row products
+    sum in another order than the chunk matmuls)."""
+    B, L, H, heads, pat, lengths, picked = _BAND_ROWS_CASES[case]
+    assert not pat.covers(L, heads)
+    mask = np.zeros((B, L), dtype=bool)
+    for b, rows in enumerate(picked):
+        mask[b, list(rows)] = True
+    rng = np.random.default_rng(30)
+    params = AttentionParams(H, rng, dtype=dtype, init_scale=0.5)
+    x_data = rng.standard_normal((B, L, H)).astype(dtype)
+    r = rng.standard_normal((int(mask.sum()), H)).astype(dtype)
+    r_full = np.zeros((B, L, H), dtype=dtype)
+    r_full[mask] = r
+
+    def alone(x, params, pat, n_heads, lengths):
+        return band_rows_attention(x, params, pat, n_heads, mask, lengths)
+
+    got = _gradients(alone, params, pat, heads, x_data, r, lengths)
+    want = _gradients(sparse_attention_forward, params, pat, heads, x_data, r_full, lengths)
+    want["out"] = want["out"][mask]
+    assert got["out"].shape == (mask.sum(), H) and got["out"].dtype == dtype
+    if lengths is not None:
+        padded = mask & (np.arange(L)[None] >= np.asarray(lengths)[:, None])
+        assert not got["out"][padded[mask]].any()
+    scale = max(np.abs(g).max() for key, g in want.items() if key != "out" and g.size)
+    for key in want:
+        if got[key].size == 0:
+            assert not want[key].any(), key   # the global projections
+            continue
+        denom = max(np.abs(want[key]).max(), 1e-8 if key == "out" else scale)
+        assert np.abs(got[key] - want[key]).max() / denom <= 1e-5, key
+
+
+@pytest.mark.parametrize("pattern, mask", [
+    (AttentionPattern(4, None, (0,)), np.ones((1, 12), dtype=bool)),
+    (AttentionPattern(22), np.ones((1, 12), dtype=bool)),
+    (AttentionPattern(4), np.ones((1, 11), dtype=bool)),
+    (AttentionPattern(4), np.ones((1, 12), dtype=np.int64)),
+], ids=["global", "band-covers", "mask-shape", "not-boolean"])
+def test_band_rows_attention_refuses_what_it_cannot_compute(pattern, mask):
+    rng = np.random.default_rng(31)
+    params = AttentionParams(8, rng)
+    x = Tensor(rng.standard_normal((1, 12, 8)))
+    with pytest.raises(ValueError, match=r"takes a boolean \[1, 12\] mask under a pattern "
+                                         "with no global position whose band does not cover"):
+        band_rows_attention(x, params, pattern, 2, mask)
 
 
 def _graph(root):

@@ -2,11 +2,12 @@
 
 import csv
 import json
+import platform
 
 import numpy as np
 import pytest
 
-from lctx.cli import _openblas, main
+from lctx.cli import MALLOC_THRESHOLDS, _openblas, main
 from lctx.corpus import LabelTable, read_jsonl
 from lctx.encoder import Encoder
 from lctx.fixtures import write_fixture_files
@@ -853,3 +854,16 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     else:
         assert resolved["blas_threads"] == cap
         assert calls[0]() == before
+
+
+def test_run_json_records_the_malloc_thresholds(tmp_path):
+    # main raises glibc's mmap and trim thresholds for every command; where
+    # the C library is not glibc nothing is set and run.json says null
+    out = tmp_path / "bench.csv"
+    assert run(["benchmark-attention", "--lengths", "64", "--dim", "16",
+                "--out", out]) == 0
+    resolved = json.loads((tmp_path / "run.json").read_text())
+    if platform.libc_ver()[0] == "glibc":
+        assert resolved["malloc_thresholds"] == MALLOC_THRESHOLDS
+    else:
+        assert resolved["malloc_thresholds"] is None

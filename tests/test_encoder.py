@@ -321,14 +321,18 @@ def test_encode_rows_of_the_dense_baseline_compute_row_0_alone(monkeypatch):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("globals_", [(1,), ()], ids=["global", "no-global"])
 @pytest.mark.parametrize("lengths", [None, [11, 7, 2]], ids=["full", "ragged"])
-def test_encode_masked_rows_are_the_masked_rows_of_encode(lengths):
+def test_encode_masked_rows_are_the_masked_rows_of_encode(lengths, globals_, monkeypatch):
     """A [B, L] mask gives its True rows in order, [N, H], within the oracle
     bound of encode()'s (one [N, H] product may round otherwise), one
-    masked row too; no row of a padded tail is asked for."""
+    masked row too; no row of a padded tail is asked for. Without a global
+    position the last layer computes the masked rows alone
+    (band_rows_attention); with one it computes every row and keeps those."""
+    calls = _count_calls(monkeypatch, "band_rows_attention")
     enc = Encoder(tiny_config(n_layers=2), np.random.default_rng(20))
     ids = np.random.default_rng(21).integers(0, 30, (3, 11))
-    pat = AttentionPattern(window=2, global_positions=(1,))
+    pat = AttentionPattern(window=2, global_positions=globals_)
     valid = np.arange(11)[None] < np.asarray(lengths or [11] * 3)[:, None]
     one = np.zeros((3, 11), dtype=bool)
     one[1, 6] = True
@@ -339,6 +343,29 @@ def test_encode_masked_rows_are_the_masked_rows_of_encode(lengths):
             want = enc.encode(ids, pattern=pat, lengths=lengths).data[mask]
         assert mask.any() and got.shape == (mask.sum(), 16)
         assert np.abs(got - want).max() <= 1e-5
+    assert len(calls) == (0 if globals_ else 2)
+
+
+def test_encode_masked_rows_under_the_pretraining_pattern_take_the_band_rows_kernel(
+        monkeypatch):
+    """encode(rows=mask) under the config's own pattern, as MLM pretraining
+    calls it, computes the last layer's attention at the masked rows alone:
+    one band_rows_attention call, and the full kernel only for the layers
+    before."""
+    rows_calls = _count_calls(monkeypatch, "band_rows_attention")
+    full_calls = []
+    real = encoder_module.sparse_attention_forward
+
+    def counting(*args, **kwargs):
+        full_calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(encoder_module, "sparse_attention_forward", counting)
+    enc = Encoder(tiny_config(n_layers=3, window=4), np.random.default_rng(24))
+    ids = np.random.default_rng(25).integers(5, 30, (2, 20))
+    mask = np.random.default_rng(26).random((2, 20)) < 0.15
+    enc.encode(ids, lengths=[20, 14], rows=mask)
+    assert len(rows_calls) == 1 and len(full_calls) == 2
 
 
 def _assert_gradients_match_finite_differences(enc, loss):
@@ -400,9 +427,10 @@ def test_encode_rows_gradient_matches_finite_differences():
 
 def test_encode_masked_rows_gradient_matches_finite_differences():
     """Analytic float64 gradients of the MLM loss on masked rows of a
-    2-layer encoder, whose last layer keeps those rows after its attention,
-    against central differences, at criterion 2's bound. Every parameter but
-    the unused global projections is reached, the MLM head included."""
+    2-layer encoder, whose last layer computes those rows alone
+    (band_rows_attention), against central differences, at criterion 2's
+    bound. Every parameter but the unused global projections is reached,
+    the MLM head included."""
     cfg = EncoderConfig(n_layers=2, n_heads=2, hidden_dim=8, ffn_dim=16,
                         vocab_size=20, max_positions=12, window=4)
     rng = np.random.default_rng(23)

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -124,14 +125,54 @@ class TestCheckpointFormat:
         save_arrays(path, {"x": np.zeros((2, 3), dtype=np.float32)})
         blob = path.read_bytes()
         assert blob[:4] == b"LCTX"
-        assert int.from_bytes(blob[4:8], "little") == 1      # version
+        assert int.from_bytes(blob[4:8], "little") == 2      # version
         assert int.from_bytes(blob[8:12], "little") == 1     # count
         assert int.from_bytes(blob[12:16], "little") == 1    # name length
         assert blob[16:17] == b"x"
         assert int.from_bytes(blob[17:21], "little") == 2    # rank
         assert int.from_bytes(blob[21:29], "little") == 2    # dim 0 (u64)
         assert int.from_bytes(blob[29:37], "little") == 3    # dim 1 (u64)
-        assert len(blob) == 37 + 4 * 6                       # f32 payload
+        assert len(blob) == 37 + 4 * 6 + 4                   # f32 payload, crc32
+        # the checksum covers the record from the name length through the payload
+        assert int.from_bytes(blob[-4:], "little") == zlib.crc32(blob[12:-4])
+
+    def test_version_1_file_loads(self, tmp_path):
+        # the layout before checksums: no crc32 after each payload
+        w = np.arange(6, dtype=np.float32).reshape(2, 3)
+        blob = (b"LCTX" + (1).to_bytes(4, "little") + (2).to_bytes(4, "little")
+                + (1).to_bytes(4, "little") + b"w" + (2).to_bytes(4, "little")
+                + (2).to_bytes(8, "little") + (3).to_bytes(8, "little") + w.tobytes()
+                + (1).to_bytes(4, "little") + b"b" + (1).to_bytes(4, "little")
+                + (2).to_bytes(8, "little") + np.ones(2, dtype=np.float32).tobytes())
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(blob)
+        loaded = load_arrays(path)
+        assert list(loaded) == ["w", "b"]
+        np.testing.assert_array_equal(loaded["w"], w)
+        np.testing.assert_array_equal(loaded["b"], np.ones(2, dtype=np.float32))
+
+    def test_flipped_payload_byte_names_the_file_and_the_array(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_arrays(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                           "层.b": np.ones(2, dtype=np.float32)})
+        blob = bytearray(path.read_bytes())
+        blob[-6] ^= 0x01                                     # a payload byte of the last array
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="m.ckpt: checksum mismatch in array '层.b'"):
+            load_arrays(path)
+
+    def test_every_flipped_byte_is_a_named_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_arrays(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                           "b": np.ones(2, dtype=np.float32)})
+        blob = path.read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        for i in range(len(blob)):
+            flipped = bytearray(blob)
+            flipped[i] ^= 0xFF
+            bad.write_bytes(bytes(flipped))
+            with pytest.raises(ValueError, match="bad.ckpt"):
+                load_arrays(bad)
 
     def test_truncated_file_is_a_named_error(self, tmp_path):
         path = tmp_path / "m.ckpt"

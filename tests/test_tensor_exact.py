@@ -349,6 +349,82 @@ def test_first_gradient_keeps_the_data_layout():
     assert t.grad.strides == np.zeros_like(t.data).strides
 
 
+def test_an_owned_first_gradient_is_adopted_in_the_data_layout_only():
+    t = leaf(np.ones((3, 4), dtype=np.float32))
+    g = np.array([[-0.0, 1.0, 2.0, 3.0]] * 3, dtype=np.float32)
+    t._accum(g, owned=True)
+    assert t.grad is g and not np.signbit(g).any()     # -0.0 turned +0.0 in place
+    for other in (g.astype(np.float64), np.asfortranarray(g), np.repeat(g, 2, axis=1)[:, ::2],
+                  np.broadcast_to(g[0], (3, 4)), g[:1]):
+        t.grad = None
+        t._accum(other, owned=True)
+        assert t.grad is not other and t.grad.flags.c_contiguous
+    t.grad = None
+    t._accum(g)                                          # not owned: copied
+    assert t.grad is not g
+
+
+def _handover_losses(rng):
+    """name -> (leaf arrays, loss(*leaves)): graphs whose backward hands an
+    incoming or fresh gradient over to a parent, with exact zeros of both
+    signs in the gradients (the -0.0 of the constants)."""
+    x, w, v = f32(rng, (3, 4)), f32(rng, (4, 4)), f32(rng, (4,))
+    c = upstream(rng, (3, 4))
+    return {
+        "add-x-x": ([x], lambda a: T.reduce_sum(T.mul_const(T.add(a, a), c))),
+        "read-by-two-ops": ([x, w, v], lambda a, b, d: T.reduce_sum(T.mul_const(
+            T.add(a, T.gelu(T.matmul(a, b, d))), c))),
+        "reshape-chain": ([x, v], lambda a, d: T.reduce_sum(T.mul_const(T.reshape(
+            T.reshape(T.add_const(T.add(T.reshape(a, 12), T.reshape(T.add(a, d), 12)), 1.0),
+                      2, 6), 3, 4), c))),
+    }
+
+
+def _leaf_grads(name):
+    arrays, loss = _handover_losses(np.random.default_rng(41))[name]
+    leaves = [leaf(arr.copy()) for arr in arrays]
+    loss(*leaves).backward()
+    return leaves
+
+
+@pytest.mark.parametrize("name", sorted(_handover_losses(np.random.default_rng(0))))
+def test_gradient_handover_gives_the_bytes_of_the_copy_path(name, monkeypatch):
+    """Each first gradient adopted (an incoming gradient handed to one
+    parent, a fresh buffer kept) gives the bytes of copying every one."""
+    handed = [t.grad for t in _leaf_grads(name)]
+    real = Tensor._accum
+    monkeypatch.setattr(Tensor, "_accum", lambda self, g, owned=False: real(self, g))
+    copied = [t.grad for t in _leaf_grads(name)]
+    for got, want in zip(handed, copied):
+        assert same_bytes(got, want)
+
+
+def _assert_no_shared_buffers(tensors):
+    arrays = [t.grad for t in tensors if t.grad is not None] + [t.data for t in tensors]
+    assert len(arrays) > len(tensors)
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(_handover_losses(np.random.default_rng(0))))
+def test_no_two_gradients_share_a_buffer_after_backward(name):
+    _assert_no_shared_buffers(_leaf_grads(name))
+
+
+def test_no_two_gradients_share_a_buffer_after_an_mlm_step():
+    from lctx.encoder import Encoder, EncoderConfig
+
+    cfg = EncoderConfig(n_layers=2, n_heads=2, hidden_dim=16, ffn_dim=32, vocab_size=30,
+                        max_positions=32, window=4)
+    enc = Encoder(cfg, np.random.default_rng(42))
+    ids = np.random.default_rng(43).integers(5, 30, (2, 24))
+    mask = np.random.default_rng(44).random((2, 24)) < 0.2
+    logits = enc.mlm_logits(enc.encode(ids, lengths=[24, 17], rows=mask))
+    T.cross_entropy(logits, ids[mask]).backward()
+    _assert_no_shared_buffers(list(enc.named_params().values()))
+
+
 # ---------------------------------------------------------------------------
 # float64 mode: astype(copy=False) hands back the input itself, so a kernel
 # that wrote into its float64 working array would change its input
