@@ -30,26 +30,17 @@ projected. The bytes are those of scoring, adding 0/-inf masks,
 concatenating and taking a separate softmax. When every head's band covers
 the sequence, (w/2)*(d+1) >= L-1, the call goes to the dense kernel.
 
-A global row's output needs only Longformer's global path: its query, the
-keys and values of all L rows, and the output projection of that row.
-global_rows_attention computes chosen global rows that way alone, with no
-band score and no local projection (the encoder's last layer, for heads
-that read only CLS); sparse_attention_forward computes its global rows with
-the same helpers. Under a pattern that covers the sequence a non-global row
-is the same query-row path through the local projections, under its row of
-the band mask: dense_rows_attention computes chosen rows so, one [B,h,R,L]
-score block where the dense kernel scores [B,h,L,L] (the encoder's last
-layer, for the full-window baseline's CLS).
-
-band_rows_attention computes the rows that a boolean [B, L] mask selects
-under a banded pattern with no global position (the encoder's last layer,
-for MLM pretraining's masked positions). It projects queries for those N
-rows only, and keys and values for every row; each row gathers its w+1
-band keys and values (per-head gap) and scores, softmaxes and mixes them
-in one [N,h,w+1] buffer, by one small product per row and head, not by
-chunk matmuls. The backward adds the key and value gradients with one
-indexed += per slot into rows padded by (w/2)*(max gap + 1): the rows of
-one slot are distinct, so no np.add.at is needed.
+rows_attention computes chosen rows alone, for callers that read only
+those (the encoder's last layer, for CLS heads and MLM's masked positions).
+Global rows need only Longformer's global path: their queries, the keys and
+values of all L rows, and the output projection of those rows, with no band
+score and no local projection (sparse_attention_forward computes its global
+rows with the same helpers). Under a pattern that covers the sequence a
+non-global row takes the same path through the local projections, under its
+row of the band mask. A boolean [B, L] mask under a banded pattern without
+globals projects queries for its N rows only, and each row scores, softmaxes
+and mixes its w+1 gathered band keys and values in one [N,h,w+1] buffer.
+Any other case computes every row and keeps those asked for.
 
 `dense_attention_oracle` materializes the full mask and computes the same
 quantity quadratically; it is the testing ground truth, the quadratic
@@ -616,65 +607,6 @@ def _head_masks(length: int, pattern: AttentionPattern, gaps) -> np.ndarray:
     return np.stack([by_gap[gap] for gap in gaps])
 
 
-def _distinct(rows: np.ndarray) -> bool:
-    return len(set(rows.tolist())) == len(rows)
-
-
-def global_rows_attention(hidden: Tensor, params: AttentionParams, pattern: AttentionPattern,
-                          n_heads: int, rows, lengths=None) -> Tensor:
-    """The attention outputs of the global rows `rows` only, [B,R,H]:
-    sparse_attention_forward(hidden, params, pattern, n_heads,
-    lengths)[:, rows], from Longformer's global path alone. The queries of
-    those rows are scored against the keys of all L rows, and their
-    mixture of the values goes through the output projection. No band
-    score and no local projection is made, whether the pattern is banded
-    or covers the sequence. Rows that repeat, or that are not global
-    positions, are a ValueError.
-
-    Each output row has the bytes of the full call's wherever BLAS gives a
-    product's rows the same bytes at any row count but one (see
-    T.matmul_rows): a lone row is multiplied twice wherever the full call
-    multiplies more than one row at once, which is every product but the
-    banded call's scores and mixture at a single global position.
-    """
-    L = hidden.shape[1]
-    _check_call(hidden, pattern, n_heads)
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-    if not _distinct(rows) or not np.isin(rows, pattern.global_positions).all():
-        raise ValueError(f"rows {rows.tolist()} are not distinct global positions "
-                         f"{list(pattern.global_positions)}")
-    # rows the full call scores at once: its global rows, or every row at
-    # the dense kernel
-    full_rows = L if pattern.covers(L, n_heads) else len(pattern.global_positions)
-    qkv = _row_projections(hidden, params, n_heads, rows, _GLOBAL_NAMES)
-    return _rows_output(hidden, params, qkv, rows, lengths, full_rows)
-
-
-def dense_rows_attention(hidden: Tensor, params: AttentionParams, pattern: AttentionPattern,
-                         n_heads: int, rows, lengths=None) -> Tensor:
-    """The attention outputs of the rows `rows` only, [B,R,H], of a call
-    that goes to the dense kernel (pattern.covers): sparse_attention_forward(
-    hidden, params, pattern, n_heads, lengths)[:, rows]. Those rows' local
-    queries are scored against the local keys of all L rows, each under its
-    row of the band mask (all open unless a head is dilated) and row_ok,
-    and their mixture of the values goes through the output projection:
-    one [B,h,R,L] score row per row, where the dense kernel scores [B,h,L,L].
-    Rows that repeat or are global positions, or a pattern whose band does
-    not cover the sequence, are a ValueError. The bytes hold as in
-    global_rows_attention: a lone row is multiplied twice throughout.
-    """
-    L = hidden.shape[1]
-    gaps = _check_call(hidden, pattern, n_heads)
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-    if (not _distinct(rows) or np.isin(rows, pattern.global_positions).any()
-            or not pattern.covers(L, n_heads)):
-        raise ValueError(f"rows {rows.tolist()} are not distinct non-global rows of a "
-                         f"pattern that covers the sequence")
-    band = _head_masks(L, pattern, gaps)[:, rows] if any(gaps) else None
-    qkv = _row_projections(hidden, params, n_heads, rows, _LOCAL_NAMES[:6])
-    return _rows_output(hidden, params, qkv, rows, lengths, L, band)
-
-
 def _band_rows(q: Tensor, k: Tensor, v: Tensor, keys: np.ndarray, key_ok: np.ndarray,
                runs: list[slice], pad: int) -> Tensor:
     """[N, H]: in each head, query row n of q [N, H] attends to the rows
@@ -722,46 +654,76 @@ def _band_rows(q: Tensor, k: Tensor, v: Tensor, keys: np.ndarray, key_ok: np.nda
     return make_op(out, (q, k, v), backward)
 
 
-def band_rows_attention(hidden: Tensor, params: AttentionParams, pattern: AttentionPattern,
-                        n_heads: int, mask, lengths=None) -> Tensor:
-    """The attention outputs of the rows that a boolean [B, L] `mask`
-    selects, in order, [N, H]: sparse_attention_forward(hidden, params,
-    pattern, n_heads, lengths)[mask], for a pattern with no global position
-    whose band does not cover the sequence (MLM pretraining's masked
-    positions). Only those rows' queries are projected; the keys and values
-    of every row are, and each selected row scores and mixes its own w+1
-    band slots (_band_rows) under the band kernel's mask: a slot is open
-    when its key lies inside the sequence's length, and the self slot
-    always is. Padded rows give zero. The bytes are not the full call's:
-    one small product per row and head replaces the chunk matmuls. Any
-    other pattern, or a mask of another shape, is a ValueError.
+def _checked_rows(rows, batch: int, length: int) -> np.ndarray:
+    """`rows` as distinct int64 positions in [0, L) or a boolean [B, L]
+    mask; anything else is a ValueError naming the rows."""
+    rows = np.asarray(rows)
+    if rows.dtype == bool and rows.shape == (batch, length):
+        return rows
+    if rows.ndim <= 1 and (rows.size == 0 or np.issubdtype(rows.dtype, np.integer)):
+        rows = rows.reshape(-1).astype(np.int64)
+        if len(set(rows.tolist())) == len(rows) and ((rows >= 0) & (rows < length)).all():
+            return rows
+    named = rows.tolist() if rows.ndim <= 1 else f"of shape {list(rows.shape)}, {rows.dtype}"
+    raise ValueError(f"rows {named} are neither distinct positions in [0, {length}) nor a "
+                     f"boolean [{batch}, {length}] mask")
+
+
+def rows_attention(hidden: Tensor, params: AttentionParams, pattern: AttentionPattern,
+                   n_heads: int, rows, lengths=None) -> Tensor:
+    """sparse_attention_forward(hidden, params, pattern, n_heads,
+    lengths)[:, rows], [B,R,H], for R distinct positions `rows` in [0, L),
+    or its [rows], [N,H], for a boolean [B, L] mask; any other `rows` is a
+    ValueError. Global positions, non-global ones under a covering pattern
+    and a mask under a banded pattern without globals are computed alone
+    (see the module docstring); any other case calls
+    sparse_attention_forward, looked up at call time, and keeps the rows.
+
+    A position's row has the full call's bytes wherever BLAS gives a
+    product's rows the same bytes at any row count but one (see
+    T.matmul_rows): a lone row is multiplied twice wherever the full call
+    multiplies more than one row at once. A mask's band rows do not: one
+    small product per row and head replaces the chunk matmuls.
     """
     B, L, H = hidden.shape
     gaps = _check_call(hidden, pattern, n_heads)
-    mask = np.asarray(mask)
-    if (mask.dtype != bool or mask.shape != (B, L) or pattern.global_positions
-            or pattern.covers(L, n_heads)):
-        raise ValueError(f"band_rows_attention takes a boolean [{B}, {L}] mask under a "
-                         "pattern with no global position whose band does not cover "
-                         "the sequence")
-    half = pattern.window // 2
-    rows = np.flatnonzero(mask)                                  # b*L + i, in mask order
-    # slot s of a head with gap d reads row i + (s - w/2)*(d+1)
-    offsets = np.arange(-half, half + 1) * (np.asarray(gaps)[:, None] + 1)   # [h, K]
-    pos = (rows % L)[:, None, None] + offsets                    # [N, h, K]
-    keys = rows[:, None, None] + offsets
-    row_ok = _row_valid(lengths, B, L)
-    key_ok = (pos >= 0) & (pos < L) & row_ok.reshape(-1)[np.clip(keys, 0, B * L - 1)]
-    key_ok[..., half] = True
-
-    dh = H // n_heads
-    q = T.mul(T.matmul(T.index_select(hidden, mask), params.wq, params.bq), 1.0 / np.sqrt(dh))
-    k = T.matmul(hidden, params.wk, params.bk)
-    v = T.matmul(hidden, params.wv, params.bv)
-    runs = [run.heads for run in _band_runs(L, pattern.window, gaps)]
-    mixed = _band_rows(q, k, v, keys, key_ok, runs, half * (max(gaps) + 1))
-    y = T.matmul(mixed, params.wo, params.bo)
-    return T.mul_const(y, row_ok[mask][:, None].astype(hidden.data.dtype))
+    rows = _checked_rows(rows, B, L)
+    covers = pattern.covers(L, n_heads)
+    mask = rows.dtype == bool
+    if mask and not pattern.global_positions and not covers:
+        half = pattern.window // 2
+        flat = np.flatnonzero(rows)                                  # b*L + i, in mask order
+        # slot s of a head with gap d reads row i + (s - w/2)*(d+1)
+        offsets = np.arange(-half, half + 1) * (np.asarray(gaps)[:, None] + 1)   # [h, K]
+        pos = (flat % L)[:, None, None] + offsets                    # [N, h, K]
+        keys = flat[:, None, None] + offsets
+        row_ok = _row_valid(lengths, B, L)
+        # a slot is open when its key lies inside the sequence's length; the
+        # self slot always is
+        key_ok = (pos >= 0) & (pos < L) & row_ok.reshape(-1)[np.clip(keys, 0, B * L - 1)]
+        key_ok[..., half] = True
+        q = T.mul(T.matmul(T.index_select(hidden, rows), params.wq, params.bq),
+                  1.0 / np.sqrt(H // n_heads))
+        k = T.matmul(hidden, params.wk, params.bk)
+        v = T.matmul(hidden, params.wv, params.bv)
+        runs = [run.heads for run in _band_runs(L, pattern.window, gaps)]
+        mixed = _band_rows(q, k, v, keys, key_ok, runs, half * (max(gaps) + 1))
+        y = T.matmul(mixed, params.wo, params.bo)
+        return T.mul_const(y, row_ok[rows][:, None].astype(hidden.data.dtype))
+    if not mask:
+        glob = np.isin(rows, pattern.global_positions)
+        if glob.all():
+            # rows the full call scores at once: its global rows, or every row
+            # at the dense kernel
+            full_rows = L if covers else len(pattern.global_positions)
+            qkv = _row_projections(hidden, params, n_heads, rows, _GLOBAL_NAMES)
+            return _rows_output(hidden, params, qkv, rows, lengths, full_rows)
+        if covers and not glob.any():
+            band = _head_masks(L, pattern, gaps)[:, rows] if any(gaps) else None
+            qkv = _row_projections(hidden, params, n_heads, rows, _LOCAL_NAMES[:6])
+            return _rows_output(hidden, params, qkv, rows, lengths, L, band)
+    full = sparse_attention_forward(hidden, params, pattern, n_heads, lengths)
+    return T.index_select(full, rows if mask else (slice(None), rows))
 
 
 def sparse_attention_forward(hidden: Tensor, params: AttentionParams,

@@ -43,7 +43,7 @@ from .corpus import (
 from .encoder import EncoderConfig
 from .fixtures import write_fixture_files
 from .metrics import FoldPlan, run_cross_validation
-from .pretrain import PretrainConfig, check_blocks, check_resume, pretrain
+from .pretrain import PretrainConfig, check_batches, check_blocks, check_resume, pretrain
 from .tasks import (
     JudgmentModel,
     MultipleChoiceModel,
@@ -271,8 +271,8 @@ def cmd_pretrain(args) -> int:
     enc_config = EncoderConfig(**{"vocab_size": len(vocab), "max_positions": max(seq_len, 16),
                                   **sections.get("encoder", {})})
     check_blocks(blocks, enc_config)
-    if args.resume is not None:
-        check_resume(args.resume, enc_config)
+    start_step = 0 if args.resume is None else check_resume(args.resume, enc_config)
+    check_batches(blocks, config.batch_size, start_step, args.steps)
     _write_run_config(out, args, {"pretrain": asdict(config), "encoder": asdict(enc_config)})
     _, history = pretrain(blocks, config, enc_config, steps=args.steps, out_dir=out,
                           checkpoint_interval=args.checkpoint_interval,

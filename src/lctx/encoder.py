@@ -5,11 +5,8 @@ embeddings are learned absolute vectors; position-type embeddings carry the
 question/choice distinction (0/1). The MLM output projection is untied.
 A caller that reads only some rows asks encode() for them: the CLS heads
 row 0, MLM pretraining its masked positions. The last block then computes
-those rows alone where its attention can (through the global path for
-global positions, through one score row each under a full window, as the
-dense baseline's CLS, through each row's band slots for a mask under a
-banded pattern without globals, as MLM's), and runs its residual, layer
-norms and FFN on those rows only.
+its attention at those rows (rows_attention, alone where the pattern allows
+it) and runs its residual, layer norms and FFN on those rows only.
 """
 
 from __future__ import annotations
@@ -26,10 +23,8 @@ from .tensor import Tensor
 from .attention import (
     AttentionParams,
     AttentionPattern,
-    band_rows_attention,
     dense_attention_oracle,
-    dense_rows_attention,
-    global_rows_attention,
+    rows_attention,
     sparse_attention_forward,
 )
 from .checkpoint import check_json_object, read_json
@@ -154,20 +149,14 @@ class Encoder:
         positions.
 
         With `rows`, every layer but the last runs as without. The last
-        layer's attention computes positions alone where it can:
-        global_rows_attention when every one is a global position, and
-        dense_rows_attention when none is and every head's band covers the
-        sequence (the dense baseline's row 0). A mask's rows are computed
-        alone by band_rows_attention under a pattern with no global
-        position whose band does not cover the sequence (MLM pretraining's).
-        Otherwise it computes every row and keeps the rows asked for. The
-        residual, both layer norms and the FFN then run on those rows only,
-        a lone position carried twice through the FFN's products (see
+        layer's attention is rows_attention's, which checks the rows and
+        computes them alone where the pattern allows it. The residual, both
+        layer norms and the FFN then run on those rows only, a lone
+        position carried twice through the FFN's products (see
         T.matmul_rows), so a position's row has the bytes of
         encode()[:, rows] wherever BLAS keeps a row's bytes at any row
         count. A mask's rows are one [N, H] product, whose bytes may differ
-        from the full call's in the last bits, and band_rows_attention's
-        sums run in another order than the chunk matmuls'.
+        from the full call's in the last bits.
         """
         # the kernel is looked up at call time, so a module-level replacement
         # of sparse_attention_forward takes effect here
@@ -211,35 +200,22 @@ class Encoder:
             x = self._block_rest(x, a, layer)
         if rows is None:
             return x
-        return self._last_layer_rows(x, self.layers[-1], attention, pattern, lengths, rows)
+        return self._last_layer_rows(x, self.layers[-1], pattern, lengths, rows)
 
-    def _last_layer_rows(self, x, layer, attention, pattern, lengths, rows) -> Tensor:
+    def _last_layer_rows(self, x, layer, pattern, lengths, rows) -> Tensor:
         """The last layer at the rows `rows` only (see encode)."""
-        n_heads, L = self.config.n_heads, x.shape[1]
-        params = layer["attn"]
+        a = rows_attention(x, layer["attn"], pattern, self.config.n_heads, rows, lengths)
         rows = np.asarray(rows)
-        a = None
         if rows.dtype == bool:
             # a mask's rows are one [N, H] product, whose bytes are not the
             # full call's anyway: no lone-row rule
-            key, lone = rows, False
-            if not pattern.global_positions and not pattern.covers(L, n_heads):
-                a = band_rows_attention(x, params, pattern, n_heads, rows, lengths)
-        else:
-            rows = [int(r) for r in rows.reshape(-1)]
-            lone = len(rows) == 1 and L > 1
-            key = (slice(None), rows * 2 if lone else rows)
-            glob = set(pattern.global_positions)
-            if set(rows) <= glob:
-                a = global_rows_attention(x, params, pattern, n_heads, rows, lengths)
-            elif not glob & set(rows) and pattern.covers(L, n_heads):
-                a = dense_rows_attention(x, params, pattern, n_heads, rows, lengths)
-            if a is not None and lone:
-                a = T.index_select(a, (slice(None), [0, 0]))
-        if a is None:
-            a = T.index_select(attention(x, params, pattern, n_heads, lengths=lengths), key)
-        x = self._block_rest(T.index_select(x, key), a, layer)
-        return T.index_select(x, (slice(None), slice(0, 1))) if lone else x
+            return self._block_rest(T.index_select(x, rows), a, layer)
+        rows = rows.reshape(-1).tolist()
+        if len(rows) != 1 or x.shape[1] == 1:
+            return self._block_rest(T.index_select(x, (slice(None), rows)), a, layer)
+        a = T.index_select(a, (slice(None), [0, 0]))
+        x = self._block_rest(T.index_select(x, (slice(None), rows * 2)), a, layer)
+        return T.index_select(x, (slice(None), slice(0, 1)))
 
     @staticmethod
     def _block_rest(x: Tensor, a: Tensor, layer: dict) -> Tensor:

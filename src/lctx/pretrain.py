@@ -3,7 +3,7 @@ checkpointing with bit-identical resume.
 
 The loss reads the masked positions only, so pretraining asks the encoder
 for those rows (a boolean [B, L] mask): the last layer's banded attention
-(band_rows_attention), residual, layer norms and FFN, the MLM head and the
+(rows_attention), residual, layer norms and FFN, the MLM head and the
 loss run on the [N, H] masked rows alone, as BERT gathers them before its
 output head (Devlin et al. 2019). masked_recovery_accuracy asks for the
 same rows."""
@@ -11,6 +11,7 @@ same rows."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -130,17 +131,19 @@ def read_state(ckpt_dir) -> tuple[int, EncoderConfig]:
     return meta["step"], config
 
 
-def check_resume(ckpt_dir, enc_config: EncoderConfig) -> None:
-    """Refuse, with a ValueError naming the directory, a checkpoint without
-    state.json or one whose encoder config differs from enc_config (each
-    differing field is named with both values)."""
-    _, saved = read_state(ckpt_dir)
+def check_resume(ckpt_dir, enc_config: EncoderConfig) -> int:
+    """The step of checkpoint ckpt_dir. Refuse, with a ValueError naming the
+    directory, a checkpoint without state.json or one whose encoder config
+    differs from enc_config (each differing field is named with both
+    values)."""
+    step, saved = read_state(ckpt_dir)
     differ = [f"{f.name} {getattr(enc_config, f.name)!r} (checkpoint: "
               f"{getattr(saved, f.name)!r})" for f in fields(EncoderConfig)
               if getattr(enc_config, f.name) != getattr(saved, f.name)]
     if differ:
         raise ValueError(f"{ckpt_dir}: the encoder config differs from the "
                          f"checkpoint's: " + "; ".join(differ))
+    return step
 
 
 def check_blocks(blocks, enc_config: EncoderConfig) -> np.ndarray:
@@ -156,6 +159,27 @@ def check_blocks(blocks, enc_config: EncoderConfig) -> np.ndarray:
         raise ValueError(f"block token ids span [{blocks.min()}, {blocks.max()}], outside the "
                          f"encoder's vocab_size {enc_config.vocab_size}")
     return blocks
+
+
+def _batch_rows(step: int, batch_size: int, n_blocks: int) -> np.ndarray:
+    """The blocks of step `step`'s batch: batches cycle through the blocks
+    in corpus order."""
+    bsz = min(batch_size, n_blocks)
+    return (np.arange(bsz) + step * bsz) % n_blocks
+
+
+def check_batches(blocks: np.ndarray, batch_size: int, start_step: int, steps: int) -> None:
+    """A ValueError naming the first of the steps start_step.. whose batch
+    holds no maskable token, so that its MLM loss would have no target."""
+    maskable = (blocks >= N_SPECIAL).any(axis=1)
+    n = len(blocks)
+    # the batches repeat after n / gcd(batch, n) steps
+    for step in range(start_step, start_step + min(steps, n // math.gcd(batch_size, n))):
+        rows = _batch_rows(step, batch_size, n)
+        if not maskable[rows].any():
+            raise ValueError(f"pretraining step {step}: its batch, block(s) {rows.tolist()}, "
+                             "holds no maskable (non-special) token, so its MLM loss would "
+                             "have no target")
 
 
 def load_checkpoint(ckpt_dir):
@@ -176,13 +200,13 @@ def pretrain(blocks: np.ndarray, config: PretrainConfig, enc_config: EncoderConf
     the uninterrupted run bit for bit. Returns (encoder, history).
     """
     blocks = check_blocks(blocks, enc_config)
+    start_step = 0 if resume_from is None else check_resume(resume_from, enc_config)
+    check_batches(blocks, config.batch_size, start_step, steps)
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    start_step = 0
     if resume_from is not None:
-        check_resume(resume_from, enc_config)
         encoder, start_step = load_checkpoint(resume_from)
         state = AdamState(encoder.named_params())
         state.load_arrays(load_arrays(Path(resume_from) / "optim.ckpt"))
@@ -191,15 +215,12 @@ def pretrain(blocks: np.ndarray, config: PretrainConfig, enc_config: EncoderConf
         state = AdamState(encoder.named_params())
 
     params = encoder.named_params()
-    n_blocks = blocks.shape[0]
-    bsz = min(config.batch_size, n_blocks)
     history: list[StepLog] = []
     skipped_sequences = 0
 
     for step in range(start_step, start_step + steps):
         rng = np.random.default_rng((config.seed, step))
-        rows = (np.arange(bsz) + step * bsz) % n_blocks
-        batch = blocks[rows]
+        batch = blocks[_batch_rows(step, config.batch_size, len(blocks))]
         inputs, labels, skipped = _mask_batch(batch, config.mask_rate, rng,
                                               enc_config.vocab_size)
         skipped_sequences += skipped

@@ -13,12 +13,10 @@ from lctx.attention import (
     AttentionParams,
     AttentionPattern,
     attention_flop_count,
-    band_rows_attention,
     build_band_mask,
     dense_attention_flop_count,
     dense_attention_oracle,
-    dense_rows_attention,
-    global_rows_attention,
+    rows_attention,
     sliding_window_offsets,
     sparse_attention_forward,
 )
@@ -491,187 +489,140 @@ def test_dense_oracle_bytes_match_the_additive_mask(window, gaps, globals_, leng
         assert got[key].tobytes() == want[key].tobytes(), key
 
 
-# (B, L, H, heads, pattern, lengths, rows) of a call whose global rows `rows`
-# are computed alone
-_GLOBAL_ROWS_CASES = {
-    "one-row": (2, 40, 16, 2, AttentionPattern(4, None, tuple(range(6))), None, (0,)),
-    "several-rows": (2, 40, 16, 2, AttentionPattern(4, None, tuple(range(6))), None, (0, 2, 5)),
-    "unsorted-rows": (2, 40, 16, 2, AttentionPattern(4, None, tuple(range(6))), None, (5, 0, 2)),
-    "one-global": (2, 40, 16, 2, AttentionPattern(4, None, (0,)), None, (0,)),
-    # the third row's length ends before global 9
-    "ragged": (3, 30, 16, 2, AttentionPattern(2, None, (0, 3, 9)), [30, 27, 8], (0, 9)),
-    "ragged-one-row": (3, 30, 16, 2, AttentionPattern(2, None, (0, 3)), [30, 27, 23], (0,)),
-    "dilated": (2, 33, 16, 2, AttentionPattern(4, (0, 2), (0, 7)), [33, 20], (0,)),
-    "dense-dispatch": (2, 9, 16, 2, AttentionPattern(4, (3, 3), (1, 4)), [9, 8], (1,)),
-    "dense-dispatch-no-padding": (1, 5, 8, 1, AttentionPattern(8, None, (0,)), None, (0,)),
-}
+_BANDED_GLOBALS = AttentionPattern(4, None, tuple(range(6)))
 
 
-def _assert_rows_match_the_full_call(row_kernel, case, dtype, exact=True):
-    """Output and gradients of the rows `rows` alone equal those of the full
-    call's rows, at the oracle bound and, at these shapes, where BLAS gives
-    a row the same bytes at two rows and at the full call's count, byte for
-    byte. Rows out of order sum the key and value gradients in another
-    order, so there only the bound holds; so it does where not `exact`."""
-    B, L, H, heads, pat, lengths, rows = case
-    rng = np.random.default_rng(27)
-    params = AttentionParams(H, rng, dtype=dtype, init_scale=0.5)
-    x_data = rng.standard_normal((B, L, H)).astype(dtype)
-    r = rng.standard_normal((B, len(rows), H)).astype(dtype)
-    r_full = np.zeros((B, L, H), dtype=dtype)
-    r_full[:, list(rows)] = r
-
-    def alone(x, params, pat, n_heads, lengths):
-        return row_kernel(x, params, pat, n_heads, rows, lengths)
-
-    got = _gradients(alone, params, pat, heads, x_data, r, lengths)
-    want = _gradients(sparse_attention_forward, params, pat, heads, x_data, r_full, lengths)
-    want["out"] = want["out"][:, list(rows)]
-    assert got["out"].shape == (B, len(rows), H) and got["out"].dtype == dtype
-    # per-tensor denominators floored by the largest gradient, so that the
-    # key biases, which the output provably does not depend on, are compared
-    # at noise level rather than 0/0
-    scale = max(np.abs(g).max() for key, g in want.items() if key != "out" and g.size)
-    for key in want:
-        if got[key].size == 0:
-            # a projection set the rows do not reach; the full call gives it
-            # zeros, or does not reach it either
-            assert not want[key].any(), key
-            continue
-        denom = max(np.abs(want[key]).max(), 1e-8 if key == "out" else scale)
-        assert np.abs(got[key] - want[key]).max() / denom <= 1e-5, key
-        if exact and list(rows) == sorted(rows):
-            assert got[key].tobytes() == want[key].tobytes(), key
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-@pytest.mark.parametrize("case", sorted(_GLOBAL_ROWS_CASES))
-def test_global_rows_attention_matches_the_full_call_at_its_rows(case, dtype):
-    _assert_rows_match_the_full_call(global_rows_attention, _GLOBAL_ROWS_CASES[case], dtype)
-
-
-@pytest.mark.parametrize("rows", [(0, 3), (0, 0)], ids=["not-global", "repeated"])
-def test_global_rows_attention_refuses_rows_it_cannot_compute_alone(rows):
-    rng = np.random.default_rng(28)
-    params = AttentionParams(8, rng)
-    x = Tensor(rng.standard_normal((1, 12, 8)))
-    with pytest.raises(ValueError, match=r"are not distinct global positions \[0, 5\]"):
-        global_rows_attention(x, params, AttentionPattern(4, None, (0, 5)), 2, rows)
-
-
-# (B, L, H, heads, pattern, lengths, rows) of a call that goes to the dense
-# kernel, whose non-global rows `rows` are computed alone
-_DENSE_ROWS_CASES = {
-    "one-row": (2, 9, 16, 2, AttentionPattern(16), None, (0,)),
-    "several-rows": (2, 9, 16, 2, AttentionPattern(16), None, (0, 3, 8)),
-    "unsorted-rows": (2, 9, 16, 2, AttentionPattern(16), None, (8, 0, 3)),
-    # the third row's length ends before row 7
-    "ragged": (3, 12, 16, 2, AttentionPattern(22), [12, 9, 5], (0, 7)),
-    "ragged-one-row": (3, 12, 16, 2, AttentionPattern(22), [12, 9, 5], (0,)),
-    # gaps 3 and 1 still cover 9 rows at w = 4 and 8: each row sees its own class
-    "dilated": (2, 9, 16, 2, AttentionPattern(4, (3, 3)), [9, 8], (0, 2)),
-    "dilated-one-row": (2, 9, 16, 2, AttentionPattern(8, (1, 3)), None, (1,)),
-    # non-global rows of a covering pattern with globals
-    "with-globals": (2, 9, 16, 2, AttentionPattern(16, None, (1, 4)), [9, 6], (0, 5)),
-    "one-head": (1, 5, 8, 1, AttentionPattern(8), None, (2,)),
-}
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-@pytest.mark.parametrize("case", sorted(_DENSE_ROWS_CASES))
-def test_dense_rows_attention_matches_the_full_call_at_its_rows(case, dtype):
-    B, L, H, heads, pat, lengths, rows = _DENSE_ROWS_CASES[case]
-    assert pat.covers(L, heads) and not set(rows) & set(pat.global_positions)
-    # with globals the dense kernel reaches the value projection before the
-    # query and key projections, so x's gradient sums them in another order
-    _assert_rows_match_the_full_call(dense_rows_attention, _DENSE_ROWS_CASES[case], dtype,
-                                     exact=not pat.global_positions)
-
-
-@pytest.mark.parametrize("pattern, rows", [
-    (AttentionPattern(16, None, (0, 5)), (0, 3)),
-    (AttentionPattern(16), (3, 3)),
-    (AttentionPattern(20), (3,)),
-], ids=["global-row", "repeated", "band-does-not-cover"])
-def test_dense_rows_attention_refuses_rows_it_cannot_compute_alone(pattern, rows):
-    rng = np.random.default_rng(29)
-    params = AttentionParams(8, rng)
-    x = Tensor(rng.standard_normal((1, 12, 8)))
-    with pytest.raises(ValueError, match="are not distinct non-global rows of a pattern "
-                                         "that covers the sequence"):
-        dense_rows_attention(x, params, pattern, 2, rows)
-
-
-# (B, L, H, heads, pattern, lengths, masked rows per sequence) of a call
-# whose masked rows are computed alone; a row past its sequence's length
-# (row 27 of the ragged case's third sequence) gives zero
-_BAND_ROWS_CASES = {
-    "ragged": (3, 30, 16, 2, AttentionPattern(4), [30, 21, 9],
-               [(0, 5, 6, 29), (1, 2, 20), (0, 4, 8, 27)]),
-    "dilated": (2, 33, 16, 2, AttentionPattern(4, (0, 2)), [33, 20],
-                [(0, 3, 16, 31, 32), (1, 6, 7, 19)]),
-    "dilated-one-gap": (2, 33, 16, 2, AttentionPattern(6, (2, 2)), None,
-                        [(2, 9, 10, 30), (0, 32)]),
-    "w0": (2, 17, 8, 2, AttentionPattern(0), [17, 12], [(0, 8, 16), (3, 11)]),
-    "one-masked-row": (2, 24, 16, 2, AttentionPattern(8), [24, 15], [(), (7,)]),
-    "a-sequence-without-masked-rows": (3, 24, 16, 2, AttentionPattern(8), None,
-                                       [(1, 2, 23), (), (0, 12)]),
-    "one-head": (2, 20, 8, 1, AttentionPattern(2, (1,)), [20, 20], [(4, 5, 19), (0,)]),
-    # head 1's band covers the sequence, head 0's does not: a banded call
-    "mixed-gaps": (2, _MIXED_L, 16, 2, _MIXED_NO_GLOBALS, _MIXED_LENGTHS, [(0, 6, 12), (2, 8)]),
-}
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-@pytest.mark.parametrize("case", sorted(_BAND_ROWS_CASES))
-def test_band_rows_attention_matches_the_full_call_at_its_rows(case, dtype):
-    """Output and every gradient of the masked rows alone equal those of
-    the full call's masked rows at the oracle bound (the per-row products
-    sum in another order than the chunk matmuls)."""
-    B, L, H, heads, pat, lengths, picked = _BAND_ROWS_CASES[case]
-    assert not pat.covers(L, heads)
+def _mask(B, L, picked):
+    """The boolean [B, L] mask of the positions picked[b] of each sequence b."""
     mask = np.zeros((B, L), dtype=bool)
     for b, rows in enumerate(picked):
         mask[b, list(rows)] = True
-    rng = np.random.default_rng(30)
+    return mask
+
+
+# name: (B, L, H, heads, pattern, lengths, rows, exact). `rows` is a tuple
+# of positions, or a list of the masked positions of each sequence (a
+# boolean [B, L] mask). Where `exact`, the bytes are the full call's too;
+# the full call at its rows (fallback-*) has them by construction.
+_ROWS_CASES = {
+    # positions that are all global: the global path alone
+    "global-one-row": (2, 40, 16, 2, _BANDED_GLOBALS, None, (0,), True),
+    "global-several-rows": (2, 40, 16, 2, _BANDED_GLOBALS, None, (0, 2, 5), True),
+    "global-unsorted-rows": (2, 40, 16, 2, _BANDED_GLOBALS, None, (5, 0, 2), True),
+    "global-one-global": (2, 40, 16, 2, AttentionPattern(4, None, (0,)), None, (0,), True),
+    # the third row's length ends before global 9
+    "global-ragged": (3, 30, 16, 2, AttentionPattern(2, None, (0, 3, 9)), [30, 27, 8], (0, 9),
+                      True),
+    "global-ragged-one-row": (3, 30, 16, 2, AttentionPattern(2, None, (0, 3)), [30, 27, 23],
+                              (0,), True),
+    "global-dilated": (2, 33, 16, 2, AttentionPattern(4, (0, 2), (0, 7)), [33, 20], (0,), True),
+    "global-dense-dispatch": (2, 9, 16, 2, AttentionPattern(4, (3, 3), (1, 4)), [9, 8], (1,),
+                              True),
+    "global-dense-dispatch-no-padding": (1, 5, 8, 1, AttentionPattern(8, None, (0,)), None,
+                                         (0,), True),
+    # non-global positions of a pattern that covers the sequence: the local
+    # row path alone
+    "dense-one-row": (2, 9, 16, 2, AttentionPattern(16), None, (0,), True),
+    "dense-several-rows": (2, 9, 16, 2, AttentionPattern(16), None, (0, 3, 8), True),
+    "dense-unsorted-rows": (2, 9, 16, 2, AttentionPattern(16), None, (8, 0, 3), True),
+    # the third row's length ends before row 7
+    "dense-ragged": (3, 12, 16, 2, AttentionPattern(22), [12, 9, 5], (0, 7), True),
+    "dense-ragged-one-row": (3, 12, 16, 2, AttentionPattern(22), [12, 9, 5], (0,), True),
+    # gaps 3 and 1 still cover 9 rows at w = 4 and 8: each row sees its own class
+    "dense-dilated": (2, 9, 16, 2, AttentionPattern(4, (3, 3)), [9, 8], (0, 2), True),
+    "dense-dilated-one-row": (2, 9, 16, 2, AttentionPattern(8, (1, 3)), None, (1,), True),
+    # with globals the dense kernel reaches the value projection before the
+    # query and key projections, so x's gradient sums them in another order
+    "dense-with-globals": (2, 9, 16, 2, AttentionPattern(16, None, (1, 4)), [9, 6], (0, 5),
+                           False),
+    "dense-one-head": (1, 5, 8, 1, AttentionPattern(8), None, (2,), True),
+    # a mask under a banded pattern without globals: each row's band slots
+    # alone, whose per-row products sum in another order than the chunk
+    # matmuls; a row past its sequence's length (row 27 of the ragged
+    # case's third sequence) gives zero
+    "mask-ragged": (3, 30, 16, 2, AttentionPattern(4), [30, 21, 9],
+                    [(0, 5, 6, 29), (1, 2, 20), (0, 4, 8, 27)], False),
+    "mask-dilated": (2, 33, 16, 2, AttentionPattern(4, (0, 2)), [33, 20],
+                     [(0, 3, 16, 31, 32), (1, 6, 7, 19)], False),
+    "mask-dilated-one-gap": (2, 33, 16, 2, AttentionPattern(6, (2, 2)), None,
+                             [(2, 9, 10, 30), (0, 32)], False),
+    "mask-w0": (2, 17, 8, 2, AttentionPattern(0), [17, 12], [(0, 8, 16), (3, 11)], False),
+    "mask-one-masked-row": (2, 24, 16, 2, AttentionPattern(8), [24, 15], [(), (7,)], False),
+    "mask-a-sequence-without-masked-rows": (3, 24, 16, 2, AttentionPattern(8), None,
+                                            [(1, 2, 23), (), (0, 12)], False),
+    "mask-one-head": (2, 20, 8, 1, AttentionPattern(2, (1,)), [20, 20], [(4, 5, 19), (0,)],
+                      False),
+    # head 1's band covers the sequence, head 0's does not: a banded call
+    "mask-mixed-gaps": (2, _MIXED_L, 16, 2, _MIXED_NO_GLOBALS, _MIXED_LENGTHS,
+                        [(0, 6, 12), (2, 8)], False),
+    # anything else: the full call, at its rows
+    "fallback-mask-under-globals": (3, 30, 16, 2, AttentionPattern(4, None, (0, 3)),
+                                    [30, 21, 9], [(0, 5, 29), (3, 20), (4, 8, 27)], True),
+    "fallback-mask-under-a-covering-band": (2, 9, 16, 2, AttentionPattern(16), [9, 6],
+                                            [(0, 4, 8), (2, 7)], True),
+    "fallback-mixed-positions": (2, 40, 16, 2, _BANDED_GLOBALS, [40, 30], (0, 9, 33), True),
+    "fallback-mixed-positions-covering": (2, 9, 16, 2, AttentionPattern(16, None, (1,)), None,
+                                          (1, 4), True),
+    "fallback-non-global-banded": (2, 40, 16, 2, _BANDED_GLOBALS, [40, 30], (7, 35), True),
+    "fallback-positions-without-globals": (2, 30, 16, 2, AttentionPattern(4, (0, 2)), None,
+                                           (3,), True),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("case", sorted(_ROWS_CASES))
+def test_rows_attention_matches_the_full_call_at_its_rows(case, dtype, monkeypatch):
+    """Output and every gradient of the rows alone equal those of the full
+    call's rows at the oracle bound, padded rows give zero and, where the
+    case is `exact`, at these shapes (where BLAS gives a row the same bytes
+    at two rows and at the full call's count), byte for byte. Positions out
+    of order sum the key and value gradients in another order, so there
+    only the bound holds. Only the fallback cases make the full call."""
+    B, L, H, heads, pat, lengths, rows, exact = _ROWS_CASES[case]
+    if isinstance(rows, list):
+        key = rows = _mask(B, L, rows)
+    else:
+        key = (slice(None), list(rows))
+        exact = exact and list(rows) == sorted(rows)
+    rng = np.random.default_rng(30 if isinstance(rows, np.ndarray) else 27)
     params = AttentionParams(H, rng, dtype=dtype, init_scale=0.5)
     x_data = rng.standard_normal((B, L, H)).astype(dtype)
-    r = rng.standard_normal((int(mask.sum()), H)).astype(dtype)
     r_full = np.zeros((B, L, H), dtype=dtype)
-    r_full[mask] = r
+    r = rng.standard_normal(r_full[key].shape).astype(dtype)
+    r_full[key] = r
+
+    full_calls = []
+
+    def counting(*args):
+        full_calls.append(args)
+        return sparse_attention_forward(*args)
 
     def alone(x, params, pat, n_heads, lengths):
-        return band_rows_attention(x, params, pat, n_heads, mask, lengths)
+        with monkeypatch.context() as patched:
+            patched.setattr(attention, "sparse_attention_forward", counting)
+            return rows_attention(x, params, pat, n_heads, rows, lengths)
 
     got = _gradients(alone, params, pat, heads, x_data, r, lengths)
+    assert len(full_calls) == case.startswith("fallback")
     want = _gradients(sparse_attention_forward, params, pat, heads, x_data, r_full, lengths)
-    want["out"] = want["out"][mask]
-    assert got["out"].shape == (mask.sum(), H) and got["out"].dtype == dtype
-    if lengths is not None:
-        padded = mask & (np.arange(L)[None] >= np.asarray(lengths)[:, None])
-        assert not got["out"][padded[mask]].any()
-    scale = max(np.abs(g).max() for key, g in want.items() if key != "out" and g.size)
-    for key in want:
-        if got[key].size == 0:
-            assert not want[key].any(), key   # the global projections
+    want["out"] = want["out"][key]
+    assert got["out"].shape == r.shape and got["out"].dtype == dtype
+    valid = np.arange(L)[None] < np.asarray(lengths or [L] * B)[:, None]
+    assert not got["out"][~valid[key]].any()
+    # per-tensor denominators floored by the largest gradient, so that the
+    # key biases, which the output provably does not depend on, are compared
+    # at noise level rather than 0/0
+    scale = max(np.abs(g).max() for name, g in want.items() if name != "out" and g.size)
+    for name in want:
+        if got[name].size == 0:
+            # a projection set the rows do not reach; the full call gives it
+            # zeros, or does not reach it either
+            assert not want[name].any(), name
             continue
-        denom = max(np.abs(want[key]).max(), 1e-8 if key == "out" else scale)
-        assert np.abs(got[key] - want[key]).max() / denom <= 1e-5, key
-
-
-@pytest.mark.parametrize("pattern, mask", [
-    (AttentionPattern(4, None, (0,)), np.ones((1, 12), dtype=bool)),
-    (AttentionPattern(22), np.ones((1, 12), dtype=bool)),
-    (AttentionPattern(4), np.ones((1, 11), dtype=bool)),
-    (AttentionPattern(4), np.ones((1, 12), dtype=np.int64)),
-], ids=["global", "band-covers", "mask-shape", "not-boolean"])
-def test_band_rows_attention_refuses_what_it_cannot_compute(pattern, mask):
-    rng = np.random.default_rng(31)
-    params = AttentionParams(8, rng)
-    x = Tensor(rng.standard_normal((1, 12, 8)))
-    with pytest.raises(ValueError, match=r"takes a boolean \[1, 12\] mask under a pattern "
-                                         "with no global position whose band does not cover"):
-        band_rows_attention(x, params, pattern, 2, mask)
+        denom = max(np.abs(want[name]).max(), 1e-8 if name == "out" else scale)
+        assert np.abs(got[name] - want[name]).max() / denom <= 1e-5, name
+        if exact:
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 def _graph(root):

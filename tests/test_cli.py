@@ -12,7 +12,7 @@ from lctx.corpus import LabelTable, read_jsonl
 from lctx.encoder import Encoder
 from lctx.fixtures import write_fixture_files
 from lctx.metrics import FoldPlan
-from lctx.vocab import UNK_ID, CharVocab, build_vocab
+from lctx.vocab import PAD_ID, SEP_ID, UNK_ID, CharVocab, build_vocab
 
 
 def run(argv):
@@ -378,6 +378,31 @@ def test_refused_input_writes_nothing(fixture_dir, pp64, tmp_path, capsys, comma
     assert run([*argv, "--out", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resumed"])
+def test_pretrain_batch_without_a_maskable_token_writes_nothing(pp64, tmp_path, capsys, resume):
+    """A third block [SEP, PAD, ...], the tail that pack_documents leaves when
+    the documents fill whole blocks, makes step 2's batch of one block hold
+    no maskable token: a named error before anything is written, also when
+    a resumed run reaches that step."""
+    blocks = np.load(pp64 / "blocks.npy")
+    blocks[2] = PAD_ID
+    blocks[2, 0] = SEP_ID
+    np.save(pp64 / "blocks.npy", blocks)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pretrain": {"batch_size": 1}}), encoding="utf-8")
+    argv = ["pretrain", "--data", pp64, "--config", cfg, "--steps", 3]
+    if resume:
+        assert run([*argv[:-1], 2, "--out", tmp_path / "pt"]) == 0
+        argv = [*argv[:-1], 1, "--resume", tmp_path / "pt" / "step000002"]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([*argv, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "error: pretraining step 2: its batch, block(s) [2], holds no maskable (non-special) "
+        "token, so its MLM loss would have no target\n")
     assert not out.exists()
 
 

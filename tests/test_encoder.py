@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from lctx import attention as attention_module
 from lctx import encoder as encoder_module
 from lctx import tensor as T
 from lctx.attention import AttentionPattern
@@ -272,53 +273,67 @@ def test_checkpoint_layer_count_mismatch_lists_the_names(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _count_calls(monkeypatch, name) -> list:
-    """The rows of each call of the encoder's `name` row kernel."""
+def _count_full_calls(monkeypatch) -> list:
+    """The hidden shape of each full sparse_attention_forward call, patched
+    in both modules that look it up, as the benchmark's tracer does."""
     calls = []
-    real = getattr(encoder_module, name)
+    real = attention_module.sparse_attention_forward
 
     def counting(*args, **kwargs):
-        calls.append(tuple(args[4]))
+        calls.append(args[0].shape)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(encoder_module, name, counting)
+    for module in (encoder_module, attention_module):
+        monkeypatch.setattr(module, "sparse_attention_forward", counting)
     return calls
 
 
-@pytest.mark.parametrize("rows, alone", [
-    ((0,), True), ((0, 4), True), ((4,), True), ((3,), False), ((0, 3), False),
-], ids=["cls", "two-globals", "other-global", "not-global", "mixed"])
-def test_encode_rows_equals_the_rows_of_encode(rows, alone, monkeypatch):
-    """Rows that are all global take the global path alone in the last
-    layer; others fall back to computing every row and selecting. Either way
-    the rows have encode()'s bytes at this shape."""
-    calls = _count_calls(monkeypatch, "global_rows_attention")
-    enc = Encoder(tiny_config(n_layers=2), np.random.default_rng(15))
+@pytest.mark.parametrize("rows, alone, width", [
+    ((0,), True, 16), ((0, 4), True, 16), ((4,), True, 16), ((3,), False, 16),
+    ((0, 3), False, 16), ((0,), True, 64), ((3,), False, 64),
+], ids=["cls", "two-globals", "other-global", "not-global", "mixed", "cls-gemv-width",
+        "not-global-gemv-width"])
+def test_encode_rows_equals_the_rows_of_encode(rows, alone, width, monkeypatch):
+    """Rows that are all global are computed alone in the last layer, with
+    no full kernel call there; others fall back to computing every row and
+    selecting. Either way the rows have encode()'s bytes at this shape. At
+    width 64 numpy's one-row products (gemv) round otherwise than its
+    many-row ones (gemm), so there a lone row keeps them only because it
+    is carried twice."""
+    enc = Encoder(tiny_config(n_layers=2, hidden_dim=width, ffn_dim=2 * width),
+                  np.random.default_rng(15))
     ids = np.random.default_rng(16).integers(0, 30, (3, 20))
     pat = AttentionPattern(window=2, global_positions=(0, 4))
     lengths = [20, 17, 12]
     with T.no_grad():
-        got = enc.encode(ids, pattern=pat, lengths=lengths, rows=rows).data
         want = enc.encode(ids, pattern=pat, lengths=lengths).data[:, list(rows)]
-    assert got.shape == (3, len(rows), 16)
+        calls = _count_full_calls(monkeypatch)
+        got = enc.encode(ids, pattern=pat, lengths=lengths, rows=rows).data
+    assert got.shape == (3, len(rows), width)
     assert got.tobytes() == want.tobytes()
-    assert calls == ([rows] if alone else [])
+    assert len(calls) == (1 if alone else 2)
 
 
-def test_encode_rows_of_the_dense_baseline_compute_row_0_alone(monkeypatch):
-    # the full-window baseline has no global position: its row 0 takes the
-    # dense row path, one score row per head, not the global path
-    dense = _count_calls(monkeypatch, "dense_rows_attention")
-    glob = _count_calls(monkeypatch, "global_rows_attention")
-    enc = Encoder(tiny_config(), np.random.default_rng(17))
+@pytest.mark.parametrize("width", [16, 64], ids=["width-16", "gemv-width-64"])
+def test_encode_rows_of_the_dense_baseline_compute_row_0_alone(width, monkeypatch):
+    # the full-window baseline has no global position: its row 0 is
+    # computed alone through the local projections, one score row per
+    # head, with no full kernel call and no global projection
+    enc = Encoder(tiny_config(hidden_dim=width, ffn_dim=2 * width), np.random.default_rng(17))
     ids = np.random.default_rng(18).integers(0, 30, (2, 9))
     pat = AttentionPattern(window=2 * (9 - 1))
     with T.no_grad():
-        got = enc.encode(ids, pattern=pat, rows=(0,)).data
         want = enc.encode(ids, pattern=pat).data[:, :1]
-    assert dense == [(0,)] and glob == []
-    assert got.shape == (2, 1, 16)
-    assert got.tobytes() == want.tobytes()
+    calls = _count_full_calls(monkeypatch)
+    got = enc.encode(ids, pattern=pat, rows=(0,))
+    T.reduce_sum(got).backward()
+    assert calls == []
+    assert got.shape == (2, 1, width)
+    assert got.data.tobytes() == want.tobytes()
+    attn = enc.layers[0]["attn"]
+    assert all(getattr(attn, name).grad is None for name in ("wq_g", "bq_g", "wk_g", "bk_g",
+                                                             "wv_g", "bv_g"))
+    assert attn.wq.grad is not None
 
 
 @pytest.mark.parametrize("globals_", [(1,), ()], ids=["global", "no-global"])
@@ -327,9 +342,8 @@ def test_encode_masked_rows_are_the_masked_rows_of_encode(lengths, globals_, mon
     """A [B, L] mask gives its True rows in order, [N, H], within the oracle
     bound of encode()'s (one [N, H] product may round otherwise), one
     masked row too; no row of a padded tail is asked for. Without a global
-    position the last layer computes the masked rows alone
-    (band_rows_attention); with one it computes every row and keeps those."""
-    calls = _count_calls(monkeypatch, "band_rows_attention")
+    position the last layer computes the masked rows alone, with no full
+    kernel call there; with one it computes every row and keeps those."""
     enc = Encoder(tiny_config(n_layers=2), np.random.default_rng(20))
     ids = np.random.default_rng(21).integers(0, 30, (3, 11))
     pat = AttentionPattern(window=2, global_positions=globals_)
@@ -339,33 +353,47 @@ def test_encode_masked_rows_are_the_masked_rows_of_encode(lengths, globals_, mon
     for mask in (np.random.default_rng(22).random((3, 11)) < 0.3, one):
         mask &= valid
         with T.no_grad():
-            got = enc.encode(ids, pattern=pat, lengths=lengths, rows=mask).data
             want = enc.encode(ids, pattern=pat, lengths=lengths).data[mask]
+            with monkeypatch.context() as patched:
+                calls = _count_full_calls(patched)
+                got = enc.encode(ids, pattern=pat, lengths=lengths, rows=mask).data
         assert mask.any() and got.shape == (mask.sum(), 16)
         assert np.abs(got - want).max() <= 1e-5
-    assert len(calls) == (0 if globals_ else 2)
+        assert len(calls) == (2 if globals_ else 1)
 
 
-def test_encode_masked_rows_under_the_pretraining_pattern_take_the_band_rows_kernel(
+def test_encode_masked_rows_under_the_pretraining_pattern_compute_the_last_layer_alone(
         monkeypatch):
     """encode(rows=mask) under the config's own pattern, as MLM pretraining
     calls it, computes the last layer's attention at the masked rows alone:
-    one band_rows_attention call, and the full kernel only for the layers
-    before."""
-    rows_calls = _count_calls(monkeypatch, "band_rows_attention")
-    full_calls = []
-    real = encoder_module.sparse_attention_forward
-
-    def counting(*args, **kwargs):
-        full_calls.append(args[0].shape)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(encoder_module, "sparse_attention_forward", counting)
+    the full kernel runs only for the layers before."""
+    calls = _count_full_calls(monkeypatch)
     enc = Encoder(tiny_config(n_layers=3, window=4), np.random.default_rng(24))
     ids = np.random.default_rng(25).integers(5, 30, (2, 20))
     mask = np.random.default_rng(26).random((2, 20)) < 0.15
     enc.encode(ids, lengths=[20, 14], rows=mask)
-    assert len(rows_calls) == 1 and len(full_calls) == 2
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param((50,), id="past-the-end"),
+    pytest.param((-1,), id="negative"),
+    pytest.param((3, 3), id="repeated"),
+    pytest.param((1.0,), id="not-integer"),
+    pytest.param(np.ones((2, 19), dtype=bool), id="mask-shape"),
+    pytest.param(np.ones((2, 20), dtype=np.int64), id="mask-not-boolean"),
+])
+@pytest.mark.parametrize("pattern", [
+    AttentionPattern(4), AttentionPattern(4, None, (0, 3)), AttentionPattern(40),
+], ids=["banded", "globals", "covering"])
+def test_encode_refuses_rows_that_are_neither_positions_nor_a_mask(pattern, rows):
+    """One check, the same under every kind of pattern: positions must be
+    distinct and in [0, L), a mask boolean [B, L]."""
+    enc = Encoder(tiny_config(), np.random.default_rng(27))
+    ids = np.random.default_rng(28).integers(0, 30, (2, 20))
+    with pytest.raises(ValueError, match=r"^rows .* are neither distinct positions in "
+                                         r"\[0, 20\) nor a boolean \[2, 20\] mask$"):
+        enc.encode(ids, pattern=pattern, rows=rows)
 
 
 def _assert_gradients_match_finite_differences(enc, loss):
@@ -428,7 +456,7 @@ def test_encode_rows_gradient_matches_finite_differences():
 def test_encode_masked_rows_gradient_matches_finite_differences():
     """Analytic float64 gradients of the MLM loss on masked rows of a
     2-layer encoder, whose last layer computes those rows alone
-    (band_rows_attention), against central differences, at criterion 2's
+    (rows_attention's band rows), against central differences, at criterion 2's
     bound. Every parameter but the unused global projections is reached,
     the MLM head included."""
     cfg = EncoderConfig(n_layers=2, n_heads=2, hidden_dim=8, ffn_dim=16,

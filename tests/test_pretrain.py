@@ -1,6 +1,7 @@
 """Masking, schedule, training loop, resume equivalence."""
 
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -15,6 +16,7 @@ from lctx import pretrain as pretrain_module
 from lctx.optim import AdamState, adam_step, zero_grads
 from lctx.pretrain import (
     PretrainConfig,
+    check_batches,
     load_checkpoint,
     lr_at,
     mask_tokens,
@@ -351,3 +353,31 @@ def test_empty_blocks_rejected():
     pre, enc_cfg = desk_configs(build_vocab(["abc"]))
     with pytest.raises(ValueError):
         pretrain(np.zeros((0, 32), dtype=int), pre, enc_cfg, steps=1)
+
+
+@pytest.mark.parametrize("empty, batch_size, start, steps, named", [
+    ((2, 3), 2, 0, 1, None),
+    ((2, 3), 2, 0, 1000, "step 1: its batch, block(s) [2, 3],"),
+    ((2, 3), 2, 7, 1, "step 7: its batch, block(s) [2, 3],"),
+    ((1, 2), 2, 0, 1000, None),
+    ((0, 1, 2, 3), 8, 5, 1, "step 5: its batch, block(s) [0, 1, 2, 3],"),
+    ((1, 2, 3), 3, 0, 1000, "step 3: its batch, block(s) [1, 2, 3],"),
+], ids=["not-reached", "second-batch", "resumed", "each-batch-has-one", "every-block",
+        "batches-wrap-around"])
+def test_a_batch_without_a_maskable_token_is_refused_before_training(
+        tmp_path, empty, batch_size, start, steps, named):
+    """Batches cycle through the blocks; the first step whose batch holds no
+    maskable token is named, and pretrain() writes nothing."""
+    blocks, vocab = fixture_blocks()
+    blocks = np.concatenate([blocks, blocks[:1]])            # 4 blocks
+    blocks[list(empty)] = 0
+    if named is None:
+        check_batches(blocks, batch_size, start, steps)
+        return
+    with pytest.raises(ValueError, match="^pretraining " + re.escape(named)):
+        check_batches(blocks, batch_size, start, steps)
+    if start == 0:
+        pre, enc_cfg = desk_configs(vocab, batch_size=batch_size)
+        with pytest.raises(ValueError, match="^pretraining " + re.escape(named)):
+            pretrain(blocks, pre, enc_cfg, steps=steps, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
