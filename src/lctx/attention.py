@@ -34,18 +34,21 @@ rows_attention computes chosen rows alone, for callers that read only
 those (the encoder's last layer, for CLS heads and MLM's masked positions).
 Global rows need only Longformer's global path: their queries, the keys and
 values of all L rows, and the output projection of those rows, with no band
-score and no local projection (sparse_attention_forward computes its global
-rows with the same helpers). Under a pattern that covers the sequence a
+score and no local projection (both kernels compute their global rows with
+the same helpers). Under a pattern that covers the sequence a
 non-global row takes the same path through the local projections, under its
 row of the band mask. A boolean [B, L] mask under a banded pattern without
 globals projects queries for its N rows only, and each row scores, softmaxes
 and mixes its w+1 gathered band keys and values in one [N,h,w+1] buffer.
 Any other case computes every row and keeps those asked for.
 
-`dense_attention_oracle` materializes the full mask and computes the same
-quantity quadratically; it is the testing ground truth, the quadratic
-baseline for benchmarks and the kernel for full windows. Its global rows'
-scores are written into the rows of its one [B,h,L,L] score buffer.
+`dense_attention_oracle` computes the same quantity quadratically; it is
+the testing ground truth, the quadratic baseline for benchmarks and the
+kernel for full windows. Both kernels run one body, _attention, which
+differs only in the local rows: the dense kernel scores every row against
+every key in one [B,h,L,L] buffer under the materialized band mask. The
+projections, the global rows, the head merge, the output projection and
+the padding-row mask are shared.
 """
 
 from __future__ import annotations
@@ -424,67 +427,6 @@ def global_softmax(qg: Tensor, kg: Tensor, allowed: np.ndarray | None = None) ->
     return make_op(y, (qg, kg), backward)
 
 
-def _few_rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.matmul(a, b), a lone row of a multiplied twice: numpy sends a
-    one-row product to gemv, whose sums differ from gemm's in the last bit
-    (see T.matmul_rows)."""
-    if a.shape[-2] != 1:
-        return np.matmul(a, b)
-    return np.matmul(np.repeat(a, 2, axis=-2), b)[..., :1, :]
-
-
-def _split_softmax(q: Tensor, k: Tensor, qg: Tensor, kg: Tensor, gpos: np.ndarray,
-                   allowed: np.ndarray | None = None) -> Tensor:
-    """The dense kernel's attention weights with global rows, [B,h,L,L]: row
-    i is the softmax of q_i @ k^T, but row gpos[r] that of qg_r @ kg^T (qg
-    [B,h,G,dh]), with -inf wherever `allowed` (None: all open) is False.
-    The global rows' scores are written into the rows of the one score
-    buffer, where s*(1-grow) + g*grow, exact, would build five more."""
-    y = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-    y[:, :, gpos] = _few_rows_matmul(qg.data, np.swapaxes(kg.data, -1, -2))
-    if allowed is not None:
-        np.copyto(y, NEG_INF, where=np.logical_not(allowed))
-    T.softmax_(y)
-
-    def backward(g):
-        gs = T.softmax_grad(g, y)
-        gsg = gs[:, :, gpos]
-        gs[:, :, gpos] = 0.0
-        for a, b, gab in ((q, k, gs), (qg, kg, gsg)):
-            if a.requires_grad:
-                a._accum(_few_rows_matmul(gab, b.data), owned=True)
-            if b.requires_grad:
-                b._accum(np.swapaxes(np.matmul(np.swapaxes(a.data, -1, -2), gab), -1, -2),
-                         owned=True)
-
-    return make_op(y, (q, k, qg, kg), backward)
-
-
-def _split_mix(p: Tensor, v: Tensor, vg: Tensor, gpos: np.ndarray) -> Tensor:
-    """[B,h,L,dh]: row i is p_i @ v, but row gpos[r] is p_gpos[r] @ vg: the
-    bytes of (p @ v)*(1-grow) + (p @ vg)*grow, selected by rows."""
-    out = np.matmul(p.data, v.data)
-    pg = p.data[:, :, gpos]
-    out[:, :, gpos] = _few_rows_matmul(pg, vg.data)
-
-    def backward(g):
-        gg = g[:, :, gpos]
-        if p.requires_grad:
-            gp = np.matmul(g, np.swapaxes(v.data, -1, -2))
-            gp[:, :, gpos] = _few_rows_matmul(gg, np.swapaxes(vg.data, -1, -2))
-            p._accum(gp, owned=True)
-        if v.requires_grad:
-            local = g.copy()
-            local[:, :, gpos] = 0.0
-            v._accum(np.matmul(np.swapaxes(p.data, -1, -2), local), owned=True)
-        if vg.requires_grad:
-            vg._accum(np.matmul(np.swapaxes(pg, -1, -2), gg), owned=True)
-
-    # parents in this order, so that the graph walk reaches the projections
-    # in the additive form's order and their input gradients sum in it
-    return make_op(out, (v, p, vg), backward)
-
-
 def _gather_rows(x: Tensor, positions: np.ndarray) -> Tensor:
     """x [B,h,L,dh] -> rows `positions` [B,h,G,dh]. Positions are distinct,
     so the backward assigns instead of scatter-adding."""
@@ -545,15 +487,18 @@ def _check_call(hidden: Tensor, pattern: AttentionPattern, n_heads: int) -> tupl
     """The per-head gaps of a kernel call, after its shape checks."""
     if hidden.shape[-1] % n_heads != 0:
         raise ValueError("hidden dim not divisible by head count")
+    if hidden.shape[1] == 0:
+        raise ValueError("sequence length 0: attention needs at least one row")
     pattern.check_globals(hidden.shape[1])
     return tuple(pattern.dilation_for(h, n_heads) for h in range(n_heads))
 
 
-def _row_projections(hidden: Tensor, params: AttentionParams, n_heads: int, rows: np.ndarray,
+def _row_projections(hidden: Tensor, params: AttentionParams, n_heads: int, rows,
                      names: tuple[str, ...]) -> tuple[Tensor, Tensor, Tensor]:
-    """The scaled queries of rows `rows` [B,h,R,dh] and the keys and values
-    of every row [B,h,L,dh], through the projections `names` (wq, bq, wk,
-    bk, wv, bv: _GLOBAL_NAMES, or the local ones)."""
+    """The scaled queries of rows `rows` [B,h,R,dh] (None: of every row)
+    and the keys and values of every row [B,h,L,dh], through the
+    projections `names` (wq, bq, wk, bk, wv, bv: _GLOBAL_NAMES, or the
+    local ones)."""
     wq, bq, wk, bk, wv, bv = (getattr(params, name) for name in names)
     dh = hidden.shape[-1] // n_heads
     q = T.mul(_project(hidden, wq, bq, n_heads, rows), 1.0 / np.sqrt(dh))
@@ -713,17 +658,71 @@ def rows_attention(hidden: Tensor, params: AttentionParams, pattern: AttentionPa
     if not mask:
         glob = np.isin(rows, pattern.global_positions)
         if glob.all():
-            # rows the full call scores at once: its global rows, or every row
-            # at the dense kernel
-            full_rows = L if covers else len(pattern.global_positions)
+            # the full call scores its global rows at once
             qkv = _row_projections(hidden, params, n_heads, rows, _GLOBAL_NAMES)
-            return _rows_output(hidden, params, qkv, rows, lengths, full_rows)
+            return _rows_output(hidden, params, qkv, rows, lengths,
+                                len(pattern.global_positions))
         if covers and not glob.any():
             band = _head_masks(L, pattern, gaps)[:, rows] if any(gaps) else None
             qkv = _row_projections(hidden, params, n_heads, rows, _LOCAL_NAMES[:6])
             return _rows_output(hidden, params, qkv, rows, lengths, L, band)
     full = sparse_attention_forward(hidden, params, pattern, n_heads, lengths)
     return T.index_select(full, rows if mask else (slice(None), rows))
+
+
+def _attention(hidden: Tensor, params: AttentionParams, pattern: AttentionPattern,
+               n_heads: int, lengths, dense: bool) -> Tensor:
+    """The body of both kernels. The local rows score and mix with the local
+    projections: the banded kernel's w+1 band keys and the global columns
+    under one softmax (band_softmax, band_mix), or, `dense`, every key under
+    each head's band mask (_attend_rows). The global rows then replace
+    theirs: they attend everywhere through the global projections. Padding
+    keys beyond `lengths` are excluded and padding rows give zero."""
+    B, L, H = hidden.shape
+    gaps = _check_call(hidden, pattern, n_heads)
+    gpos = np.asarray(pattern.global_positions, dtype=np.int64)
+    G = len(gpos)
+    dtype = hidden.data.dtype
+    row_ok = _row_valid(lengths, B, L)               # [B, L]
+    q, k, v = _row_projections(hidden, params, n_heads, None, _LOCAL_NAMES[:6])
+    probs = None
+    if dense:
+        # a window that reaches the sequence without gaps opens every key
+        opens_all = not any(gaps) and pattern.window // 2 >= L - 1
+        out = _attend_rows(q, k, v, np.arange(L), row_ok,
+                           None if opens_all else _head_masks(L, pattern, gaps))
+    else:
+        half_k, K = pattern.window // 2, pattern.window + 1
+        idx_h, valid_h = zip(*(_band_index(L, pattern.window, gap) for gap in gaps))
+        idxc = np.stack(idx_h)        # [h, L, K]
+        validc = np.stack(valid_h)    # [h, L, K]
+        if G:
+            # global columns are scored on their own; drop band slots that duplicate them
+            validc &= ~np.isin(idxc, gpos)
+        # key j usable iff its band slot is in range and j < length_b
+        key_ok = validc[None] & row_ok[:, idxc]          # [B, h, L, K]
+        key_ok[..., half_k] = True  # self slot always open (pad rows are zeroed later)
+        # without padded rows every global column is open: its mask is skipped
+        probs = band_softmax(q, k, pattern.window, gaps, key_ok, gpos,
+                             None if row_ok.all() else row_ok[:, None, None, gpos])
+        out = band_mix(probs[..., :K] if G else probs, v, pattern.window, gaps)  # [B,h,L,dh]
+        if G:
+            out = out + T.matmul(probs[..., K:], _gather_rows(v, gpos))
+    if G:
+        qkv = _row_projections(hidden, params, n_heads, gpos, _GLOBAL_NAMES)
+    # without a graph nothing else holds the banded kernel's [B,h,L,K+G]
+    # buffer: freed here, its memory serves the global rows' [B,h,G,L]
+    # buffer. The global projections are made before, so that none of them
+    # lands in that memory.
+    del probs
+    if G:
+        gout = _attend_rows(*qkv, gpos, row_ok)
+        keep = np.ones((L, 1), dtype=dtype)
+        keep[gpos] = 0.0
+        out = T.mul_const(out, keep) + _scatter_rows(gout, gpos, L)
+
+    y = T.matmul(_merge_heads(out), params.wo, params.bo)
+    return T.mul_const(y, row_ok[:, :, None].astype(dtype))
 
 
 def sparse_attention_forward(hidden: Tensor, params: AttentionParams,
@@ -739,54 +738,9 @@ def sparse_attention_forward(hidden: Tensor, params: AttentionParams,
     whole sequence ((w/2)*(gap+1) >= L-1), the call goes to
     `dense_attention_oracle`, which computes the same quantity.
     """
-    B, L, H = hidden.shape
-    gaps = _check_call(hidden, pattern, n_heads)
-    dh = H // n_heads
-    half_k = pattern.window // 2
-    if pattern.covers(L, n_heads):
+    if pattern.covers(hidden.shape[1], n_heads):
         return dense_attention_oracle(hidden, params, pattern, n_heads, lengths)
-    gpos = np.asarray(pattern.global_positions, dtype=np.int64)
-    G = len(gpos)
-    K = pattern.window + 1
-    dtype = hidden.data.dtype
-
-    q = T.mul(_project(hidden, params.wq, params.bq, n_heads), 1.0 / np.sqrt(dh))
-    k = _project(hidden, params.wk, params.bk, n_heads)
-    v = _project(hidden, params.wv, params.bv, n_heads)
-
-    idx_h, valid_h = zip(*(_band_index(L, pattern.window, gap) for gap in gaps))
-    idxc = np.stack(idx_h)        # [h, L, K]
-    validc = np.stack(valid_h)    # [h, L, K]
-    if G:
-        # global columns are scored on their own; drop band slots that duplicate them
-        validc &= ~np.isin(idxc, gpos)
-    row_ok = _row_valid(lengths, B, L)               # [B, L]
-    # without padded rows every global column and every key of a global row
-    # is open, so their masks are skipped
-    padded = not row_ok.all()
-    # key j usable iff its band slot is in range and j < length_b
-    key_ok = validc[None] & row_ok[:, idxc]          # [B, h, L, K]
-    key_ok[..., half_k] = True  # self slot always open (pad rows are zeroed later)
-
-    probs = band_softmax(q, k, pattern.window, gaps, key_ok, gpos,
-                         row_ok[:, None, None, gpos] if padded else None)  # [B,h,L,K+G]
-    out = band_mix(probs[..., :K] if G else probs, v, pattern.window, gaps)  # [B,h,L,dh]
-    if G:
-        out = out + T.matmul(probs[..., K:], _gather_rows(v, gpos))
-        qkv = _row_projections(hidden, params, n_heads, gpos, _GLOBAL_NAMES)
-    # without a graph nothing else holds the [B,h,L,K+G] buffer: freed here,
-    # its memory serves the global rows' [B,h,G,L] buffer. The global
-    # projections are made before, so that none of them lands in that memory.
-    del probs
-    if G:
-        gout = _attend_rows(*qkv, gpos, row_ok)
-        keep = np.ones((L, 1), dtype=dtype)
-        keep[gpos] = 0.0
-        out = T.mul_const(out, keep) + _scatter_rows(gout, gpos, L)
-
-    merged = _merge_heads(out)
-    y = T.matmul(merged, params.wo, params.bo)
-    return T.mul_const(y, row_ok[:, :, None].astype(dtype))
+    return _attention(hidden, params, pattern, n_heads, lengths, dense=False)
 
 
 def dense_attention_oracle(hidden: Tensor, params: AttentionParams,
@@ -794,41 +748,14 @@ def dense_attention_oracle(hidden: Tensor, params: AttentionParams,
                            lengths=None) -> Tensor:
     """Quadratic reference: full score matrices under the materialized mask.
 
-    Same semantics as sparse_attention_forward (local projections for banded
-    rows, global projections for global rows, one softmax per row); used as
-    the testing oracle, the dense baseline in benchmarks, and by
-    sparse_attention_forward when the band covers the whole sequence.
+    Same semantics as sparse_attention_forward, and the same body but for
+    the local rows: every row scores every key with the local projections
+    under its head's band mask, in one [B,h,L,L] buffer; the global rows
+    are sparse_attention_forward's. Used as the testing oracle, the dense
+    baseline in benchmarks, and by sparse_attention_forward when the band
+    covers the whole sequence.
     """
-    B, L, H = hidden.shape
-    dh = H // n_heads
-    pattern.check_globals(L)
-    gpos = np.asarray(pattern.global_positions, dtype=np.int64)
-    G = len(gpos)
-
-    q = T.mul(_project(hidden, params.wq, params.bq, n_heads), 1.0 / np.sqrt(dh))
-    k = _project(hidden, params.wk, params.bk, n_heads)
-    v = _project(hidden, params.wv, params.bv, n_heads)
-
-    row_ok = _row_valid(lengths, B, L)
-    gaps = [pattern.dilation_for(h, n_heads) for h in range(n_heads)]
-    if row_ok.all() and not any(gaps) and pattern.window // 2 >= L - 1:
-        allowed = None  # every key of every row is open: nothing to mask
-    else:
-        allowed = _head_masks(L, pattern, gaps)[None] & row_ok[:, None, None, :]
-        allowed[:, :, np.arange(L), np.arange(L)] = True
-
-    # the scores, their mask and the softmax in one [B,h,L,L] buffer
-    if G:
-        qg = T.mul(_project(hidden, params.wq_g, params.bq_g, n_heads), 1.0 / np.sqrt(dh))
-        kg = _project(hidden, params.wk_g, params.bk_g, n_heads)
-        vg = _project(hidden, params.wv_g, params.bv_g, n_heads)
-        probs = _split_softmax(q, k, _gather_rows(qg, gpos), kg, gpos, allowed)
-        out = _split_mix(probs, v, vg, gpos)
-    else:
-        out = T.matmul(global_softmax(q, k, allowed), v)
-
-    y = T.matmul(_merge_heads(out), params.wo, params.bo)
-    return T.mul_const(y, row_ok[:, :, None].astype(hidden.data.dtype))
+    return _attention(hidden, params, pattern, n_heads, lengths, dense=True)
 
 
 # ----------------------------------------------------------------------

@@ -436,9 +436,18 @@ def attention_cases(lengths, params: AttentionParams, pattern: AttentionPattern,
 def cmd_benchmark_attention(args) -> int:
     if args.heads < 1:
         raise ValueError(f"--heads {args.heads}: attention needs at least 1 head")
-    lengths = [int(x) for x in args.lengths.split(",")]
+    try:
+        lengths = [int(x) for x in args.lengths.split(",")]
+    except ValueError:
+        raise ValueError(f"--lengths {args.lengths}: not a comma-separated list of "
+                         "integers") from None
+    if min(lengths) < 1:
+        raise ValueError(f"--lengths {args.lengths}: every length must be at least 1")
     if lengths != sorted(lengths):
         raise ValueError("lengths must be ascending")
+    if not 0 <= args.n_global <= lengths[0]:
+        raise ValueError(f"--n-global {args.n_global}: the global positions 0..n-1 must "
+                         f"lie in the shortest length, {lengths[0]}")
     if lengths and lengths[-1] > args.max_positions:
         raise ValueError(f"length {lengths[-1]} exceeds max positions {args.max_positions}")
     heads, dim = args.heads, args.dim

@@ -390,23 +390,26 @@ def _matmul_backward(a: Tensor, b: Tensor, bias: Tensor | None, g: np.ndarray) -
 
 def matmul_rows(a: Tensor, w: Tensor, bias: Tensor, rows: np.ndarray) -> Tensor:
     """matmul(a, w, bias) at the distinct rows `rows` of a's axis -2 only:
-    [B, G, n] for a [B, L, m] and a 2-D weight w [m, n], L >= 2.
+    [B, G, n] for a [B, L, m] and a 2-D weight w [m, n].
 
     The forward multiplies only those rows. numpy sends a one-row product
-    to gemv, whose sums differ from gemm's in the last bit, so a lone row is
-    multiplied twice. Past that, a row keeps its bytes where BLAS gives a
-    row the same bytes at any row count; not every kernel does: OpenBLAS's
-    SkylakeX sgemm gave a row of a product over 32 or 64 terms into 64 or
-    32 columns one set of bytes at 2 to 16 rows and another at 40 and 100.
+    to gemv, whose sums differ from gemm's in the last bit, so a lone row of
+    an input of L >= 2 rows is multiplied twice; at L = 1 the full product
+    is one row too and the row is multiplied once. Past that, a row keeps
+    its bytes where BLAS gives a row the same bytes at any row count; not
+    every kernel does: OpenBLAS's SkylakeX sgemm gave a row of a product
+    over 32 or 64 terms into 64 or 32 columns one set of bytes at 2 to 16
+    rows and another at 40 and 100.
     The backward is matmul's over all L rows, with a zero gradient outside
     `rows`, so the weight gradient sums over the rows in the full product's
     order and the gradients have the bytes of matmul(a, w, bias)[..., rows,
     :]'s.
     """
-    if w.ndim != 2 or a.ndim < 2 or a.shape[-2] < 2:
-        raise ValueError("matmul_rows needs a 2-D weight and at least 2 rows")
+    if w.ndim != 2 or a.ndim < 2:
+        raise ValueError("matmul_rows needs a 2-D weight and an input of at least 2 dims")
     rows = np.asarray(rows, dtype=np.int64)
-    picked = a.data[..., rows if len(rows) > 1 else np.repeat(rows, 2), :]
+    lone = len(rows) == 1 and a.shape[-2] > 1
+    picked = a.data[..., np.repeat(rows, 2) if lone else rows, :]
     out_data = np.matmul(picked, w.data).astype(a.data.dtype, copy=False)
     _check_suffix(out_data.shape, bias.shape)
     out_data += bias.data

@@ -263,13 +263,18 @@ def ref_band_mask(length, window, gap, global_positions=()):
 
 
 # ---------------------------------------------------------------------------
-# Reference attention composition: the banded kernel and the dense oracle as
-# a chain of separate lctx graph ops, one array per step. The band scores and
-# the global-column product are two nodes, each plus a 0/-inf additive mask
+# Reference attention composition: the banded and the dense kernel as a chain
+# of separate lctx graph ops, one array per step. The band scores and the
+# global-column product are two nodes, each plus a 0/-inf additive mask
 # (add_const), concatenated and passed to T.softmax; the probabilities are
-# split by two slices; the global queries are projected over all L rows and
-# then gathered. The fused kernels in lctx.attention must match this chain
-# byte for byte, forward and backward, in float32 and float64 mode.
+# split by two slices. The dense kernel's local rows are the full score
+# matrix plus its additive mask, T.softmax and the mix. Both kernels then
+# replace their global rows by the same chain, whose global queries are
+# projected over all L rows and then gathered. The fused kernels in
+# lctx.attention must match this chain byte for byte, forward and backward,
+# in float32 and float64 mode. ref_dense_attention_oracle is the older blend
+# form, which shares no global-row code with the kernels: the dense kernel
+# matches it within the oracle bound.
 # ---------------------------------------------------------------------------
 
 
@@ -280,7 +285,7 @@ def _ref_additive_mask(allowed, dtype):
 def ref_sparse_attention_forward(hidden, params, pattern, n_heads, lengths=None):
     from lctx import tensor as T
     from lctx.attention import (_band_index, _gather_rows, _merge_heads, _project,
-                                _row_valid, _scatter_rows, band_mix, band_scores)
+                                _row_valid, band_mix, band_scores)
 
     B, L, H = hidden.shape
     dh = H // n_heads
@@ -288,7 +293,7 @@ def ref_sparse_attention_forward(hidden, params, pattern, n_heads, lengths=None)
     gaps = tuple(pattern.dilation_for(h, n_heads) for h in range(n_heads))
     half_k = pattern.window // 2
     if all(half_k * (gap + 1) >= L - 1 for gap in gaps):
-        return ref_dense_attention_oracle(hidden, params, pattern, n_heads, lengths)
+        return ref_dense_attention_unfused(hidden, params, pattern, n_heads, lengths)
     gpos = np.asarray(pattern.global_positions, dtype=np.int64)
     G = len(gpos)
     K = pattern.window + 1
@@ -324,22 +329,70 @@ def ref_sparse_attention_forward(hidden, params, pattern, n_heads, lengths=None)
 
     if G:
         out = out + T.matmul(probs[..., K:], vcols)
-        qg = T.mul(_project(hidden, params.wq_g, params.bq_g, n_heads), 1.0 / np.sqrt(dh))
-        kg = _project(hidden, params.wk_g, params.bk_g, n_heads)
-        vg = _project(hidden, params.wv_g, params.bv_g, n_heads)
-        qg_rows = _gather_rows(qg, gpos)
-        gscores = T.matmul(qg_rows, T.transpose(kg, (0, 1, 3, 2)))
-        if padded:
-            gok = np.repeat(row_ok[:, None, None, :], G, axis=2)
-            gok[:, :, np.arange(G), gpos] = True
-            gscores = T.add_const(gscores, _ref_additive_mask(gok, dtype))
-        gout = T.matmul(T.softmax(gscores, axis=-1), vg)
-        keep = np.ones((L, 1), dtype=dtype)
-        keep[gpos] = 0.0
-        out = T.mul_const(out, keep) + _scatter_rows(gout, gpos, L)
+        out = _ref_global_rows(hidden, params, n_heads, out, gpos, row_ok)
 
     merged = _merge_heads(out)
     y = T.matmul(merged, params.wo, params.bo)
+    return T.mul_const(y, row_ok[:, :, None].astype(dtype))
+
+
+def _ref_global_rows(hidden, params, n_heads, out, gpos, row_ok):
+    """out [B,h,L,dh] with rows gpos replaced by the global rows: global
+    queries projected over all L rows and gathered, scores against every
+    key, a 0/-inf mask of the padding keys (the row itself always open)
+    when a row is padded, T.softmax and the mix with the global values."""
+    from lctx import tensor as T
+    from lctx.attention import _gather_rows, _project, _scatter_rows
+
+    B, L, H = hidden.shape
+    dh = H // n_heads
+    G = len(gpos)
+    dtype = hidden.data.dtype
+    qg = T.mul(_project(hidden, params.wq_g, params.bq_g, n_heads), 1.0 / np.sqrt(dh))
+    kg = _project(hidden, params.wk_g, params.bk_g, n_heads)
+    vg = _project(hidden, params.wv_g, params.bv_g, n_heads)
+    qg_rows = _gather_rows(qg, gpos)
+    gscores = T.matmul(qg_rows, T.transpose(kg, (0, 1, 3, 2)))
+    if not row_ok.all():
+        gok = np.repeat(row_ok[:, None, None, :], G, axis=2)
+        gok[:, :, np.arange(G), gpos] = True
+        gscores = T.add_const(gscores, _ref_additive_mask(gok, dtype))
+    gout = T.matmul(T.softmax(gscores, axis=-1), vg)
+    keep = np.ones((L, 1), dtype=dtype)
+    keep[gpos] = 0.0
+    return T.mul_const(out, keep) + _scatter_rows(gout, gpos, L)
+
+
+def ref_dense_attention_unfused(hidden, params, pattern, n_heads, lengths=None):
+    """The dense kernel's chain: every row's local scores plus the additive
+    mask, T.softmax and the mix with the local values; then the global rows
+    (_ref_global_rows)."""
+    from lctx import tensor as T
+    from lctx.attention import _merge_heads, _project, _row_valid, build_band_mask
+
+    B, L, H = hidden.shape
+    dh = H // n_heads
+    pattern.check_globals(L)
+    gpos = np.asarray(pattern.global_positions, dtype=np.int64)
+    dtype = hidden.data.dtype
+
+    q = T.mul(_project(hidden, params.wq, params.bq, n_heads), 1.0 / np.sqrt(dh))
+    k = _project(hidden, params.wk, params.bk, n_heads)
+    v = _project(hidden, params.wv, params.bv, n_heads)
+    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
+    row_ok = _row_valid(lengths, B, L)
+    gaps = [pattern.dilation_for(h, n_heads) for h in range(n_heads)]
+    # no mask when every key of every row is open
+    if not (row_ok.all() and not any(gaps) and pattern.window // 2 >= L - 1):
+        allowed = np.stack([build_band_mask(L, pattern, h, n_heads) for h in range(n_heads)])
+        allowed = allowed[None] & row_ok[:, None, None, :]
+        allowed[:, :, np.arange(L), np.arange(L)] = True
+        scores = T.add_const(scores, _ref_additive_mask(allowed, dtype))
+    out = T.matmul(T.softmax(scores, axis=-1), v)
+    if len(gpos):
+        out = _ref_global_rows(hidden, params, n_heads, out, gpos, row_ok)
+
+    y = T.matmul(_merge_heads(out), params.wo, params.bo)
     return T.mul_const(y, row_ok[:, :, None].astype(dtype))
 
 

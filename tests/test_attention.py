@@ -20,8 +20,8 @@ from lctx.attention import (
     sliding_window_offsets,
     sparse_attention_forward,
 )
-from oracles import (ref_band_mask, ref_dense_attention_oracle, ref_slot_dots, ref_slot_scatter,
-                     ref_slot_sum,
+from oracles import (ref_band_mask, ref_dense_attention_oracle, ref_dense_attention_unfused,
+                     ref_slot_dots, ref_slot_scatter, ref_slot_sum,
                      ref_sparse_attention_forward)
 
 
@@ -478,15 +478,29 @@ def test_fused_kernel_bytes_match_the_unfused_composition(case, dtype):
     pytest.param(22, None, (3,), [12, 7], id="full-window-padded"),
 ])
 def test_dense_oracle_bytes_match_the_additive_mask(window, gaps, globals_, lengths, dtype):
+    """The dense kernel has the bytes of its unfused chain (the local rows
+    under an additive mask, then the global rows that the banded kernel's
+    chain replaces too), and matches the blend form, which shares no
+    global-row code with it, at the oracle bound: the output and every
+    gradient."""
     rng = np.random.default_rng(23)
     params = AttentionParams(8, rng, dtype=dtype, init_scale=0.5)
     pat = AttentionPattern(window, gaps, globals_)
     x_data = rng.standard_normal((2, 12, 8)).astype(dtype)
     r = rng.standard_normal((2, 12, 8)).astype(dtype)
     got = _gradients(dense_attention_oracle, params, pat, 2, x_data, r, lengths)
-    want = _gradients(ref_dense_attention_oracle, params, pat, 2, x_data, r, lengths)
+    want = _gradients(ref_dense_attention_unfused, params, pat, 2, x_data, r, lengths)
     for key in want:
         assert got[key].tobytes() == want[key].tobytes(), key
+    blend = _gradients(ref_dense_attention_oracle, params, pat, 2, x_data, r, lengths)
+    # floored by the largest gradient: the output does not depend on the
+    # key biases, whose gradients are noise
+    scale = max(np.abs(g).max() for name, g in blend.items() if name != "out" and g.size)
+    for key in blend:
+        assert got[key].shape == blend[key].shape, key
+        if blend[key].size:
+            denom = max(np.abs(blend[key]).max(), 1e-8 if key == "out" else scale)
+            assert np.abs(got[key] - blend[key]).max() / denom <= 1e-5, key
 
 
 _BANDED_GLOBALS = AttentionPattern(4, None, tuple(range(6)))
@@ -531,10 +545,8 @@ _ROWS_CASES = {
     # gaps 3 and 1 still cover 9 rows at w = 4 and 8: each row sees its own class
     "dense-dilated": (2, 9, 16, 2, AttentionPattern(4, (3, 3)), [9, 8], (0, 2), True),
     "dense-dilated-one-row": (2, 9, 16, 2, AttentionPattern(8, (1, 3)), None, (1,), True),
-    # with globals the dense kernel reaches the value projection before the
-    # query and key projections, so x's gradient sums them in another order
     "dense-with-globals": (2, 9, 16, 2, AttentionPattern(16, None, (1, 4)), [9, 6], (0, 5),
-                           False),
+                           True),
     "dense-one-head": (1, 5, 8, 1, AttentionPattern(8), None, (2,), True),
     # a mask under a banded pattern without globals: each row's band slots
     # alone, whose per-row products sum in another order than the chunk
@@ -722,6 +734,24 @@ def test_pattern_validation():
         AttentionPattern(window=2, dilation_per_head=(-1,))
     with pytest.raises(ValueError):
         AttentionPattern(window=2, global_positions=(4,)).check_globals(3)
+
+
+@pytest.mark.parametrize("forward", [sparse_attention_forward, dense_attention_oracle],
+                         ids=["sparse", "dense"])
+@pytest.mark.parametrize("L, H, pattern, named", [
+    pytest.param(10, 10, AttentionPattern(4), "hidden dim not divisible", id="banded-H10"),
+    pytest.param(4, 10, AttentionPattern(8, None, (0,)), "hidden dim not divisible",
+                 id="covering-H10"),
+    pytest.param(0, 16, AttentionPattern(4), "sequence length 0", id="L0"),
+    pytest.param(0, 16, AttentionPattern(0), "sequence length 0", id="L0-w0"),
+])
+def test_kernels_refuse_a_bad_shape_by_name(forward, L, H, pattern, named):
+    # both kernels check their input's shape before any numpy call can fail
+    # on it (at L = 0 a softmax's max over no keys)
+    rng = np.random.default_rng(31)
+    params = AttentionParams(H, rng)
+    with pytest.raises(ValueError, match=named):
+        forward(_hidden(rng, 2, L, H), params, pattern, n_heads=4)
 
 
 # ---------------------------------------------------------------------------

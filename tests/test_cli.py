@@ -821,6 +821,12 @@ def test_benchmark_single_length(tmp_path):
     pytest.param(["--lengths", "128,64"], "ascending", id="descending-lengths"),
     pytest.param(["--heads", "0"], "--heads 0", id="zero-heads"),
     pytest.param(["--heads", "-2"], "--heads -2", id="negative-heads"),
+    pytest.param(["--lengths", "0"], "--lengths 0", id="zero-length"),
+    pytest.param(["--lengths", ",64"], "--lengths ,64", id="empty-length"),
+    pytest.param(["--n-global", "32", "--lengths", "16"], "--n-global 32",
+                 id="more-globals-than-the-shortest-length"),
+    pytest.param(["--n-global", "-1", "--lengths", "16"], "--n-global -1",
+                 id="negative-globals"),
 ])
 def test_benchmark_bad_arguments_rejected(tmp_path, capsys, argv, named):
     assert run(["benchmark-attention", *argv, "--out", tmp_path / "b" / "x.csv"]) == 1

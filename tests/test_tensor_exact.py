@@ -239,14 +239,21 @@ def test_matmul_products_run_in_the_operand_dtype(b_shape, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("rows", [(0,), (37,), (0, 5, 38), tuple(range(40))],
-                         ids=["first", "one-inside", "three", "all"])
-def test_matmul_rows_bytes_match_the_rows_of_matmul(rows, dtype):
+@pytest.mark.parametrize("length, rows", [
+    pytest.param(40, (0,), id="first"),
+    pytest.param(40, (37,), id="one-inside"),
+    pytest.param(40, (0, 5, 38), id="three"),
+    pytest.param(40, tuple(range(40)), id="all"),
+    pytest.param(1, (0,), id="one-row-input"),
+])
+def test_matmul_rows_bytes_match_the_rows_of_matmul(length, rows, dtype):
     # forward: the rows of the full product (a lone row included, which
-    # numpy would send to gemv); backward: matmul's with the gradient
-    # scattered into zeros, so every gradient has the full product's bytes
+    # numpy would send to gemv, and the one row of a one-row input, which
+    # the full product sends there too); backward: matmul's with the
+    # gradient scattered into zeros, so every gradient has the full
+    # product's bytes
     rng = np.random.default_rng(21)
-    x, w = f32(rng, (3, 40, 32), dtype=dtype), f32(rng, (32, 24), 0.2, dtype)
+    x, w = f32(rng, (3, length, 32), dtype=dtype), f32(rng, (32, 24), 0.2, dtype)
     bias, g = f32(rng, (24,), dtype=dtype), upstream(rng, (3, len(rows), 24), dtype)
     a, b, c = leaf(x), leaf(w), leaf(bias)
     out = T.matmul_rows(a, b, c, np.array(rows))
