@@ -19,7 +19,11 @@ Each backward is one chunk matmul per operand; the K and V sides give
 window-shaped products that are folded back into rows by three shifted
 slices (one copy, two adds).
 The count of numpy calls does not grow with w, and no [B,h,L,w+1,dh] array
-is built.
+is built. Backward keeps only what it cannot cheaply rebuild (the
+recomputation trade of Chen et al. 2016, per op): the padded keys and
+values and the expanded probabilities are made one run at a time and
+dropped, and each backward makes them again from its inputs' data, so
+band_softmax keeps its weights and band_mix nothing beyond its inputs.
 
 Scores are written once. band_softmax writes a row's w+1 band scores and its
 G global-column scores (one q @ k[globals]^T product, through matmul's out=)
@@ -40,6 +44,8 @@ non-global row takes the same path through the local projections, under its
 row of the band mask. A boolean [B, L] mask under a banded pattern without
 globals projects queries for its N rows only, and each row scores, softmaxes
 and mixes its w+1 gathered band keys and values in one [N,h,w+1] buffer.
+The gathers come in blocks of at most _GATHER_BYTES, are not kept, and
+are made again in backward.
 Any other case computes every row and keeps those asked for.
 
 `dense_attention_oracle` computes the same quantity quadratically; it is
@@ -279,39 +285,37 @@ def _fold(xw: np.ndarray, run: _Run, window: int, out: np.ndarray) -> None:
             out[:, :, :, :shift] += blocks[:, :, :, -shift:, t]
 
 
-def _band_dots(a: np.ndarray, xps, runs, width: int, out=None) -> np.ndarray:
-    """[B,h,L,width]: slot s of row i is a_i . x_j over dh, for j = i + (s -
-    w/2)*step and x zero outside [0, L), x given as each run's _padded rows;
-    written into `out` when given. One chunk matmul per run, whose band is
-    copied out."""
+def _band_dots(a: np.ndarray, x: np.ndarray, runs, window: int, out=None) -> np.ndarray:
+    """[B,h,L,w+1]: slot s of row i is a_i . x_j over dh, for j = i + (s -
+    w/2)*step and x zero outside [0, L); written into `out` when given. One
+    chunk matmul per run against x's _padded rows, built for that run and
+    dropped, whose band is copied out."""
     if out is None:
-        out = np.empty(a.shape[:3] + (width,), dtype=np.result_type(a, xps[0]))
-    for run, xp in zip(runs, xps):
+        out = np.empty(a.shape[:3] + (window + 1,), dtype=np.result_type(a, x))
+    for run in runs:
+        xp = _padded(x[:, run.heads], run, window)
         prod = np.matmul(_chunks(a[:, run.heads], run), np.swapaxes(_windows(xp, run), -1, -2))
         with _chunk_rows(out[:, run.heads], run) as dst:
-            np.copyto(dst, _band(prod, width))
+            np.copyto(dst, _band(prod, window + 1))
     return out
 
 
-def _band_sum(pws, xps, runs, out: np.ndarray) -> np.ndarray:
-    """out [B,h,L,dh]: row i is the sum over slots s of p[i, s] * x_j, for
-    each run's _expand(p) and _padded(x): one chunk matmul per run."""
-    for run, pw, xp in zip(runs, pws, xps):
-        with _chunk_rows(out[:, run.heads], run) as dst:
-            np.matmul(pw, _windows(xp, run), out=dst)
-    return out
+def _band_sum(pw: np.ndarray, x: np.ndarray, run: _Run, window: int, out: np.ndarray) -> None:
+    """The run's heads of out [B,h,L,dh]: row i is the sum over slots s of
+    p[i, s] * x_j, for the run's _expand(p) `pw`: one chunk matmul against
+    x's _padded rows, built here."""
+    xp = _padded(x[:, run.heads], run, window)
+    with _chunk_rows(out[:, run.heads], run) as dst:
+        np.matmul(pw, _windows(xp, run), out=dst)
 
 
-def _band_fold(pws, a: np.ndarray, runs, window: int) -> np.ndarray:
-    """The adjoint of reading x's band, [B,h,L,dh]: row j is the sum of
-    p[i, s] * a_i over the (i, s) whose slot holds j, for each run's
-    _expand(p). One chunk matmul per run, folded back by _fold."""
-    out = np.empty(a.shape, dtype=np.result_type(pws[0], a))
-    for run, pw in zip(runs, pws):
-        prod = np.matmul(np.swapaxes(pw, -1, -2), _chunks(a[:, run.heads], run))
-        with _chunk_rows(out[:, run.heads], run) as dst:
-            _fold(prod, run, window, dst)
-    return out
+def _band_fold(pw: np.ndarray, a: np.ndarray, run: _Run, window: int, out: np.ndarray) -> None:
+    """The run's heads of out [B,h,L,dh], the adjoint of reading x's band:
+    row j is the sum of p[i, s] * a_i over the (i, s) whose slot holds j, for
+    the run's _expand(p) `pw`. One chunk matmul, folded back by _fold."""
+    prod = np.matmul(np.swapaxes(pw, -1, -2), _chunks(a[:, run.heads], run))
+    with _chunk_rows(out[:, run.heads], run) as dst:
+        _fold(prod, run, window, dst)
 
 
 def band_scores(q: Tensor, k: Tensor, window: int, gaps: tuple[int, ...]) -> Tensor:
@@ -321,43 +325,59 @@ def band_scores(q: Tensor, k: Tensor, window: int, gaps: tuple[int, ...]) -> Ten
     Each chunk of c query rows is multiplied against the c + w key rows
     around it in one matmul per run of heads, and the band is read out of
     the product; the backward is one chunk matmul for q and one for k,
-    whose window-shaped product is folded back.
+    whose window-shaped product is folded back. Nothing but q and k is
+    kept: the backward pads k again.
     """
     runs = _band_runs(q.shape[2], window, gaps)
-    kps = [_padded(k.data[:, run.heads], run, window) for run in runs]
-    out_data = _band_dots(q.data, kps, runs, window + 1)
+    out_data = _band_dots(q.data, k.data, runs, window)
 
     def backward(g):
-        _band_scores_backward(q, k, kps, runs, window, g)
+        _band_scores_backward(q, k, runs, window, g)
 
     return make_op(out_data, (q, k), backward)
 
 
-def _band_scores_backward(q: Tensor, k: Tensor, kps, runs, window: int,
-                          g: np.ndarray) -> None:
-    gws = [_expand(g[:, run.heads], run, window) for run in runs]
-    if q.requires_grad:
-        gq = np.empty(q.shape, dtype=np.result_type(g, k.data))
-        q._accum(_band_sum(gws, kps, runs, gq), owned=True)
-    if k.requires_grad:
-        k._accum(_band_fold(gws, q.data, runs, window), owned=True)
+def _band_scores_backward(q: Tensor, k: Tensor, runs, window: int, g: np.ndarray) -> None:
+    """Per run, g's band entries expanded once (_expand) serve q's gradient,
+    against k's padded rows, and k's, folded from q."""
+    dtype = np.result_type(g, q.data, k.data)
+    gq = np.empty(q.shape, dtype=dtype) if q.requires_grad else None
+    gk = np.empty(k.shape, dtype=dtype) if k.requires_grad else None
+    for run in runs:
+        gw = _expand(g[:, run.heads], run, window)
+        if gq is not None:
+            _band_sum(gw, k.data, run, window, gq)
+        if gk is not None:
+            _band_fold(gw, q.data, run, window, gk)
+    if gq is not None:
+        q._accum(gq, owned=True)
+    if gk is not None:
+        k._accum(gk, owned=True)
 
 
 def band_mix(p: Tensor, v: Tensor, window: int, gaps: tuple[int, ...]) -> Tensor:
     """p [B,h,L,w+1], v [B,h,L,dh] -> [B,h,L,dh]: row i is the sum over slots
     of p[i, s] * v_j, j = i + (s - w/2)*(gap_h+1), with v zero outside
     [0, L). The transpose of band_scores: p is expanded into zeroed chunk
-    products and multiplied by the value windows, one matmul per run."""
+    products and multiplied by the value windows, one matmul per run.
+
+    The graph keeps p and v only. The expanded probabilities (1.5x p) and
+    the padded values are made one run at a time and dropped; the backward
+    makes them again from p.data and v.data, with the same bytes.
+    """
     runs = _band_runs(p.shape[2], window, gaps)
-    pws = [_expand(p.data[:, run.heads], run, window) for run in runs]
-    vps = [_padded(v.data[:, run.heads], run, window) for run in runs]
-    out_data = _band_sum(pws, vps, runs, np.empty(v.shape, dtype=np.result_type(p.data, v.data)))
+    out_data = np.empty(v.shape, dtype=np.result_type(p.data, v.data))
+    for run in runs:
+        _band_sum(_expand(p.data[:, run.heads], run, window), v.data, run, window, out_data)
 
     def backward(g):
         if p.requires_grad:
-            p._accum(_band_dots(g, vps, runs, window + 1), owned=True)
+            p._accum(_band_dots(g, v.data, runs, window), owned=True)
         if v.requires_grad:
-            v._accum(_band_fold(pws, g, runs, window), owned=True)
+            gv = np.empty(v.shape, dtype=np.result_type(p.data, g))
+            for run in runs:
+                _band_fold(_expand(p.data[:, run.heads], run, window), g, run, window, gv)
+            v._accum(gv, owned=True)
 
     return make_op(out_data, (p, v), backward)
 
@@ -374,14 +394,15 @@ def band_softmax(q: Tensor, k: Tensor, window: int, gaps: tuple[int, ...],
     to -inf in place and the softmax runs in that buffer, so the scores are
     never a graph node of their own. The backward is softmax's, then
     band_scores' backward on the first K columns and matmul's on a
-    contiguous copy of the last G.
+    contiguous copy of the last G. The graph keeps the weights and the G
+    global keys; the padded keys are made one run at a time, in the forward
+    and again in the backward from k.data.
     """
     K, G = window + 1, len(gpos)
     runs = _band_runs(q.shape[2], window, gaps)
-    kps = [_padded(k.data[:, run.heads], run, window) for run in runs]
     B, h, L, _ = q.shape
     y = np.empty((B, h, L, K + G), dtype=q.data.dtype)
-    _band_dots(q.data, kps, runs, K, out=y[..., :K])
+    _band_dots(q.data, k.data, runs, window, out=y[..., :K])
     np.copyto(y[..., :K], NEG_INF, where=np.logical_not(band_ok))
     if G:
         kcols = k.data[:, :, gpos, :]
@@ -392,7 +413,7 @@ def band_softmax(q: Tensor, k: Tensor, window: int, gaps: tuple[int, ...],
 
     def backward(g):
         gs = T.softmax_grad(g, y)
-        _band_scores_backward(q, k, kps, runs, window, gs[..., :K])
+        _band_scores_backward(q, k, runs, window, gs[..., :K])
         if G:
             gcols = gs[..., K:] + 0.0
             if q.requires_grad:
@@ -552,6 +573,15 @@ def _head_masks(length: int, pattern: AttentionPattern, gaps) -> np.ndarray:
     return np.stack([by_gap[gap] for gap in gaps])
 
 
+# _band_rows gathers the keys, then the values, of at most this many bytes
+# of (row, head) pairs at a time (at least one pair). One paper-shape call
+# (N=625 masked rows, 12 heads, K=513, dh=64, float32, one thread of a
+# 2-vCPU x86-64 Xeon), forward + backward: 1.5-1.7 s at 0.5 to 16 MiB,
+# 2.5 s at 64 MiB and 2.9 s gathering every pair at once; the process
+# peaked at 243 MiB RSS against 1198 MiB at once
+_GATHER_BYTES = 4 << 20
+
+
 def _band_rows(q: Tensor, k: Tensor, v: Tensor, keys: np.ndarray, key_ok: np.ndarray,
                runs: list[slice], pad: int) -> Tensor:
     """[N, H]: in each head, query row n of q [N, H] attends to the rows
@@ -559,35 +589,61 @@ def _band_rows(q: Tensor, k: Tensor, v: Tensor, keys: np.ndarray, key_ok: np.nda
     at most `pad` rows outside [0, B*L), where key_ok [N, h, K] is True.
     The heads of each slice in `runs` read the same rows.
 
-    The forward gathers every row's K keys and values (an index outside
-    [0, B*L) reads a clipped row, whose slot is masked), scores and mixes
-    them with one small matmul per row and head, and runs the softmax in
-    the scores' buffer. The backward adds the key and value gradients slot
-    by slot into rows padded by `pad` on either side: the rows of one slot
-    are distinct, so one indexed += per slot and run sums them, with no
-    np.add.at."""
+    A (row, head) pair's K keys and values are gathered (an index outside
+    [0, B*L) reads a clipped row, whose slot is masked) in blocks of pairs of
+    at most _GATHER_BYTES each (4 MiB; the measurement is at the constant),
+    so no gathered [n, h, K, dh] buffer is larger; each pair is scored and mixed by one small matmul, and the
+    softmax runs in the scores' buffer. The graph keeps the weights, not
+    the gathered rows: the backward gathers each block again, the values
+    for the weights' gradient and the keys for q's. It adds the key and
+    value gradients slot by slot over all N rows, into rows padded by `pad`
+    on either side: the rows of one slot are distinct, so one indexed +=
+    per slot and run sums them, with no np.add.at.
+    """
     N, H = q.shape
     n_heads, K = keys.shape[1:]
     dh = H // n_heads
     n_rows = k.data.size // H
-    # a (row, head) pair is one dh-wide row of k.data viewed as [B*L*h, dh]
-    gather = np.clip(keys, 0, n_rows - 1) * n_heads + np.arange(n_heads)[:, None]
+    pairs = N * n_heads
     q3 = q.data.reshape(N, n_heads, dh)
-    kg = k.data.reshape(-1, dh)[gather]                 # [N, h, K, dh]
-    vg = v.data.reshape(-1, dh)[gather]
-    y = np.matmul(kg, q3[..., None])[..., 0]            # [N, h, K]
-    np.copyto(y, NEG_INF, where=np.logical_not(key_ok))
+    q2 = q.data.reshape(pairs, dh)
+    size = max(1, _GATHER_BYTES // (K * dh * k.data.itemsize))
+    blocks = [slice(lo, min(lo + size, pairs)) for lo in range(0, pairs, size)]
+
+    def gather(x: Tensor, blk: slice) -> np.ndarray:
+        """[P, K, dh]: the K rows of x that the pairs `blk` read. Pair n*h +
+        head reads dh-wide rows of x.data viewed as [B*L*h, dh]."""
+        rows = np.clip(keys.reshape(pairs, K)[blk], 0, n_rows - 1) * n_heads
+        rows += (np.arange(blk.start, blk.stop) % n_heads)[:, None]
+        return x.data.reshape(-1, dh)[rows]
+
+    y = np.empty((pairs, K), dtype=np.result_type(q.data, k.data))
+    for blk in blocks:
+        y[blk] = np.matmul(gather(k, blk), q2[blk, :, None])[..., 0]
+    np.copyto(y, NEG_INF, where=np.logical_not(key_ok.reshape(pairs, K)))
     T.softmax_(y)
-    out = np.matmul(y[..., None, :], vg).reshape(N, H)
+    out = np.empty((pairs, dh), dtype=np.result_type(y, v.data))
+    for blk in blocks:
+        out[blk] = np.matmul(y[blk, None, :], gather(v, blk))[:, 0]
 
     def backward(g):
         g3 = g.reshape(N, n_heads, dh)
-        gs = T.softmax_grad(np.matmul(vg, g3[..., None])[..., 0], y)
+        gs = None
+        if q.requires_grad or k.requires_grad:
+            gy = np.empty_like(y)
+            for blk in blocks:
+                gy[blk] = np.matmul(gather(v, blk), g3.reshape(pairs, dh)[blk, :, None])[..., 0]
+            gs = T.softmax_grad(gy, y)
+            del gy
         if q.requires_grad:
-            q._accum(np.matmul(gs[..., None, :], kg).reshape(N, H), owned=True)
+            gq = np.empty((pairs, dh), dtype=gs.dtype)
+            for blk in blocks:
+                gq[blk] = np.matmul(gs[blk, None, :], gather(k, blk))[:, 0]
+            q._accum(gq.reshape(N, H), owned=True)
         # slot s of a row adds weight[..., s] * other to the key (value) row it read
         for x, weight, other in ((k, gs, q3), (v, y, g3)):
             if x.requires_grad:
+                weight = weight.reshape(N, n_heads, K)
                 gx = np.zeros((n_rows + 2 * pad, n_heads, dh), dtype=weight.dtype)
                 part = np.empty((N, n_heads, dh), dtype=weight.dtype)
                 for s in range(K):
@@ -596,7 +652,7 @@ def _band_rows(q: Tensor, k: Tensor, v: Tensor, keys: np.ndarray, key_ok: np.nda
                         gx[keys[:, heads.start, s] + pad, heads] += part[:, heads]
                 x._accum(gx[pad:pad + n_rows].reshape(x.shape), owned=True)
 
-    return make_op(out, (q, k, v), backward)
+    return make_op(out.reshape(N, H), (q, k, v), backward)
 
 
 def _checked_rows(rows, batch: int, length: int) -> np.ndarray:

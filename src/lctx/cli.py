@@ -444,12 +444,19 @@ def cmd_benchmark_attention(args) -> int:
     if min(lengths) < 1:
         raise ValueError(f"--lengths {args.lengths}: every length must be at least 1")
     if lengths != sorted(lengths):
-        raise ValueError("lengths must be ascending")
+        raise ValueError(f"--lengths {args.lengths}: lengths must be ascending")
+    if lengths[-1] > args.max_positions:
+        raise ValueError(f"--lengths {args.lengths}: length {lengths[-1]} exceeds "
+                         f"--max-positions {args.max_positions}")
     if not 0 <= args.n_global <= lengths[0]:
         raise ValueError(f"--n-global {args.n_global}: the global positions 0..n-1 must "
                          f"lie in the shortest length, {lengths[0]}")
-    if lengths and lengths[-1] > args.max_positions:
-        raise ValueError(f"length {lengths[-1]} exceeds max positions {args.max_positions}")
+    if args.dim % args.heads != 0:
+        raise ValueError(f"--dim {args.dim}: not divisible by --heads {args.heads}")
+    if args.window < 0 or args.window % 2 != 0:
+        raise ValueError(f"--window {args.window}: the window must be even and non-negative")
+    if args.dilation < 0:
+        raise ValueError(f"--dilation {args.dilation}: the gap must be non-negative")
     heads, dim = args.heads, args.dim
     rng = np.random.default_rng(args.seed or 0)
     params = AttentionParams(dim, rng)

@@ -1,8 +1,9 @@
 """Transformer encoder: embeddings, banded-attention blocks, MLM head.
 
-Blocks are post-layer-norm residual (x = LN(x + sublayer(x))). Position
-embeddings are learned absolute vectors; position-type embeddings carry the
-question/choice distinction (0/1). The MLM output projection is untied.
+Blocks are post-layer-norm residual (x = LN(x + sublayer(x)), the add done
+inside the layer norm: T.layer_norm's `residual`). Position embeddings are
+learned absolute vectors; position-type embeddings carry the question/choice
+distinction (0/1). The MLM output projection is untied.
 A caller that reads only some rows asks encode() for them: the CLS heads
 row 0, MLM pretraining its masked positions. The last block then computes
 its attention at those rows (rows_attention, alone where the pattern allows
@@ -193,8 +194,8 @@ class Encoder:
 
         x = T.embedding(self.tok_emb, token_ids)
         x = x + T.embedding_prefix(self.pos_emb, B, L)
-        x = x + T.embedding(self.type_emb, position_type_ids)
-        x = T.layer_norm(x, self.emb_ln_g, self.emb_ln_b)
+        x = T.layer_norm(x, self.emb_ln_g, self.emb_ln_b,
+                         residual=T.embedding(self.type_emb, position_type_ids))
         for layer in self.layers if rows is None else self.layers[:-1]:
             a = attention(x, layer["attn"], pattern, cfg.n_heads, lengths=lengths)
             x = self._block_rest(x, a, layer)
@@ -220,10 +221,11 @@ class Encoder:
     @staticmethod
     def _block_rest(x: Tensor, a: Tensor, layer: dict) -> Tensor:
         """A block after its attention a: the residual and first layer norm,
-        then the FFN, its residual and the second layer norm."""
-        x = T.layer_norm(x + a, layer["ln1_g"], layer["ln1_b"])
+        then the FFN, its residual and the second layer norm. Each residual
+        add is the layer norm's own (T.layer_norm's `residual`)."""
+        x = T.layer_norm(x, layer["ln1_g"], layer["ln1_b"], residual=a)
         f = T.matmul(T.gelu(T.matmul(x, layer["w1"], layer["b1"])), layer["w2"], layer["b2"])
-        return T.layer_norm(x + f, layer["ln2_g"], layer["ln2_b"])
+        return T.layer_norm(x, layer["ln2_g"], layer["ln2_b"], residual=f)
 
     def mlm_logits(self, hidden: Tensor) -> Tensor:
         """Vocabulary logits [..., V] of hidden states [..., H] (untied

@@ -544,24 +544,22 @@ def gelu(a: Tensor) -> Tensor:
     """tanh-approximated GELU; the approximation itself is what we differentiate.
 
     0.5 * x * (1 + tanh(c * (x + 0.044715 * x^3))), elementwise in the
-    storage dtype, in fresh buffers. The cube is x*x*x, not x**3, which is an
-    np.power call dozens of times slower. Scaling by 0.5 is exact, so it is
-    applied last.
+    storage dtype. The cube is x*x*x, not x**3, which is an np.power call
+    dozens of times slower. Scaling by 0.5 is exact, so it is applied last.
+    The forward turns its one buffer, t = tanh(...), into the output in
+    place. The backward keeps only x and computes t again with the same ops,
+    so the graph holds no [..., F] array beside x and the output.
     """
     x = a.data
-    t = x * x
-    t *= x
-    t *= 0.044715
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out_data = t + 1.0
+    out_data = _gelu_tanh(x)
+    out_data += 1.0
     out_data *= x
     out_data *= 0.5
 
     def backward(g):
         if a.requires_grad:
             # da = 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * c * (1 + 3 * 0.044715 * x^2)
+            t = _gelu_tanh(x)
             dinner = x * x
             dinner *= 3 * 0.044715
             dinner += 1.0
@@ -578,6 +576,16 @@ def gelu(a: Tensor) -> Tensor:
             a._accum(dinner, owned=True)
 
     return make_op(out_data, (a,), backward)
+
+
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(c * (x + 0.044715 * x*x*x)), in a fresh array."""
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -698,18 +706,29 @@ def softmax(a: Tensor, axis: int = -1, allowed: np.ndarray | None = None) -> Ten
     return make_op(y, (a,), backward)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, residual: Tensor | None = None,
+               eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis of x, or of x + residual, to zero mean / unit
+    variance, then affine.
 
     Mean, variance and the per-row 1/sqrt(var + eps) are computed in float64
     and cast to the storage dtype; the rest is elementwise in that dtype.
+    The input is copied, or summed with `residual` (of x's shape), into one
+    buffer that is centred and scaled in place into xhat, so the sum is
+    never a graph node: the bytes are those of layer_norm(add(x, residual))
+    and the graph keeps xhat and the output, not the sum as well. The
+    backward keeps xhat and the per-row scale; the residual's gradient is
+    handed over as add's: x adopts the input gradient, the residual gets a
+    copy.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if gain.shape != a.shape[-1:] or bias.shape != a.shape[-1:]:
+    if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise ValueError("gain/bias must match the last axis")
-    # xhat is centred, then scaled, in one copy of a.data
-    xhat = a.data.copy()
+    if residual is not None and residual.shape != x.shape:
+        raise ValueError(f"residual shape {residual.shape} differs from the input's {x.shape}")
+    # xhat is the input (or the sum), then centred, then scaled, in one buffer
+    xhat = x.data.copy() if residual is None else x.data + residual.data
     xhat -= _mean64(xhat)
     y = np.square(xhat)
     var = y.mean(axis=-1, keepdims=True, dtype=np.float64)
@@ -719,7 +738,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     y += bias.data
 
     def backward(g):
-        if a.requires_grad:
+        if x.requires_grad or residual is not None and residual.requires_grad:
             # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv
             dxhat = g * gain.data
             m1 = _mean64(dxhat)
@@ -728,14 +747,19 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             dxhat -= m1
             dxhat -= np.multiply(xhat, m2, out=tmp)
             dxhat *= inv
-            a._accum(dxhat, owned=True)
+            if x.requires_grad:
+                x._accum(dxhat, owned=True)
+            if residual is not None and residual.requires_grad:
+                residual._accum(dxhat)
         red = tuple(range(g.ndim - 1))
         if gain.requires_grad:
             gain._accum((g * xhat).sum(axis=red, dtype=np.float64), owned=True)
         if bias.requires_grad:
             bias._accum(g.sum(axis=red, dtype=np.float64), owned=True)
 
-    return make_op(y, (a, gain, bias), backward)
+    # parents in the order of layer_norm(add(x, residual), gain, bias)'s walk
+    parents = (x, gain, bias) if residual is None else (x, residual, gain, bias)
+    return make_op(y, parents, backward)
 
 
 IGNORE_INDEX = -1

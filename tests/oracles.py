@@ -443,6 +443,157 @@ def ref_dense_attention_oracle(hidden, params, pattern, n_heads, lengths=None):
 
 
 # ---------------------------------------------------------------------------
+# Keep-everything references: graph ops whose forward builds every buffer at
+# once and whose backward uses the buffers the forward built (the expanded
+# probabilities and padded values of band_mix, the padded keys of
+# band_softmax, every gathered key and value row of _band_rows, GELU's
+# tanh). The lctx ops keep less and rebuild the rest in backward; their
+# outputs and gradients must match these byte for byte. The layer-norm
+# reference for a residual is layer_norm(add(x, residual)), two nodes.
+# ---------------------------------------------------------------------------
+
+
+def ref_keep_gelu(a):
+    from lctx import tensor as T
+
+    x = a.data
+    t = np.tanh(_GELU_C * (0.044715 * (x * x * x) + x))
+    out = (t + 1.0) * x * 0.5
+
+    def backward(g):
+        if a.requires_grad:
+            dinner = _GELU_C * (x * x * (3 * 0.044715) + 1.0)
+            da = 0.5 * (1.0 + t) + (1.0 - t * t) * x * 0.5 * dinner
+            a._accum(da * g, owned=True)
+
+    return T.make_op(out, (a,), backward)
+
+
+def _ref_keep_dots(a, xps, runs, window, out):
+    """Slot s of row i is a_i . x_j, from each run's prebuilt _padded rows."""
+    from lctx.attention import _band, _chunk_rows, _chunks, _windows
+
+    for run, xp in zip(runs, xps):
+        prod = np.matmul(_chunks(a[:, run.heads], run), np.swapaxes(_windows(xp, run), -1, -2))
+        with _chunk_rows(out[:, run.heads], run) as dst:
+            np.copyto(dst, _band(prod, window + 1))
+    return out
+
+
+def _ref_keep_sum(pws, xps, runs, out):
+    from lctx.attention import _chunk_rows, _windows
+
+    for run, pw, xp in zip(runs, pws, xps):
+        with _chunk_rows(out[:, run.heads], run) as dst:
+            np.matmul(pw, _windows(xp, run), out=dst)
+    return out
+
+
+def _ref_keep_fold(pws, a, runs, window):
+    from lctx.attention import _chunk_rows, _chunks, _fold
+
+    out = np.empty(a.shape, dtype=np.result_type(pws[0], a))
+    for run, pw in zip(runs, pws):
+        prod = np.matmul(np.swapaxes(pw, -1, -2), _chunks(a[:, run.heads], run))
+        with _chunk_rows(out[:, run.heads], run) as dst:
+            _fold(prod, run, window, dst)
+    return out
+
+
+def ref_keep_band_mix(p, v, window, gaps):
+    from lctx import tensor as T
+    from lctx.attention import _band_runs, _expand, _padded
+
+    runs = _band_runs(p.shape[2], window, gaps)
+    pws = [_expand(p.data[:, run.heads], run, window) for run in runs]
+    vps = [_padded(v.data[:, run.heads], run, window) for run in runs]
+    out = _ref_keep_sum(pws, vps, runs, np.empty(v.shape, dtype=np.result_type(p.data, v.data)))
+
+    def backward(g):
+        if p.requires_grad:
+            gp = np.empty(p.shape, dtype=np.result_type(g, v.data))
+            p._accum(_ref_keep_dots(g, vps, runs, window, gp), owned=True)
+        if v.requires_grad:
+            v._accum(_ref_keep_fold(pws, g, runs, window), owned=True)
+
+    return T.make_op(out, (p, v), backward)
+
+
+def ref_keep_band_softmax(q, k, window, gaps, band_ok, gpos, col_ok=None):
+    from lctx import tensor as T
+    from lctx.attention import _band_runs, _expand, _padded
+
+    K, G = window + 1, len(gpos)
+    runs = _band_runs(q.shape[2], window, gaps)
+    kps = [_padded(k.data[:, run.heads], run, window) for run in runs]
+    B, h, L, _ = q.shape
+    y = np.empty((B, h, L, K + G), dtype=q.data.dtype)
+    _ref_keep_dots(q.data, kps, runs, window, y[..., :K])
+    np.copyto(y[..., :K], -np.inf, where=np.logical_not(band_ok))
+    if G:
+        kcols = k.data[:, :, gpos, :]
+        np.matmul(q.data, np.swapaxes(kcols, -1, -2), out=y[..., K:])
+        if col_ok is not None:
+            np.copyto(y[..., K:], -np.inf, where=np.logical_not(col_ok))
+    T.softmax_(y)
+
+    def backward(g):
+        gs = T.softmax_grad(g, y)
+        gws = [_expand(gs[:, run.heads, :, :K], run, window) for run in runs]
+        if q.requires_grad:
+            gq = np.empty(q.shape, dtype=np.result_type(g, k.data))
+            q._accum(_ref_keep_sum(gws, kps, runs, gq), owned=True)
+        if k.requires_grad:
+            k._accum(_ref_keep_fold(gws, q.data, runs, window), owned=True)
+        if G:
+            gcols = gs[..., K:] + 0.0
+            if q.requires_grad:
+                q._accum(np.matmul(gcols, kcols), owned=True)
+            if k.requires_grad:
+                gk = np.zeros_like(k.data)
+                gk[:, :, gpos, :] = np.swapaxes(
+                    np.matmul(np.swapaxes(q.data, -1, -2), gcols), -1, -2)
+                k._accum(gk, owned=True)
+
+    return T.make_op(y, (q, k), backward)
+
+
+def ref_keep_band_rows(q, k, v, keys, key_ok, runs, pad):
+    """_band_rows with every row's K keys and values gathered at once and
+    kept for backward."""
+    from lctx import tensor as T
+
+    N, H = q.shape
+    n_heads, K = keys.shape[1:]
+    dh = H // n_heads
+    n_rows = k.data.size // H
+    gather = np.clip(keys, 0, n_rows - 1) * n_heads + np.arange(n_heads)[:, None]
+    q3 = q.data.reshape(N, n_heads, dh)
+    kg = k.data.reshape(-1, dh)[gather]                 # [N, h, K, dh]
+    vg = v.data.reshape(-1, dh)[gather]
+    y = np.matmul(kg, q3[..., None])[..., 0]            # [N, h, K]
+    np.copyto(y, -np.inf, where=np.logical_not(key_ok))
+    T.softmax_(y)
+    out = np.matmul(y[..., None, :], vg).reshape(N, H)
+
+    def backward(g):
+        g3 = g.reshape(N, n_heads, dh)
+        gs = T.softmax_grad(np.matmul(vg, g3[..., None])[..., 0], y)
+        if q.requires_grad:
+            q._accum(np.matmul(gs[..., None, :], kg).reshape(N, H), owned=True)
+        for x, weight, other in ((k, gs, q3), (v, y, g3)):
+            if x.requires_grad:
+                gx = np.zeros((n_rows + 2 * pad, n_heads, dh), dtype=weight.dtype)
+                for s in range(K):
+                    part = weight[:, :, s, None] * other
+                    for heads in runs:
+                        gx[keys[:, heads.start, s] + pad, heads] += part[:, heads]
+                x._accum(gx[pad:pad + n_rows].reshape(x.shape), owned=True)
+
+    return T.make_op(out, (q, k, v), backward)
+
+
+# ---------------------------------------------------------------------------
 # Reference corpus pipeline: the per-character vocabulary and the list-based
 # packing, token by token. Special tokens PAD, UNK, CLS, SEP, MASK are ids
 # 0..4. These predate the rule that surrogate codepoints are never tokens,

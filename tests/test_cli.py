@@ -818,7 +818,13 @@ def test_benchmark_single_length(tmp_path):
 
 
 @pytest.mark.parametrize("argv, named", [
-    pytest.param(["--lengths", "128,64"], "ascending", id="descending-lengths"),
+    pytest.param(["--lengths", "128,64"], "--lengths 128,64", id="descending-lengths"),
+    pytest.param(["--lengths", "8192"], "--lengths 8192", id="length-over-max-positions"),
+    pytest.param(["--dim", "10", "--heads", "4", "--lengths", "16"], "--dim 10",
+                 id="dim-not-divisible-by-heads"),
+    pytest.param(["--window", "3", "--lengths", "16"], "--window 3", id="odd-window"),
+    pytest.param(["--dilation", "-1", "--lengths", "16"], "--dilation -1",
+                 id="negative-dilation"),
     pytest.param(["--heads", "0"], "--heads 0", id="zero-heads"),
     pytest.param(["--heads", "-2"], "--heads -2", id="negative-heads"),
     pytest.param(["--lengths", "0"], "--lengths 0", id="zero-length"),
