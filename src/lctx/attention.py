@@ -25,6 +25,11 @@ values and the expanded probabilities are made one run at a time and
 dropped, and each backward makes them again from its inputs' data, so
 band_softmax keeps its weights and band_mix nothing beyond its inputs.
 
+Row-by-row band lookups use that layout at c = 1, where window m of class r
+holds the w+1 keys of row m*step + r, so no table of key indices is built:
+the band mask [B,h,L,w+1] is the window view of one padded [B, L] indicator
+of open keys (the rows of the sequence, less the global positions).
+
 Scores are written once. band_softmax writes a row's w+1 band scores and its
 G global-column scores (one q @ k[globals]^T product, through matmul's out=)
 side by side into one [B,h,L,w+1+G] buffer, sets the masked entries to -inf
@@ -43,9 +48,9 @@ the same helpers). Under a pattern that covers the sequence a
 non-global row takes the same path through the local projections, under its
 row of the band mask. A boolean [B, L] mask under a banded pattern without
 globals projects queries for its N rows only, and each row scores, softmaxes
-and mixes its w+1 gathered band keys and values in one [N,h,w+1] buffer.
-The gathers come in blocks of at most _GATHER_BYTES, are not kept, and
-are made again in backward.
+and mixes its w+1 band keys and values in one [N,h,w+1] buffer. Blocks of at
+most _GATHER_BYTES are gathered from the c = 1 windows of the padded keys
+and values, are not kept, and are gathered again in backward.
 Any other case computes every row and keeps those asked for.
 
 `dense_attention_oracle` computes the same quantity quadratically; it is
@@ -190,11 +195,12 @@ class _Run(NamedTuple):
     n: int
 
 
-def _band_runs(length: int, window: int, gaps: tuple[int, ...]) -> list[_Run]:
-    """One _Run per run of heads that share a gap. The chunk length is
-    c = max(1, w/2), so a chunk's keys, its c rows widened by w/2 on each
-    side, are c + w = 3c rows (1 at w = 0)."""
-    c = max(1, window // 2)
+def _band_runs(length: int, window: int, gaps: tuple[int, ...],
+               c: int | None = None) -> list[_Run]:
+    """One _Run per run of heads that share a gap, at chunk length c, by
+    default max(1, w/2): a chunk's keys, its c rows widened by w/2 on each
+    side, are then c + w = 3c rows (1 at w = 0)."""
+    c = c or max(1, window // 2)
     runs, first = [], 0
     for gap, run in itertools.groupby(gaps):
         heads = slice(first, first + len(list(run)))
@@ -249,6 +255,13 @@ def _windows(xp: np.ndarray, run: _Run) -> np.ndarray:
     sB, sh, sm, sl, sx = xp.strides
     return np.lib.stride_tricks.as_strided(
         xp, (B, h, step, run.n, width, X), (sB, sh, sm, run.c * sl, sl, sx), writeable=False)
+
+
+def _open_slots(ok: np.ndarray, run: _Run, window: int) -> np.ndarray:
+    """[B,step,n,w+1] for a run at c = 1: whether slot s of row m*step + r
+    reads a key that ok [B, L] opens (False outside [0, L)). A read-only
+    _windows view of ok, padded."""
+    return _windows(_padded(ok[:, None, :, None], run, window), run)[:, 0, ..., 0]
 
 
 def _band(prod: np.ndarray, width: int) -> np.ndarray:
@@ -318,28 +331,10 @@ def _band_fold(pw: np.ndarray, a: np.ndarray, run: _Run, window: int, out: np.nd
         _fold(prod, run, window, dst)
 
 
-def band_scores(q: Tensor, k: Tensor, window: int, gaps: tuple[int, ...]) -> Tensor:
-    """q, k [B,h,L,dh] -> [B,h,L,w+1]: slot s of row i is q_i . k_j with
-    j = i + (s - w/2)*(gap_h+1), and 0 where j is outside [0, L).
-
-    Each chunk of c query rows is multiplied against the c + w key rows
-    around it in one matmul per run of heads, and the band is read out of
-    the product; the backward is one chunk matmul for q and one for k,
-    whose window-shaped product is folded back. Nothing but q and k is
-    kept: the backward pads k again.
-    """
-    runs = _band_runs(q.shape[2], window, gaps)
-    out_data = _band_dots(q.data, k.data, runs, window)
-
-    def backward(g):
-        _band_scores_backward(q, k, runs, window, g)
-
-    return make_op(out_data, (q, k), backward)
-
-
 def _band_scores_backward(q: Tensor, k: Tensor, runs, window: int, g: np.ndarray) -> None:
-    """Per run, g's band entries expanded once (_expand) serve q's gradient,
-    against k's padded rows, and k's, folded from q."""
+    """The backward of _band_dots(q, k): per run, g's band entries expanded
+    once (_expand) serve q's gradient, against k's padded rows, and k's,
+    folded from q."""
     dtype = np.result_type(g, q.data, k.data)
     gq = np.empty(q.shape, dtype=dtype) if q.requires_grad else None
     gk = np.empty(k.shape, dtype=dtype) if k.requires_grad else None
@@ -358,7 +353,7 @@ def _band_scores_backward(q: Tensor, k: Tensor, runs, window: int, g: np.ndarray
 def band_mix(p: Tensor, v: Tensor, window: int, gaps: tuple[int, ...]) -> Tensor:
     """p [B,h,L,w+1], v [B,h,L,dh] -> [B,h,L,dh]: row i is the sum over slots
     of p[i, s] * v_j, j = i + (s - w/2)*(gap_h+1), with v zero outside
-    [0, L). The transpose of band_scores: p is expanded into zeroed chunk
+    [0, L). The transpose of _band_dots: p is expanded into zeroed chunk
     products and multiplied by the value windows, one matmul per run.
 
     The graph keeps p and v only. The expanded probabilities (1.5x p) and
@@ -386,14 +381,14 @@ def band_softmax(q: Tensor, k: Tensor, window: int, gaps: tuple[int, ...],
                  band_ok: np.ndarray, gpos: np.ndarray, col_ok: np.ndarray | None = None) -> Tensor:
     """The attention weights of the banded rows, [B,h,L,K+G] for K = w+1
     band slots and G global columns: softmax over the concatenation of
-    band_scores(q, k) and q @ k[gpos]^T, with -inf wherever `band_ok`
+    _band_dots(q, k) and q @ k[gpos]^T, with -inf wherever `band_ok`
     [B,h,L,K] or `col_ok` (broadcastable to [B,h,L,G]; None: all open) is
     False.
 
     Both products are written into one buffer, the masked entries are set
     to -inf in place and the softmax runs in that buffer, so the scores are
     never a graph node of their own. The backward is softmax's, then
-    band_scores' backward on the first K columns and matmul's on a
+    _band_dots' backward on the first K columns and matmul's on a
     contiguous copy of the last G. The graph keeps the weights and the G
     global keys; the padded keys are made one run at a time, in the forward
     and again in the backward from k.data.
@@ -488,15 +483,6 @@ def _merge_heads(x: Tensor) -> Tensor:
     return T.reshape(T.transpose(x, (0, 2, 1, 3)), B, L, h * dh)
 
 
-def _band_index(length: int, window: int, gap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Banded key indices [L, K] (K = w+1, centre slot = self) plus validity."""
-    half = window // 2
-    ks = np.arange(-half, half + 1) * (gap + 1)
-    idx = np.arange(length)[:, None] + ks[None, :]
-    valid = (idx >= 0) & (idx < length)
-    return np.clip(idx, 0, length - 1), valid
-
-
 def _row_valid(lengths, batch: int, length: int) -> np.ndarray:
     if lengths is None:
         return np.ones((batch, length), dtype=bool)
@@ -574,83 +560,104 @@ def _head_masks(length: int, pattern: AttentionPattern, gaps) -> np.ndarray:
 
 
 # _band_rows gathers the keys, then the values, of at most this many bytes
-# of (row, head) pairs at a time (at least one pair). One paper-shape call
-# (N=625 masked rows, 12 heads, K=513, dh=64, float32, one thread of a
-# 2-vCPU x86-64 Xeon), forward + backward: 1.5-1.7 s at 0.5 to 16 MiB,
-# 2.5 s at 64 MiB and 2.9 s gathering every pair at once; the process
-# peaked at 243 MiB RSS against 1198 MiB at once
+# of rows of one run of heads at a time (at least one row). One paper-shape
+# rows_attention call (N=623 masked rows, 12 heads, K=513, dh=64, float32,
+# one thread of a 2-vCPU x86-64 Xeon), forward + backward: 2.05 s at one
+# row per block, 1.85 s at 4 MiB, 1.90 s at 16, 2.86 s at 64 and 2.93 s
+# gathering every row at once; the process peaked at 182, 182, 204, 335
+# and 2053 MiB RSS
 _GATHER_BYTES = 4 << 20
 
 
-def _band_rows(q: Tensor, k: Tensor, v: Tensor, keys: np.ndarray, key_ok: np.ndarray,
-               runs: list[slice], pad: int) -> Tensor:
-    """[N, H]: in each head, query row n of q [N, H] attends to the rows
-    keys[n, head] [N, h, K] of k and v [B, L, H], flat row numbers b*L + j
-    at most `pad` rows outside [0, B*L), where key_ok [N, h, K] is True.
-    The heads of each slice in `runs` read the same rows.
+def _band_rows(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, row_ok: np.ndarray,
+               window: int, gaps: tuple[int, ...]) -> Tensor:
+    """[N, H]: the N rows of the boolean mask [B, L], in its order, with
+    queries q [N, H], attend in each head to the band keys of k and v
+    [B, L, H] that row_ok [B, L] opens, and to themselves.
 
-    A (row, head) pair's K keys and values are gathered (an index outside
-    [0, B*L) reads a clipped row, whose slot is masked) in blocks of pairs of
-    at most _GATHER_BYTES each (4 MiB; the measurement is at the constant),
-    so no gathered [n, h, K, dh] buffer is larger; each pair is scored and mixed by one small matmul, and the
-    softmax runs in the scores' buffer. The graph keeps the weights, not
-    the gathered rows: the backward gathers each block again, the values
-    for the weights' gradient and the keys for q's. It adds the key and
-    value gradients slot by slot over all N rows, into rows padded by `pad`
-    on either side: the rows of one slot are distinct, so one indexed +=
-    per slot and run sums them, with no np.add.at.
+    Per run of heads, k and v are _padded at c = 1, and a block of rows
+    gathers its [n, h_run, K, dh] keys (values) from the _windows view by
+    batch, class and window; their validity is _open_slots(row_ok). A
+    block holds at most _GATHER_BYTES (4 MiB; the measurement is at the
+    constant). Each (row, head) pair is scored and mixed by one small
+    matmul; the softmax runs in the scores' buffer, the graph keeps it, and
+    the backward gathers each block again. The key and value gradients are
+    added slot by slot into padded class rows, one indexed += per slot and
+    run (the rows of one slot are distinct: no np.add.at), and unpadded.
     """
     N, H = q.shape
-    n_heads, K = keys.shape[1:]
+    B, L, _ = k.shape
+    n_heads, K, half = len(gaps), window + 1, window // 2
     dh = H // n_heads
-    n_rows = k.data.size // H
-    pairs = N * n_heads
+    runs = _band_runs(L, window, gaps, c=1)
     q3 = q.data.reshape(N, n_heads, dh)
-    q2 = q.data.reshape(pairs, dh)
-    size = max(1, _GATHER_BYTES // (K * dh * k.data.itemsize))
-    blocks = [slice(lo, min(lo + size, pairs)) for lo in range(0, pairs, size)]
 
-    def gather(x: Tensor, blk: slice) -> np.ndarray:
-        """[P, K, dh]: the K rows of x that the pairs `blk` read. Pair n*h +
-        head reads dh-wide rows of x.data viewed as [B*L*h, dh]."""
-        rows = np.clip(keys.reshape(pairs, K)[blk], 0, n_rows - 1) * n_heads
-        rows += (np.arange(blk.start, blk.stop) % n_heads)[:, None]
-        return x.data.reshape(-1, dh)[rows]
+    def heads(x: np.ndarray) -> np.ndarray:      # [B,L,H] as a [B,h,L,dh] view
+        return x.reshape(B, L, n_heads, dh).transpose(0, 2, 1, 3)
 
-    y = np.empty((pairs, K), dtype=np.result_type(q.data, k.data))
-    for blk in blocks:
-        y[blk] = np.matmul(gather(k, blk), q2[blk, :, None])[..., 0]
-    np.copyto(y, NEG_INF, where=np.logical_not(key_ok.reshape(pairs, K)))
+    def places(run: _Run) -> tuple[np.ndarray, ...]:
+        """Each row's batch, residue class and window, [N] each."""
+        b, i = np.divmod(np.flatnonzero(mask), L)
+        return b, i % run.step, i // run.step
+
+    def gathered(x: Tensor):
+        """((rows, heads), their [n, h_run, K, dh] band rows of x) per block."""
+        for run in runs:
+            win = _windows(_padded(heads(x.data)[:, run.heads], run, window), run)
+            b, r, m = places(run)
+            size = max(1, _GATHER_BYTES // (win.shape[1] * K * dh * x.data.itemsize))
+            for lo in range(0, N, size):
+                at = slice(lo, lo + size)
+                yield (at, run.heads), win[b[at], :, r[at], m[at]]
+
+    def slot_sums(weight: np.ndarray, other: np.ndarray, run: _Run) -> np.ndarray:
+        """[B,h_run,step,n,dh]: the run's class rows, to which slot s of a row
+        adds weight[:, :, s] * other; it reads row m + s of the padded ones."""
+        part = np.empty(other[:, run.heads].shape, dtype=weight.dtype)
+        gp = np.zeros((B, run.step, run.n + window) + part.shape[1:], part.dtype)
+        b, r, m = places(run)
+        first = (b * run.step + r) * (run.n + window) + m
+        for s in range(K):
+            np.multiply(weight[:, run.heads, s, None], other[:, run.heads], out=part)
+            gp.reshape((-1,) + part.shape[1:])[first + s] += part
+        return gp[:, :, half:half + run.n].transpose(0, 3, 1, 2, 4)
+
+    y = np.empty((N, n_heads, K), dtype=np.result_type(q.data, k.data))
+    for ix, kg in gathered(k):
+        y[ix] = np.matmul(kg, q3[ix][..., None])[..., 0]
+    for run in runs:
+        open_ = _open_slots(row_ok, run, window)[places(run)]
+        open_[:, half] = True
+        np.copyto(y[:, run.heads], NEG_INF, where=np.logical_not(open_[:, None]))
     T.softmax_(y)
-    out = np.empty((pairs, dh), dtype=np.result_type(y, v.data))
-    for blk in blocks:
-        out[blk] = np.matmul(y[blk, None, :], gather(v, blk))[:, 0]
+    out = np.empty((N, n_heads, dh), dtype=np.result_type(y, v.data))
+    for ix, vg in gathered(v):
+        out[ix] = np.matmul(y[ix][..., None, :], vg)[..., 0, :]
 
     def backward(g):
         g3 = g.reshape(N, n_heads, dh)
         gs = None
         if q.requires_grad or k.requires_grad:
             gy = np.empty_like(y)
-            for blk in blocks:
-                gy[blk] = np.matmul(gather(v, blk), g3.reshape(pairs, dh)[blk, :, None])[..., 0]
+            for ix, vg in gathered(v):
+                gy[ix] = np.matmul(vg, g3[ix][..., None])[..., 0]
             gs = T.softmax_grad(gy, y)
             del gy
         if q.requires_grad:
-            gq = np.empty((pairs, dh), dtype=gs.dtype)
-            for blk in blocks:
-                gq[blk] = np.matmul(gs[blk, None, :], gather(k, blk))[:, 0]
+            gq = np.empty((N, n_heads, dh), dtype=gs.dtype)
+            for ix, kg in gathered(k):
+                gq[ix] = np.matmul(gs[ix][..., None, :], kg)[..., 0, :]
             q._accum(gq.reshape(N, H), owned=True)
-        # slot s of a row adds weight[..., s] * other to the key (value) row it read
         for x, weight, other in ((k, gs, q3), (v, y, g3)):
             if x.requires_grad:
-                weight = weight.reshape(N, n_heads, K)
-                gx = np.zeros((n_rows + 2 * pad, n_heads, dh), dtype=weight.dtype)
-                part = np.empty((N, n_heads, dh), dtype=weight.dtype)
-                for s in range(K):
-                    np.multiply(weight[:, :, s, None], other, out=part)
-                    for heads in runs:
-                        gx[keys[:, heads.start, s] + pad, heads] += part[:, heads]
-                x._accum(gx[pad:pad + n_rows].reshape(x.shape), owned=True)
+                # every run's sums first, then gx: the step then peaks lower
+                sums = [slot_sums(weight, other, run) for run in runs]
+                gx = np.empty(x.shape, dtype=weight.dtype)
+                for run, rows in zip(runs, sums):
+                    with _chunk_rows(heads(gx)[:, run.heads], run) as dst:
+                        np.copyto(dst[..., 0, :], rows)
+                del sums, rows
+                x._accum(gx, owned=True)
 
     return make_op(out.reshape(N, H), (q, k, v), backward)
 
@@ -692,23 +699,12 @@ def rows_attention(hidden: Tensor, params: AttentionParams, pattern: AttentionPa
     covers = pattern.covers(L, n_heads)
     mask = rows.dtype == bool
     if mask and not pattern.global_positions and not covers:
-        half = pattern.window // 2
-        flat = np.flatnonzero(rows)                                  # b*L + i, in mask order
-        # slot s of a head with gap d reads row i + (s - w/2)*(d+1)
-        offsets = np.arange(-half, half + 1) * (np.asarray(gaps)[:, None] + 1)   # [h, K]
-        pos = (flat % L)[:, None, None] + offsets                    # [N, h, K]
-        keys = flat[:, None, None] + offsets
         row_ok = _row_valid(lengths, B, L)
-        # a slot is open when its key lies inside the sequence's length; the
-        # self slot always is
-        key_ok = (pos >= 0) & (pos < L) & row_ok.reshape(-1)[np.clip(keys, 0, B * L - 1)]
-        key_ok[..., half] = True
         q = T.mul(T.matmul(T.index_select(hidden, rows), params.wq, params.bq),
                   1.0 / np.sqrt(H // n_heads))
         k = T.matmul(hidden, params.wk, params.bk)
         v = T.matmul(hidden, params.wv, params.bv)
-        runs = [run.heads for run in _band_runs(L, pattern.window, gaps)]
-        mixed = _band_rows(q, k, v, keys, key_ok, runs, half * (max(gaps) + 1))
+        mixed = _band_rows(q, k, v, rows, row_ok, pattern.window, gaps)
         y = T.matmul(mixed, params.wo, params.bo)
         return T.mul_const(y, row_ok[rows][:, None].astype(hidden.data.dtype))
     if not mask:
@@ -748,16 +744,17 @@ def _attention(hidden: Tensor, params: AttentionParams, pattern: AttentionPatter
         out = _attend_rows(q, k, v, np.arange(L), row_ok,
                            None if opens_all else _head_masks(L, pattern, gaps))
     else:
-        half_k, K = pattern.window // 2, pattern.window + 1
-        idx_h, valid_h = zip(*(_band_index(L, pattern.window, gap) for gap in gaps))
-        idxc = np.stack(idx_h)        # [h, L, K]
-        validc = np.stack(valid_h)    # [h, L, K]
-        if G:
-            # global columns are scored on their own; drop band slots that duplicate them
-            validc &= ~np.isin(idxc, gpos)
-        # key j usable iff its band slot is in range and j < length_b
-        key_ok = validc[None] & row_ok[:, idxc]          # [B, h, L, K]
-        key_ok[..., half_k] = True  # self slot always open (pad rows are zeroed later)
+        K = pattern.window + 1
+        # a band slot is open when its key lies in [0, L), in its sequence and
+        # is not global (global columns are scored on their own); the self
+        # slot always is (padding rows are zeroed later)
+        key_open = row_ok.copy()
+        key_open[:, gpos] = False
+        key_ok = np.empty((B, n_heads, L, K), dtype=bool)
+        for run in _band_runs(L, pattern.window, gaps, c=1):
+            with _chunk_rows(key_ok[:, run.heads], run) as dst:
+                np.copyto(dst, _open_slots(key_open, run, pattern.window)[:, None, ..., None, :])
+        key_ok[..., pattern.window // 2] = True
         # without padded rows every global column is open: its mask is skipped
         probs = band_softmax(q, k, pattern.window, gaps, key_ok, gpos,
                              None if row_ok.all() else row_ok[:, None, None, gpos])

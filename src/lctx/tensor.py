@@ -114,7 +114,9 @@ class Tensor:
         layout; adding +0.0 turns -0.0 into +0.0, as accumulating into zeros
         would. An `owned` g, which no one else holds, is adopted instead of
         copied when the copy would have its dtype, shape and layout (both C
-        order): the +0.0 is then added in place, with the same bytes."""
+        order): the +0.0 is then added in place, with the same bytes. Data
+        that is a broadcast view (a zero stride on an axis longer than 1)
+        gets a C-ordered copy, not one with the broadcast axis innermost."""
         if self.grad is not None:
             self.grad += g.astype(self.data.dtype, copy=False)
         elif (owned and g.dtype == self.data.dtype and g.shape == self.data.shape
@@ -122,7 +124,9 @@ class Tensor:
             g += 0.0
             self.grad = g
         else:
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data), dtype=self.data.dtype)
+            broadcast = any(s == 0 and n > 1 for s, n in zip(self.data.strides, self.data.shape))
+            self.grad = np.add(g, 0.0, dtype=self.data.dtype,
+                               out=np.empty_like(self.data, order="C" if broadcast else "K"))
 
     def backward(self) -> None:
         """Populate .grad on every requires_grad tensor reachable from this scalar.
@@ -839,11 +843,9 @@ def embedding_prefix(table: Tensor, batch: int, length: int) -> Tensor:
     (the position lookup), [batch, length, ...], as a read-only broadcast
     view of table rows [0, length).
 
-    The backward adds g's batch rows one after another in the storage dtype,
-    which are np.add.at's additions in its order: the bytes are the
-    scatter-add's, without it. (g.sum(axis=0) would not do: the gradient
-    buffer follows the view's layout, batch axis innermost, and numpy sums
-    a contiguous axis pairwise.)
+    The backward adds g's batch rows one after another into zeros in the
+    storage dtype, which are np.add.at's additions in its order: the bytes
+    are the scatter-add's, without it.
     """
     if length > table.shape[0]:
         raise IndexError("embedding id out of range")

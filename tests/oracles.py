@@ -282,10 +282,35 @@ def _ref_additive_mask(allowed, dtype):
     return np.where(allowed, np.zeros((), dtype), np.full((), -np.inf, dtype))
 
 
+def _band_index(length, window, gap):
+    """Banded key indices [L, K] (K = w+1, centre slot = self) plus validity."""
+    half = window // 2
+    ks = np.arange(-half, half + 1) * (gap + 1)
+    idx = np.arange(length)[:, None] + ks[None, :]
+    valid = (idx >= 0) & (idx < length)
+    return np.clip(idx, 0, length - 1), valid
+
+
+def band_scores(q, k, window, gaps):
+    """q, k [B,h,L,dh] -> [B,h,L,w+1]: slot s of row i is q_i . k_j with
+    j = i + (s - w/2)*(gap_h+1), and 0 where j is outside [0, L); the band
+    kernel's chunk matmuls (_band_dots), as a graph op of its own. Nothing
+    but q and k is kept: the backward pads k again."""
+    from lctx.attention import _band_dots, _band_runs, _band_scores_backward
+    from lctx.tensor import make_op
+
+    runs = _band_runs(q.shape[2], window, gaps)
+    out_data = _band_dots(q.data, k.data, runs, window)
+
+    def backward(g):
+        _band_scores_backward(q, k, runs, window, g)
+
+    return make_op(out_data, (q, k), backward)
+
+
 def ref_sparse_attention_forward(hidden, params, pattern, n_heads, lengths=None):
     from lctx import tensor as T
-    from lctx.attention import (_band_index, _gather_rows, _merge_heads, _project,
-                                _row_valid, band_mix, band_scores)
+    from lctx.attention import _gather_rows, _merge_heads, _project, _row_valid, band_mix
 
     B, L, H = hidden.shape
     dh = H // n_heads
@@ -558,15 +583,32 @@ def ref_keep_band_softmax(q, k, window, gaps, band_ok, gpos, col_ok=None):
     return T.make_op(y, (q, k), backward)
 
 
-def ref_keep_band_rows(q, k, v, keys, key_ok, runs, pad):
+def ref_keep_band_rows(q, k, v, mask, row_ok, window, gaps):
     """_band_rows with every row's K keys and values gathered at once and
-    kept for backward."""
+    kept for backward. The keys are flat row numbers b*L + j, derived from
+    the mask, so the lookup shares nothing with the kernel's padded class
+    windows: an index outside [0, B*L) reads a clipped row, whose slot is
+    masked, and the key and value gradients are added into rows padded by
+    (w/2)*(max gap + 1) on either side."""
     from lctx import tensor as T
+    from lctx.attention import _band_runs
 
     N, H = q.shape
-    n_heads, K = keys.shape[1:]
+    B, L = mask.shape
+    n_heads, K, half = len(gaps), window + 1, window // 2
     dh = H // n_heads
-    n_rows = k.data.size // H
+    n_rows = B * L
+    flat = np.flatnonzero(mask)                                  # b*L + i, in mask order
+    # slot s of a head with gap d reads row i + (s - w/2)*(d+1)
+    offsets = np.arange(-half, half + 1) * (np.asarray(gaps)[:, None] + 1)   # [h, K]
+    pos = (flat % L)[:, None, None] + offsets                    # [N, h, K]
+    keys = flat[:, None, None] + offsets
+    # a slot is open when its key lies inside the sequence's length; the
+    # self slot always is
+    key_ok = (pos >= 0) & (pos < L) & row_ok.reshape(-1)[np.clip(keys, 0, n_rows - 1)]
+    key_ok[..., half] = True
+    runs = [run.heads for run in _band_runs(L, window, gaps)]
+    pad = half * (max(gaps) + 1)
     gather = np.clip(keys, 0, n_rows - 1) * n_heads + np.arange(n_heads)[:, None]
     q3 = q.data.reshape(N, n_heads, dh)
     kg = k.data.reshape(-1, dh)[gather]                 # [N, h, K, dh]

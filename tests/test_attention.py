@@ -20,8 +20,8 @@ from lctx.attention import (
     sliding_window_offsets,
     sparse_attention_forward,
 )
-from oracles import (ref_band_mask, ref_dense_attention_oracle, ref_dense_attention_unfused,
-                     ref_slot_dots, ref_slot_scatter, ref_slot_sum,
+from oracles import (band_scores, ref_band_mask, ref_dense_attention_oracle,
+                     ref_dense_attention_unfused, ref_slot_dots, ref_slot_scatter, ref_slot_sum,
                      ref_sparse_attention_forward)
 
 
@@ -195,6 +195,29 @@ def test_forward_peak_memory_is_a_few_score_tensors():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * score_bytes, f"peak {peak / score_bytes:.1f}x one score tensor"
+
+
+def test_banded_forward_builds_no_key_index_table():
+    """At a window that is large against L, a no-grad banded forward peaks
+    at its float32 weights [B,h,L,K+G] (4 bytes an entry), one run's chunk
+    product (c + w = 1.5 w columns: under 6 bytes an entry), the band mask
+    and its negation (2 bytes) and a few float32 [B,L,H] arrays. An int64
+    [h,L,K] table of band key indices would add 8 bytes an entry."""
+    B, L, H, heads, w, G = 1, 1024, 64, 4, 256, 32
+    rng = np.random.default_rng(28)
+    params = AttentionParams(H, rng)
+    pat = AttentionPattern(window=w, global_positions=tuple(range(G)))
+    x = _hidden(rng, B, L, H)
+    entries, hidden_bytes = B * heads * L * (w + 1 + G), 4 * B * L * H
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            sparse_attention_forward(x, params, pat, n_heads=heads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * entries + 8 * hidden_bytes, (
+        f"peak {peak / entries:.1f} bytes per B*h*L*(K+G) entry")
 
 
 def test_single_token_sequence():
@@ -393,7 +416,7 @@ def test_band_ops_match_the_per_slot_oracles(case, dtype, tol):
         assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
 
     qt, kt = (Tensor(x, requires_grad=True, dtype=dtype) for x in (q, k))
-    scores = attention.band_scores(qt, kt, window, gaps)
+    scores = band_scores(qt, kt, window, gaps)
     close(scores.data, ref_slot_dots(q64, k64, window, gaps))
     scores._backward(gs)
     close(qt.grad, ref_slot_sum(gs64, k64, window, gaps))
@@ -420,7 +443,7 @@ def test_band_op_calls_do_not_grow_with_the_window():
         events = []
         sys.setprofile(lambda frame, event, arg: events.append(event))
         try:
-            attention.band_scores(q, k, window, (0, 0))._backward(np.ones(p.shape))
+            band_scores(q, k, window, (0, 0))._backward(np.ones(p.shape))
             attention.band_mix(p, v, window, (0, 0))._backward(np.ones(v.shape))
         finally:
             sys.setprofile(None)
@@ -678,6 +701,22 @@ def test_float32_attention_backward_keeps_no_float64_buffers():
             for arr in _closure_arrays(node._backward, set())]
     assert any(arr.dtype == np.float32 and arr.size >= B * heads * L for arr in kept)
     assert [arr.shape for arr in kept if arr.dtype == np.float64] == []
+
+
+def test_masked_rows_backward_keeps_no_integer_array():
+    """The masked-row path looks its band keys up in the padded windows: no
+    node of its graph keeps a table of key indices, or any other integer
+    array, for backward."""
+    B, L, H, heads = 2, 40, 16, 2
+    rng = np.random.default_rng(29)
+    params = AttentionParams(H, rng)
+    x = Tensor(rng.standard_normal((B, L, H)), requires_grad=True)
+    mask = rng.random((B, L)) < 0.3
+    out = rows_attention(x, params, AttentionPattern(8, (0, 1)), heads, mask, [L, 31])
+    kept = [arr for node in _graph(out) if node._backward is not None
+            for arr in _closure_arrays(node._backward, set())]
+    assert any(arr.dtype == np.float32 and arr.size >= mask.sum() * heads for arr in kept)
+    assert [arr.shape for arr in kept if np.issubdtype(arr.dtype, np.integer)] == []
 
 
 def test_make_op_calls_per_padded_call_with_globals(monkeypatch):

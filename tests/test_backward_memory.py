@@ -193,11 +193,13 @@ def _band_rows_call(dtype):
     return (hidden, params, pattern, mask), (q.data, k.data, v.data), rest
 
 
-# byte budgets, in (row, head) pairs of gathered keys: every pair at once;
-# three pairs, so that the first block ends inside the run of heads 2:4
-# (pair 2 is head 2, pair 3 head 3); one pair per block (below one pair)
+# byte budgets, in (row, head) pairs of gathered keys; a block holds rows
+# of one run of two heads: every row at once; three pairs, one row per
+# block; six pairs, three rows, so that the last block of a run is partial;
+# half a pair, one row per block (below one row)
 _BUDGETS = [pytest.param(None, id="default-budget"),
             pytest.param(3, id="three-pairs"),
+            pytest.param(6, id="three-rows"),
             pytest.param(0.5, id="under-one-pair")]
 
 
@@ -211,15 +213,18 @@ def _set_budget(monkeypatch, pairs, dtype):
 @pytest.mark.parametrize("pairs", _BUDGETS)
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_band_rows_matches_its_keep_everything_reference(monkeypatch, dtype, pairs, flags):
-    _, arrays, (keys, key_ok, runs, pad) = _band_rows_call(dtype)
-    assert runs == [slice(0, 2), slice(2, 4)]
-    if pairs == 3:
-        n_pairs = keys.shape[0] * _ROWS_HEADS
-        assert n_pairs > 2 * 3   # several blocks
+    """_band_rows, which looks its keys up in padded class windows, against
+    the reference, which gathers them by flat row numbers."""
+    _, arrays, args = _band_rows_call(dtype)
+    mask, row_ok, window, gaps = args
+    assert gaps == (0, 0, 2, 2) and window == _ROWS_K - 1
+    if pairs == 6:
+        assert mask.sum() % 3    # a partial last block
+    assert not row_ok.all()      # padding keys are masked
     _set_budget(monkeypatch, pairs, dtype)
 
     def op(kernel):
-        return lambda q, k, v: kernel(q, k, v, keys, key_ok, runs, pad)
+        return lambda q, k, v: kernel(q, k, v, *args)
 
     _same_bytes(_run(op(attention._band_rows), arrays, flags),
                 _run(op(ref_keep_band_rows), arrays, flags))

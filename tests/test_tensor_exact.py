@@ -356,6 +356,20 @@ def test_first_gradient_keeps_the_data_layout():
     assert t.grad.strides == np.zeros_like(t.data).strides
 
 
+@pytest.mark.parametrize("owned", [False, True])
+def test_first_gradient_of_a_broadcast_view_is_c_ordered(owned):
+    """Data that is a zero-stride broadcast view, as embedding_prefix makes,
+    gets a C-ordered first gradient (numpy's own layout for it puts the
+    broadcast axis innermost), with the bytes of the copy."""
+    rows = np.arange(15, dtype=np.float32).reshape(5, 3)
+    g = upstream(np.random.default_rng(13), (4, 5, 3))
+    for t in (leaf(np.broadcast_to(rows, (4, 5, 3))), T.embedding_prefix(leaf(rows), 4, 5)):
+        assert t.data.strides[0] == 0
+        t._accum(g.copy(), owned=owned)
+        assert t.grad.flags.c_contiguous
+        assert same_bytes(t.grad, ref_first_grad(g, t.data))
+
+
 def test_an_owned_first_gradient_is_adopted_in_the_data_layout_only():
     t = leaf(np.ones((3, 4), dtype=np.float32))
     g = np.array([[-0.0, 1.0, 2.0, 3.0]] * 3, dtype=np.float32)
