@@ -131,11 +131,9 @@ def sliding_window_offsets(i: int, length: int, window: int, gap: int = 0) -> se
 
 
 def build_band_mask(length: int, pattern: AttentionPattern, head: int,
-                    n_heads: int | None = None) -> np.ndarray:
-    """Boolean [L, L] mask for one head: allowed(i, j) iff j is in i's window,
-    or i is global, or j is global."""
-    n_heads = n_heads if n_heads is not None else (
-        len(pattern.dilation_per_head) if pattern.dilation_per_head else head + 1)
+                    n_heads: int) -> np.ndarray:
+    """Boolean [L, L] mask for head `head` of `n_heads`: allowed(i, j) iff j
+    is in i's window, or i is global, or j is global."""
     pattern.check_globals(length)
     gap = pattern.dilation_for(head, n_heads)
     step = gap + 1

@@ -6,7 +6,8 @@ file (or none), never a torn one. There is no fsync: the rename covers
 process death, not power loss. Text is UTF-8; JSONL, CSV and label files
 write a lone surrogate as its backslash-u escape, vocabulary files refuse
 one. A directory of several files is committed by a marker file (committing).
-Every JSON object lctx reads (--config, --rules, markers) has one checker.
+Every JSON object lctx reads (--config, --rules, markers) has one checker,
+and every JSONL row (raw cases, task rows, prediction rows) another.
 
 Checkpoint layout (little-endian): magic "LCTX", format version u32, array
 count u32, then per array: name length u32 + UTF-8 name, rank u32, dims (u64
@@ -128,6 +129,27 @@ def check_json_object(given, kinds: dict, source: str, section: str = "",
         raise ValueError(f"no {', '.join(map(repr, missing))} in the {where} of {source}")
 
 
+# a row-field kind: (what a value must be, its test given the value and its row)
+TEXT = ("a string", lambda v, row: type(v) is str)
+
+
+def check_fields(rows, fields: dict, what: str, optional=()) -> None:
+    """Refuse, naming `what`, the row and the field, a row that is not an
+    object, or one without one of `fields` (name: kind) that is not in
+    `optional`, or whose value fails the field's kind."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"{what} row {i} is not a JSON object")
+        for key, (want, ok) in fields.items():
+            if key not in row:
+                if key in optional:
+                    continue
+                raise ValueError(f"{what} row {i} has no {key!r}")
+            if not ok(row[key], row):
+                raise ValueError(f"{what} row {i}: {key!r} must be {want}, "
+                                 f"got {json.dumps(row[key], ensure_ascii=False)}")
+
+
 def _array_header(encoded_name: bytes, dims) -> bytes:
     """An array's record before its payload: name length, name, rank, dims."""
     return struct.pack(f"<I{len(encoded_name)}sI{len(dims)}Q", len(encoded_name),
@@ -199,17 +221,25 @@ def save_params(path, params: dict[str, Tensor]) -> None:
     save_arrays(path, {name: p.data for name, p in params.items()})
 
 
+def load_matching_arrays(path, shapes: dict[str, tuple], what: str) -> dict[str, np.ndarray]:
+    """The arrays of the checkpoint at `path`, which must hold exactly the
+    names of `shapes` (name: shape) at those shapes; otherwise ValueError
+    names the file, `what` the arrays are for and every offending array."""
+    arrays = load_arrays(path)
+    problems = [f"missing {name!r}" for name in shapes if name not in arrays]
+    problems += [f"unexpected {name!r}" for name in arrays if name not in shapes]
+    problems += [f"{name!r} is {arrays[name].shape} in the checkpoint, {shape} in the {what}"
+                 for name, shape in shapes.items()
+                 if name in arrays and arrays[name].shape != shape]
+    if problems:
+        raise ValueError(f"{path}: checkpoint does not match the {what}: " + "; ".join(problems))
+    return arrays
+
+
 def load_params(path, params: dict[str, Tensor]) -> None:
     """Overwrite each parameter's data from the checkpoint at `path`, cast to
     the parameter's dtype. The checkpoint must hold exactly these names at
-    these shapes; otherwise ValueError names every offending parameter and no
-    parameter changes."""
-    arrays = load_arrays(path)
-    problems = [f"missing {name!r}" for name in params if name not in arrays]
-    problems += [f"unexpected {name!r}" for name in arrays if name not in params]
-    problems += [f"{name!r} is {arrays[name].shape} in the checkpoint, {p.shape} in the model"
-                 for name, p in params.items() if name in arrays and arrays[name].shape != p.shape]
-    if problems:
-        raise ValueError(f"{path}: checkpoint does not match the model: " + "; ".join(problems))
+    these shapes (load_matching_arrays); otherwise no parameter changes."""
+    arrays = load_matching_arrays(path, {name: p.shape for name, p in params.items()}, "model")
     for name, p in params.items():
         p.data = arrays[name].astype(p.data.dtype, copy=False)

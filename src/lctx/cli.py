@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
-import functools
 import glob
 import json
 import os
@@ -30,7 +29,8 @@ from .attention import (
     dense_attention_oracle,
     sparse_attention_forward,
 )
-from .checkpoint import check_json_object, read_json, replacing, write_csv, write_text
+from .checkpoint import (check_fields, check_json_object, read_json, replacing, write_csv,
+                         write_text)
 from .corpus import (
     Ruleset,
     corpus_stats,
@@ -43,18 +43,8 @@ from .corpus import (
 from .encoder import EncoderConfig
 from .fixtures import write_fixture_files
 from .metrics import FoldPlan, run_cross_validation
-from .pretrain import PretrainConfig, check_batches, check_blocks, check_resume, pretrain
-from .tasks import (
-    JudgmentModel,
-    MultipleChoiceModel,
-    ReadingComprehensionModel,
-    RetrievalRanker,
-    judgment,
-    mcq,
-    reading,
-    retrieval,
-)
-from .tasks.model import check_fields
+from .pretrain import PretrainConfig, check_batches, check_blocks, load_resume, pretrain
+from .tasks import JudgmentModel, MultipleChoiceModel, ReadingComprehensionModel, RetrievalRanker
 from .vocab import CharVocab, build_vocab
 
 METRIC_COLUMNS = ["Mic@c", "Mac@c", "Mic@l", "Mac@l", "Dis@t",
@@ -62,18 +52,15 @@ METRIC_COLUMNS = ["Mic@c", "Mac@c", "Mic@l", "Mac@l", "Dis@t",
                   "NDCG@5", "NDCG@10", "NDCG@20", "NDCG@30",
                   "MAP", "EM", "F1", "single", "all"]
 
-# task name: (head class, the constructor arguments fixed by the task,
-# score_rows(pred_rows, gold_rows), the head's own scoring path, which for
-# judgment counts the labels of both row lists). finetune, evaluate and smoke
-# all read their tasks from this table.
+# task name: (head class, the constructor arguments fixed by the task).
+# finetune, evaluate and smoke all read their tasks from this table, and all
+# score through the head's score_rows.
 TASKS = {
-    "judgment-criminal": (JudgmentModel, {"mode": "criminal"},
-                          functools.partial(judgment.score_rows, mode="criminal")),
-    "judgment-civil": (JudgmentModel, {"mode": "civil"},
-                       functools.partial(judgment.score_rows, mode="civil")),
-    "retrieval": (RetrievalRanker, {}, retrieval.score_rows),
-    "rc": (ReadingComprehensionModel, {}, reading.score_rows),
-    "mcq": (MultipleChoiceModel, {}, mcq.score_rows),
+    "judgment-criminal": (JudgmentModel, {"mode": "criminal"}),
+    "judgment-civil": (JudgmentModel, {"mode": "civil"}),
+    "retrieval": (RetrievalRanker, {}),
+    "rc": (ReadingComprehensionModel, {}),
+    "mcq": (MultipleChoiceModel, {}),
 }
 
 
@@ -271,7 +258,8 @@ def cmd_pretrain(args) -> int:
     enc_config = EncoderConfig(**{"vocab_size": len(vocab), "max_positions": max(seq_len, 16),
                                   **sections.get("encoder", {})})
     check_blocks(blocks, enc_config)
-    start_step = 0 if args.resume is None else check_resume(args.resume, enc_config)
+    # the whole checkpoint is checked here, before anything is written
+    start_step = 0 if args.resume is None else load_resume(args.resume, enc_config)[2]
     check_batches(blocks, config.batch_size, start_step, args.steps)
     _write_run_config(out, args, {"pretrain": asdict(config), "encoder": asdict(enc_config)})
     _, history = pretrain(blocks, config, enc_config, steps=args.steps, out_dir=out,
@@ -313,7 +301,7 @@ def cmd_finetune(args) -> int:
     if args.model_type != "long" and args.task != "retrieval":
         raise ValueError(f"--model-type {args.model_type} (the truncating dense baseline) "
                          f"applies to the retrieval task only, not {args.task}")
-    cls, fixed, score = TASKS[args.task]
+    cls, fixed = TASKS[args.task]
     kwargs = dict(fixed, vocab=vocab, steps=args.steps, lr=args.lr, seed=args.seed,
                   encoder=encoder)
     if args.task == "retrieval":
@@ -340,7 +328,7 @@ def cmd_finetune(args) -> int:
     model.model_.save(out / "model", {"task": args.task}, vocab=model.vocab_)
     preds = model.predict(rows)
     write_jsonl(out / "predictions.jsonl", preds)
-    metrics = score(preds, rows)
+    metrics = model.score_rows(preds, rows)
     _write_metrics_csv(out / "metrics.csv", [{"task": args.task, **metrics}])
     shown = {k: round(v, 4) for k, v in metrics.items() if isinstance(v, float)}
     print(f"finetune {args.task}: {shown}")
@@ -353,7 +341,7 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cls, fixed, score = TASKS[args.task]
+    cls, fixed = TASKS[args.task]
     pred_rows, gold_rows = read_jsonl(args.pred), read_jsonl(args.gold)
     head = cls(**fixed)
     head.check_rows(gold_rows, gold=True)
@@ -361,7 +349,7 @@ def cmd_evaluate(args) -> int:
     # retrieval aligns its scores to the gold rows by (query_id, candidate_id)
     if len(pred_rows) != len(gold_rows) and args.task != "retrieval":
         raise ValueError("pred and gold files must align")
-    metrics = score(pred_rows, gold_rows)
+    metrics = head.score_rows(pred_rows, gold_rows)
     # --out is the CSV file itself, or without a suffix the run directory
     out = Path(args.out)
     run_dir = out.parent if out.suffix else out
@@ -378,13 +366,13 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def interleaved_median_ms(cases: dict, repeats: int = 5) -> dict:
+def interleaved_median_ms(cases: dict) -> dict:
     """Median wall time in ms of each callable in `cases`, by key.
 
     Every case runs once untimed before any is timed, so the largest case has
     raised the allocator's thresholds before the smallest is timed. Then each
-    of `repeats` rounds times every case once, so a slow phase of the host
-    falls on all cases alike. Each timed call directly follows an untimed
+    of 5 rounds times every case once, so a slow phase of the host falls on
+    all cases alike. Each timed call directly follows an untimed
     call of the same case: the allocator hands a large call's temporaries
     back to the OS, and without that call a small case would pay the page
     faults of faulting them in again.
@@ -392,7 +380,7 @@ def interleaved_median_ms(cases: dict, repeats: int = 5) -> dict:
     for fn in cases.values():
         fn()
     times = {key: [] for key in cases}
-    for _ in range(repeats):
+    for _ in range(5):
         for key, fn in cases.items():
             fn()
             start = time.perf_counter()
@@ -548,7 +536,7 @@ def cmd_smoke(args) -> int:
               for task, table in (("judgment-criminal", result.charge_table),
                                   ("judgment-civil", result.cause_table))}
     metric_rows = []
-    for task, (cls, fixed, _) in TASKS.items():
+    for task, (cls, fixed) in TASKS.items():
         with _smoke_stage(f"finetune-{task}", timings):
             model = cls(**fixed, **counts.get(task, {}), vocab=vocab, steps=steps, lr=3e-3,
                         seed=seed)

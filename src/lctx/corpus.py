@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import check_json_object, read_json, write_text
+from .checkpoint import TEXT, check_fields, check_json_object, read_json, write_text
 from .vocab import PAD_ID, SEP_ID, n_tokens
 
 MIN_FACT_TOKENS = 50
@@ -167,11 +167,6 @@ def segment_case(raw_text: str, rules: Ruleset, case_kind: str = "criminal",
 def fact_long_enough(doc: CaseDocument, min_tokens: int = MIN_FACT_TOKENS) -> bool:
     """The fact-length rule: the fact is strictly longer than min_tokens tokens."""
     return n_tokens(doc.fact) > min_tokens
-
-
-def filter_by_fact_length(docs, min_tokens: int = MIN_FACT_TOKENS):
-    """Keep documents that pass fact_long_enough."""
-    return [d for d in docs if fact_long_enough(d, min_tokens)]
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +391,10 @@ class PipelineResult:
 def process_corpus(raw_cases, rules: Ruleset,
                    min_fact_tokens: int = MIN_FACT_TOKENS) -> PipelineResult:
     """segment -> fact-length filter -> annotate, with per-reason rejection
-    counts. raw_cases rows are {id, kind, text} dicts (the JSONL schema)."""
+    counts. raw_cases rows are {id, kind, text} objects (the JSONL schema):
+    a row that is not one, or whose text or kind (absent: criminal) is not a
+    string, is a ValueError naming the row and the field."""
+    check_fields(raw_cases, {"text": TEXT, "kind": TEXT}, "raw case", optional=("kind",))
     charge_table, law_table, cause_table = LabelTable(), LabelTable(), LabelTable()
     documents, criminal, civil = [], [], []
     rejections: dict[str, int] = {}

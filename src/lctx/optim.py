@@ -27,9 +27,10 @@ class AdamState:
         return out
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Take moments and step from state_arrays()'s names, at its shapes."""
         for k in self.first_moment:
-            self.first_moment[k] = arrays[f"m.{k}"].reshape(self.first_moment[k].shape).copy()
-            self.second_moment[k] = arrays[f"v.{k}"].reshape(self.second_moment[k].shape).copy()
+            self.first_moment[k] = arrays[f"m.{k}"].copy()
+            self.second_moment[k] = arrays[f"v.{k}"].copy()
         self.step = int(arrays["step"][0])
 
 

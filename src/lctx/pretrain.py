@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import (committing, load_arrays, load_params, save_arrays, save_params,
-                         write_csv, write_text)
+from .checkpoint import (committing, load_matching_arrays, load_params, save_arrays,
+                         save_params, write_csv, write_text)
 from .encoder import Encoder, EncoderConfig, model_marker, read_model_marker
 from .optim import AdamState, adam_step, zero_grads
 from .tensor import IGNORE_INDEX
@@ -131,27 +131,14 @@ def read_state(ckpt_dir) -> tuple[int, EncoderConfig]:
     return meta["step"], config
 
 
-def check_resume(ckpt_dir, enc_config: EncoderConfig) -> int:
-    """The step of checkpoint ckpt_dir. Refuse, with a ValueError naming the
-    directory, a checkpoint without state.json or one whose encoder config
-    differs from enc_config (each differing field is named with both
-    values)."""
-    step, saved = read_state(ckpt_dir)
-    differ = [f"{f.name} {getattr(enc_config, f.name)!r} (checkpoint: "
-              f"{getattr(saved, f.name)!r})" for f in fields(EncoderConfig)
-              if getattr(enc_config, f.name) != getattr(saved, f.name)]
-    if differ:
-        raise ValueError(f"{ckpt_dir}: the encoder config differs from the "
-                         f"checkpoint's: " + "; ".join(differ))
-    return step
-
-
 def check_blocks(blocks, enc_config: EncoderConfig) -> np.ndarray:
     """`blocks` as an array; a ValueError unless it is a non-empty [n,
     seq_len] array of token ids that an encoder of enc_config takes."""
     blocks = np.asarray(blocks)
     if blocks.ndim != 2 or blocks.size == 0:
         raise ValueError("blocks must be a non-empty [n, seq_len] array")
+    if not np.issubdtype(blocks.dtype, np.integer):
+        raise ValueError(f"blocks must hold integer token ids, not {blocks.dtype}")
     if blocks.shape[1] > enc_config.max_positions:
         raise ValueError(f"block length {blocks.shape[1]} exceeds the encoder's "
                          f"max_positions {enc_config.max_positions}")
@@ -190,6 +177,28 @@ def load_checkpoint(ckpt_dir):
     return encoder, step
 
 
+def load_resume(ckpt_dir, enc_config: EncoderConfig) -> tuple[Encoder, AdamState, int]:
+    """(encoder, Adam state, step) of checkpoint ckpt_dir, to resume a run
+    of enc_config. Refuse, with a ValueError naming the directory or file, a
+    checkpoint without state.json, one whose encoder config differs from
+    enc_config (each differing field is named with both values), and one
+    whose model.ckpt or optim.ckpt does not hold exactly the encoder's
+    parameters or their Adam state (each offending array is named)."""
+    _, saved = read_state(ckpt_dir)
+    differ = [f"{f.name} {getattr(enc_config, f.name)!r} (checkpoint: "
+              f"{getattr(saved, f.name)!r})" for f in fields(EncoderConfig)
+              if getattr(enc_config, f.name) != getattr(saved, f.name)]
+    if differ:
+        raise ValueError(f"{ckpt_dir}: the encoder config differs from the "
+                         f"checkpoint's: " + "; ".join(differ))
+    encoder, step = load_checkpoint(ckpt_dir)
+    state = AdamState(encoder.named_params())
+    shapes = {name: a.shape for name, a in state.state_arrays().items()}
+    state.load_arrays(load_matching_arrays(Path(ckpt_dir) / "optim.ckpt", shapes,
+                                           "optimizer state"))
+    return encoder, state, step
+
+
 def pretrain(blocks: np.ndarray, config: PretrainConfig, enc_config: EncoderConfig,
              steps: int, out_dir=None, checkpoint_interval: int | None = None,
              resume_from=None):
@@ -200,19 +209,15 @@ def pretrain(blocks: np.ndarray, config: PretrainConfig, enc_config: EncoderConf
     the uninterrupted run bit for bit. Returns (encoder, history).
     """
     blocks = check_blocks(blocks, enc_config)
-    start_step = 0 if resume_from is None else check_resume(resume_from, enc_config)
+    if resume_from is not None:
+        encoder, state, start_step = load_resume(resume_from, enc_config)
+    else:
+        encoder = Encoder(enc_config, np.random.default_rng(config.seed))
+        state, start_step = AdamState(encoder.named_params()), 0
     check_batches(blocks, config.batch_size, start_step, steps)
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-
-    if resume_from is not None:
-        encoder, start_step = load_checkpoint(resume_from)
-        state = AdamState(encoder.named_params())
-        state.load_arrays(load_arrays(Path(resume_from) / "optim.ckpt"))
-    else:
-        encoder = Encoder(enc_config, np.random.default_rng(config.seed))
-        state = AdamState(encoder.named_params())
 
     params = encoder.named_params()
     history: list[StepLog] = []

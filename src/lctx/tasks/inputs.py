@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..attention import AttentionPattern
-from ..vocab import CLS_ID, SEP_ID
+from ..vocab import CLS_ID, SEP_ID, n_tokens
 
 # query/candidate truncation limits (long model vs 512-token dense baseline)
 LONG_QUERY_LIMIT, LONG_CAND_LIMIT = 509, 3072
@@ -75,3 +75,9 @@ def pair_input(first_ids, second_ids, first_limit: int,
         global_positions=(0, *first_span),
         sections={"first": first_span, "second": second_span},
     )
+
+
+def pair_length(first: str, second: str, first_limit: int, second_limit: int) -> int:
+    """The length of pair_input's input of two texts' tokens under these
+    limits, counted without a vocabulary (n_tokens)."""
+    return 3 + min(n_tokens(first), first_limit) + min(n_tokens(second), second_limit)

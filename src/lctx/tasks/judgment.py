@@ -13,10 +13,11 @@ import numpy as np
 
 from .. import tensor as T
 from ..base import check_fitted
+from ..checkpoint import TEXT
 from ..corpus import PENALTY_CAP_MONTHS
 from ..metrics import log_distance, micro_macro_f1
 from .inputs import single_text_input
-from .model import TEXT, TaskHead, mse, predict_batches
+from .model import TaskHead, mse, predict_batches
 
 
 def _is_id(value) -> bool:
@@ -38,10 +39,10 @@ _FIELDS = {
 }
 
 
-def decode_label_set(logits: np.ndarray, threshold: float = 0.5) -> set[int]:
-    """Sigmoid >= threshold per label; an empty set falls back to the top-1."""
+def decode_label_set(logits: np.ndarray) -> set[int]:
+    """Sigmoid >= 0.5 per label; an empty set falls back to the top-1."""
     probs = 1.0 / (1.0 + np.exp(-logits.astype(np.float64)))
-    chosen = set(np.flatnonzero(probs >= threshold).tolist())
+    chosen = set(np.flatnonzero(probs >= 0.5).tolist())
     if not chosen:
         chosen = {int(probs.argmax())}
     return chosen
@@ -70,7 +71,7 @@ class JudgmentModel(TaskHead):
     task = property(lambda self: f"judgment-{self.mode}")
     row_fields = property(lambda self: _FIELDS[self.mode])
     label_fields = property(lambda self: tuple(_FIELDS[self.mode])[1:])
-    fit = TaskHead.fit
+    fit, evaluate = TaskHead.fit, TaskHead.evaluate
 
     def __init__(self, mode: str = "criminal", n_label_a: int | None = None,
                  n_laws: int | None = None, **settings):
@@ -155,31 +156,25 @@ class JudgmentModel(TaskHead):
                 rows.append({"cause": int(scores["a_logits"].argmax()), "laws": laws})
         return rows
 
-    def evaluate(self, examples) -> dict:
-        """Mic@c/Mac@c, Mic@l/Mac@l (and Dis@t for criminal mode)."""
-        return score_rows(self.predict(examples), examples, self.mode,
-                          self.n_label_a_, self.n_laws_)
+    def score_rows(self, preds, golds) -> dict:
+        """Mic@c/Mac@c over charges (criminal) or the cause (civil),
+        Mic@l/Mac@l over laws, and Dis@t for criminal mode, of predicted rows
+        against gold rows. Label fields hold ids, as sets or lists. The label
+        counts are the fitted head's, else the constructor's, else the
+        label_count of the predicted and gold rows together."""
+        key = LABEL_A[self.mode]
+        n_label_a = getattr(self, "n_label_a_", self.n_label_a) or label_count(preds + golds, key)
+        n_laws = getattr(self, "n_laws_", self.n_laws) or label_count(preds + golds, "laws")
 
+        def label_a(row) -> set:
+            return set(row[key]) if self.mode == "criminal" else {row[key]}
 
-def score_rows(preds, golds, mode: str, n_label_a: int | None = None,
-               n_laws: int | None = None) -> dict:
-    """Mic@c/Mac@c over charges (criminal) or the cause (civil), Mic@l/Mac@l
-    over laws, and Dis@t for criminal mode, of predicted rows against gold
-    rows. Label fields hold ids, as sets or lists. A label count that is not
-    given is the label_count of the predicted and gold rows together."""
-    key = LABEL_A[mode]
-    n_label_a = n_label_a or label_count(preds + golds, key)
-    n_laws = n_laws or label_count(preds + golds, "laws")
-
-    def label_a(row) -> set:
-        return set(row[key]) if mode == "criminal" else {row[key]}
-
-    mic_c, mac_c = micro_macro_f1([label_a(p) for p in preds],
-                                  [label_a(g) for g in golds], n_label_a)
-    mic_l, mac_l = micro_macro_f1([set(p["laws"]) for p in preds],
-                                  [set(g["laws"]) for g in golds], n_laws)
-    out = {"Mic@c": mic_c, "Mac@c": mac_c, "Mic@l": mic_l, "Mac@l": mac_l}
-    if mode == "criminal":
-        out["Dis@t"] = log_distance([p["penalty_months"] for p in preds],
-                                    [g["penalty_months"] for g in golds])
-    return out
+        mic_c, mac_c = micro_macro_f1([label_a(p) for p in preds],
+                                      [label_a(g) for g in golds], n_label_a)
+        mic_l, mac_l = micro_macro_f1([set(p["laws"]) for p in preds],
+                                      [set(g["laws"]) for g in golds], n_laws)
+        out = {"Mic@c": mic_c, "Mac@c": mac_c, "Mic@l": mic_l, "Mac@l": mac_l}
+        if self.mode == "criminal":
+            out["Dis@t"] = log_distance([p["penalty_months"] for p in preds],
+                                        [g["penalty_months"] for g in golds])
+        return out

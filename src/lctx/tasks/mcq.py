@@ -10,9 +10,10 @@ import numpy as np
 
 from .. import tensor as T
 from ..base import check_fitted
+from ..checkpoint import TEXT
 from ..metrics import mcq_accuracy
-from .inputs import CHOICE_LIMIT, QUESTION_LIMIT, EncodedInput, pair_input
-from .model import TEXT, TaskHead, predict_batches
+from .inputs import CHOICE_LIMIT, QUESTION_LIMIT, EncodedInput, pair_input, pair_length
+from .model import TaskHead, predict_batches
 
 LETTERS = tuple("ABCD")
 
@@ -35,7 +36,17 @@ class MultipleChoiceModel(TaskHead):
     label_fields = ("choices", "answer_set")  # the letters name choices
     pred_fields = {"answer_set": (f"a possibly empty list of the letters {', '.join(LETTERS)}",
                                   lambda v, row: type(v) is list and all(x in LETTERS for x in v))}
-    fit = TaskHead.fit
+    fit, evaluate = TaskHead.fit, TaskHead.evaluate
+
+    def check_rows(self, rows, gold: bool = False) -> None:
+        """TaskHead's row check; for training, each question-choice input
+        must fit the encoder."""
+        super().check_rows(rows, gold)
+        if not gold:
+            for i, row in enumerate(rows):
+                for letter, choice in zip(LETTERS, row["choices"]):
+                    self._check_fits(f"row {i} choice {letter}", pair_length(
+                        row["question"], choice, QUESTION_LIMIT, CHOICE_LIMIT))
 
     def _assemble(self, ex) -> list[EncodedInput]:
         q_ids = self.vocab_.transform(ex["question"])
@@ -82,19 +93,15 @@ class MultipleChoiceModel(TaskHead):
                          "argmax": LETTERS[int(score.argmax())]})
         return rows
 
-    def evaluate(self, examples) -> dict:
-        return score_rows(self.predict(examples), examples)
-
-
-def score_rows(preds, golds) -> dict:
-    """`single` and `all` accuracy of predicted answer sets against gold.
-    `single` uses the argmax letters when every prediction carries one, and
-    is left out when no gold question has a single answer."""
-    argmax = ([p["argmax"] for p in preds]
-              if all("argmax" in p for p in preds) else None)
-    single, all_acc = mcq_accuracy([set(p["answer_set"]) for p in preds],
-                                   [set(g["answer_set"]) for g in golds],
-                                   argmax_preds=argmax)
-    out = {} if single is None else {"single": single}
-    out["all"] = all_acc
-    return out
+    def score_rows(self, preds, golds) -> dict:
+        """`single` and `all` accuracy of predicted answer sets against gold.
+        `single` uses the argmax letters when every prediction carries one,
+        and is left out when no gold question has a single answer."""
+        argmax = ([p["argmax"] for p in preds]
+                  if all("argmax" in p for p in preds) else None)
+        single, all_acc = mcq_accuracy([set(p["answer_set"]) for p in preds],
+                                       [set(g["answer_set"]) for g in golds],
+                                       argmax_preds=argmax)
+        out = {} if single is None else {"single": single}
+        out["all"] = all_acc
+        return out

@@ -1,16 +1,15 @@
 """What the task heads share: the encoder + head parameter container, the
-batching rule, the fine-tuning loop, the row check, and TaskHead, the base
-class that holds their fit scaffolding."""
+batching rule, the fine-tuning loop, and TaskHead, the base class that
+holds their row check, fit scaffolding and evaluate."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 from .. import tensor as T
-from ..checkpoint import committing, load_params, save_params
+from ..checkpoint import check_fields, committing, load_params, save_params
 from ..encoder import Encoder, EncoderConfig, model_marker, read_model_marker
 from ..optim import AdamState, adam_step, zero_grads
 from ..tensor import Tensor
@@ -39,8 +38,8 @@ class HeadedModel:
         """Hidden states [B, L_max, H] of assembled inputs that share their
         global positions, or with `rows` those positions' only, [B, R, H]
         (see Encoder.encode). Shorter rows are right-padded with PAD_ID and
-        type id 0, and their lengths go to the encoder, which masks padding
-        keys; row b is valid on its first len(batch[b]) positions. The
+        type id 0, and every row's length goes to the encoder, which masks
+        padding keys; row b is valid on its first len(batch[b]) positions. The
         pattern defaults to the encoder's window and dilation with the rows'
         global positions."""
         if len({enc_in.global_positions for enc_in in batch}) != 1:
@@ -54,9 +53,7 @@ class HeadedModel:
         for b, enc_in in enumerate(batch):
             ids[b, :len(enc_in)] = enc_in.ids
             type_ids[b, :len(enc_in)] = enc_in.type_ids
-        ragged = min(lengths) != max(lengths)
-        return self.encoder.encode(ids, type_ids, pattern,
-                                   lengths=lengths if ragged else None, rows=rows)
+        return self.encoder.encode(ids, type_ids, pattern, lengths=lengths, rows=rows)
 
     def params(self) -> dict[str, Tensor]:
         out = self.encoder.named_params()
@@ -146,36 +143,19 @@ def is_flag(value) -> bool:
     return type(value) is int and value in (0, 1)  # a bool is not a flag
 
 
-# a row-field kind: (what a value must be, its test given the value and its row)
-TEXT = ("a string", lambda v, row: type(v) is str)
-
-
-def check_fields(rows, fields: dict, what: str) -> None:
-    """Refuse, naming `what`, the row and the field, a row that is not an
-    object, or one without one of `fields` (name: kind) or whose value fails
-    the field's kind."""
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ValueError(f"{what} row {i} is not a JSON object")
-        for key, (want, ok) in fields.items():
-            if key not in row:
-                raise ValueError(f"{what} row {i} has no {key!r}")
-            if not ok(row[key], row):
-                raise ValueError(f"{what} row {i}: {key!r} must be {want}, "
-                                 f"got {json.dumps(row[key], ensure_ascii=False)}")
-
-
 class TaskHead:
     """Base of the task heads: the shared settings, row check, vocabulary
-    fit, default encoder, HeadedModel build and fit_adam call. A head
-    declares `task` (its name in messages), `n_layers` and `max_positions`
-    (its default encoder's), `row_fields` (name: kind, what fit reads),
-    `label_fields` (what score_rows reads in gold rows, and any field their
-    kinds look at) and, where they differ from the gold label fields,
-    `pred_fields` (what score_rows reads in prediction rows); it implements
-    `_texts`, `_head_shapes`, `_items` and `_batch_loss`, and binds
-    `fit = TaskHead.fit` as its own attribute, so that tracing can wrap one
-    head's fit alone."""
+    fit, default encoder, HeadedModel build and fit_adam call, and evaluate.
+    A head declares `task` (its name in messages), `n_layers` and
+    `max_positions` (its default encoder's), `row_fields` (name: kind, what
+    fit reads), `label_fields` (what score_rows reads in gold rows, and any
+    field their kinds look at) and, where they differ from the gold label
+    fields, `pred_fields` (what score_rows reads in prediction rows); it
+    implements `_texts`, `_head_shapes`, `_items`, `_batch_loss`, `predict`
+    and `score_rows(preds, golds)`, its one scoring path (lctx evaluate
+    scores prediction files with it), and binds `fit, evaluate =
+    TaskHead.fit, TaskHead.evaluate` as its own attributes, so that tracing
+    can wrap one head's alone."""
 
     n_layers = 1
     max_positions = 160
@@ -198,6 +178,14 @@ class TaskHead:
             raise ValueError("no gold rows" if gold else "no training examples")
         check_fields(rows, self.gold_fields if gold else self.row_fields, self.task)
 
+    def _check_fits(self, where: str, length: int) -> None:
+        """Refuse, naming `where`, an assembled input of `length` tokens that
+        the encoder's max_positions cannot hold."""
+        limit = (self.encoder or self).max_positions
+        if length > limit:
+            raise ValueError(f"{self.task} {where}: its assembled input is {length} tokens, "
+                             f"more than the encoder's max_positions {limit}")
+
     def fit(self, examples):
         """Train on the rows; an item's first element is its assembled input."""
         self.check_rows(examples)
@@ -210,6 +198,10 @@ class TaskHead:
         self.history_ = fit_adam(self.model_, self._items(examples), lambda item: item[0],
                                  self._batch_loss, self.steps, self.lr)
         return self
+
+    def evaluate(self, examples) -> dict:
+        """score_rows of the head's predictions for `examples` against them."""
+        return self.score_rows(self.predict(examples), examples)
 
 
 def mse(pred: Tensor, target: np.ndarray) -> Tensor:

@@ -17,10 +17,11 @@ import numpy as np
 
 from .. import tensor as T
 from ..base import check_fitted
+from ..checkpoint import TEXT
 from ..metrics import em_f1
 from ..vocab import char_tokens, n_tokens
 from .inputs import QUESTION_LIMIT, EncodedInput, pair_input
-from .model import TEXT, TaskHead, is_flag, predict_batches
+from .model import TaskHead, is_flag, predict_batches
 
 ANSWER_TYPES = ("span", "yes", "no", "unanswerable")
 MAX_SPAN = 64  # longest decoded answer span, in tokens
@@ -63,7 +64,7 @@ class ReadingComprehensionModel(TaskHead):
                     and len(v) == len(split_sentences(row["context"]))),
     }
     label_fields = ("answer",)
-    fit = TaskHead.fit
+    fit, evaluate = TaskHead.fit, TaskHead.evaluate
 
     def _context_limit(self) -> int:
         """Context tokens that assembly keeps: the encoder's positions less
@@ -186,13 +187,9 @@ class ReadingComprehensionModel(TaskHead):
         return predict_batches([self._assemble(ex) for ex in examples],
                                lambda pair: pair[0], decode)
 
-    def evaluate(self, examples) -> dict:
-        return score_rows(self.predict(examples), examples)
-
-
-def score_rows(preds, golds) -> dict:
-    """Mean EM and token F1 of predicted answers against gold answers."""
-    pairs = [em_f1(char_tokens(p["answer"]), char_tokens(g["answer"]))
-             for p, g in zip(preds, golds)]
-    return {"EM": float(np.mean([em for em, _ in pairs])),
-            "F1": float(np.mean([f1 for _, f1 in pairs]))}
+    def score_rows(self, preds, golds) -> dict:
+        """Mean EM and token F1 of predicted answers against gold answers."""
+        pairs = [em_f1(char_tokens(p["answer"]), char_tokens(g["answer"]))
+                 for p, g in zip(preds, golds)]
+        return {"EM": float(np.mean([em for em, _ in pairs])),
+                "F1": float(np.mean([f1 for _, f1 in pairs]))}

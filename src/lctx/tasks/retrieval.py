@@ -16,6 +16,7 @@ import numpy as np
 from .. import tensor as T
 from ..attention import AttentionPattern
 from ..base import check_fitted
+from ..checkpoint import TEXT
 from ..metrics import RankedList, mean_average_precision, ndcg_at_k, precision_at_k
 from .inputs import (
     DENSE_CAND_LIMIT,
@@ -24,22 +25,27 @@ from .inputs import (
     LONG_QUERY_LIMIT,
     EncodedInput,
     pair_input,
+    pair_length,
 )
-from .model import TEXT, TaskHead, is_flag, predict_batches
+from .model import TaskHead, is_flag, predict_batches
+
+
+# the (query, candidate) truncation limits of each model type
+LIMITS = {"long": (LONG_QUERY_LIMIT, LONG_CAND_LIMIT),
+          "dense": (DENSE_QUERY_LIMIT, DENSE_CAND_LIMIT)}
 
 
 def retrieval_input(query_ids, cand_ids, model_type: str = "long") -> EncodedInput:
     """Assemble the pair input under the model type's truncation limits."""
     if len(cand_ids) == 0:
         raise ValueError("empty candidate")
-    if model_type == "long":
-        return pair_input(query_ids, cand_ids, LONG_QUERY_LIMIT, LONG_CAND_LIMIT)
+    if model_type not in LIMITS:
+        raise ValueError(f"unknown model_type {model_type!r}")
+    enc = pair_input(query_ids, cand_ids, *LIMITS[model_type])
     if model_type == "dense":
-        enc = pair_input(query_ids, cand_ids, DENSE_QUERY_LIMIT, DENSE_CAND_LIMIT)
         # the truncating baseline is ordinary full self-attention
         enc.global_positions = ()
-        return enc
-    raise ValueError(f"unknown model_type {model_type!r}")
+    return enc
 
 
 class RetrievalRanker(TaskHead):
@@ -58,8 +64,19 @@ class RetrievalRanker(TaskHead):
     fit = TaskHead.fit
 
     def __init__(self, model_type: str = "long", **settings):
+        if model_type not in LIMITS:
+            raise ValueError(f"unknown model_type {model_type!r}")
         super().__init__(**settings)
         self.model_type = model_type
+
+    def check_rows(self, rows, gold: bool = False) -> None:
+        """TaskHead's row check; for training, each row's assembled input
+        must fit the encoder."""
+        super().check_rows(rows, gold)
+        if not gold:
+            for i, row in enumerate(rows):
+                self._check_fits(f"row {i}", pair_length(row["query"], row["candidate"],
+                                                         *LIMITS[self.model_type]))
 
     def _prepare(self, examples) -> list[EncodedInput]:
         check_fitted(self, "model_")
@@ -107,24 +124,23 @@ class RetrievalRanker(TaskHead):
         return rank_rows(examples, self.predict_proba(examples))
 
     def evaluate(self, examples, ks=(5, 10, 20, 30)) -> dict:
-        return score_rows(self.predict(examples), examples, ks)
+        return self.score_rows(self.predict(examples), examples, ks)
 
-
-def score_rows(preds, golds, ks=(5, 10, 20, 30)) -> dict:
-    """Ranking metrics (see ranking_scores) and relevance `accuracy` at the
-    0.5 threshold of {query_id, candidate_id, score} prediction rows, aligned
-    to the gold rows by (query_id, candidate_id)."""
-    by_key = {(p["query_id"], p["candidate_id"]): p["score"] for p in preds}
-    scores = []
-    for g in golds:
-        key = (g["query_id"], g["candidate_id"])
-        if key not in by_key:
-            raise ValueError(f"missing prediction for {key}")
-        scores.append(by_key[key])
-    out = ranking_scores(rank_rows(golds, scores), ks)
-    out["accuracy"] = float(np.mean([int(s >= 0.5) == g["relevant"]
-                                     for s, g in zip(scores, golds)]))
-    return out
+    def score_rows(self, preds, golds, ks=(5, 10, 20, 30)) -> dict:
+        """Ranking metrics (see ranking_scores) and relevance `accuracy` at
+        the 0.5 threshold of {query_id, candidate_id, score} prediction rows,
+        aligned to the gold rows by (query_id, candidate_id)."""
+        by_key = {(p["query_id"], p["candidate_id"]): p["score"] for p in preds}
+        scores = []
+        for g in golds:
+            key = (g["query_id"], g["candidate_id"])
+            if key not in by_key:
+                raise ValueError(f"missing prediction for {key}")
+            scores.append(by_key[key])
+        out = ranking_scores(rank_rows(golds, scores), ks)
+        out["accuracy"] = float(np.mean([int(s >= 0.5) == g["relevant"]
+                                         for s, g in zip(scores, golds)]))
+        return out
 
 
 def rank_rows(rows, scores) -> list[RankedList]:

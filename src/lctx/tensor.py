@@ -241,10 +241,6 @@ def _op_name(backward) -> str:
 # ----------------------------------------------------------------------
 
 
-def tensor(data, requires_grad=False, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
 def zeros(shape, requires_grad=False, dtype=DEFAULT_DTYPE) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad, dtype=dtype)
 

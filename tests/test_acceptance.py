@@ -178,7 +178,7 @@ def test_criterion_3_linear_complexity():
     # case's page faults; one BLAS thread, so no size is sped up by thread
     # dispatch the other misses
     with blas_thread_limit(1) as blas_threads:
-        times = interleaved_median_ms(cases, repeats=5)
+        times = interleaved_median_ms(cases)
     assert blas_threads == 1 or _openblas() is None, blas_threads
     sparse_ratio = times[("sparse", 1024)] / times[("sparse", 512)]
     dense_ratio = times[("dense", 1024)] / times[("dense", 512)]
@@ -426,7 +426,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
 
 
 def test_criterion_9_corpus_pipeline(tmp_path):
-    from lctx.corpus import corpus_stats, filter_by_fact_length, judgment_stats
+    from lctx.corpus import corpus_stats, fact_long_enough, judgment_stats
     from lctx.vocab import char_tokens
 
     rules = Ruleset()
@@ -441,7 +441,7 @@ def test_criterion_9_corpus_pipeline(tmp_path):
     d50, d51 = doc_with_fact_tokens(50), doc_with_fact_tokens(51)
     assert len(char_tokens(d50.fact)) == 50
     assert len(char_tokens(d51.fact)) == 51
-    kept = filter_by_fact_length([d50, d51], min_tokens=50)
+    kept = [d for d in (d50, d51) if fact_long_enough(d, min_tokens=50)]
     assert kept == [d51], "50 dropped, 51 kept"
 
     rng = np.random.default_rng(1)

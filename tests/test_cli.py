@@ -7,7 +7,8 @@ import platform
 import numpy as np
 import pytest
 
-from lctx.cli import MALLOC_THRESHOLDS, _openblas, main
+from lctx.checkpoint import load_arrays, save_arrays
+from lctx.cli import MALLOC_THRESHOLDS, TASKS, _openblas, _write_metrics_csv, main
 from lctx.corpus import LabelTable, read_jsonl
 from lctx.encoder import Encoder
 from lctx.fixtures import write_fixture_files
@@ -82,6 +83,25 @@ def test_preprocess_rules_checked_before_anything_is_written(fixture_dir, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(rules) in err and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row, message", [
+    pytest.param(["经审理查明"], "raw case row 2 is not a JSON object", id="not-an-object"),
+    pytest.param({"id": "x", "kind": "civil"}, "raw case row 2 has no 'text'", id="no-text"),
+    pytest.param({"id": "x", "text": 5}, "raw case row 2: 'text' must be a string, got 5",
+                 id="text-number"),
+    pytest.param({"id": "x", "kind": 3, "text": "经审理查明"},
+                 "raw case row 2: 'kind' must be a string, got 3", id="kind-number"),
+])
+def test_preprocess_mistyped_raw_row_writes_nothing(fixture_dir, tmp_path, capsys, row,
+                                                    message):
+    rows = read_jsonl(fixture_dir / "fx" / "raw_cases.jsonl")[:2] + [row]
+    raw = write_rows(tmp_path / "raw.jsonl", rows)
+    out = tmp_path / "pp"
+    capsys.readouterr()
+    assert run(["preprocess", "--input", raw, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -198,6 +218,32 @@ def test_refused_resume_writes_no_run_json(fixture_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "step000002: not a complete checkpoint" in err
     assert not (tmp_path / "pt3" / "run.json").exists()
+
+
+@pytest.mark.parametrize("edit, problem", [
+    pytest.param(lambda a: a.pop("m.embed.tok"), "missing 'm.embed.tok'", id="no-moment"),
+    pytest.param(lambda a: a.pop("step"), "missing 'step'", id="no-step"),
+    pytest.param(lambda a: a.update({"m.mlm.bias": a["step"]}), "unexpected 'm.mlm.bias'",
+                 id="unexpected-array"),
+    pytest.param(lambda a: a.update({"v.embed.tok": np.zeros(3, np.float32)}),
+                 "'v.embed.tok' is (3,) in the checkpoint, {tok} in the optimizer state",
+                 id="misshapen-moment"),
+])
+def test_resume_of_a_mismatched_optimizer_state_writes_nothing(pp64, tmp_path, capsys, edit,
+                                                               problem):
+    assert run(["pretrain", "--data", pp64, "--out", tmp_path / "pt", "--steps", 1]) == 0
+    optim = tmp_path / "pt" / "step000001" / "optim.ckpt"
+    arrays = load_arrays(optim)
+    tok = arrays["m.embed.tok"].shape
+    edit(arrays)
+    save_arrays(optim, arrays)
+    capsys.readouterr()
+    out = tmp_path / "pt2"
+    assert run(["pretrain", "--data", pp64, "--out", out, "--steps", 1,
+                "--resume", optim.parent]) == 1
+    assert capsys.readouterr().err == (f"error: {optim}: checkpoint does not match the "
+                                       f"optimizer state: {problem.format(tok=tok)}\n")
+    assert not out.exists()
 
 
 def test_resume_of_an_unknown_config_key_prints_it_unquoted(fixture_dir, tmp_path, capsys):
@@ -381,6 +427,17 @@ def test_refused_input_writes_nothing(fixture_dir, pp64, tmp_path, capsys, comma
     assert not out.exists()
 
 
+def test_pretrain_of_float_blocks_writes_nothing(pp64, tmp_path, capsys):
+    # float ids used to pass every block check and end in an IndexError
+    # traceback out of the embedding, after run.json was written
+    np.save(pp64 / "blocks.npy", np.load(pp64 / "blocks.npy").astype(np.float64))
+    out = tmp_path / "pt"
+    capsys.readouterr()
+    assert run(["pretrain", "--data", pp64, "--out", out, "--steps", 1]) == 1
+    assert capsys.readouterr().err == "error: blocks must hold integer token ids, not float64\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resumed"])
 def test_pretrain_batch_without_a_maskable_token_writes_nothing(pp64, tmp_path, capsys, resume):
     """A third block [SEP, PAD, ...], the tail that pack_documents leaves when
@@ -513,6 +570,23 @@ def test_evaluate_reproduces_finetune_metrics(fixture_dir, tmp_path, task):
 
 @pytest.mark.parametrize("task", ["judgment-criminal", "judgment-civil", "retrieval",
                                   "rc", "mcq"])
+def test_head_evaluate_reproduces_finetune_metrics(fixture_dir, tmp_path, task):
+    # one scoring path: the task table holds a head and its fixed arguments,
+    # and finetune's metrics row is the evaluate() of a head fitted alike,
+    # as smoke and the benchmark call it
+    cls, fixed = TASKS[task]
+    assert "evaluate" in vars(cls) and "score_rows" in vars(cls)
+    data = task_data(fixture_dir, task)
+    ft = tmp_path / "ft"
+    assert run(["finetune", "--task", task, "--data", data, "--out", ft, "--steps", 2]) == 0
+    rows = read_jsonl(data)
+    metrics = cls(**fixed, steps=2).fit(rows).evaluate(rows)
+    _write_metrics_csv(tmp_path / "head.csv", [{"task": task, **metrics}])
+    assert (tmp_path / "head.csv").read_bytes() == (ft / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("task", ["judgment-criminal", "judgment-civil", "retrieval",
+                                  "rc", "mcq"])
 def test_finetune_encodes_each_row_once(fixture_dir, tmp_path, task, monkeypatch):
     # at --steps 0 every encoder call comes after fit: the predictions written
     # and the metrics row scored from them share one encode per row (for MCQ,
@@ -631,6 +705,43 @@ def test_finetune_rows_checked_before_anything_is_written(fixture_dir, tmp_path,
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert not out.exists()  # rejected before anything is written
+
+
+def long_retrieval_pair(rows):
+    rows[1]["candidate"] = "案" * 440
+
+
+def long_mcq_choice(rows):
+    rows[1]["question"] = "问" * 70
+    rows[1]["choices"][1] = "选" * 70
+
+
+@pytest.mark.parametrize("task, edit, config, message", [
+    # CLS, SEP, SEP and the pair's tokens: 3 + len(query) + 440 > 256
+    pytest.param("retrieval", long_retrieval_pair, None, "retrieval row 1: its assembled input "
+                 "is {n} tokens, more than the encoder's max_positions 256", id="retrieval"),
+    # 3 + 64 (the question limit) + 64 (the choice limit) > 100
+    pytest.param("mcq", long_mcq_choice, {"encoder": {"max_positions": 100}},
+                 "mcq row 1 choice B: its assembled input is 131 tokens, more than the "
+                 "encoder's max_positions 100", id="mcq"),
+])
+def test_finetune_input_longer_than_the_encoder_writes_nothing(fixture_dir, tmp_path, capsys,
+                                                               task, edit, config, message):
+    rows = read_jsonl(fixture_dir / "fx" / f"{task}.jsonl")[:3]
+    edit(rows)
+    data = write_rows(tmp_path / "rows.jsonl", rows)
+    argv = ["finetune", "--task", task, "--data", data, "--steps", 1]
+    if config is not None:
+        vocab = tmp_path / "vocab.txt"
+        build_vocab(json.dumps(row, ensure_ascii=False) for row in rows).save(vocab)
+        cfg = write_rows(tmp_path / "cfg.json", [config])
+        argv += ["--vocab", vocab, "--config", cfg]
+    out = tmp_path / "ft"
+    capsys.readouterr()
+    assert run([*argv, "--out", out]) == 1
+    n = 3 + len("".join(rows[1].get("query", "").split())) + 440
+    assert capsys.readouterr().err == f"error: {message.format(n=n)}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("max_positions", [64, 67])

@@ -17,7 +17,7 @@ from lctx.corpus import (
     chinese_numeral,
     corpus_stats,
     extract_annotations,
-    filter_by_fact_length,
+    fact_long_enough,
     judgment_stats,
     pack_documents,
     penalty_months,
@@ -102,12 +102,8 @@ def test_filter_boundary_50_dropped_51_kept():
     d51 = doc_with(49)
     assert len(char_tokens(d50.fact)) == 50
     assert len(char_tokens(d51.fact)) == 51
-    kept = filter_by_fact_length([d50, d51])
-    assert kept == [d51]
-
-
-def test_filter_empty_corpus():
-    assert filter_by_fact_length([]) == []
+    assert not fact_long_enough(d50)
+    assert fact_long_enough(d51)
 
 
 # ---------------------------------------------------------------------------

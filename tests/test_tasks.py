@@ -121,7 +121,7 @@ def test_multilabel_decode_matches_bruteforce():
     rng = np.random.default_rng(0)
     for _ in range(200):
         logits = rng.standard_normal(6)
-        got = decode_label_set(logits, threshold=0.5)
+        got = decode_label_set(logits)
         probs = 1 / (1 + np.exp(-logits))
         want = {i for i in range(6) if probs[i] >= 0.5}
         if not want:
